@@ -525,16 +525,22 @@ void BusDaemon::submit_scenario_job(Socket& socket, std::uint64_t session,
   JobIdMsg{id}.encode(w);
   send_frame(socket, MsgType::job_accepted, w);
 
-  // Same driver-thread pattern as the dataset jobs; the scenario runner
-  // fans shards out through the core worker pool itself, so the driver
-  // only needs a worker count. The resolved shard count — and with it
-  // the result — is a pure function of the spec (see scenario_jobs.h),
-  // so the pool size here can never make a served job differ from a
+  // Same driver-thread pattern as the dataset jobs. The scenario runner
+  // fans its shards out on the core executor itself, so the driver only
+  // hands it a worker count: the job's fair share of the shard
+  // parallelism, taken once when the job starts (and recorded on the job
+  // row for STATS). Concurrent scenario jobs thus split the pool instead
+  // of queueing behind each other. The resolved shard count — and with it
+  // the result — is a pure function of the spec (see scenario_jobs.h), so
+  // the worker count here can never make a served job differ from a
   // client's local verification run.
   std::shared_ptr<JobTable> table = jobs_;
-  const std::uint32_t workers = shard_parallelism();
+  const std::uint32_t parallelism = shard_parallelism();
   auto done = std::make_shared<std::atomic<bool>>(false);
-  auto driver = [table, spec = std::move(spec), workers, done, id] {
+  auto driver = [table, spec = std::move(spec), parallelism, done, id] {
+    // Granted before the job turns running, so a running row in STATS
+    // always shows the cap it runs under.
+    const std::uint32_t workers = table->shard_budget(id, parallelism);
     table->mark_running(id);
     try {
       const JobProgressFn progress = [&](std::uint64_t consumed,

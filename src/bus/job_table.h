@@ -95,11 +95,12 @@ class JobTable {
                              std::uint32_t running);
 
   // Fair in-flight shard budget for job `id`: `parallelism` total units
-  // split evenly across non-terminal jobs, never below 1. Re-read by the
-  // job before each shard unit is issued, so a running job's window
-  // shrinks as new jobs arrive and regrows as others drain — the piece
-  // that stops one huge job from starving small ones. The grant is
-  // remembered on the job row for STATS.
+  // split evenly across non-terminal jobs, never below 1. Dataset jobs
+  // re-read it before each shard unit is issued, so a running job's
+  // window shrinks as new jobs arrive and regrows as others drain — the
+  // piece that stops one huge job from starving small ones. Scenario
+  // jobs read it once, as they start, for their worker count. The grant
+  // is remembered on the job row for STATS.
   std::uint32_t shard_budget(std::uint64_t id, std::uint32_t parallelism);
 
   // Fills the scheduler half of a STATS frame: lifetime submit count,

@@ -12,14 +12,17 @@
 // EXECUTION (the split PR 1 established for campaigns, applied to served
 // jobs):
 //
+//   - Every job runs its shard units on core::run_ordered_window, the
+//     one shard executor the campaigns' ParallelRunner::map also uses:
+//     units merge strictly in shard order on the calling thread, so the
+//     merge order never depends on completion order.
 //   - Without a shard budget (the default, and the --verify-local path)
-//     shards run sequentially on the calling thread.
-//   - With one, up to budget() shard units run concurrently as posted
-//     worker-pool jobs; the caller drains them in shard order and merges
-//     incrementally, so at most ~budget shard engines are alive and the
-//     merge order never depends on completion order. The budget is
-//     re-read before each unit is issued, which is how the daemon's fair
-//     scheduler shrinks a running job's window when new jobs arrive.
+//     the window is 1: shards run sequentially on the calling thread.
+//   - With one, up to budget() shard units run concurrently on the
+//     worker pool and merge incrementally, so at most ~budget shard
+//     engines are alive. The budget is re-read before each unit is
+//     issued, which is how the daemon's fair scheduler shrinks a running
+//     job's window when new jobs arrive.
 //
 // TVLA replay labeling: a PSTR file carries no (class, collection)
 // labels, so TVLA-over-file assumes the dataset was recorded in TVLA
@@ -72,17 +75,17 @@ std::uint32_t resolved_job_shards(std::uint32_t spec_shards,
 // Execution knobs — how a job runs, never what it computes.
 struct JobExecOptions {
   // Max shard units to keep in flight on the worker pool, re-read before
-  // each unit is issued (values < 1 are treated as 1). Null: shards run
-  // sequentially on the calling thread, touching no pool state — the
-  // in-process verification path.
+  // each unit is issued (values < 1 are treated as 1, i.e. inline). Null:
+  // shards run sequentially on the calling thread, touching no pool
+  // state — the in-process verification path.
   std::function<std::uint32_t()> shard_budget;
   // Shared decoded-chunk cache for the shard readers (null = every
   // reader decodes privately, the legacy behavior).
   std::shared_ptr<store::ChunkCache> chunk_cache;
   // Observer of shard-unit activity: (resolved shard count, units
   // currently running). Called once with running = 0 when the shard
-  // count resolves, then from unit threads as they start and finish —
-  // concurrently under a shard budget.
+  // count resolves, then from the threads running units as each starts
+  // and finishes — concurrently under a shard budget.
   std::function<void(std::uint32_t shards, std::uint32_t running)>
       on_shard_activity;
 };

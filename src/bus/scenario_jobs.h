@@ -8,8 +8,8 @@
 // function directly. Scenario results are a pure function of (scenario,
 // params, traces_per_set, seed, shards) — the worker count only changes
 // how fast they arrive (tests/scenario asserts worker invariance) — so
-// the daemon may execute with however many pool threads it owns while a
-// client verifies sequentially, and the doubles still match bit for bit.
+// the daemon may execute with its fair share of the pool while a client
+// verifies sequentially, and the doubles still match bit for bit.
 // As with the dataset jobs, a spec shard count of 0 auto-sizes through a
 // policy that is a pure function of the trace budget (resolved_job_shards
 // clamped to the per-set size), never of worker availability; anything

@@ -17,31 +17,30 @@
 //           count, because per-shard work is self-contained and merges
 //           happen in shard order on the calling thread.
 //
-// Worker-pool lifecycle
-// ---------------------
-// Shard jobs execute on a process-wide persistent WorkerPool rather than
-// threads spawned per map() call. The pool starts empty; the first
-// multi-worker map() spawns its helper threads, which then sleep between
-// campaigns and are reused by every later runner (threads are added but
-// never retired until process exit). One map() call publishes its shard
-// jobs as a *generation*: up to workers-1 pool threads join the
-// generation and claim shard indices from a shared atomic ticket
-// alongside the calling thread, which always participates. map() returns
-// only after every job finished AND every joined pool thread has left the
-// generation, so no pool thread can touch a caller's stack frame after
-// the call — late-waking threads see the generation closed and go back
-// to sleep without joining. Exceptions never cross the pool boundary:
-// map() captures per-shard exceptions and rethrows the lowest-indexed
-// one on the calling thread.
+// Shard executor
+// --------------
+// Every shard fan-out in the repo (ParallelRunner::map, the bus dataset
+// jobs) runs on one executor, run_ordered_window: an ordered window of
+// shard units over the process-wide persistent WorkerPool. Before
+// posting each unit the window re-reads its cap, keeps at most that many
+// units in flight, and drains them strictly in index order on the
+// calling thread — merging each finished unit before the next one, so
+// merge order never depends on which pool thread finished first. Drain
+// goes through WorkerPool::finish, which steals a still-queued unit back
+// and runs it inline, so the window never deadlocks, even nested inside
+// another window's unit. The pool starts empty and grows (never
+// shrinks) to the largest cap any window asked for; its threads sleep
+// between windows and are shared by every caller, so concurrent windows
+// interleave their units in the pool's FIFO queue instead of queueing
+// whole campaigns behind each other. Exceptions never cross the pool
+// boundary: a failing unit is not merged, and the lowest-indexed failure
+// is rethrown on the calling thread once every unit has finished.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -85,30 +84,20 @@ struct ShardPlan {
   }
 };
 
-// Process-wide persistent worker pool (see "Worker-pool lifecycle"
-// above). ParallelRunner::map is the intended interface; the pool is
-// public for tests and benches that assert on reuse.
+// Process-wide persistent worker pool (see "Shard executor" above).
+// run_ordered_window and ParallelRunner::map are the intended interface;
+// the pool is public for the store prefetcher's side jobs and for tests
+// and benches that assert on reuse.
 class WorkerPool {
   struct AsyncJob;  // private; defined in parallel.cpp
 
  public:
   static WorkerPool& instance();
 
-  // Runs fn(job) for every job in [0, jobs): the calling thread plus up
-  // to participants-1 pool threads claim job indices from a shared
-  // ticket. Returns when all jobs completed and no pool thread still
-  // references fn. fn must not throw (ParallelRunner::map wraps shard
-  // exceptions before they reach the pool). Concurrent run() calls
-  // serialize; a run() from inside a pool job executes inline on the
-  // caller.
-  void run(std::size_t jobs, std::size_t participants,
-           const std::function<void(std::size_t)>& fn);
-
-  // Handle to one post()ed side job; redeem with finish(). Default
-  // tickets and already-finished tickets are empty (finish() is a no-op
-  // on them). Dropping a ticket without finish() leaves the job to run
-  // whenever a pool thread gets to it, so its fn must own everything it
-  // touches.
+  // Handle to one post()ed job; redeem with finish(). Default tickets and
+  // already-finished tickets are empty (finish() is a no-op on them).
+  // Dropping a ticket without finish() leaves the job to run whenever a
+  // pool thread gets to it, so its fn must own everything it touches.
   class AsyncTicket {
    public:
     AsyncTicket() = default;
@@ -119,67 +108,26 @@ class WorkerPool {
     std::shared_ptr<AsyncJob> job_;
   };
 
-  // Enqueues one side job for any idle pool thread — the async leg of a
-  // double-buffered producer/consumer (the store prefetcher decodes
-  // chunk N+1 here while the caller ingests chunk N). fn must not throw;
-  // it runs exactly once, on a pool thread or inline in finish().
+  // Enqueues one job for any idle pool thread: a shard unit of an
+  // ordered window, or the async leg of a double-buffered
+  // producer/consumer (the store prefetcher decodes chunk N+1 here while
+  // the caller ingests chunk N). fn must not throw; it runs exactly once,
+  // on a pool thread or inline in finish().
   AsyncTicket post(std::function<void()> fn);
 
   // Waits until the ticket's job has run and empties the ticket. If no
   // pool thread has claimed the job yet it is stolen back and run inline
   // on the caller — so finish() never deadlocks, even when every pool
-  // thread is parked inside a run() generation that is itself waiting on
-  // this job. Returns true iff the job ran on a pool thread (the
-  // prefetcher's async-hit statistic); false for inline execution or an
-  // empty ticket.
+  // thread is busy with jobs that are themselves waiting on this one.
+  // Returns true iff the job ran on a pool thread (the prefetcher's
+  // async-hit statistic); false for inline execution or an empty ticket.
   bool finish(AsyncTicket& ticket);
 
-  // Bounded fan-out of post()ed jobs, drained strictly in post order —
-  // the shape a shard-parallel bus job needs: keep a capped window of
-  // shard units in flight while merging finished units deterministically
-  // (unit s is always finished before unit s+1, whatever order the pool
-  // ran them in). finish_next() inherits finish()'s steal-back guarantee,
-  // so draining a group can never deadlock even with every pool thread
-  // busy. Not thread-safe: one owner thread posts and drains.
-  class JobGroup {
-   public:
-    explicit JobGroup(WorkerPool& pool = WorkerPool::instance())
-        : pool_(pool) {}
-    ~JobGroup() { finish_all(); }
-
-    JobGroup(const JobGroup&) = delete;
-    JobGroup& operator=(const JobGroup&) = delete;
-
-    void post(std::function<void()> fn) {
-      tickets_.push_back(pool_.post(std::move(fn)));
-    }
-    // Waits for (or steals back and runs) the oldest outstanding job;
-    // false when none are outstanding.
-    bool finish_next() {
-      if (tickets_.empty()) {
-        return false;
-      }
-      AsyncTicket ticket = std::move(tickets_.front());
-      tickets_.pop_front();
-      pool_.finish(ticket);
-      return true;
-    }
-    void finish_all() {
-      while (finish_next()) {
-      }
-    }
-    std::size_t in_flight() const noexcept { return tickets_.size(); }
-
-   private:
-    WorkerPool& pool_;
-    std::deque<AsyncTicket> tickets_;
-  };
-
-  // Grows the pool to at least `threads` pool threads up front. post()
-  // alone only guarantees one pool thread, so a server expecting N
-  // concurrent posted jobs (the bus daemon's job executor) reserves its
-  // concurrency target once at startup instead of having posted jobs
-  // queue behind each other. Never shrinks; safe to call concurrently.
+  // Grows the pool to at least `threads` pool threads. post() alone only
+  // guarantees one pool thread, so a window of W units (or a server
+  // expecting N concurrent jobs, like the bus daemon) reserves its
+  // concurrency target instead of having posted jobs queue behind each
+  // other. Never shrinks; safe to call concurrently.
   void reserve(std::size_t threads);
 
   // Pool threads spawned so far (grow-only); exposed so tests can assert
@@ -194,28 +142,29 @@ class WorkerPool {
   ~WorkerPool();
 
   void worker_loop();
-  void ensure_threads(std::size_t helpers);  // caller holds mu_
+  void ensure_threads(std::size_t threads);  // caller holds mu_
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // new generation or async job
-  std::condition_variable done_cv_;   // last active thread left
-  std::condition_variable async_cv_;  // an async job completed
+  std::condition_variable work_cv_;   // job posted or shutdown
+  std::condition_variable async_cv_;  // a job completed
   std::vector<std::thread> threads_;
   std::deque<std::shared_ptr<AsyncJob>> async_jobs_;  // posted, unclaimed
   bool shutdown_ = false;
-
-  // Current generation, all guarded by mu_ except the ticket.
-  std::uint64_t generation_ = 0;
-  bool open_ = false;  // still accepting joiners
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::size_t jobs_ = 0;
-  std::size_t max_joiners_ = 0;
-  std::size_t joined_ = 0;
-  std::size_t active_ = 0;
-  std::atomic<std::size_t> next_{0};
-
-  std::mutex run_mu_;  // serializes whole run() calls
 };
+
+// The shard executor. Runs unit(i) for every i in [0, units) and
+// merge(i) strictly in ascending i on the calling thread. cap() is
+// re-read before each unit is posted and bounds the units in flight
+// (values < 1 count as 1); the pool grows to the cap, so a cap of W runs
+// W units at once. A cap of 1, or a single unit, runs inline on the
+// caller without touching the pool. A unit that throws is not merged;
+// once every unit has finished, the exception of the lowest-indexed
+// failing unit is rethrown. unit runs concurrently on pool threads;
+// merge and cap only ever run on the caller.
+void run_ordered_window(std::size_t units,
+                        const std::function<std::size_t()>& cap,
+                        const std::function<void(std::size_t)>& unit,
+                        const std::function<void(std::size_t)>& merge);
 
 // Near-equal contiguous partition of `total` items into `shards` pieces:
 // piece s gets total/shards items plus one of the first total%shards
@@ -234,54 +183,28 @@ class ParallelRunner {
   std::size_t shards() const noexcept { return plan_.resolved_shards(); }
   std::size_t workers() const noexcept { return plan_.resolved_workers(); }
 
-  // Invokes fn(shard_index) once per shard across the persistent
-  // WorkerPool and returns the results ordered by shard index, so
-  // downstream merges are deterministic regardless of which worker
-  // finished first. If shard jobs throw, the exception of the
-  // lowest-indexed failing shard is rethrown after all workers have left
-  // the generation.
+  // Invokes fn(shard_index) once per shard on run_ordered_window with
+  // the constant cap min(workers, shards) and returns the results
+  // ordered by shard index, so downstream merges are deterministic
+  // regardless of which worker finished first. If shard jobs throw, the
+  // exception of the lowest-indexed failing shard is rethrown after
+  // every shard finished.
   template <typename Fn>
   auto map(Fn&& fn) {
     using Partial = std::invoke_result_t<Fn&, std::size_t>;
     const std::size_t n = shards();
+    const std::size_t cap = std::min(workers(), n);
     std::vector<std::optional<Partial>> slots(n);
-    const std::size_t participants = std::min(workers(), n);
-    if (participants <= 1) {
-      for (std::size_t s = 0; s < n; ++s) {
-        slots[s].emplace(fn(s));
-      }
-    } else {
-      std::vector<std::exception_ptr> errors(n);
-      WorkerPool::instance().run(n, participants, [&](std::size_t s) {
-        try {
-          slots[s].emplace(fn(s));
-        } catch (...) {
-          errors[s] = std::current_exception();
-        }
-      });
-      for (const auto& error : errors) {
-        if (error) {
-          std::rethrow_exception(error);
-        }
-      }
-    }
     std::vector<Partial> out;
     out.reserve(n);
-    for (auto& slot : slots) {
-      out.push_back(std::move(*slot));
-    }
+    run_ordered_window(
+        n, [cap] { return cap; },
+        [&](std::size_t s) { slots[s].emplace(fn(s)); },
+        [&](std::size_t s) {
+          out.push_back(std::move(*slots[s]));
+          slots[s].reset();
+        });
     return out;
-  }
-
-  // map() for shard jobs that mutate external per-shard state instead of
-  // returning a value (e.g. advancing persistent shard engines between
-  // checkpoint barriers).
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    map([&fn](std::size_t s) {
-      fn(s);
-      return 0;
-    });
   }
 
  private:

@@ -1,7 +1,8 @@
 // BusDaemon end-to-end over real Unix-domain sockets: served campaign
 // results must be bit-identical to the same campaign run in-process
 // (asserted on every correlation double, with two concurrent clients),
-// protocol garbage must cost exactly the offending connection, a client
+// concurrent scenario jobs must run side by side under their fair shard
+// cap, protocol garbage must cost exactly the offending connection, a client
 // disconnecting mid-job must leak nothing, and shutdown — via the
 // protocol or a signal — must drain before it tears down.
 #include <gtest/gtest.h>
@@ -10,9 +11,12 @@
 #include <unistd.h>
 
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstring>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +24,7 @@
 #include "bus/client.h"
 #include "bus/daemon.h"
 #include "bus/jobs.h"
+#include "bus/scenario_jobs.h"
 #include "store/pstr_format.h"
 #include "store/trace_file_reader.h"
 #include "store/trace_file_writer.h"
@@ -322,6 +327,77 @@ TEST_F(BusDaemonTest, StatsReportDecodeOnceAcrossJobs) {
   EXPECT_GE(after.cache_hits, chunks);
   EXPECT_GT(after.cache_resident_bytes, 0u);
   EXPECT_EQ(after.cache_entries, chunks);
+}
+
+// Served scenario jobs share the pool under their fair cap instead of
+// queueing one whole job behind another. A pacer job is still active
+// when job A starts and already done when job B starts, so A and B each
+// start next to exactly one other active job and take the fair cap
+// shard_parallelism / 2 = 2; A is sized to outlast the pacer and B.
+TEST_F(BusDaemonTest, ConcurrentScenarioJobsRunSideBySideUnderFairCaps) {
+  serve("scnrace", /*quota=*/4, /*shard_parallelism=*/4);
+  const auto spec_of = [](std::uint64_t traces_per_set, std::uint64_t seed) {
+    ScenarioJobSpec spec;
+    spec.scenario = "sqmul-timing";
+    spec.traces_per_set = traces_per_set;
+    spec.seed = seed;
+    spec.shards = 4;
+    return spec;
+  };
+  constexpr std::uint64_t per_set = 40000;
+  const ScenarioJobSpec pacer = spec_of(per_set, 1);
+  const ScenarioJobSpec a = spec_of(3 * per_set, 2);
+  const ScenarioJobSpec b = spec_of(per_set, 3);
+  const auto terminal = [](const JobStatusMsg& s) {
+    return s.state == JobState::done || s.state == JobState::failed;
+  };
+
+  BusClient client(daemon_->socket_path());
+  const std::uint64_t pacer_id = client.submit_scenario(pacer);
+  const std::uint64_t a_id = client.submit_scenario(a);
+  ASSERT_EQ(client.watch(pacer_id).state, JobState::done);
+  const std::uint64_t b_id = client.submit_scenario(b);
+
+  bool side_by_side = false;
+  std::map<std::uint64_t, std::set<std::uint32_t>> running_caps;
+  for (;;) {
+    const JobStatusMsg a1 = client.status(a_id);
+    const JobStatusMsg b1 = client.status(b_id);
+    const JobStatusMsg a2 = client.status(a_id);
+    // A had consumed before B's sample and was still live after it.
+    if (a1.consumed > 0 && b1.consumed > 0 && !terminal(b1) &&
+        !terminal(a2)) {
+      side_by_side = true;
+    }
+    for (const StatsMsg::JobRow& row : client.stats().jobs) {
+      if (row.state == JobState::running) {
+        running_caps[row.id].insert(row.shard_cap);
+      }
+    }
+    if (terminal(client.status(a_id)) && terminal(client.status(b_id))) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_TRUE(side_by_side)
+      << "no sample showed both jobs consuming while neither was done";
+  // Every STATS row of either job, whenever sampled, shows cap 2.
+  const std::set<std::uint32_t> fair = {2};
+  EXPECT_EQ(running_caps,
+            (std::map<std::uint64_t, std::set<std::uint32_t>>{{a_id, fair},
+                                                              {b_id, fair}}));
+
+  // Served results equal a local run of the same spec, byte for byte on
+  // the wire encoding (which carries every double's bit pattern).
+  const auto wire = [](const ScenarioJobResult& result) {
+    PayloadWriter w;
+    ScenarioResultMsg{0, result}.encode(w);
+    return w.bytes();
+  };
+  EXPECT_EQ(wire(client.scenario_result(a_id)),
+            wire(run_scenario_job(a, {}, 4)));
+  EXPECT_EQ(wire(client.scenario_result(b_id)),
+            wire(run_scenario_job(b, {}, 4)));
 }
 
 TEST_F(BusDaemonTest, CacheDisabledServesIdenticalResults) {

@@ -4,8 +4,11 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "core/campaigns.h"
 #include "core/guessing_entropy.h"
@@ -144,10 +147,11 @@ TEST(ParallelRunner, SequentialAndParallelMapAgree) {
 TEST(ParallelRunner, PropagatesLowestShardException) {
   ParallelRunner runner({.workers = 4, .shards = 8});
   try {
-    runner.for_each([](std::size_t s) {
+    runner.map([](std::size_t s) {
       if (s == 3 || s == 6) {
         throw std::runtime_error("shard " + std::to_string(s));
       }
+      return s;
     });
     FAIL() << "expected exception";
   } catch (const std::runtime_error& e) {
@@ -161,9 +165,9 @@ TEST(ParallelRunner, PropagatesLowestShardException) {
 // the first multi-worker map are reused, not respawned, by later maps.
 TEST(WorkerPool, ThreadsPersistAcrossRunners) {
   ParallelRunner first({.workers = 4, .shards = 8});
-  first.for_each([](std::size_t) {});
+  first.map([](std::size_t s) { return s; });
   const std::size_t after_first = WorkerPool::instance().thread_count();
-  EXPECT_GE(after_first, 3u);  // workers - 1 helpers; grow-only
+  EXPECT_GE(after_first, 4u);  // the pool grows to the cap; grow-only
   for (int round = 0; round < 5; ++round) {
     ParallelRunner again({.workers = 4, .shards = 8});
     const auto out = again.map([](std::size_t s) { return s * s; });
@@ -174,14 +178,17 @@ TEST(WorkerPool, ThreadsPersistAcrossRunners) {
   }
 }
 
-// Every job index runs exactly once per generation, across many
-// back-to-back generations (the reuse path a campaign sweep exercises).
-TEST(WorkerPool, EachJobRunsExactlyOncePerGeneration) {
+// ---------- the ordered window (run_ordered_window) ----------
+
+// Every shard runs exactly once per map, across many back-to-back maps
+// on the shared pool (the reuse path a campaign sweep exercises).
+TEST(OrderedWindow, EachUnitRunsExactlyOncePerMap) {
   for (int round = 0; round < 20; ++round) {
     constexpr std::size_t jobs = 16;
     std::array<std::atomic<int>, jobs> hits{};
-    WorkerPool::instance().run(jobs, 4, [&](std::size_t s) {
-      hits[s].fetch_add(1, std::memory_order_relaxed);
+    ParallelRunner runner({.workers = 4, .shards = jobs});
+    runner.map([&](std::size_t s) {
+      return hits[s].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t s = 0; s < jobs; ++s) {
       ASSERT_EQ(hits[s].load(), 1) << "round " << round << " job " << s;
@@ -189,21 +196,77 @@ TEST(WorkerPool, EachJobRunsExactlyOncePerGeneration) {
   }
 }
 
-// A run() from inside a pool job must not corrupt the outer generation —
-// it executes inline on the calling worker.
-TEST(WorkerPool, NestedRunExecutesInline) {
+// A map from inside a unit posts its own units to the same pool and
+// drains them with steal-back, so it completes even when every pool
+// thread is busy running the outer window.
+TEST(OrderedWindow, NestedMapInsideAUnitCompletes) {
   std::array<std::atomic<int>, 4> outer_hits{};
   std::atomic<int> inner_total{0};
-  WorkerPool::instance().run(4, 4, [&](std::size_t s) {
+  ParallelRunner outer({.workers = 4, .shards = 4});
+  const auto sums = outer.map([&](std::size_t s) {
     outer_hits[s].fetch_add(1, std::memory_order_relaxed);
-    WorkerPool::instance().run(3, 4, [&](std::size_t) {
+    ParallelRunner inner({.workers = 4, .shards = 3});
+    const auto parts = inner.map([&](std::size_t t) {
       inner_total.fetch_add(1, std::memory_order_relaxed);
+      return 10 * s + t;
     });
+    return std::accumulate(parts.begin(), parts.end(), std::size_t{0});
   });
   for (std::size_t s = 0; s < 4; ++s) {
     EXPECT_EQ(outer_hits[s].load(), 1);
+    EXPECT_EQ(sums[s], 30 * s + 3);
   }
   EXPECT_EQ(inner_total.load(), 12);
+}
+
+// The cap is re-read before each unit is posted: once it shrinks, no
+// later unit ever runs next to more units than the cap it was posted
+// under, and a cap of 1 runs units inline on the caller. merge runs on
+// the caller in ascending order and skips failed units; the
+// lowest-indexed failure is rethrown after every unit ran.
+TEST(OrderedWindow, ShrinkingCapBoundsInFlightAndMergesInOrder) {
+  constexpr std::size_t units = 12;
+  const auto cap_for = [](std::size_t i) -> std::size_t {
+    return i < 4 ? 4 : i < 8 ? 2 : 1;
+  };
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t cap_reads = 0;
+  std::atomic<std::size_t> running{0};
+  std::array<std::size_t, units> seen{};
+  std::array<std::thread::id, units> ran_on{};
+  std::array<std::atomic<int>, units> hits{};
+  std::vector<std::size_t> merged;
+  try {
+    run_ordered_window(
+        units, [&] { return cap_for(cap_reads++); },
+        [&](std::size_t i) {
+          seen[i] = running.fetch_add(1) + 1;
+          ran_on[i] = std::this_thread::get_id();
+          hits[i].fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          running.fetch_sub(1);
+          if (i == 3 || i == 9) {
+            throw std::runtime_error("unit " + std::to_string(i));
+          }
+        },
+        [&](std::size_t i) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          merged.push_back(i);
+        });
+    FAIL() << "expected exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "unit 3");
+  }
+  EXPECT_EQ(cap_reads, units);
+  for (std::size_t i = 0; i < units; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "unit " << i;
+    EXPECT_LE(seen[i], cap_for(i)) << "unit " << i;
+    if (cap_for(i) == 1) {
+      EXPECT_EQ(ran_on[i], caller) << "unit " << i;
+    }
+  }
+  EXPECT_EQ(merged,
+            (std::vector<std::size_t>{0, 1, 2, 4, 5, 6, 7, 8, 10, 11}));
 }
 
 // reserve() pre-spawns pool threads so N posted jobs can run truly
@@ -308,33 +371,36 @@ TEST(WorkerPoolAsync, ManyOutstandingJobsAllComplete) {
   }
 }
 
-// finish() from inside a pool job steals unclaimed work back and runs it
-// inline — the property that makes prefetch-inside-sharded-replay
-// deadlock-free even when every pool thread is busy with shard jobs.
-TEST(WorkerPoolAsync, FinishInsidePoolJobNeverDeadlocks) {
+// finish() from inside a window's unit steals unclaimed work back and
+// runs it inline — the property that makes prefetch-inside-sharded-
+// replay deadlock-free even when every pool thread is busy with units.
+TEST(OrderedWindow, PostAndFinishInsideAUnitNeverDeadlock) {
   constexpr std::size_t shards = 8;
   std::array<std::atomic<int>, shards> hits{};
-  WorkerPool::instance().run(shards, 4, [&](std::size_t s) {
+  ParallelRunner runner({.workers = 4, .shards = shards});
+  runner.map([&](std::size_t s) {
     auto ticket = WorkerPool::instance().post(
         [&hits, s] { hits[s].fetch_add(1, std::memory_order_relaxed); });
     WorkerPool::instance().finish(ticket);
+    return s;
   });
   for (std::size_t s = 0; s < shards; ++s) {
     ASSERT_EQ(hits[s].load(), 1) << "shard " << s;
   }
 }
 
-// Async jobs posted while a generation is in flight complete, and the
-// generation still runs every job exactly once.
-TEST(WorkerPoolAsync, InterleavesWithRunGenerations) {
+// Async jobs posted while a map is in flight share the pool's queue with
+// its units: both complete, and the map still runs every shard once.
+TEST(OrderedWindow, AsyncJobsInterleaveWithAMap) {
   for (int round = 0; round < 10; ++round) {
     std::atomic<int> async_hits{0};
     auto ticket = WorkerPool::instance().post(
         [&] { async_hits.fetch_add(1, std::memory_order_relaxed); });
     constexpr std::size_t jobs = 8;
     std::array<std::atomic<int>, jobs> hits{};
-    WorkerPool::instance().run(jobs, 4, [&](std::size_t s) {
-      hits[s].fetch_add(1, std::memory_order_relaxed);
+    ParallelRunner runner({.workers = 4, .shards = jobs});
+    runner.map([&](std::size_t s) {
+      return hits[s].fetch_add(1, std::memory_order_relaxed);
     });
     WorkerPool::instance().finish(ticket);
     EXPECT_EQ(async_hits.load(), 1) << "round " << round;
