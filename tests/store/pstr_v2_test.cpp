@@ -1,9 +1,10 @@
 // PSTR v2: compressed chunk codecs end-to-end through the store layer.
 // Round trips must be bit-exact in both reader modes, corruption inside
 // a *compressed* column block must be a loud StoreError (the CRC covers
-// the decoded payload, so codecs cannot weaken integrity), and a CPA
+// the decoded payload, so codecs cannot weaken integrity), a CPA
 // campaign replayed from a v2 file — through the prefetching source —
-// must match the live recording bit for bit.
+// must match the live recording bit for bit, and a v1 recording
+// compacted to v2 must replay bit for bit through the TVLA and CPA sinks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +13,14 @@
 #include <cstddef>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/analysis_sink.h"
+#include "core/campaigns.h"
 #include "core/trace_source.h"
+#include "power/noise.h"
 #include "store/file_trace_source.h"
 #include "store/trace_file_reader.h"
 #include "store/trace_file_writer.h"
@@ -56,6 +60,43 @@ core::TraceBatch quantized_batch(std::uint64_t seed) {
     }
   }
   return batch;
+}
+
+// The quantized-sensor set: `rails` channels, each a slow random walk
+// pushed through the measurement path — power::GaussianNoise (~250
+// quantizer steps), a uW power::Quantizer and the SMC client's float32
+// truncation (victim/fast_trace.cpp). Sensor-heavy rows like these are
+// what delta_bitpack exists for.
+core::TraceBatch sensor_rails_batch(std::size_t n_rows, std::size_t rails,
+                                    std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  const power::GaussianNoise noise(250e-6);
+  const power::Quantizer quant(1e-6);
+  core::TraceBatch batch(rails);
+  batch.resize(n_rows);
+  for (auto& pt : batch.plaintexts()) {
+    rng.fill_bytes(pt);
+  }
+  for (auto& ct : batch.ciphertexts()) {
+    rng.fill_bytes(ct);
+  }
+  for (std::size_t c = 0; c < rails; ++c) {
+    double level = 4.0;
+    for (auto& v : batch.column(c)) {
+      level += rng.gaussian(0.0, 10e-6);  // slow baseline drift
+      v = static_cast<double>(
+          static_cast<float>(quant.apply(noise.apply(level, rng))));
+    }
+  }
+  return batch;
+}
+
+std::vector<util::FourCc> rail_names(std::size_t rails) {
+  std::vector<util::FourCc> names;
+  for (std::size_t c = 0; c < rails; ++c) {
+    names.push_back(*util::FourCc::parse("QT" + std::to_string(10 + c)));
+  }
+  return names;
 }
 
 std::string write_v2_file(const std::string& name,
@@ -160,29 +201,48 @@ TEST(PstrV2, RoundTripsBitExactInBothReaderModes) {
 }
 
 TEST(PstrV2, CompressionEngagesAndShrinksChannelColumns) {
-  const core::TraceBatch original = quantized_batch(5);
-  const std::string path = temp_path("v2_shrink.pstr");
-  TraceFileWriter writer(
-      path,
-      {.channels = {util::FourCc("PHPC"), util::FourCc("PMVC"),
-                    util::FourCc("PSTR")},
-       .chunk_capacity = chunk_rows,
-       .channel_codecs =
-           uniform_channel_codecs(n_channels, ColumnCodec::delta_bitpack)});
-  writer.append(original);
-  writer.finalize();
-  EXPECT_EQ(writer.channel_raw_bytes(), rows * n_channels * 8);
-  // Narrow quantized walks pack well below half the raw doubles.
-  EXPECT_LT(writer.channel_stored_bytes() * 2, writer.channel_raw_bytes());
+  // Each input is written as v2 and as v1. The 16-rail sensor set must
+  // shrink the whole file — AES columns included — at least 2x (it
+  // reads 2.85x: 160 -> 56 bytes/trace).
+  struct Input {
+    std::string name;
+    core::TraceBatch batch;
+    std::size_t chunk_capacity;
+    double min_file_ratio;
+  };
+  const std::vector<Input> inputs = {
+      {"capture-shaped", quantized_batch(5), chunk_rows, 1.0},
+      {"16-rail sensor", sensor_rails_batch(8192, 16, 23), 4096, 2.0},
+  };
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    const std::size_t channels = input.batch.channels();
+    const std::string path = temp_path("v2_shrink.pstr");
+    TraceFileWriter writer(
+        path, {.channels = rail_names(channels),
+               .chunk_capacity = input.chunk_capacity,
+               .channel_codecs = uniform_channel_codecs(
+                   channels, ColumnCodec::delta_bitpack)});
+    writer.append(input.batch);
+    writer.finalize();
+    EXPECT_EQ(writer.channel_raw_bytes(),
+              input.batch.size() * channels * 8);
+    // Narrow quantized walks pack well below half the raw doubles.
+    EXPECT_LT(writer.channel_stored_bytes() * 2, writer.channel_raw_bytes());
 
-  // And the v2 file is genuinely smaller than the same data as v1.
-  const std::string v1_path = temp_path("v2_shrink_ref_v1.pstr");
-  TraceFileWriter v1_writer(
-      v1_path, {.channels = writer.channels(), .chunk_capacity = chunk_rows});
-  v1_writer.append(original);
-  v1_writer.finalize();
-  EXPECT_LT(TraceFileReader(path).file_bytes(),
-            TraceFileReader(v1_path).file_bytes());
+    // And the v2 file is genuinely smaller than the same data as v1.
+    const std::string v1_path = temp_path("v2_shrink_ref_v1.pstr");
+    TraceFileWriter v1_writer(v1_path,
+                              {.channels = writer.channels(),
+                               .chunk_capacity = input.chunk_capacity});
+    v1_writer.append(input.batch);
+    v1_writer.finalize();
+    const std::size_t v1_bytes = TraceFileReader(v1_path).file_bytes();
+    const std::size_t v2_bytes = TraceFileReader(path).file_bytes();
+    EXPECT_LT(v2_bytes, v1_bytes);
+    EXPECT_GE(static_cast<double>(v1_bytes),
+              input.min_file_ratio * static_cast<double>(v2_bytes));
+  }
 }
 
 TEST(PstrV2, UnquantizedDataFallsBackToIdentityAndRoundTrips) {
@@ -419,6 +479,142 @@ TEST(PstrV2, ReplayedCpaFromV2FileBitIdenticalToLiveRecording) {
     expect_results_identical(engine.analyze(models[0], round_keys),
                              live_result);
   }
+}
+
+// Replays a store recorded in TVLA protocol order through one TvlaSink
+// over every channel and one CpaSink on `cpa_column`. Set k of the six
+// equal consecutive sets is labeled (class k % 3, primed = k >= 3): the
+// positional rule of served TVLA jobs (bus/jobs.h).
+struct ProtocolReplay {
+  core::TvlaSink tvla;
+  core::CpaSink cpa;
+};
+
+ProtocolReplay replay_in_protocol_order(
+    const std::string& path, std::size_t cpa_column,
+    const std::vector<power::PowerModel>& models) {
+  FileTraceSource source(path);
+  const std::size_t channels = source.keys().size();
+  ProtocolReplay out{core::TvlaSink(channels),
+                     core::CpaSink(models, {cpa_column})};
+  core::MultiSink multi({&out.tvla, &out.cpa});
+  const std::size_t per_set = source.reader().trace_count() / 6;
+  core::TraceBatch batch(channels);
+  for (std::size_t k = 0; k < 6; ++k) {
+    const core::BatchLabel label = core::BatchLabel::tvla(
+        core::all_plaintext_classes[k % 3], /*primed=*/k >= 3);
+    for (std::size_t done = 0; done < per_set;) {
+      const std::size_t n = std::min<std::size_t>(1000, per_set - done);
+      batch.clear();
+      batch.resize(n);
+      source.collect_batch(batch);
+      multi.consume(batch, label);
+      done += n;
+    }
+  }
+  return out;
+}
+
+void expect_matrices_bit_identical(const core::TvlaMatrix& a,
+                                   const core::TvlaMatrix& b) {
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.t[r][c]),
+                std::bit_cast<std::uint64_t>(b.t[r][c]))
+          << "cell " << r << "," << c;
+    }
+  }
+}
+
+// The `trace_convert compact` loop over a live recording: a v1 capture
+// in TVLA protocol order, rewritten chunk by chunk into a delta_bitpack
+// v2 writer that keeps the source's chunk capacity and metadata. Both
+// files must replay bit-identically through the TVLA and CPA sinks, so
+// serving the compacted file in place of the recording changes nothing.
+TEST(PstrV2, CompactedLiveRecordingReplaysBitIdenticalThroughTvlaAndCpa) {
+  const std::string v1_path = temp_path("v2_compact_src.pstr");
+  const std::string v2_path = temp_path("v2_compact_dst.pstr");
+  const std::vector<power::PowerModel> models = {power::PowerModel::rd0_hw};
+  const core::LiveSourceConfig live_config{
+      .profile = soc::DeviceProfile::macbook_air_m2(),
+      .victim = victim::VictimModel::user_space(),
+  };
+  const std::vector<util::FourCc> channels =
+      core::LiveTraceSource::channel_names(live_config);
+  const std::size_t column = static_cast<std::size_t>(
+      std::find(channels.begin(), channels.end(), util::FourCc("PHPC")) -
+      channels.begin());
+  ASSERT_LT(column, channels.size());
+
+  constexpr std::size_t per_set = 500;
+  core::SinkCampaignConfig campaign;
+  campaign.channels = channels;
+  campaign.make_source = [&live_config](const aes::Block& secret,
+                                        std::uint64_t seed) {
+    return std::make_unique<core::LiveTraceSource>(live_config, secret, seed);
+  };
+  campaign.traces_per_set = per_set;
+  campaign.seed = 53;
+  campaign.shards = 1;  // one writer sees the stream in protocol order
+  core::SinkCampaignResult live;
+  {
+    TraceFileWriter writer(
+        v1_path,
+        {.channels = channels,
+         .chunk_capacity = 256,
+         .metadata = device_metadata(live_config.profile.name,
+                                     live_config.profile.os_version)});
+    RecordingSink recorder(writer);
+    campaign.extra_sink = [&recorder](std::size_t) { return &recorder; };
+    live = core::run_sink_campaign(campaign);
+    writer.finalize();
+  }
+
+  {
+    TraceFileReader src(v1_path);
+    TraceFileWriter compact(
+        v2_path,
+        {.channels = src.channels(),
+         .chunk_capacity = src.chunk_capacity(),
+         .metadata = src.metadata(),
+         .channel_codecs = uniform_channel_codecs(
+             src.channels().size(), ColumnCodec::delta_bitpack)});
+    core::TraceBatch batch(src.channels().size());
+    for (std::size_t i = 0; i < src.chunk_count(); ++i) {
+      batch.clear();
+      src.chunk(i).append_to(batch);
+      compact.append(batch);
+    }
+    compact.finalize();
+    // The recorded sensor grids must actually compress, or the replays
+    // below would only compare identity blocks.
+    EXPECT_LT(compact.channel_stored_bytes(), compact.channel_raw_bytes());
+
+    const TraceFileReader out(v2_path);
+    EXPECT_EQ(out.format_version(), format_version_v2);
+    EXPECT_EQ(out.trace_count(), 6 * per_set);
+    EXPECT_EQ(out.chunk_count(), src.chunk_count());
+    EXPECT_EQ(out.metadata(), src.metadata());
+  }
+
+  const ProtocolReplay from_v1 =
+      replay_in_protocol_order(v1_path, column, models);
+  const ProtocolReplay from_v2 =
+      replay_in_protocol_order(v2_path, column, models);
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    SCOPED_TRACE(channels[c].str());
+    // Positional labeling recovers the live campaign's sets exactly...
+    expect_matrices_bit_identical(from_v1.tvla.accumulator(c).matrix(),
+                                  live.tvla[c].matrix);
+    // ...and the compacted file replays the recording bit for bit.
+    expect_matrices_bit_identical(from_v2.tvla.accumulator(c).matrix(),
+                                  from_v1.tvla.accumulator(c).matrix());
+  }
+  ASSERT_EQ(from_v1.cpa.trace_count(), 2 * per_set);
+  ASSERT_EQ(from_v2.cpa.trace_count(), 2 * per_set);
+  expect_results_identical(
+      from_v2.cpa.engine(0).analyze(models[0], live.round_keys),
+      from_v1.cpa.engine(0).analyze(models[0], live.round_keys));
 }
 
 }  // namespace

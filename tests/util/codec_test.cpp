@@ -183,8 +183,8 @@ TEST(DeltaBitpack, EncodedSizeFormula) {
 
 TEST(DeltaBitpack, CompressesTypicalSensorColumnHard) {
   // ~250-step sigma needs ~10 bits per delta: expect at least 4x on a
-  // 4096-row chunk column (the ratio the store_v2 bench then gates
-  // end-to-end).
+  // 4096-row chunk column (pstr_v2_test then asserts the whole-file
+  // ratio on a 16-rail set of such columns).
   const auto values =
       quantized_walk(29, 4096, 1e-6, 4.0, 250e-6, /*f32=*/true);
   std::vector<std::byte> enc;
