@@ -14,10 +14,6 @@ namespace psc::bus {
 
 namespace {
 
-bool is_terminal(JobState state) noexcept {
-  return state == JobState::done || state == JobState::failed;
-}
-
 void send_error(const Socket& socket, ErrorCode code,
                 const std::string& message) {
   PayloadWriter w;
@@ -313,14 +309,14 @@ bool BusDaemon::dispatch(Socket& socket, std::uint64_t session, MsgType type,
       PayloadReader r(payload);
       SubmitCpaMsg msg = SubmitCpaMsg::decode(r);
       submit_job(socket, session, JobKind::cpa, std::move(msg.dataset),
-                 msg.spec, TvlaJobSpec{});
+                 msg.spec, {}, {});
       return true;
     }
     case MsgType::submit_tvla: {
       PayloadReader r(payload);
       SubmitTvlaMsg msg = SubmitTvlaMsg::decode(r);
-      submit_job(socket, session, JobKind::tvla, std::move(msg.dataset),
-                 CpaJobSpec{}, msg.spec);
+      submit_job(socket, session, JobKind::tvla, std::move(msg.dataset), {},
+                 msg.spec, {});
       return true;
     }
     case MsgType::list_scenarios: {
@@ -341,8 +337,9 @@ bool BusDaemon::dispatch(Socket& socket, std::uint64_t session, MsgType type,
     }
     case MsgType::submit_scenario: {
       PayloadReader r(payload);
-      SubmitScenarioMsg msg = SubmitScenarioMsg::decode(r);
-      submit_scenario_job(socket, session, std::move(msg.spec));
+      const SubmitScenarioMsg msg = SubmitScenarioMsg::decode(r);
+      submit_job(socket, session, JobKind::scenario, /*dataset=*/"", {}, {},
+                 msg.spec);
       return true;
     }
     case MsgType::job_status: {
@@ -410,20 +407,41 @@ bool BusDaemon::dispatch(Socket& socket, std::uint64_t session, MsgType type,
 
 void BusDaemon::submit_job(Socket& socket, std::uint64_t session, JobKind kind,
                            std::string dataset, const CpaJobSpec& cpa,
-                           const TvlaJobSpec& tvla) {
+                           const TvlaJobSpec& tvla,
+                           const ScenarioJobSpec& scenario) {
   if (stopping_.load(std::memory_order_acquire)) {
     send_error(socket, ErrorCode::shutting_down, "daemon is draining");
     return;
   }
-  std::shared_ptr<const store::SharedMapping> mapping =
-      registry_.mapping(dataset);
-  if (mapping == nullptr) {
-    send_error(socket, ErrorCode::unknown_dataset,
-               "no such dataset: " + dataset);
-    return;
+  // Validate everything a typed error can catch before the job exists:
+  // an unknown dataset or scenario, or malformed params, costs one ERROR
+  // frame, never the connection (and never the daemon).
+  std::shared_ptr<const store::SharedMapping> mapping;
+  if (kind == JobKind::scenario) {
+    const std::shared_ptr<const scenario::Scenario> sc =
+        scenario::ScenarioRegistry::built_in().find(scenario.scenario);
+    if (sc == nullptr) {
+      send_error(socket, ErrorCode::unknown_scenario,
+                 "no such scenario: " + scenario.scenario);
+      return;
+    }
+    try {
+      const scenario::ParamSet params = sc->parse_params(scenario.params);
+      (void)sc->channels(params);  // surfaces out-of-range values
+    } catch (const std::exception& e) {
+      send_error(socket, ErrorCode::bad_request, e.what());
+      return;
+    }
+  } else {
+    mapping = registry_.mapping(dataset);
+    if (mapping == nullptr) {
+      send_error(socket, ErrorCode::unknown_dataset,
+                 "no such dataset: " + dataset);
+      return;
+    }
   }
   const std::uint64_t id =
-      jobs_->submit(session, kind, std::move(dataset), cpa, tvla);
+      jobs_->submit(session, kind, std::move(dataset), cpa, tvla, scenario);
   if (id == 0) {
     send_error(socket, ErrorCode::quota_exceeded,
                "session quota of " + std::to_string(config_.per_session_quota) +
@@ -436,120 +454,59 @@ void BusDaemon::submit_job(Socket& socket, std::uint64_t session, JobKind kind,
 
   // Each job gets a dedicated driver thread instead of one whole-job
   // pool task: the driver posts the job's shard units to the pool under
-  // its fair in-flight cap and blocks merging them, so a blocked driver
-  // never occupies a pool slot, and units from every active job
-  // interleave in the pool's FIFO queue. The closure owns everything it
-  // touches: the table keeps the job row alive, the mapping keeps the
-  // dataset bytes alive, both independent of this daemon's sockets and
-  // of the submitting client, which may disconnect long before the job
+  // its fair in-flight cap, re-read before each unit, and blocks merging
+  // them, so a blocked driver never occupies a pool slot, and units from
+  // every active job interleave in the pool's FIFO queue. The resolved
+  // shard count — and with it the result — is a pure function of the
+  // spec, so the cap can never make a served job differ from a client's
+  // local verification run. The closure owns everything it touches: the
+  // table keeps the job row alive, the mapping keeps the dataset bytes
+  // alive, both independent of this daemon's sockets and of the
+  // submitting client, which may disconnect long before the job
   // finishes.
   std::shared_ptr<JobTable> table = jobs_;
   std::shared_ptr<store::ChunkCache> cache = chunk_cache_;
   const std::uint32_t parallelism = shard_parallelism();
   auto done = std::make_shared<std::atomic<bool>>(false);
   auto driver = [table, mapping, cache, parallelism, done, id, kind, cpa,
-                 tvla] {
+                 tvla, scenario] {
+    // Granted before the job turns running, so a running row in STATS
+    // always shows the cap it runs under.
+    table->shard_budget(id, parallelism);
     table->mark_running(id);
     try {
       JobExecOptions exec;
       exec.chunk_cache = cache;
-      if (parallelism > 1) {
-        exec.shard_budget = [table, id, parallelism] {
-          return table->shard_budget(id, parallelism);
-        };
-      }
-      exec.on_shard_activity = [table, id](std::uint32_t shards,
-                                           std::uint32_t running) {
-        table->update_shard_activity(id, shards, running);
+      exec.shard_budget = [table, id, parallelism] {
+        return table->shard_budget(id, parallelism);
+      };
+      exec.on_shard_activity = [table, id](std::size_t shards,
+                                           std::size_t running) {
+        table->update_shard_activity(id, static_cast<std::uint32_t>(shards),
+                                     static_cast<std::uint32_t>(running));
       };
       const JobProgressFn progress = [&](std::uint64_t consumed,
                                          std::uint64_t total) {
         table->update_progress(id, consumed, total);
       };
-      if (kind == JobKind::cpa) {
-        auto result = std::make_unique<CpaJobResult>(
-            run_cpa_job(mapping, cpa, progress, exec));
-        table->mark_done(id, std::move(result), nullptr);
-      } else {
-        auto result = std::make_unique<TvlaJobResult>(
-            run_tvla_job(mapping, tvla, progress, exec));
-        table->mark_done(id, nullptr, std::move(result));
+      switch (kind) {
+        case JobKind::cpa:
+          table->mark_done(id,
+                           std::make_unique<CpaJobResult>(
+                               run_cpa_job(mapping, cpa, progress, exec)),
+                           nullptr);
+          break;
+        case JobKind::tvla:
+          table->mark_done(id, nullptr,
+                           std::make_unique<TvlaJobResult>(
+                               run_tvla_job(mapping, tvla, progress, exec)));
+          break;
+        case JobKind::scenario:
+          table->mark_done(id, nullptr, nullptr,
+                           std::make_unique<ScenarioJobResult>(
+                               run_scenario_job(scenario, progress, exec)));
+          break;
       }
-    } catch (const std::exception& e) {
-      table->mark_failed(id, e.what());
-    } catch (...) {
-      table->mark_failed(id, "unknown job failure");
-    }
-    done->store(true, std::memory_order_release);
-  };
-  {
-    std::lock_guard<std::mutex> lock(drivers_mu_);
-    reap_drivers_locked();
-    drivers_.push_back({std::thread(std::move(driver)), std::move(done)});
-  }
-}
-
-void BusDaemon::submit_scenario_job(Socket& socket, std::uint64_t session,
-                                    ScenarioJobSpec spec) {
-  if (stopping_.load(std::memory_order_acquire)) {
-    send_error(socket, ErrorCode::shutting_down, "daemon is draining");
-    return;
-  }
-  // Validate everything a typed error can catch before the job exists:
-  // an unknown name or malformed params costs one ERROR frame, never the
-  // connection (and never the daemon).
-  const std::shared_ptr<const scenario::Scenario> sc =
-      scenario::ScenarioRegistry::built_in().find(spec.scenario);
-  if (sc == nullptr) {
-    send_error(socket, ErrorCode::unknown_scenario,
-               "no such scenario: " + spec.scenario);
-    return;
-  }
-  try {
-    const scenario::ParamSet params = sc->parse_params(spec.params);
-    (void)sc->channels(params);  // surfaces out-of-range values
-  } catch (const std::exception& e) {
-    send_error(socket, ErrorCode::bad_request, e.what());
-    return;
-  }
-  const std::uint64_t id = jobs_->submit(session, JobKind::scenario,
-                                         /*dataset=*/"", CpaJobSpec{},
-                                         TvlaJobSpec{}, spec);
-  if (id == 0) {
-    send_error(socket, ErrorCode::quota_exceeded,
-               "session quota of " + std::to_string(config_.per_session_quota) +
-                   " in-flight jobs reached");
-    return;
-  }
-  PayloadWriter w;
-  JobIdMsg{id}.encode(w);
-  send_frame(socket, MsgType::job_accepted, w);
-
-  // Same driver-thread pattern as the dataset jobs. The scenario runner
-  // fans its shards out on the core executor itself, so the driver only
-  // hands it a worker count: the job's fair share of the shard
-  // parallelism, taken once when the job starts (and recorded on the job
-  // row for STATS). Concurrent scenario jobs thus split the pool instead
-  // of queueing behind each other. The resolved shard count — and with it
-  // the result — is a pure function of the spec (see scenario_jobs.h), so
-  // the worker count here can never make a served job differ from a
-  // client's local verification run.
-  std::shared_ptr<JobTable> table = jobs_;
-  const std::uint32_t parallelism = shard_parallelism();
-  auto done = std::make_shared<std::atomic<bool>>(false);
-  auto driver = [table, spec = std::move(spec), parallelism, done, id] {
-    // Granted before the job turns running, so a running row in STATS
-    // always shows the cap it runs under.
-    const std::uint32_t workers = table->shard_budget(id, parallelism);
-    table->mark_running(id);
-    try {
-      const JobProgressFn progress = [&](std::uint64_t consumed,
-                                         std::uint64_t total) {
-        table->update_progress(id, consumed, total);
-      };
-      auto result = std::make_unique<ScenarioJobResult>(
-          run_scenario_job(spec, progress, workers));
-      table->mark_done(id, nullptr, nullptr, std::move(result));
     } catch (const std::exception& e) {
       table->mark_failed(id, e.what());
     } catch (...) {
@@ -628,8 +585,15 @@ void BusDaemon::send_result(Socket& socket, std::uint64_t id) {
   }
   // A done job never mutates again and the status() read above
   // synchronized with the terminal transition, so the result fields are
-  // safe to read without the table lock.
+  // safe to read without the table lock. The job may have been retired
+  // from the table in between (JobTable keeps only the most recent
+  // terminal jobs); the handle keeps a job found here alive.
   const std::shared_ptr<Job> job = jobs_->find(id);
+  if (job == nullptr) {
+    send_error(socket, ErrorCode::unknown_job,
+               "no such job: " + std::to_string(id));
+    return;
+  }
   if (job->kind == JobKind::cpa) {
     PayloadWriter w;
     CpaResultMsg{id, *job->cpa_result}.encode(w);

@@ -2,16 +2,17 @@
 //
 // One accept-loop thread plus one thread per client connection speak the
 // framed protocol of bus/protocol.h over a Unix-domain socket. Submitted
-// campaigns become job-table entries executed shard-parallel: each job
-// gets a dedicated driver thread (drivers mostly block, so they must not
-// occupy pool slots) that fans the job's shard units out on the
-// process-wide core::WorkerPool and merges them in shard order. All
-// jobs' units interleave in the pool's FIFO queue, and each driver
-// re-reads its fair in-flight cap (JobTable::shard_budget — the shard
-// parallelism budget split evenly over active jobs) before issuing a
-// unit, so one huge job shrinks its window as small jobs arrive instead
-// of starving them; every job's result stays a pure function of
-// (dataset, spec) regardless. Datasets resolve through the
+// campaigns — dataset replays and scenario runs alike — become job-table
+// entries executed shard-parallel by one driver: each job gets a
+// dedicated driver thread (drivers mostly block, so they must not occupy
+// pool slots) that runs the job through the campaign loop, which fans
+// its shard units out on the process-wide core::WorkerPool and merges
+// them in shard order. All jobs' units interleave in the pool's FIFO
+// queue, and each job re-reads its fair in-flight cap
+// (JobTable::shard_budget — the shard parallelism budget split evenly
+// over active jobs) before issuing a unit, so one huge job shrinks its
+// window as small jobs arrive instead of starving them; every job's
+// result stays a pure function of its spec regardless. Datasets resolve through the
 // DatasetRegistry: one shared mmap per file, any number of jobs on top,
 // with a shared store::ChunkCache so concurrent jobs decode each
 // compressed chunk once.
@@ -113,15 +114,15 @@ class BusDaemon {
   // One request; returns false when the connection should close.
   bool dispatch(Socket& socket, std::uint64_t session, MsgType type,
                 const std::vector<std::byte>& payload);
+  // SUBMIT_CPA / SUBMIT_TVLA / SUBMIT_SCENARIO: validates the dataset
+  // name (unknown_dataset), or the scenario name against the built-in
+  // registry (unknown_scenario) and its params (bad_request), before
+  // accepting — any failure is a typed ERROR frame on a connection that
+  // stays open. Then starts the job's driver thread; the spec of the
+  // job's kind is used, the other two are ignored.
   void submit_job(Socket& socket, std::uint64_t session, JobKind kind,
                   std::string dataset, const CpaJobSpec& cpa,
-                  const TvlaJobSpec& tvla);
-  // SUBMIT_SCENARIO: validates the name against the built-in registry
-  // (unknown_scenario) and the params against its specs (bad_request)
-  // before accepting — either failure is a typed ERROR frame on a
-  // connection that stays open.
-  void submit_scenario_job(Socket& socket, std::uint64_t session,
-                           ScenarioJobSpec spec);
+                  const TvlaJobSpec& tvla, const ScenarioJobSpec& scenario);
   void stream_watch(Socket& socket, std::uint64_t id);
   void send_result(Socket& socket, std::uint64_t id);
   void request_stop();  // async: nudges the stopper thread

@@ -18,10 +18,6 @@ JobStatusMsg status_of(const Job& job) {
   return msg;
 }
 
-bool terminal(JobState state) {
-  return state == JobState::done || state == JobState::failed;
-}
-
 }  // namespace
 
 std::uint64_t JobTable::submit(std::uint64_t session, JobKind kind,
@@ -118,7 +114,7 @@ void JobTable::fill_stats(StatsMsg& msg) const {
   msg.jobs_submitted = submitted_;
   msg.jobs_active = active_;
   for (const auto& [id, job] : jobs_) {
-    if (terminal(job->state)) {
+    if (is_terminal(job->state)) {
       continue;
     }
     msg.jobs.push_back({job->id, job->state, job->shards, job->shard_cap,
@@ -135,7 +131,7 @@ void JobTable::mark_done(std::uint64_t id, std::unique_ptr<CpaJobResult> cpa,
                          std::unique_ptr<ScenarioJobResult> scenario) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = jobs_.find(id);
-  if (it == jobs_.end() || terminal(it->second->state)) {
+  if (it == jobs_.end() || is_terminal(it->second->state)) {
     return;
   }
   Job& job = *it->second;
@@ -144,25 +140,19 @@ void JobTable::mark_done(std::uint64_t id, std::unique_ptr<CpaJobResult> cpa,
   job.tvla_result = std::move(tvla);
   job.scenario_result = std::move(scenario);
   job.consumed = job.total;
-  job.running_shards = 0;
-  --active_;
-  release_slot_locked(job.session);
-  change_cv_.notify_all();
+  finish_locked(job);
 }
 
 void JobTable::mark_failed(std::uint64_t id, const std::string& error) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = jobs_.find(id);
-  if (it == jobs_.end() || terminal(it->second->state)) {
+  if (it == jobs_.end() || is_terminal(it->second->state)) {
     return;
   }
   Job& job = *it->second;
   job.state = JobState::failed;
   job.error = error;
-  job.running_shards = 0;
-  --active_;
-  release_slot_locked(job.session);
-  change_cv_.notify_all();
+  finish_locked(job);
 }
 
 std::unique_ptr<JobStatusMsg> JobTable::wait_change(
@@ -182,14 +172,7 @@ std::unique_ptr<JobStatusMsg> JobTable::wait_change(
 
 void JobTable::wait_idle() const {
   std::unique_lock<std::mutex> lock(mu_);
-  change_cv_.wait(lock, [&] {
-    for (const auto& [id, job] : jobs_) {
-      if (!terminal(job->state)) {
-        return false;
-      }
-    }
-    return true;
-  });
+  change_cv_.wait(lock, [&] { return active_ == 0; });
 }
 
 std::size_t JobTable::in_flight(std::uint64_t session) const {
@@ -203,13 +186,21 @@ std::size_t JobTable::job_count() const {
   return jobs_.size();
 }
 
-void JobTable::release_slot_locked(std::uint64_t session) {
-  const auto it = in_flight_.find(session);
-  if (it != in_flight_.end() && it->second > 0) {
-    if (--it->second == 0) {
-      in_flight_.erase(it);
+void JobTable::finish_locked(Job& job) {
+  job.running_shards = 0;
+  --active_;
+  const auto slot = in_flight_.find(job.session);
+  if (slot != in_flight_.end() && slot->second > 0) {
+    if (--slot->second == 0) {
+      in_flight_.erase(slot);
     }
   }
+  terminal_.push_back(job.id);
+  while (terminal_.size() > retained_terminal_jobs) {
+    jobs_.erase(terminal_.front());
+    terminal_.pop_front();
+  }
+  change_cv_.notify_all();
 }
 
 }  // namespace psc::bus

@@ -6,8 +6,14 @@
 // in-flight count is charged at submit and released exactly once when
 // the job reaches a terminal state — even if the submitting client
 // disconnected long before (mid-job disconnect must not leak the job
-// slot, and the job itself runs to completion; results stay fetchable by
-// job id from any connection).
+// slot, and the job itself runs to completion).
+//
+// Retention: a finished job's status and result stay fetchable by job id
+// from any connection until retained_terminal_jobs later jobs have
+// finished. The table then retires the oldest terminal job, so a
+// long-running daemon holds a bounded number of results; queued and
+// running jobs are never retired. A retired id answers like an unknown
+// one.
 //
 // The table owns jobs as shared_ptr so worker-pool closures can hold a
 // job across the daemon's lifetime edges; all mutable state is guarded
@@ -18,6 +24,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -30,6 +37,9 @@
 namespace psc::bus {
 
 enum class JobKind : std::uint8_t { cpa, tvla, scenario };
+
+// Terminal (done or failed) jobs the table keeps; see "Retention" above.
+inline constexpr std::size_t retained_terminal_jobs = 256;
 
 // One submitted campaign. Immutable identity fields are set at submit;
 // everything mutable is written under JobTable::mu_.
@@ -95,12 +105,11 @@ class JobTable {
                              std::uint32_t running);
 
   // Fair in-flight shard budget for job `id`: `parallelism` total units
-  // split evenly across non-terminal jobs, never below 1. Dataset jobs
-  // re-read it before each shard unit is issued, so a running job's
+  // split evenly across non-terminal jobs, never below 1. Every job
+  // re-reads it before each shard unit is issued, so a running job's
   // window shrinks as new jobs arrive and regrows as others drain — the
-  // piece that stops one huge job from starving small ones. Scenario
-  // jobs read it once, as they start, for their worker count. The grant
-  // is remembered on the job row for STATS.
+  // piece that stops one huge job from starving small ones. The grant is
+  // remembered on the job row for STATS.
   std::uint32_t shard_budget(std::uint64_t id, std::uint32_t parallelism);
 
   // Fills the scheduler half of a STATS frame: lifetime submit count,
@@ -131,7 +140,9 @@ class JobTable {
   std::size_t job_count() const;
 
  private:
-  void release_slot_locked(std::uint64_t session);
+  // Releases the job's quota slot, records it as terminal and retires
+  // the oldest terminal jobs beyond retained_terminal_jobs.
+  void finish_locked(Job& job);
 
   const std::size_t quota_;
   mutable std::mutex mu_;
@@ -141,6 +152,7 @@ class JobTable {
   std::size_t active_ = 0;  // non-terminal jobs (fair-share denominator)
   std::unordered_map<std::uint64_t, std::shared_ptr<Job>> jobs_;
   std::unordered_map<std::uint64_t, std::size_t> in_flight_;
+  std::deque<std::uint64_t> terminal_;  // retained terminal ids, oldest first
 };
 
 }  // namespace psc::bus

@@ -1,12 +1,9 @@
 #include "bus/jobs.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
-#include "core/analysis_sink.h"
 #include "core/parallel.h"
-#include "core/trace_batch.h"
 #include "store/chunk_cache.h"
 #include "store/file_trace_source.h"
 #include "util/fourcc.h"
@@ -15,52 +12,35 @@ namespace psc::bus {
 
 namespace {
 
-// Batch granularity of job ingest (and thus of progress callbacks).
-// Matches the campaigns' acquisition batch so replayed jobs feed the
-// engines the same batch shapes a live campaign would.
-constexpr std::size_t job_batch = 1024;
-
-std::unique_ptr<store::TraceFileReader> make_shard_reader(
+// The campaign loop over a recorded dataset laid out as `sets` equal sets
+// of `stride` rows: shard s replays its slice of every set through a
+// reader of its own (readers are single-threaded; the mapping is shared).
+core::SinkCampaignConfig replay_campaign(
     const std::shared_ptr<const store::SharedMapping>& dataset,
+    const store::TraceFileReader& probe, std::size_t sets, std::size_t stride,
+    std::uint32_t shards, const JobProgressFn& progress,
     const JobExecOptions& exec) {
-  auto reader = std::make_unique<store::TraceFileReader>(dataset);
-  if (exec.chunk_cache != nullptr) {
-    reader->set_chunk_cache(exec.chunk_cache);
-  }
-  return reader;
-}
-
-// Runs the job's shard units on core's ordered window — at most
-// exec.shard_budget() in flight, re-read before each unit is issued;
-// sequential and inline without a budget — merging in ascending shard
-// order on the calling thread. Each unit start and finish is reported to
-// exec.on_shard_activity as (shards, units running).
-void run_job_shards(std::uint32_t shards, const JobExecOptions& exec,
-                    const std::function<void(std::size_t)>& fn,
-                    const std::function<void(std::size_t)>& merge) {
-  const auto report = [&](std::uint32_t running) {
-    if (exec.on_shard_activity) {
-      exec.on_shard_activity(shards, running);
+  core::SinkCampaignConfig config;
+  config.channels = probe.channels();
+  config.make_source = [dataset, cache = exec.chunk_cache, sets,
+                        stride](const core::ShardSource& shard) {
+    auto reader = std::make_unique<store::TraceFileReader>(dataset);
+    if (cache != nullptr) {
+      reader->set_chunk_cache(cache);
     }
+    std::vector<core::RowRange> ranges;
+    for (std::size_t k = 0; k < sets; ++k) {
+      ranges.push_back({k * stride + shard.slice.begin, shard.slice.count});
+    }
+    return std::make_unique<store::FileTraceSource>(std::move(reader),
+                                                    std::move(ranges));
   };
-  report(0);
-  std::atomic<std::uint32_t> running{0};
-  core::run_ordered_window(
-      shards,
-      [&exec]() -> std::size_t {
-        return exec.shard_budget ? exec.shard_budget() : 1;
-      },
-      [&](std::size_t s) {
-        report(running.fetch_add(1) + 1);
-        try {
-          fn(s);
-        } catch (...) {
-          report(running.fetch_sub(1) - 1);
-          throw;
-        }
-        report(running.fetch_sub(1) - 1);
-      },
-      merge);
+  config.shards = shards;
+  config.exec = exec;
+  if (progress) {
+    config.progress = progress;
+  }
+  return config;
 }
 
 }  // namespace
@@ -84,8 +64,8 @@ CpaJobResult run_cpa_job(std::shared_ptr<const store::SharedMapping> dataset,
   if (spec.models.empty()) {
     throw std::invalid_argument("run_cpa_job: no power models");
   }
-  // A throwaway reader resolves the dataset's shape; each shard below
-  // builds its own single-threaded reader over the same shared bytes.
+  // A throwaway reader resolves the dataset's shape; each shard builds
+  // its own reader over the same shared bytes.
   store::TraceFileReader probe(dataset);
   const auto& channels = probe.channels();
   const util::FourCc wanted(spec.channel);
@@ -94,12 +74,12 @@ CpaJobResult run_cpa_job(std::shared_ptr<const store::SharedMapping> dataset,
     throw std::invalid_argument("run_cpa_job: dataset has no channel " +
                                 wanted.str());
   }
-  const std::size_t column = static_cast<std::size_t>(it - channels.begin());
-
+  if (spec.trace_count > probe.trace_count()) {
+    throw std::invalid_argument(
+        "run_cpa_job: trace_count exceeds the recorded traces");
+  }
   const std::uint64_t total =
-      spec.trace_count == 0 ? probe.trace_count()
-                            : std::min<std::uint64_t>(spec.trace_count,
-                                                      probe.trace_count());
+      spec.trace_count == 0 ? probe.trace_count() : spec.trace_count;
   if (total == 0) {
     throw std::invalid_argument("run_cpa_job: dataset holds no traces");
   }
@@ -108,47 +88,18 @@ CpaJobResult run_cpa_job(std::shared_ptr<const store::SharedMapping> dataset,
     throw std::invalid_argument("run_cpa_job: more shards than traces");
   }
 
-  // One self-contained engine per shard, merged strictly in shard order:
-  // the result depends on (dataset, spec) only — which threads ran the
-  // units, and in what order they completed, never shows.
-  core::CpaEngine engine(spec.models);
-  std::vector<std::unique_ptr<core::CpaEngine>> parts(shards);
-  std::atomic<std::uint64_t> consumed{0};
-  const auto run_shard = [&](std::size_t s) {
-    const std::size_t begin = core::shard_begin(total, shards, s);
-    const std::size_t count = core::shard_size(total, shards, s);
-    auto part = std::make_unique<core::CpaEngine>(spec.models);
-    core::TraceBatch batch(channels.size());
-    store::FileTraceSource source(make_shard_reader(dataset, exec), begin,
-                                  count);
-    std::size_t left = count;
-    while (left > 0) {
-      const std::size_t take = std::min(job_batch, left);
-      batch.clear();
-      batch.resize(take);
-      source.collect_batch(batch);
-      part->add_batch(batch, column);
-      left -= take;
-      const std::uint64_t now =
-          consumed.fetch_add(take, std::memory_order_relaxed) + take;
-      if (progress) {
-        progress(now, total);
-      }
-    }
-    parts[s] = std::move(part);
-  };
-  run_job_shards(shards, exec, run_shard, [&](std::size_t s) {
-    engine.merge(*parts[s]);
-    parts[s].reset();
-  });
+  core::SinkCampaignConfig config =
+      replay_campaign(dataset, probe, 1, 0, shards, progress, exec);
+  config.protocol = core::CampaignProtocol::random_stream;
+  config.trace_count = total;
+  config.cpa_columns = {static_cast<std::size_t>(it - channels.begin())};
+  config.models = spec.models;
+  config.secret = spec.known_key;
+  core::SinkCampaignResult campaign = core::run_sink_campaign(config);
 
   CpaJobResult result;
   result.traces = total;
-  const auto round_keys = aes::Aes128::expand_key(spec.known_key);
-  result.models.reserve(spec.models.size());
-  for (const power::PowerModel model : spec.models) {
-    result.models.push_back(engine.analyze(model, round_keys));
-  }
+  result.models = std::move(campaign.cpa.at(0).final_results);
   return result;
 }
 
@@ -160,7 +111,6 @@ TvlaJobResult run_tvla_job(std::shared_ptr<const store::SharedMapping> dataset,
     throw std::invalid_argument("run_tvla_job: null dataset");
   }
   store::TraceFileReader probe(dataset);
-  const std::size_t channel_count = probe.channels().size();
   const std::uint64_t block = probe.trace_count() / 6;
   if (block == 0) {
     throw std::invalid_argument(
@@ -172,8 +122,7 @@ TvlaJobResult run_tvla_job(std::shared_ptr<const store::SharedMapping> dataset,
     throw std::invalid_argument(
         "run_tvla_job: traces_per_set exceeds the dataset's set size");
   }
-  const std::uint64_t total = 6 * per_set;
-  std::uint32_t shards = resolved_job_shards(spec.shards, total);
+  std::uint32_t shards = resolved_job_shards(spec.shards, 6 * per_set);
   if (spec.shards == 0) {
     // Auto-sizing must stay satisfiable: shards slice per-set rows.
     shards = static_cast<std::uint32_t>(
@@ -183,53 +132,15 @@ TvlaJobResult run_tvla_job(std::shared_ptr<const store::SharedMapping> dataset,
     throw std::invalid_argument("run_tvla_job: more shards than traces");
   }
 
-  // Positional labels (see jobs.h): set k = rows [k * block, k * block +
-  // per_set), class k % 3, primed k >= 3 — TVLA protocol order. Shard s
-  // takes its shard_size slice of every set; one sink per shard, merged
-  // in shard order, mirrors the live campaign's structure.
-  core::TvlaSink merged(channel_count);
-  std::vector<std::unique_ptr<core::TvlaSink>> parts(shards);
-  std::atomic<std::uint64_t> consumed{0};
-  const auto run_shard = [&](std::size_t s) {
-    auto sink = std::make_unique<core::TvlaSink>(channel_count);
-    core::TraceBatch batch(channel_count);
-    for (std::size_t set = 0; set < 6; ++set) {
-      const core::BatchLabel label = core::BatchLabel::tvla(
-          core::all_plaintext_classes[set % 3], set >= 3);
-      const std::size_t begin = set * block +
-                                core::shard_begin(per_set, shards, s);
-      const std::size_t count = core::shard_size(per_set, shards, s);
-      store::FileTraceSource source(make_shard_reader(dataset, exec), begin,
-                                    count);
-      std::size_t left = count;
-      while (left > 0) {
-        const std::size_t take = std::min(job_batch, left);
-        batch.clear();
-        batch.resize(take);
-        source.collect_batch(batch);
-        sink->consume(batch, label);
-        left -= take;
-        const std::uint64_t now =
-            consumed.fetch_add(take, std::memory_order_relaxed) + take;
-        if (progress) {
-          progress(now, total);
-        }
-      }
-    }
-    parts[s] = std::move(sink);
-  };
-  run_job_shards(shards, exec, run_shard, [&](std::size_t s) {
-    merged.merge(*parts[s]);
-    parts[s].reset();
-  });
+  // Positional labels (see jobs.h): set k starts at row k * block.
+  core::SinkCampaignConfig config =
+      replay_campaign(dataset, probe, 6, block, shards, progress, exec);
+  config.traces_per_set = per_set;
+  core::SinkCampaignResult campaign = core::run_sink_campaign(config);
 
   TvlaJobResult result;
   result.traces_per_set = per_set;
-  result.channels.reserve(channel_count);
-  for (std::size_t c = 0; c < channel_count; ++c) {
-    result.channels.push_back({probe.channels()[c].str(),
-                               merged.accumulator(c).matrix()});
-  }
+  result.channels = std::move(campaign.tvla);
   return result;
 }
 

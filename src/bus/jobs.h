@@ -4,32 +4,34 @@
 // over a recorded PSTR dataset: the daemon runs them under a driver
 // thread per job, and in-process verification (`psc_busctl submit
 // --verify-local`, the ctest bit-identity suite) calls the same
-// functions directly. A job result is a pure function of (dataset bytes,
-// spec): each shard accumulates self-contained engine state and the
-// partials merge strictly in shard order, so the identical spec yields
-// bit-identical doubles wherever — and on however many threads — it
-// runs. Shards determine the RESULT; JobExecOptions determine only the
-// EXECUTION (the split PR 1 established for campaigns, applied to served
-// jobs):
+// functions directly. Each one validates its spec and runs the campaign
+// loop, core::run_sink_campaign, with a replay source factory: shard s
+// replays its rows through a store::FileTraceSource of its own. A job
+// result is a pure function of (dataset bytes, spec): shards accumulate
+// self-contained sink state that merges strictly in shard order, so the
+// identical spec yields bit-identical doubles wherever — and on however
+// many threads — it runs. Shards determine the RESULT; JobExecOptions
+// determine only the EXECUTION:
 //
-//   - Every job runs its shard units on core::run_ordered_window, the
-//     one shard executor the campaigns' ParallelRunner::map also uses:
-//     units merge strictly in shard order on the calling thread, so the
-//     merge order never depends on completion order.
 //   - Without a shard budget (the default, and the --verify-local path)
-//     the window is 1: shards run sequentially on the calling thread.
+//     shards run sequentially on the calling thread.
 //   - With one, up to budget() shard units run concurrently on the
 //     worker pool and merge incrementally, so at most ~budget shard
 //     engines are alive. The budget is re-read before each unit is
 //     issued, which is how the daemon's fair scheduler shrinks a running
 //     job's window when new jobs arrive.
 //
+// CPA replay reads rows [0, trace_count) as one random-plaintext stream
+// (the campaign loop's random_stream protocol), shard s taking its
+// contiguous core::shard_size slice.
+//
 // TVLA replay labeling: a PSTR file carries no (class, collection)
 // labels, so TVLA-over-file assumes the dataset was recorded in TVLA
 // protocol order — six equal consecutive sets, unprimed collections of
 // (all-0s, all-1s, random) then the primed three, exactly the order
 // run_tvla_campaign acquires. Set k of N/6 rows is labeled
-// (class k % 3, primed = k >= 3).
+// (class k % 3, primed = k >= 3), and shard s replays its slice of the
+// first traces_per_set rows of every set.
 #pragma once
 
 #include <cstdint>
@@ -72,22 +74,13 @@ inline constexpr std::uint32_t auto_shard_cap = 16;
 std::uint32_t resolved_job_shards(std::uint32_t spec_shards,
                                   std::uint64_t total_traces) noexcept;
 
-// Execution knobs — how a job runs, never what it computes.
-struct JobExecOptions {
-  // Max shard units to keep in flight on the worker pool, re-read before
-  // each unit is issued (values < 1 are treated as 1, i.e. inline). Null:
-  // shards run sequentially on the calling thread, touching no pool
-  // state — the in-process verification path.
-  std::function<std::uint32_t()> shard_budget;
-  // Shared decoded-chunk cache for the shard readers (null = every
-  // reader decodes privately, the legacy behavior).
+// Execution knobs — how a job runs, never what it computes: the campaign
+// loop's shard hooks (core::ShardExecution — a null shard_budget runs
+// every unit sequentially on the calling thread, touching no pool state)
+// plus the decoded-chunk cache the shard readers share (null = every
+// reader decodes privately).
+struct JobExecOptions : core::ShardExecution {
   std::shared_ptr<store::ChunkCache> chunk_cache;
-  // Observer of shard-unit activity: (resolved shard count, units
-  // currently running). Called once with running = 0 when the shard
-  // count resolves, then from the threads running units as each starts
-  // and finishes — concurrently under a shard budget.
-  std::function<void(std::uint32_t shards, std::uint32_t running)>
-      on_shard_activity;
 };
 
 struct CpaJobSpec {
@@ -119,10 +112,10 @@ struct TvlaJobResult {
 };
 
 // Runs CPA over the dataset: feeds the spec's trace budget (sharded,
-// merged in shard order) into one CpaEngine per run and analyzes every
-// spec model against the known key. Throws std::invalid_argument on a
-// spec the dataset cannot satisfy (unknown channel, trace_count or
-// shards beyond the data).
+// merged in shard order) into one CpaEngine and analyzes every spec
+// model against the known key. Throws std::invalid_argument on a spec
+// the dataset cannot satisfy (unknown channel, trace_count or shards
+// beyond the data).
 CpaJobResult run_cpa_job(std::shared_ptr<const store::SharedMapping> dataset,
                          const CpaJobSpec& spec,
                          const JobProgressFn& progress = {},

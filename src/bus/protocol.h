@@ -220,6 +220,11 @@ enum class JobState : std::uint8_t {
 
 const char* job_state_name(JobState state) noexcept;
 
+// Done or failed: a terminal job never changes state again.
+inline bool is_terminal(JobState state) noexcept {
+  return state == JobState::done || state == JobState::failed;
+}
+
 struct JobStatusMsg {
   std::uint64_t id = 0;
   JobState state = JobState::queued;

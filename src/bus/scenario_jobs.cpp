@@ -22,7 +22,7 @@ std::uint32_t resolved_scenario_shards(
 
 ScenarioJobResult run_scenario_job(const ScenarioJobSpec& spec,
                                    const JobProgressFn& progress,
-                                   std::size_t workers) {
+                                   const JobExecOptions& exec) {
   const std::shared_ptr<const scenario::Scenario> sc =
       scenario::ScenarioRegistry::built_in().find(spec.scenario);
   if (sc == nullptr) {
@@ -45,14 +45,20 @@ ScenarioJobResult run_scenario_job(const ScenarioJobSpec& spec,
   scenario::ScenarioRunConfig config;
   config.traces_per_set = static_cast<std::size_t>(per_set);
   config.seed = spec.seed;
-  config.workers = std::max<std::size_t>(1, workers);
   config.shards = shards;
+  config.exec = exec;
   if (progress) {
-    config.progress = [progress](std::size_t consumed, std::size_t total) {
-      progress(consumed, total);
-    };
+    config.progress = progress;
   }
   return scenario::run_scenario(*sc, params, config);
+}
+
+ScenarioJobResult run_scenario_job(const ScenarioJobSpec& spec,
+                                   const JobProgressFn& progress,
+                                   std::size_t workers) {
+  JobExecOptions exec;
+  exec.shard_budget = [workers] { return workers; };
+  return run_scenario_job(spec, progress, exec);
 }
 
 }  // namespace psc::bus

@@ -3,13 +3,15 @@
 // dataset jobs of bus/jobs.h.
 //
 // run_scenario_job is the single compute path: the daemon runs it under
-// a driver thread per job, and in-process verification (`psc_busctl
-// submit scenario --verify-local`, the ctest suite) calls the same
-// function directly. Scenario results are a pure function of (scenario,
-// params, traces_per_set, seed, shards) — the worker count only changes
-// how fast they arrive (tests/scenario asserts worker invariance) — so
-// the daemon may execute with its fair share of the pool while a client
-// verifies sequentially, and the doubles still match bit for bit.
+// the same driver and JobExecOptions as the dataset jobs (a fair shard
+// budget re-read before each unit, shard-activity reports), and
+// in-process verification (`psc_busctl submit scenario --verify-local`,
+// the ctest suite) calls the same function directly. Scenario results
+// are a pure function of (scenario, params, traces_per_set, seed,
+// shards) — the budget only changes how fast they arrive
+// (tests/scenario asserts worker invariance) — so the daemon may execute
+// with its fair share of the pool while a client verifies sequentially,
+// and the doubles still match bit for bit.
 // As with the dataset jobs, a spec shard count of 0 auto-sizes through a
 // policy that is a pure function of the trace budget (resolved_job_shards
 // clamped to the per-set size), never of worker availability; anything
@@ -53,13 +55,17 @@ std::uint32_t resolved_scenario_shards(const ScenarioJobSpec& spec,
                                        std::uint64_t traces_per_set) noexcept;
 
 // Resolves the scenario in the built-in registry, parses params and runs
-// the generic sink campaign. Throws std::invalid_argument for an unknown
-// scenario name, malformed/out-of-range params, or an unsatisfiable
-// shard count — the daemon's typed-error path. `workers` is an execution
-// knob only (threads for the sharded pipeline); it never shows in the
-// result.
+// the campaign loop. Throws std::invalid_argument for an unknown scenario
+// name, malformed/out-of-range params, or an unsatisfiable shard count —
+// the daemon's typed-error path. `exec` is execution only, exactly as
+// for the dataset jobs (the chunk cache is unused: scenarios acquire
+// live); it never shows in the result.
 ScenarioJobResult run_scenario_job(const ScenarioJobSpec& spec,
                                    const JobProgressFn& progress = {},
-                                   std::size_t workers = 1);
+                                   const JobExecOptions& exec = {});
+// The same job on a constant budget of `workers` shard units.
+ScenarioJobResult run_scenario_job(const ScenarioJobSpec& spec,
+                                   const JobProgressFn& progress,
+                                   std::size_t workers);
 
 }  // namespace psc::bus

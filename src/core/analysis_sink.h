@@ -8,9 +8,10 @@
 // pass produces CPA rankings, TVLA matrices and guessing-entropy
 // checkpoints concurrently — one trace budget, all the statistics.
 //
-// Sinks are shard-local: each shard of core::ParallelRunner owns its own
-// sinks, and the campaign merges per-sink partial state in shard order
-// (CpaSink::merge / TvlaSink::merge), exactly like the bare engines.
+// Sinks are shard-local: each shard of the campaign loop
+// (core::run_sink_campaign) owns its own sinks, and the loop merges
+// per-sink partial state in shard order (TvlaSink::merge, and the GE
+// snapshots' CpaEngine::merge), exactly like the bare engines.
 //
 // Sinks need not compute anything: store::RecordingSink
 // (store/trace_file_writer.h) tees the acquisition stream to a PSTR

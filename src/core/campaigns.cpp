@@ -34,7 +34,7 @@ std::vector<std::size_t> normalize_checkpoints(std::vector<std::size_t> cps,
 // Column indices of the attacked SMC keys within `channels`; when `keys`
 // is empty, defaults to every channel except the PHPS estimate (and the
 // IOReport PCPU pseudo-channel).
-std::vector<smc::FourCc> resolve_attack_keys(
+std::vector<std::size_t> attack_columns(
     const std::vector<util::FourCc>& channels,
     const std::vector<smc::FourCc>& keys, const char* who) {
   std::vector<smc::FourCc> attack_keys = keys;
@@ -45,66 +45,25 @@ std::vector<smc::FourCc> resolve_attack_keys(
       }
     }
   }
-  for (const smc::FourCc key : attack_keys) {
-    if (std::find(channels.begin(), channels.end(), key) == channels.end()) {
-      throw std::invalid_argument(std::string(who) +
-                                  ": key not provided by this device: " +
-                                  key.str());
-    }
-  }
-  return attack_keys;
-}
-
-std::vector<std::size_t> key_column_indices(
-    const std::vector<util::FourCc>& channels,
-    const std::vector<smc::FourCc>& attack_keys) {
   std::vector<std::size_t> columns;
   columns.reserve(attack_keys.size());
   for (const smc::FourCc key : attack_keys) {
     const auto it = std::find(channels.begin(), channels.end(), key);
+    if (it == channels.end()) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": key not provided by this device: " +
+                                  key.str());
+    }
     columns.push_back(static_cast<std::size_t>(it - channels.begin()));
   }
   return columns;
 }
 
-// Shared post-pass reduction: folds per-shard GeCheckpointSinks into GE
-// curves and final results for each attacked key. Snapshots are released
-// as soon as they are merged (release_snapshot), so the working set
-// shrinks checkpoint by checkpoint instead of lingering until the whole
-// reduction is done.
-void reduce_cpa_sinks(std::vector<std::vector<GeCheckpointSink>>& shard_sinks,
-                      const std::vector<std::size_t>& checkpoints,
-                      const std::vector<power::PowerModel>& models,
-                      const std::array<aes::Block, aes::num_rounds + 1>&
-                          round_keys,
-                      std::vector<CpaKeyResult>& out) {
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    out[k].curves.resize(models.size());
-    for (std::size_t ci = 0; ci < checkpoints.size(); ++ci) {
-      // Merge the ci-th snapshot of every shard in shard order:
-      // bit-identical to the engine a sequential run would hold at this
-      // checkpoint.
-      CpaEngine combined = shard_sinks[0][k].release_snapshot(ci);
-      for (std::size_t s = 1; s < shard_sinks.size(); ++s) {
-        const CpaEngine shard = shard_sinks[s][k].release_snapshot(ci);
-        combined.merge(shard);
-      }
-      for (std::size_t m = 0; m < models.size(); ++m) {
-        const ModelResult res = combined.analyze(models[m], round_keys);
-        out[k].curves[m].push_back({checkpoints[ci], res.ge_bits,
-                                    res.mean_rank, res.recovered_bytes});
-        if (ci + 1 == checkpoints.size()) {
-          out[k].final_results.push_back(res);
-        }
-      }
-    }
-  }
-}
-
 // Cumulative cross-shard progress counter feeding a CampaignProgressFn;
-// null hook = no-op, so the acquisition loops call add() unconditionally.
+// null hook = no-op, so the acquisition loop calls add() unconditionally.
 // Lives on the campaign's stack and is captured by reference in shard
-// lambdas — safe because ParallelRunner::map joins before returning.
+// units — safe because run_ordered_window joins every unit before
+// returning.
 class ProgressMeter {
  public:
   ProgressMeter(const CampaignProgressFn& fn, std::size_t total)
@@ -122,37 +81,55 @@ class ProgressMeter {
   std::atomic<std::size_t> consumed_{0};
 };
 
+// The `workers` / `shards` pair of the live campaign configs: shards = 0
+// sizes the shard count to the `total` traces acquired (see ShardPlan),
+// and `workers` units run at a time.
+void run_on_workers(SinkCampaignConfig& config, std::size_t workers,
+                    std::size_t shards, std::size_t total) {
+  config.shards = ShardPlan{.workers = workers, .shards = shards}
+                      .resolved_shards_for(total);
+  config.exec.shard_budget = [workers] { return workers; };
+}
+
+// The entry of `entries` whose `field` equals `value`, or null.
+template <typename T, typename V>
+const T* find_by(const std::vector<T>& entries, V T::*field, const V& value) {
+  const auto it = std::find_if(entries.begin(), entries.end(),
+                               [&](const T& e) { return e.*field == value; });
+  return it == entries.end() ? nullptr : &*it;
+}
+
+// The campaign loop over the simulated device: each shard calibrates its
+// own LiveTraceSource on its own RNG stream.
+SinkCampaignConfig live_campaign(const LiveSourceConfig& source_config) {
+  SinkCampaignConfig config;
+  config.channels = LiveTraceSource::channel_names(source_config);
+  config.make_source = [source_config](const ShardSource& shard) {
+    return std::make_unique<LiveTraceSource>(source_config, shard.secret,
+                                             shard.seed);
+  };
+  return config;
+}
+
 }  // namespace
 
 const TvlaChannelResult* TvlaCampaignResult::find(
     const std::string& channel) const noexcept {
-  for (const auto& c : channels) {
-    if (c.channel == channel) {
-      return &c;
-    }
-  }
-  return nullptr;
+  return find_by(channels, &TvlaChannelResult::channel, channel);
 }
 
 TvlaCampaignResult run_tvla_campaign(const TvlaCampaignConfig& config) {
-  const LiveSourceConfig source_config{
+  SinkCampaignConfig generic = live_campaign({
       .profile = config.profile,
       .victim = config.victim,
       .mitigation = config.mitigation,
       .include_pcpu = config.include_pcpu,
-  };
-
-  SinkCampaignConfig generic;
-  generic.channels = LiveTraceSource::channel_names(source_config);
-  generic.make_source = [&source_config](const aes::Block& secret,
-                                         std::uint64_t seed) {
-    return std::make_unique<LiveTraceSource>(source_config, secret, seed);
-  };
+  });
   generic.traces_per_set = config.traces_per_set;
   generic.seed = config.seed;
-  generic.workers = config.workers;
-  generic.shards = config.shards;
   generic.progress = config.progress;
+  run_on_workers(generic, config.workers, config.shards,
+                 6 * config.traces_per_set);
 
   SinkCampaignResult sink_result = run_sink_campaign(generic);
 
@@ -164,141 +141,63 @@ TvlaCampaignResult run_tvla_campaign(const TvlaCampaignConfig& config) {
 }
 
 const CpaKeyResult* CpaCampaignResult::find(smc::FourCc key) const noexcept {
-  for (const auto& k : keys) {
-    if (k.key == key) {
-      return &k;
-    }
-  }
-  return nullptr;
+  return find_by(keys, &CpaKeyResult::key, key);
 }
 
 CpaCampaignResult run_cpa_campaign(const CpaCampaignConfig& config) {
-  util::Xoshiro256 rng(config.seed);
-  aes::Block victim_key;
-  rng.fill_bytes(victim_key);
-
-  const LiveSourceConfig source_config{
+  SinkCampaignConfig generic = live_campaign({
       .profile = config.profile,
       .victim = config.victim,
       .mitigation = config.mitigation,
       .include_pcpu = false,
-  };
-  const std::vector<util::FourCc> channels =
-      LiveTraceSource::channel_names(source_config);
+  });
+  generic.protocol = CampaignProtocol::random_stream;
+  generic.trace_count = config.trace_count;
+  generic.cpa_columns =
+      attack_columns(generic.channels, config.keys, "run_cpa_campaign");
+  generic.models = config.models;
+  generic.checkpoints = config.checkpoints;
+  generic.seed = config.seed;
+  generic.progress = config.progress;
+  run_on_workers(generic, config.workers, config.shards, config.trace_count);
 
-  const std::vector<smc::FourCc> attack_keys =
-      resolve_attack_keys(channels, config.keys, "run_cpa_campaign");
-  const std::vector<std::size_t> key_columns =
-      key_column_indices(channels, attack_keys);
+  SinkCampaignResult sink_result = run_sink_campaign(generic);
 
   CpaCampaignResult result;
-  result.victim_key = victim_key;
-  result.round_keys = aes::Aes128::expand_key(victim_key);
+  result.victim_key = sink_result.secret;
+  result.round_keys = sink_result.round_keys;
   result.trace_count = config.trace_count;
-  result.keys.resize(attack_keys.size());
-  for (std::size_t k = 0; k < attack_keys.size(); ++k) {
-    result.keys[k].key = attack_keys[k];
-  }
-
-  const std::vector<std::size_t> checkpoints =
-      normalize_checkpoints(config.checkpoints, config.trace_count);
-
-  ShardPlan plan{.workers = config.workers, .shards = config.shards};
-  plan.shards = plan.resolved_shards_for(config.trace_count);
-  ParallelRunner runner(plan);
-  const std::size_t shards = runner.shards();
-  TraceBatchPool pool(channels.size(), acquisition_batch);
-  ProgressMeter meter(config.progress, config.trace_count);
-
-  // One single pass per shard: sinks snapshot engine state at the shard's
-  // share of each checkpoint, so no mid-campaign merge barriers are
-  // needed. Device calibration also runs inside the worker pool.
-  auto shard_sinks = runner.map([&](std::size_t s) {
-    util::Xoshiro256 shard_rng = shards == 1 ? rng : rng.split(s);
-    LiveTraceSource source(source_config, victim_key, shard_rng());
-
-    std::vector<std::size_t> targets;
-    targets.reserve(checkpoints.size());
-    for (const std::size_t cp : checkpoints) {
-      targets.push_back(shard_size(cp, shards, s));
-    }
-    std::vector<GeCheckpointSink> sinks;
-    sinks.reserve(attack_keys.size());
-    MultiSink multi;
-    for (std::size_t k = 0; k < attack_keys.size(); ++k) {
-      sinks.emplace_back(config.models, key_columns[k], targets);
-    }
-    for (auto& sink : sinks) {
-      multi.add(&sink);
-    }
-
-    const std::size_t total = shard_size(config.trace_count, shards, s);
-    auto batch = pool.acquire();
-    std::size_t produced = 0;
-    while (produced < total) {
-      const std::size_t chunk =
-          std::min(acquisition_batch, total - produced);
-      collect_random_batch(source, chunk, shard_rng, *batch);
-      multi.consume(*batch, BatchLabel::unlabeled());
-      meter.add(chunk);
-      produced += chunk;
-    }
-    return sinks;
-  });
-
-  reduce_cpa_sinks(shard_sinks, checkpoints, config.models,
-                   result.round_keys, result.keys);
+  result.keys = std::move(sink_result.cpa);
   return result;
 }
 
 const TvlaChannelResult* CombinedCampaignResult::find_tvla(
     const std::string& channel) const noexcept {
-  for (const auto& c : tvla) {
-    if (c.channel == channel) {
-      return &c;
-    }
-  }
-  return nullptr;
+  return find_by(tvla, &TvlaChannelResult::channel, channel);
 }
 
 const CpaKeyResult* CombinedCampaignResult::find_cpa(
     smc::FourCc key) const noexcept {
-  for (const auto& k : cpa) {
-    if (k.key == key) {
-      return &k;
-    }
-  }
-  return nullptr;
+  return find_by(cpa, &CpaKeyResult::key, key);
 }
 
 CombinedCampaignResult run_combined_campaign(
     const CombinedCampaignConfig& config) {
-  const LiveSourceConfig source_config{
+  SinkCampaignConfig generic = live_campaign({
       .profile = config.profile,
       .victim = config.victim,
       .mitigation = config.mitigation,
       .include_pcpu = config.include_pcpu,
-  };
-  const std::vector<util::FourCc> channels =
-      LiveTraceSource::channel_names(source_config);
-
-  const std::vector<smc::FourCc> attack_keys =
-      resolve_attack_keys(channels, config.keys, "run_combined_campaign");
-
-  SinkCampaignConfig generic;
-  generic.channels = channels;
-  generic.make_source = [&source_config](const aes::Block& secret,
-                                         std::uint64_t seed) {
-    return std::make_unique<LiveTraceSource>(source_config, secret, seed);
-  };
+  });
   generic.traces_per_set = config.traces_per_set;
-  generic.cpa_columns = key_column_indices(channels, attack_keys);
+  generic.cpa_columns =
+      attack_columns(generic.channels, config.keys, "run_combined_campaign");
   generic.models = config.models;
   generic.checkpoints = config.checkpoints;
   generic.seed = config.seed;
-  generic.workers = config.workers;
-  generic.shards = config.shards;
   generic.progress = config.progress;
+  run_on_workers(generic, config.workers, config.shards,
+                 6 * config.traces_per_set);
 
   SinkCampaignResult sink_result = run_sink_campaign(generic);
 
@@ -314,12 +213,7 @@ CombinedCampaignResult run_combined_campaign(
 
 const TvlaChannelResult* SinkCampaignResult::find_tvla(
     const std::string& channel) const noexcept {
-  for (const auto& c : tvla) {
-    if (c.channel == channel) {
-      return &c;
-    }
-  }
-  return nullptr;
+  return find_by(tvla, &TvlaChannelResult::channel, channel);
 }
 
 SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
@@ -328,6 +222,9 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
   }
   if (!config.make_source) {
     throw std::invalid_argument("run_sink_campaign: no source factory");
+  }
+  if (config.shards == 0) {
+    throw std::invalid_argument("run_sink_campaign: zero shards");
   }
   for (const std::size_t column : config.cpa_columns) {
     if (column >= config.channels.size()) {
@@ -339,14 +236,31 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
   util::Xoshiro256 rng(config.seed);
   aes::Block secret;
   rng.fill_bytes(secret);
+  secret = config.secret.value_or(secret);
 
   const std::vector<util::FourCc>& channels = config.channels;
+  const std::size_t shards = config.shards;
+  const bool tvla = config.protocol == CampaignProtocol::tvla_sets;
+
+  // The protocol's equal-length segments, in acquisition order.
+  std::vector<BatchLabel> segments;
+  if (tvla) {
+    for (const bool primed : {false, true}) {
+      for (const PlaintextClass cls : all_plaintext_classes) {
+        segments.push_back(BatchLabel::tvla(cls, primed));
+      }
+    }
+  } else {
+    segments.push_back(BatchLabel::unlabeled());
+  }
+  const std::size_t per_segment =
+      tvla ? config.traces_per_set : config.trace_count;
 
   SinkCampaignResult result;
   result.secret = secret;
   result.round_keys = aes::Aes128::expand_key(secret);
-  result.traces_per_set = config.traces_per_set;
-  result.cpa_trace_count = 2 * config.traces_per_set;
+  result.traces_per_set = tvla ? per_segment : 0;
+  result.cpa_trace_count = tvla ? 2 * per_segment : per_segment;
   result.cpa.resize(config.cpa_columns.size());
   for (std::size_t k = 0; k < config.cpa_columns.size(); ++k) {
     result.cpa[k].key = channels[config.cpa_columns[k]];
@@ -355,55 +269,56 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
   const std::vector<std::size_t> checkpoints =
       normalize_checkpoints(config.checkpoints, result.cpa_trace_count);
 
-  // Auto shard sizing (shards == 0) counts the whole six-set budget, so
-  // small assessments run on fewer shards than workers rather than paying
-  // per-shard overhead for trivial jobs.
-  ShardPlan plan{.workers = config.workers, .shards = config.shards};
-  plan.shards = plan.resolved_shards_for(6 * config.traces_per_set);
-  ParallelRunner runner(plan);
-  const std::size_t shards = runner.shards();
   TraceBatchPool pool(channels.size(), acquisition_batch);
-  ProgressMeter meter(config.progress, 6 * config.traces_per_set);
+  ProgressMeter meter(config.progress, segments.size() * per_segment);
 
-  struct ShardResult {
-    TvlaSink tvla;
+  struct ShardSinks {
+    std::optional<TvlaSink> tvla;
     std::vector<GeCheckpointSink> cpa;
   };
+  std::vector<std::optional<ShardSinks>> slots(shards);
 
-  auto shard_results = runner.map([&](std::size_t s) {
+  const auto run_shard = [&](std::size_t s) {
     // A single-shard run continues the campaign stream so the sharded
     // pipeline reproduces the sequential implementation bit-for-bit;
     // multi-shard runs give each shard its own split stream.
     util::Xoshiro256 shard_rng = shards == 1 ? rng : rng.split(s);
-    const std::unique_ptr<TraceSource> source =
-        config.make_source(secret, shard_rng());
+    const ShardSource request{
+        .secret = secret,
+        .seed = shard_rng(),
+        .slice = {shard_begin(per_segment, shards, s),
+                  shard_size(per_segment, shards, s)},
+    };
+    const std::unique_ptr<TraceSource> source = config.make_source(request);
     if (!source || source->keys() != channels) {
       throw std::invalid_argument(
           "run_sink_campaign: source channels disagree with config");
     }
-    const std::size_t per_set = shard_size(config.traces_per_set, shards, s);
 
-    // The shard's CPA stream is its share of the two random collections,
-    // in acquisition order. A global checkpoint cp splits as cp1 traces
-    // from the first and cp - cp1 from the second; partitioning each part
-    // with shard_size keeps the per-shard targets summing to exactly cp.
+    // The CPA stream is the shard's share of the random-plaintext
+    // segments, in acquisition order. A global checkpoint cp splits into
+    // whole segments plus a remainder; partitioning each part with
+    // shard_size keeps the per-shard targets summing to exactly cp.
     std::vector<std::size_t> targets;
     targets.reserve(checkpoints.size());
     for (const std::size_t cp : checkpoints) {
-      const std::size_t cp1 = std::min(cp, config.traces_per_set);
-      targets.push_back(shard_size(cp1, shards, s) +
-                        shard_size(cp - cp1, shards, s));
+      std::size_t target = 0;
+      for (std::size_t left = cp; left > 0;) {
+        const std::size_t part = std::min(left, per_segment);
+        target += shard_size(part, shards, s);
+        left -= part;
+      }
+      targets.push_back(target);
     }
 
-    ShardResult out{.tvla = TvlaSink(channels.size()), .cpa = {}};
-    out.cpa.reserve(config.cpa_columns.size());
+    ShardSinks& out = slots[s].emplace();
     MultiSink multi;
-    multi.add(&out.tvla);
-    for (const std::size_t column : config.cpa_columns) {
-      out.cpa.emplace_back(config.models, column, targets);
+    if (tvla) {
+      multi.add(&out.tvla.emplace(channels.size()));
     }
-    for (auto& sink : out.cpa) {
-      multi.add(&sink);
+    out.cpa.reserve(config.cpa_columns.size());
+    for (const std::size_t column : config.cpa_columns) {
+      multi.add(&out.cpa.emplace_back(config.models, column, targets));
     }
     if (config.extra_sink) {
       if (AnalysisSink* extra = config.extra_sink(s)) {
@@ -411,45 +326,100 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
       }
     }
 
+    // Recorded (finite) sources overwrite the plaintext column with their
+    // own (TraceSource::collect_batch), so only live sources get chosen
+    // plaintexts staged.
+    const bool stage = !source->remaining().has_value();
     auto batch = pool.acquire();
-    for (const bool primed : {false, true}) {
-      for (const PlaintextClass cls : all_plaintext_classes) {
-        std::size_t produced = 0;
-        while (produced < per_set) {
-          const std::size_t chunk =
-              std::min(acquisition_batch, per_set - produced);
-          batch->clear();
-          batch->resize(chunk);
+    for (const BatchLabel& label : segments) {
+      const PlaintextClass cls =
+          label.cls.value_or(PlaintextClass::random_pt);
+      for (std::size_t left = request.slice.count; left > 0;) {
+        const std::size_t chunk = std::min(acquisition_batch, left);
+        batch->clear();
+        batch->resize(chunk);
+        if (stage) {
           for (auto& pt : batch->plaintexts()) {
             pt = class_plaintext(cls, shard_rng);
           }
-          source->collect_batch(*batch);
-          multi.consume(*batch, BatchLabel::tvla(cls, primed));
-          meter.add(chunk);
-          produced += chunk;
+        }
+        source->collect_batch(*batch);
+        multi.consume(*batch, label);
+        meter.add(chunk);
+        left -= chunk;
+      }
+    }
+  };
+
+  // Shard-order merge as each unit drains: the same sequence of merges a
+  // post-pass over every shard would make, with at most a window of
+  // shards alive. merged_cpa[k][ci] folds the ci-th GE snapshot of
+  // attacked column k.
+  TvlaSink merged_tvla(tvla ? channels.size() : 0);
+  std::vector<std::vector<std::optional<CpaEngine>>> merged_cpa(
+      config.cpa_columns.size(),
+      std::vector<std::optional<CpaEngine>>(checkpoints.size()));
+  const auto merge_shard = [&](std::size_t s) {
+    ShardSinks& shard = *slots[s];
+    if (tvla) {
+      merged_tvla.merge(*shard.tvla);
+    }
+    for (std::size_t k = 0; k < merged_cpa.size(); ++k) {
+      for (std::size_t ci = 0; ci < checkpoints.size(); ++ci) {
+        CpaEngine snapshot = shard.cpa[k].release_snapshot(ci);
+        if (merged_cpa[k][ci]) {
+          merged_cpa[k][ci]->merge(snapshot);
+        } else {
+          merged_cpa[k][ci].emplace(std::move(snapshot));
         }
       }
     }
-    return out;
-  });
+    slots[s].reset();
+  };
 
-  TvlaSink merged_tvla(channels.size());
-  for (const auto& shard : shard_results) {
-    merged_tvla.merge(shard.tvla);
-  }
-  for (std::size_t c = 0; c < channels.size(); ++c) {
+  const auto report = [&](std::size_t running) {
+    if (config.exec.on_shard_activity) {
+      config.exec.on_shard_activity(shards, running);
+    }
+  };
+  report(0);
+  std::atomic<std::size_t> running{0};
+  run_ordered_window(
+      shards,
+      [&]() -> std::size_t {
+        return config.exec.shard_budget ? config.exec.shard_budget() : 1;
+      },
+      [&](std::size_t s) {
+        report(running.fetch_add(1) + 1);
+        try {
+          run_shard(s);
+        } catch (...) {
+          report(running.fetch_sub(1) - 1);
+          throw;
+        }
+        report(running.fetch_sub(1) - 1);
+      },
+      merge_shard);
+
+  for (std::size_t c = 0; c < merged_tvla.channels(); ++c) {
     result.tvla.push_back(
         {channels[c].str(), merged_tvla.accumulator(c).matrix()});
   }
-
-  if (!config.cpa_columns.empty()) {
-    std::vector<std::vector<GeCheckpointSink>> cpa_sinks;
-    cpa_sinks.reserve(shard_results.size());
-    for (auto& shard : shard_results) {
-      cpa_sinks.push_back(std::move(shard.cpa));
+  for (std::size_t k = 0; k < merged_cpa.size(); ++k) {
+    CpaKeyResult& out = result.cpa[k];
+    out.curves.resize(config.models.size());
+    for (std::size_t ci = 0; ci < checkpoints.size(); ++ci) {
+      for (std::size_t m = 0; m < config.models.size(); ++m) {
+        const ModelResult res =
+            merged_cpa[k][ci]->analyze(config.models[m], result.round_keys);
+        out.curves[m].push_back({checkpoints[ci], res.ge_bits,
+                                 res.mean_rank, res.recovered_bytes});
+        if (ci + 1 == checkpoints.size()) {
+          out.final_results.push_back(res);
+        }
+      }
+      merged_cpa[k][ci].reset();
     }
-    reduce_cpa_sinks(cpa_sinks, checkpoints, config.models, result.round_keys,
-                     result.cpa);
   }
   return result;
 }

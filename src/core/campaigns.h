@@ -3,12 +3,13 @@
 // returns the data its table/figure reports. The bench binaries are thin
 // wrappers over these.
 //
-// Campaigns run on the sharded columnar pipeline: the trace budget splits
-// into shards (core/parallel.h), each with its own RNG stream and trace
-// source (core/trace_source.h); shards acquire pooled TraceBatches and
-// feed them to AnalysisSinks (core/analysis_sink.h), whose partial state
-// merges in shard order. Guessing-entropy checkpoints are per-shard
-// engine snapshots — no mid-campaign merge barriers. Results are a pure
+// Every campaign runs on one sharded columnar loop, run_sink_campaign at
+// the end of this file: the trace budget splits into shards
+// (core/parallel.h), each with its own RNG stream and trace source
+// (core/trace_source.h); shards acquire pooled TraceBatches and feed them
+// to AnalysisSinks (core/analysis_sink.h), whose partial state merges in
+// shard order. Guessing-entropy checkpoints are per-shard engine
+// snapshots — no mid-campaign merge barriers. Results are a pure
 // function of (seed, shards): any worker count gives bit-identical
 // output, and shards = 1 reproduces the original sequential loop
 // bit-for-bit.
@@ -16,6 +17,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -170,39 +173,87 @@ struct CombinedCampaignResult {
 CombinedCampaignResult run_combined_campaign(
     const CombinedCampaignConfig& config);
 
-// ---------- source-generic sink campaign ----------
+// ---------- the campaign loop ----------
 //
-// The combined campaign's acquisition protocol over an arbitrary trace
-// source: six labeled (class, collection) sets fan out to a TvlaSink on
-// every channel plus optional per-channel CPA/GE sinks. The source is
-// built per shard from `make_source(secret, seed)` — exactly how the AES
-// campaigns construct their LiveTraceSource — so any TraceSource-shaped
-// victim/channel pair (the scenario registry's currency) inherits the
-// sharded pipeline, the sink layer and the purity guarantee: results are
-// a function of (seed, shards) only. run_tvla_campaign and
-// run_combined_campaign are thin wrappers over this runner, which is what
-// makes scenario-registry runs of the AES scenarios bit-identical to the
-// legacy entry points.
+// Every campaign in the repo — live, scenario-registry and dataset
+// replay — is one call to run_sink_campaign, built from three parts:
+//
+//   protocol  what is acquired: the six labeled TVLA sets, or one
+//             unlabeled random-plaintext stream with GE checkpoints;
+//   source    where traces come from: a per-shard factory (a live device,
+//             a scenario victim, or a recorded PSTR file);
+//   execution how shard units run (ShardExecution) — never what they
+//             compute.
+//
+// The budget splits into `shards` shards. Shard s acquires its
+// shard_size slice of every protocol segment, in protocol order, from its
+// own source and RNG stream, feeding a TvlaSink on every channel (TVLA
+// sets only) plus one GeCheckpointSink per attacked column. Shard units
+// run on core::run_ordered_window and their sinks merge strictly in shard
+// order as each unit drains, so results are a pure function of (seed,
+// shards, source) and shards = 1 reproduces the sequential loop. The
+// wrappers above — and the scenario runner and bus jobs — fill in a
+// source factory and call this loop.
 
-using SinkSourceFactory = std::function<std::unique_ptr<TraceSource>(
-    const aes::Block& secret, std::uint64_t seed)>;
+enum class CampaignProtocol {
+  // Six labeled (class, collection) sets of traces_per_set traces:
+  // unprimed (all-0s, all-1s, random), then primed. CPA sinks see the two
+  // random collections, 2 * traces_per_set traces.
+  tvla_sets,
+  // One unlabeled random-plaintext stream of trace_count traces.
+  random_stream,
+};
+
+// What one shard's source must deliver. Every protocol segment (TVLA set
+// k, or the one random stream) has the same length, and the shard
+// acquires rows `slice` of each, segment after segment. Live sources
+// synthesize traces from (secret, seed) and ignore the slice; replay
+// sources map it to recorded rows.
+struct ShardSource {
+  aes::Block secret{};
+  std::uint64_t seed = 0;  // the shard's RNG stream
+  RowRange slice;
+};
+
+using SinkSourceFactory =
+    std::function<std::unique_ptr<TraceSource>(const ShardSource& shard)>;
+
+// How shard units execute. Neither hook ever changes a result.
+struct ShardExecution {
+  // Max shard units in flight, re-read before each unit is issued
+  // (values < 1 count as 1, which runs the unit inline). Null: every
+  // unit runs inline on the calling thread, touching no pool state.
+  std::function<std::size_t()> shard_budget;
+  // Observer of (shard count, units running): called once with
+  // running = 0 as the campaign starts, then as each unit starts and
+  // finishes — concurrently from pool threads under a budget.
+  std::function<void(std::size_t shards, std::size_t running)>
+      on_shard_activity;
+};
 
 struct SinkCampaignConfig {
   // Channel columns the source reports, in column order.
   std::vector<util::FourCc> channels;
   SinkSourceFactory make_source;
-  // Traces per (class, collection); the random stream seen by CPA sinks
-  // is 2x this.
+  CampaignProtocol protocol = CampaignProtocol::tvla_sets;
+  // tvla_sets: traces per (class, collection).
   std::size_t traces_per_set = 5000;
+  // random_stream: the stream length.
+  std::size_t trace_count = 0;
   // Channel columns to attack with CPA/GE; empty = TVLA only. The secret
   // is interpreted as an AES-128 key for ranking (the CpaEngine's model).
   std::vector<std::size_t> cpa_columns;
   std::vector<power::PowerModel> models = {power::PowerModel::rd0_hw};
-  // CPA trace counts at which to snapshot GE (over 2 * traces_per_set).
+  // GE snapshot trace counts over the CPA stream (the final count is
+  // always evaluated).
   std::vector<std::size_t> checkpoints;
   std::uint64_t seed = 1;
-  std::size_t workers = 1;
-  std::size_t shards = 0;
+  // The key CPA ranks against; unset = drawn from the seed (the victim
+  // key of a live campaign). Replay campaigns pass the recorded key.
+  std::optional<aes::Block> secret;
+  // Result-determining; at least 1.
+  std::size_t shards = 1;
+  ShardExecution exec;
   CampaignProgressFn progress{};  // see CampaignProgressFn above
   // Optional extra per-shard sink (e.g. a store::RecordingSink teeing the
   // acquisition to disk); non-owning, appended to the shard's MultiSink.
@@ -213,9 +264,9 @@ struct SinkCampaignConfig {
 struct SinkCampaignResult {
   aes::Block secret{};
   std::array<aes::Block, aes::num_rounds + 1> round_keys{};
-  std::size_t traces_per_set = 0;
-  std::size_t cpa_trace_count = 0;  // 2 * traces_per_set
-  std::vector<TvlaChannelResult> tvla;  // one per channel, column order
+  std::size_t traces_per_set = 0;   // 0 for a random stream
+  std::size_t cpa_trace_count = 0;  // traces the CPA sinks saw
+  std::vector<TvlaChannelResult> tvla;  // TVLA sets: one per channel
   std::vector<CpaKeyResult> cpa;        // one per cpa_columns entry
 
   const TvlaChannelResult* find_tvla(const std::string& channel) const noexcept;

@@ -151,7 +151,7 @@ void run_ordered_window(std::size_t units,
   try {
     for (std::size_t i = 0; i < units; ++i) {
       const std::size_t width =
-          units == 1 ? 1 : std::max<std::size_t>(1, cap());
+          units == 1 ? 1 : std::clamp<std::size_t>(cap(), 1, units);
       while (window.size() >= width) {
         drain_one();
       }

@@ -12,22 +12,25 @@
 //   shards  determine the RESULT: campaign output is a pure function of
 //           (seed, shard count). shards == 1 reproduces the sequential
 //           pipeline bit-for-bit.
-//   workers determine the EXECUTION: how many threads run the shards. Any
-//           worker count yields bit-identical results for a fixed shard
-//           count, because per-shard work is self-contained and merges
-//           happen in shard order on the calling thread.
+//   workers determine the EXECUTION: how many shard units run at once
+//           (a campaign's `workers`, or a served job's fair budget). Any
+//           value yields bit-identical results for a fixed shard count,
+//           because per-shard work is self-contained and merges happen
+//           in shard order on the calling thread.
 //
 // Shard executor
 // --------------
-// Every shard fan-out in the repo (ParallelRunner::map, the bus dataset
-// jobs) runs on one executor, run_ordered_window: an ordered window of
-// shard units over the process-wide persistent WorkerPool. Before
-// posting each unit the window re-reads its cap, keeps at most that many
-// units in flight, and drains them strictly in index order on the
-// calling thread — merging each finished unit before the next one, so
-// merge order never depends on which pool thread finished first. Drain
-// goes through WorkerPool::finish, which steals a still-queued unit back
-// and runs it inline, so the window never deadlocks, even nested inside
+// Every shard fan-out in the repo runs on one executor,
+// run_ordered_window, called from one place: the campaign loop
+// core::run_sink_campaign (core/campaigns.h), which live campaigns,
+// scenario runs and the bus daemon's replay and scenario jobs all
+// share. Before posting each unit the window re-reads its cap, keeps at
+// most that many units in flight on the process-wide persistent
+// WorkerPool, and drains them strictly in index order on the calling
+// thread — merging each finished unit before the next one, so merge
+// order never depends on which pool thread finished first. Drain goes
+// through WorkerPool::finish, which steals a still-queued unit back and
+// runs it inline, so the window never deadlocks, even nested inside
 // another window's unit. The pool starts empty and grows (never
 // shrinks) to the largest cap any window asked for; its threads sleep
 // between windows and are shared by every caller, so concurrent windows
@@ -44,9 +47,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace psc::core {
@@ -63,9 +64,6 @@ struct ShardPlan {
 
   std::size_t resolved_workers() const noexcept {
     return workers == 0 ? 1 : workers;
-  }
-  std::size_t resolved_shards() const noexcept {
-    return shards == 0 ? resolved_workers() : shards;
   }
 
   // Shard count sized to the workload: an explicit shard count always
@@ -85,9 +83,9 @@ struct ShardPlan {
 };
 
 // Process-wide persistent worker pool (see "Shard executor" above).
-// run_ordered_window and ParallelRunner::map are the intended interface;
-// the pool is public for the store prefetcher's side jobs and for tests
-// and benches that assert on reuse.
+// run_ordered_window is the intended interface; the pool is public for
+// the store prefetcher's side jobs and for tests and benches that assert
+// on reuse.
 class WorkerPool {
   struct AsyncJob;  // private; defined in parallel.cpp
 
@@ -155,8 +153,8 @@ class WorkerPool {
 // The shard executor. Runs unit(i) for every i in [0, units) and
 // merge(i) strictly in ascending i on the calling thread. cap() is
 // re-read before each unit is posted and bounds the units in flight
-// (values < 1 count as 1); the pool grows to the cap, so a cap of W runs
-// W units at once. A cap of 1, or a single unit, runs inline on the
+// (values < 1 count as 1, values above `units` as `units`); the pool
+// grows to the cap, so a cap of W runs W units at once. A cap of 1, or a single unit, runs inline on the
 // caller without touching the pool. A unit that throws is not merged;
 // once every unit has finished, the exception of the lowest-indexed
 // failing unit is rethrown. unit runs concurrently on pool threads;
@@ -175,40 +173,5 @@ std::size_t shard_size(std::size_t total, std::size_t shards,
                        std::size_t s) noexcept;
 std::size_t shard_begin(std::size_t total, std::size_t shards,
                         std::size_t s) noexcept;
-
-class ParallelRunner {
- public:
-  explicit ParallelRunner(ShardPlan plan) noexcept : plan_(plan) {}
-
-  std::size_t shards() const noexcept { return plan_.resolved_shards(); }
-  std::size_t workers() const noexcept { return plan_.resolved_workers(); }
-
-  // Invokes fn(shard_index) once per shard on run_ordered_window with
-  // the constant cap min(workers, shards) and returns the results
-  // ordered by shard index, so downstream merges are deterministic
-  // regardless of which worker finished first. If shard jobs throw, the
-  // exception of the lowest-indexed failing shard is rethrown after
-  // every shard finished.
-  template <typename Fn>
-  auto map(Fn&& fn) {
-    using Partial = std::invoke_result_t<Fn&, std::size_t>;
-    const std::size_t n = shards();
-    const std::size_t cap = std::min(workers(), n);
-    std::vector<std::optional<Partial>> slots(n);
-    std::vector<Partial> out;
-    out.reserve(n);
-    run_ordered_window(
-        n, [cap] { return cap; },
-        [&](std::size_t s) { slots[s].emplace(fn(s)); },
-        [&](std::size_t s) {
-          out.push_back(std::move(*slots[s]));
-          slots[s].reset();
-        });
-    return out;
-  }
-
- private:
-  ShardPlan plan_;
-};
 
 }  // namespace psc::core

@@ -104,10 +104,11 @@ class TraceBatch {
   std::vector<std::vector<double>> columns_;  // [channel][row]
 };
 
-// Thread-safe pool of reusable batches. Shard jobs acquire a batch at
+// Thread-safe pool of reusable batches. Shard units acquire a batch at
 // start and return it when done, so a run with more shards than workers
 // recycles the same few slabs instead of allocating per shard — this is
-// how batches travel between shard jobs under core::ParallelRunner.
+// how batches travel between the campaign loop's shard units
+// (core::run_sink_campaign).
 class TraceBatchPool {
  public:
   // Batches handed out are shaped for `channels` columns with at least

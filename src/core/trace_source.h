@@ -13,8 +13,8 @@
 // A fourth source lives in the store layer: store::FileTraceSource
 // (store/file_trace_source.h) replays a chunked binary PSTR trace store
 // out-of-core — datasets larger than RAM stream through collect_batch
-// one chunk at a time, optionally sharded so ParallelRunner workers each
-// own a disjoint chunk range of the same file.
+// one chunk at a time, optionally sharded so each shard of a campaign
+// (core/campaigns.h) replays its own row ranges of the same file.
 //
 // The native currency is the columnar core::TraceBatch, filled through a
 // stage-then-collect protocol: the caller sizes the batch and writes the
@@ -23,8 +23,8 @@
 // sources override collect_batch with allocation-free columnar fills; the
 // per-trace collect() path remains as a thin wrapper for convenience.
 //
-// Sources are single-threaded; the parallel campaign runner gives each
-// shard its own source built from a split RNG stream (see core/parallel.h).
+// Sources are single-threaded; the campaign loop gives each shard its own
+// source built from a split RNG stream (see core/campaigns.h).
 #pragma once
 
 #include <cstdint>
@@ -44,6 +44,13 @@
 #include "victim/fast_trace.h"
 
 namespace psc::core {
+
+// Rows [begin, begin + count) of a recorded trace stream: the part of a
+// dataset one replay shard reads.
+struct RowRange {
+  std::size_t begin = 0;
+  std::size_t count = 0;
+};
 
 class TraceSource {
  public:

@@ -49,9 +49,8 @@ ScenarioRunResult run_scenario(const Scenario& scenario,
 
   core::SinkCampaignConfig generic;
   generic.channels = channels;
-  generic.make_source = [&scenario, &params](const aes::Block& secret,
-                                             std::uint64_t seed) {
-    return scenario.make_source(params, secret, seed);
+  generic.make_source = [&scenario, &params](const core::ShardSource& shard) {
+    return scenario.make_source(params, shard.secret, shard.seed);
   };
   generic.traces_per_set = config.traces_per_set != 0
                                ? config.traces_per_set
@@ -70,8 +69,13 @@ ScenarioRunResult run_scenario(const Scenario& scenario,
     generic.checkpoints = config.checkpoints;
   }
   generic.seed = config.seed;
-  generic.workers = config.workers;
-  generic.shards = config.shards;
+  generic.shards =
+      core::ShardPlan{.workers = config.workers, .shards = config.shards}
+          .resolved_shards_for(6 * generic.traces_per_set);
+  generic.exec = config.exec;
+  if (!generic.exec.shard_budget) {
+    generic.exec.shard_budget = [workers = config.workers] { return workers; };
+  }
   generic.progress = config.progress;
 
   // Optional PSTR tee: a single recording sink on the one shard of a

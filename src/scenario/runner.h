@@ -22,8 +22,14 @@ struct ScenarioRunConfig {
   // GE checkpoints over the CPA stream (ignored for TVLA-only scenarios).
   std::vector<std::size_t> checkpoints;
   std::uint64_t seed = 1;
+  // Execution only: `workers` shard units run at a time, unless
+  // exec.shard_budget is set (a served job's fair cap, re-read before
+  // each unit).
   std::size_t workers = 1;
+  // Result-determining; 0 = one per worker, sized to the workload
+  // (core::ShardPlan::resolved_shards_for).
   std::size_t shards = 0;
+  core::ShardExecution exec;
   core::CampaignProgressFn progress{};
   // Tee the acquisition to a PSTR trace store (store::RecordingSink).
   // Recording requires shards == 1 and workers == 1: one writer, one

@@ -50,22 +50,33 @@ FileTraceSource::FileTraceSource(std::unique_ptr<TraceFileReader> reader)
 FileTraceSource::FileTraceSource(std::unique_ptr<TraceFileReader> reader,
                                  std::size_t begin, std::size_t count,
                                  const FileSourceOptions& options)
-    : reader_(std::move(reader)), prefetch_(resolve_prefetch(options.prefetch)) {
+    : FileTraceSource(std::move(reader),
+                      std::vector<core::RowRange>{{begin, count}}, options) {}
+
+FileTraceSource::FileTraceSource(std::unique_ptr<TraceFileReader> reader,
+                                 std::vector<core::RowRange> ranges,
+                                 const FileSourceOptions& options)
+    : reader_(std::move(reader)),
+      ranges_(std::move(ranges)),
+      prefetch_(resolve_prefetch(options.prefetch)) {
   if (!reader_) {
     throw std::invalid_argument("FileTraceSource: null reader");
   }
   row_scratch_.reset_channels(reader_->channels().size());
   row_scratch_.reserve(1);
-  pos_ = std::min(begin, reader_->trace_count());
-  end_ = count > reader_->trace_count() - pos_ ? reader_->trace_count()
-                                               : pos_ + count;
+  const std::size_t rows = reader_->trace_count();
+  for (core::RowRange& range : ranges_) {
+    range.begin = std::min(range.begin, rows);
+    range.count = std::min(range.count, rows - range.begin);
+    later_rows_ += range.count;
+  }
 }
 
 const ChunkView& FileTraceSource::current_view(std::size_t row) {
   if (!prefetcher_) {
     // Built lazily on the first read so a source that is constructed but
     // never consumed posts no decode work; [first, last) is the chunk
-    // range covering this source's rows.
+    // range covering the current range's rows.
     const std::size_t first = reader_->chunk_containing(row);
     const std::size_t last = reader_->chunk_containing(end_ - 1) + 1;
     prefetcher_.emplace(*reader_, first, last);
@@ -84,18 +95,42 @@ const ChunkView& FileTraceSource::current_view(std::size_t row) {
   return view_;
 }
 
+void FileTraceSource::append_rows(std::size_t n, core::TraceBatch& batch) {
+  while (n > 0) {
+    if (pos_ == end_) {
+      // The current range is spent: its prefetcher, and any view into
+      // the prefetcher's buffers, go with it.
+      if (prefetcher_) {
+        async_done_ += prefetcher_->async_completions();
+        prefetcher_.reset();
+      }
+      have_view_ = false;
+      const core::RowRange& next = ranges_.at(next_range_++);
+      pos_ = next.begin;
+      end_ = next.begin + next.count;
+      later_rows_ -= next.count;
+      continue;
+    }
+    std::size_t take = std::min(n, end_ - pos_);
+    if (prefetch_) {
+      const ChunkView& view = current_view(pos_);
+      const std::size_t local = pos_ - view.row_begin();
+      take = std::min(take, view.rows() - local);
+      view.append_to(batch, local, take);
+    } else {
+      reader_->read_rows(pos_, take, batch);
+    }
+    pos_ += take;
+    n -= take;
+  }
+}
+
 core::TraceRecord FileTraceSource::collect(const aes::Block& /*plaintext*/) {
-  if (pos_ >= end_) {
+  if (*remaining() == 0) {
     throw std::out_of_range("FileTraceSource: file exhausted");
   }
   row_scratch_.clear();
-  if (prefetch_) {
-    const ChunkView& view = current_view(pos_);
-    view.append_to(row_scratch_, pos_ - view.row_begin(), 1);
-    ++pos_;
-  } else {
-    reader_->read_rows(pos_++, 1, row_scratch_);
-  }
+  append_rows(1, row_scratch_);
   core::TraceRecord record;
   record.plaintext = row_scratch_.plaintexts()[0];
   record.ciphertext = row_scratch_.ciphertexts()[0];
@@ -112,26 +147,11 @@ void FileTraceSource::collect_batch(core::TraceBatch& batch) {
         "FileTraceSource::collect_batch: batch channel count mismatch");
   }
   const std::size_t n = batch.size();
-  if (n > end_ - pos_) {
+  if (n > *remaining()) {
     throw std::out_of_range("FileTraceSource: file exhausted");
   }
   batch.clear();
-  if (!prefetch_) {
-    reader_->read_rows(pos_, n, batch);
-    pos_ += n;
-    return;
-  }
-  std::size_t row = pos_;
-  std::size_t left = n;
-  while (left > 0) {
-    const ChunkView& view = current_view(row);
-    const std::size_t local = row - view.row_begin();
-    const std::size_t take = std::min(left, view.rows() - local);
-    view.append_to(batch, local, take);
-    row += take;
-    left -= take;
-  }
-  pos_ = row;
+  append_rows(n, batch);
 }
 
 std::pair<std::size_t, std::size_t> shard_row_range(

@@ -6,14 +6,16 @@
 // collect_batch() overwrites the staged plaintext column with the
 // recorded plaintexts.
 //
-// Sharded replay: core::ParallelRunner workers each own a disjoint,
-// chunk-aligned row range of the same file — shard_row_range() partitions
-// the chunk list with core::shard_size so ranges cover the file exactly
-// and no two shards decode the same chunk. Each shard constructs its own
-// FileTraceSource (and thus its own reader; readers are single-threaded,
-// while the OS page cache shares the mapped file across all of them).
-// Because ranges are contiguous and in shard order, merging per-shard
-// engines in shard order is bit-identical to one sequential replay.
+// Sharded replay: each shard of a campaign (core::run_sink_campaign)
+// replays its own row ranges of the same file — its slice of every
+// recorded TVLA set, or its slice of one random-plaintext stream (the bus
+// replay jobs), or a chunk-aligned range from shard_row_range(), which
+// partitions the chunk list with core::shard_size so no two shards decode
+// the same chunk. Each shard constructs its own FileTraceSource (and thus
+// its own reader; readers are single-threaded, while the OS page cache
+// shares the mapped file across all of them). Because ranges are
+// disjoint and in shard order, merging per-shard engines in shard order
+// is bit-identical to one sequential replay.
 // Replay overlaps chunk decode with analysis by default: the source
 // walks its row range through a store::ChunkPrefetcher, which decodes
 // chunk N+1 on the persistent core::WorkerPool while the caller ingests
@@ -27,6 +29,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/trace_source.h"
 #include "store/chunk_prefetcher.h"
@@ -66,6 +69,11 @@ class FileTraceSource final : public core::TraceSource {
   FileTraceSource(std::unique_ptr<TraceFileReader> reader, std::size_t begin,
                   std::size_t count,
                   const FileSourceOptions& options = FileSourceOptions{});
+  // Replays each range in turn, every one clamped to the rows available
+  // (a shard's slice of several recorded sets).
+  FileTraceSource(std::unique_ptr<TraceFileReader> reader,
+                  std::vector<core::RowRange> ranges,
+                  const FileSourceOptions& options = FileSourceOptions{});
 
   const TraceFileReader& reader() const noexcept { return *reader_; }
 
@@ -74,7 +82,8 @@ class FileTraceSource final : public core::TraceSource {
   // Chunk decodes that completed asynchronously so far (0 with prefetch
   // off or before the first batch).
   std::size_t async_completions() const noexcept {
-    return prefetcher_ ? prefetcher_->async_completions() : 0;
+    return async_done_ +
+           (prefetcher_ ? prefetcher_->async_completions() : 0);
   }
 
   const std::vector<util::FourCc>& keys() const noexcept override {
@@ -88,20 +97,27 @@ class FileTraceSource final : public core::TraceSource {
   // remain.
   void collect_batch(core::TraceBatch& batch) override;
   std::optional<std::size_t> remaining() const noexcept override {
-    return end_ - pos_;
+    return end_ - pos_ + later_rows_;
   }
 
  private:
+  // Appends the next `n` rows to `batch`, moving on to the following
+  // range whenever the current one is exhausted (n <= *remaining()).
+  void append_rows(std::size_t n, core::TraceBatch& batch);
   // The prefetched view covering global row `row`, advancing the
   // prefetcher as needed (rows are consumed strictly in order).
   const ChunkView& current_view(std::size_t row);
 
   std::unique_ptr<TraceFileReader> reader_;
   core::TraceBatch row_scratch_;  // one-row staging for collect(), reused
-  std::size_t pos_ = 0;
+  std::vector<core::RowRange> ranges_;  // clamped; [next_range_, end) to go
+  std::size_t next_range_ = 0;
+  std::size_t later_rows_ = 0;  // rows in the ranges after the current one
+  std::size_t pos_ = 0;         // current range: rows [pos_, end_) left
   std::size_t end_ = 0;
   bool prefetch_ = false;
-  std::optional<ChunkPrefetcher> prefetcher_;  // built on first read
+  std::optional<ChunkPrefetcher> prefetcher_;  // per range, on first read
+  std::size_t async_done_ = 0;  // async decodes of finished ranges
   ChunkView view_;
   bool have_view_ = false;
 };

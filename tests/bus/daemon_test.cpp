@@ -1,8 +1,9 @@
 // BusDaemon end-to-end over real Unix-domain sockets: served campaign
 // results must be bit-identical to the same campaign run in-process
 // (asserted on every correlation double, with two concurrent clients),
-// concurrent scenario jobs must run side by side under their fair shard
-// cap, protocol garbage must cost exactly the offending connection, a client
+// concurrent scenario jobs must run side by side under a fair shard cap
+// they re-read before each unit, protocol garbage must cost exactly the
+// offending connection, a client
 // disconnecting mid-job must leak nothing, and shutdown — via the
 // protocol or a signal — must drain before it tears down.
 #include <gtest/gtest.h>
@@ -330,35 +331,39 @@ TEST_F(BusDaemonTest, StatsReportDecodeOnceAcrossJobs) {
 }
 
 // Served scenario jobs share the pool under their fair cap instead of
-// queueing one whole job behind another. A pacer job is still active
-// when job A starts and already done when job B starts, so A and B each
-// start next to exactly one other active job and take the fair cap
-// shard_parallelism / 2 = 2; A is sized to outlast the pacer and B.
+// queueing one whole job behind another, and re-read the cap before each
+// shard unit, like the dataset jobs. Job A (many shards) is running
+// alone when job B arrives: B only ever sees the cap
+// shard_parallelism / 2 = 2; A drops to 2 while B is active and regrows
+// to 4 once B is done.
 TEST_F(BusDaemonTest, ConcurrentScenarioJobsRunSideBySideUnderFairCaps) {
   serve("scnrace", /*quota=*/4, /*shard_parallelism=*/4);
-  const auto spec_of = [](std::uint64_t traces_per_set, std::uint64_t seed) {
+  const auto spec_of = [](std::uint64_t traces_per_set, std::uint64_t seed,
+                          std::uint32_t shards) {
     ScenarioJobSpec spec;
     spec.scenario = "sqmul-timing";
     spec.traces_per_set = traces_per_set;
     spec.seed = seed;
-    spec.shards = 4;
+    spec.shards = shards;
     return spec;
   };
-  constexpr std::uint64_t per_set = 40000;
-  const ScenarioJobSpec pacer = spec_of(per_set, 1);
-  const ScenarioJobSpec a = spec_of(3 * per_set, 2);
-  const ScenarioJobSpec b = spec_of(per_set, 3);
+  const ScenarioJobSpec a = spec_of(60000, 2, 32);
+  const ScenarioJobSpec b = spec_of(10000, 3, 4);
   const auto terminal = [](const JobStatusMsg& s) {
     return s.state == JobState::done || s.state == JobState::failed;
   };
 
   BusClient client(daemon_->socket_path());
-  const std::uint64_t pacer_id = client.submit_scenario(pacer);
   const std::uint64_t a_id = client.submit_scenario(a);
-  ASSERT_EQ(client.watch(pacer_id).state, JobState::done);
+  while (client.status(a_id).consumed == 0) {
+    ASSERT_FALSE(terminal(client.status(a_id)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   const std::uint64_t b_id = client.submit_scenario(b);
 
   bool side_by_side = false;
+  bool a_shared = false;     // A at cap 2 in a frame where B runs
+  bool a_regrew = false;     // A at cap 4 in a frame taken after B is done
   std::map<std::uint64_t, std::set<std::uint32_t>> running_caps;
   for (;;) {
     const JobStatusMsg a1 = client.status(a_id);
@@ -369,23 +374,32 @@ TEST_F(BusDaemonTest, ConcurrentScenarioJobsRunSideBySideUnderFairCaps) {
         !terminal(a2)) {
       side_by_side = true;
     }
-    for (const StatsMsg::JobRow& row : client.stats().jobs) {
+    const bool b_done = terminal(client.status(b_id));
+    const StatsMsg stats = client.stats();
+    std::map<std::uint64_t, std::uint32_t> caps;
+    for (const StatsMsg::JobRow& row : stats.jobs) {
       if (row.state == JobState::running) {
         running_caps[row.id].insert(row.shard_cap);
+        caps[row.id] = row.shard_cap;
       }
     }
-    if (terminal(client.status(a_id)) && terminal(client.status(b_id))) {
+    if (caps.count(a_id) != 0 && caps.count(b_id) != 0 && caps[a_id] == 2) {
+      a_shared = true;
+    }
+    if (b_done && caps.count(a_id) != 0 && caps[a_id] == 4) {
+      a_regrew = true;
+    }
+    if (terminal(client.status(a_id)) && b_done) {
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_TRUE(side_by_side)
       << "no sample showed both jobs consuming while neither was done";
-  // Every STATS row of either job, whenever sampled, shows cap 2.
-  const std::set<std::uint32_t> fair = {2};
-  EXPECT_EQ(running_caps,
-            (std::map<std::uint64_t, std::set<std::uint32_t>>{{a_id, fair},
-                                                              {b_id, fair}}));
+  EXPECT_TRUE(a_shared) << "A never ran at cap 2 next to B";
+  EXPECT_TRUE(a_regrew) << "A never regrew to cap 4 after B was done";
+  EXPECT_EQ(running_caps[a_id], (std::set<std::uint32_t>{2, 4}));
+  EXPECT_EQ(running_caps[b_id], (std::set<std::uint32_t>{2}));
 
   // Served results equal a local run of the same spec, byte for byte on
   // the wire encoding (which carries every double's bit pattern).
@@ -398,6 +412,40 @@ TEST_F(BusDaemonTest, ConcurrentScenarioJobsRunSideBySideUnderFairCaps) {
             wire(run_scenario_job(a, {}, 4)));
   EXPECT_EQ(wire(client.scenario_result(b_id)),
             wire(run_scenario_job(b, {}, 4)));
+}
+
+// A served scenario job reports its shard units on its STATS row, like a
+// dataset job: the resolved shard count and a non-zero running peak that
+// never exceeds the cap.
+TEST_F(BusDaemonTest, ServedScenarioJobReportsShardActivity) {
+  serve("scnstats", /*quota=*/4, /*shard_parallelism=*/4);
+  ScenarioJobSpec spec;
+  spec.scenario = "sqmul-timing";
+  spec.traces_per_set = 40000;
+  spec.seed = 5;
+  spec.shards = 4;
+
+  BusClient client(daemon_->socket_path());
+  const std::uint64_t id = client.submit_scenario(spec);
+  std::uint32_t shards = 0;
+  std::uint32_t peak = 0;
+  for (;;) {
+    for (const StatsMsg::JobRow& row : client.stats().jobs) {
+      if (row.id == id) {
+        shards = std::max(shards, row.shards);
+        peak = std::max(peak, row.peak_shards);
+      }
+    }
+    const JobStatusMsg status = client.status(id);
+    if (status.state == JobState::done || status.state == JobState::failed) {
+      ASSERT_EQ(status.state, JobState::done) << status.error;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(shards, 4u);
+  EXPECT_GT(peak, 0u);
+  EXPECT_LE(peak, 4u);
 }
 
 TEST_F(BusDaemonTest, CacheDisabledServesIdenticalResults) {

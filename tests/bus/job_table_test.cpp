@@ -1,7 +1,7 @@
 // JobTable: quota charge/release accounting (the slot must release
-// exactly once per job, no matter who disconnects when), watcher
-// wake-ups, and the wait_idle drain barrier — including a multithreaded
-// hammer that TSan checks for races.
+// exactly once per job, no matter who disconnects when), bounded
+// retention of finished jobs, watcher wake-ups, and the wait_idle drain
+// barrier — including a multithreaded hammer that TSan checks for races.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -87,6 +87,47 @@ TEST(JobTable, StatusTracksProgressAndResultsStayFetchable) {
   EXPECT_EQ(job->cpa_result->traces, 400u);
   EXPECT_EQ(table.status(999), nullptr);
   EXPECT_EQ(table.find(999), nullptr);
+}
+
+// The table keeps only the most recent retained_terminal_jobs finished
+// jobs: older ones are retired oldest first and then read as unknown,
+// newer results stay fetchable, and a queued job is never retired no
+// matter how many jobs finish after it.
+TEST(JobTable, RetiresOldestTerminalJobsBeyondTheCap) {
+  constexpr std::size_t extra = 10;
+  JobTable table(1);
+  const std::uint64_t queued = submit(table, 0);
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i < retained_terminal_jobs + extra; ++i) {
+    const std::uint64_t id = submit(table, 1);
+    ASSERT_NE(id, 0u);
+    ids.push_back(id);
+    auto result = std::make_unique<CpaJobResult>();
+    result->traces = id;
+    if (i % 3 == 0) {
+      table.mark_failed(id, "induced");
+    } else {
+      table.mark_done(id, std::move(result), nullptr);
+    }
+    EXPECT_LE(table.job_count(), retained_terminal_jobs + 1);
+  }
+  EXPECT_EQ(table.job_count(), retained_terminal_jobs + 1);
+  for (std::size_t i = 0; i < extra; ++i) {
+    EXPECT_EQ(table.status(ids[i]), nullptr) << "job " << ids[i];
+    EXPECT_EQ(table.find(ids[i]), nullptr) << "job " << ids[i];
+  }
+  for (std::size_t i = extra; i < ids.size(); ++i) {
+    const std::shared_ptr<Job> job = table.find(ids[i]);
+    ASSERT_NE(job, nullptr) << "job " << ids[i];
+    if (job->state == JobState::done) {
+      ASSERT_NE(job->cpa_result, nullptr);
+      EXPECT_EQ(job->cpa_result->traces, ids[i]);
+    }
+  }
+  const auto status = table.status(queued);
+  ASSERT_NE(status, nullptr);
+  EXPECT_EQ(status->state, JobState::queued);
+  EXPECT_EQ(table.in_flight(1), 0u);
 }
 
 TEST(JobTable, WaitChangeWakesOnProgressFromAnotherThread) {

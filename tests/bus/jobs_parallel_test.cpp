@@ -240,6 +240,10 @@ TEST(JobsParallel, OversubscribedShardsStillThrow) {
   cpa.shards = static_cast<std::uint32_t>(rows + 1);
   EXPECT_THROW(run_cpa_job(dataset, cpa, {}, budget(4)),
                std::invalid_argument);
+  cpa.shards = 0;
+  cpa.trace_count = rows + 1;  // more traces than were recorded
+  EXPECT_THROW(run_cpa_job(dataset, cpa, {}, budget(4)),
+               std::invalid_argument);
   TvlaJobSpec tvla;
   tvla.shards = static_cast<std::uint32_t>(rows);  // > per_set
   EXPECT_THROW(run_tvla_job(dataset, tvla, {}, budget(4)),

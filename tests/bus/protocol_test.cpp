@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -377,7 +378,8 @@ class FramingTest : public ::testing::Test {
     store::put_u16(frame.data() + 6, static_cast<std::uint16_t>(type));
     store::put_u32(frame.data() + 8, static_cast<std::uint32_t>(pay.size()));
     store::put_u32(frame.data() + 12, util::crc32(pay.data(), pay.size()));
-    std::memcpy(frame.data() + frame_header_bytes, pay.data(), pay.size());
+    // An empty vector's data() may be null, which memcpy must not get.
+    std::copy(pay.begin(), pay.end(), frame.begin() + frame_header_bytes);
     return frame;
   }
 

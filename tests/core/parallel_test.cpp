@@ -16,6 +16,17 @@
 namespace psc::core {
 namespace {
 
+// fn(i) for every i in [0, units), on the ordered window with a constant
+// cap; results in index order.
+template <typename Fn>
+auto window_map(std::size_t units, std::size_t cap, Fn fn) {
+  std::vector<decltype(fn(std::size_t{0}))> out(units);
+  run_ordered_window(
+      units, [cap] { return cap; }, [&](std::size_t i) { out[i] = fn(i); },
+      [](std::size_t) {});
+  return out;
+}
+
 TEST(ShardPartition, SizesSumToTotalAndDifferByAtMostOne) {
   for (const std::size_t total : {0u, 1u, 7u, 100u, 1001u}) {
     for (const std::size_t shards : {1u, 2u, 3u, 8u, 13u}) {
@@ -90,10 +101,11 @@ TEST(ShardPartition, BeginClampsPastTheEnd) {
 
 TEST(ShardPlan, Resolution) {
   EXPECT_EQ(ShardPlan{}.resolved_workers(), 1u);
-  EXPECT_EQ(ShardPlan{}.resolved_shards(), 1u);
-  EXPECT_EQ((ShardPlan{.workers = 4}).resolved_shards(), 4u);
-  EXPECT_EQ((ShardPlan{.workers = 4, .shards = 9}).resolved_shards(), 9u);
-  EXPECT_EQ((ShardPlan{.workers = 0, .shards = 0}).resolved_shards(), 1u);
+  EXPECT_EQ((ShardPlan{.workers = 0}).resolved_workers(), 1u);
+  EXPECT_EQ((ShardPlan{.workers = 4}).resolved_workers(), 4u);
+  EXPECT_EQ((ShardPlan{.workers = 0, .shards = 0}).resolved_shards_for(
+                100 * min_traces_per_shard),
+            1u);
 }
 
 TEST(ShardPlan, AutoShardsSizeToWorkload) {
@@ -115,62 +127,16 @@ TEST(ShardPlan, AutoShardsSizeToWorkload) {
   EXPECT_EQ((ShardPlan{.workers = 1}).resolved_shards_for(1'000'000), 1u);
 }
 
-TEST(ParallelRunner, MapReturnsResultsInShardOrder) {
-  ParallelRunner runner({.workers = 4, .shards = 13});
-  const auto out = runner.map([](std::size_t s) { return 3 * s + 1; });
-  ASSERT_EQ(out.size(), 13u);
-  for (std::size_t s = 0; s < out.size(); ++s) {
-    EXPECT_EQ(out[s], 3 * s + 1);
-  }
-}
-
-TEST(ParallelRunner, SequentialAndParallelMapAgree) {
-  ParallelRunner sequential({.workers = 1, .shards = 8});
-  ParallelRunner parallel({.workers = 8, .shards = 8});
-  auto job = [](std::size_t s) {
-    // Deterministic per-shard computation with its own split stream.
-    util::Xoshiro256 rng = util::Xoshiro256(77).split(s);
-    double acc = 0.0;
-    for (int i = 0; i < 1000; ++i) {
-      acc += rng.uniform01();
-    }
-    return acc;
-  };
-  const auto a = sequential.map(job);
-  const auto b = parallel.map(job);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t s = 0; s < a.size(); ++s) {
-    EXPECT_DOUBLE_EQ(a[s], b[s]);
-  }
-}
-
-TEST(ParallelRunner, PropagatesLowestShardException) {
-  ParallelRunner runner({.workers = 4, .shards = 8});
-  try {
-    runner.map([](std::size_t s) {
-      if (s == 3 || s == 6) {
-        throw std::runtime_error("shard " + std::to_string(s));
-      }
-      return s;
-    });
-    FAIL() << "expected exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "shard 3");
-  }
-}
-
 // ---------- persistent worker pool ----------
 
-// The pool persists across runner invocations: helper threads spawned by
-// the first multi-worker map are reused, not respawned, by later maps.
-TEST(WorkerPool, ThreadsPersistAcrossRunners) {
-  ParallelRunner first({.workers = 4, .shards = 8});
-  first.map([](std::size_t s) { return s; });
+// The pool persists across windows: helper threads spawned by the first
+// multi-unit window are reused, not respawned, by later windows.
+TEST(WorkerPool, ThreadsPersistAcrossWindows) {
+  window_map(8, 4, [](std::size_t s) { return s; });
   const std::size_t after_first = WorkerPool::instance().thread_count();
   EXPECT_GE(after_first, 4u);  // the pool grows to the cap; grow-only
   for (int round = 0; round < 5; ++round) {
-    ParallelRunner again({.workers = 4, .shards = 8});
-    const auto out = again.map([](std::size_t s) { return s * s; });
+    const auto out = window_map(8, 4, [](std::size_t s) { return s * s; });
     for (std::size_t s = 0; s < out.size(); ++s) {
       EXPECT_EQ(out[s], s * s);
     }
@@ -180,14 +146,13 @@ TEST(WorkerPool, ThreadsPersistAcrossRunners) {
 
 // ---------- the ordered window (run_ordered_window) ----------
 
-// Every shard runs exactly once per map, across many back-to-back maps
-// on the shared pool (the reuse path a campaign sweep exercises).
+// Every shard runs exactly once per window, across many back-to-back
+// windows on the shared pool (the reuse path a campaign sweep exercises).
 TEST(OrderedWindow, EachUnitRunsExactlyOncePerMap) {
   for (int round = 0; round < 20; ++round) {
     constexpr std::size_t jobs = 16;
     std::array<std::atomic<int>, jobs> hits{};
-    ParallelRunner runner({.workers = 4, .shards = jobs});
-    runner.map([&](std::size_t s) {
+    window_map(jobs, 4, [&](std::size_t s) {
       return hits[s].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t s = 0; s < jobs; ++s) {
@@ -196,17 +161,15 @@ TEST(OrderedWindow, EachUnitRunsExactlyOncePerMap) {
   }
 }
 
-// A map from inside a unit posts its own units to the same pool and
+// A window from inside a unit posts its own units to the same pool and
 // drains them with steal-back, so it completes even when every pool
 // thread is busy running the outer window.
 TEST(OrderedWindow, NestedMapInsideAUnitCompletes) {
   std::array<std::atomic<int>, 4> outer_hits{};
   std::atomic<int> inner_total{0};
-  ParallelRunner outer({.workers = 4, .shards = 4});
-  const auto sums = outer.map([&](std::size_t s) {
+  const auto sums = window_map(4, 4, [&](std::size_t s) {
     outer_hits[s].fetch_add(1, std::memory_order_relaxed);
-    ParallelRunner inner({.workers = 4, .shards = 3});
-    const auto parts = inner.map([&](std::size_t t) {
+    const auto parts = window_map(3, 4, [&](std::size_t t) {
       inner_total.fetch_add(1, std::memory_order_relaxed);
       return 10 * s + t;
     });
@@ -377,8 +340,7 @@ TEST(WorkerPoolAsync, ManyOutstandingJobsAllComplete) {
 TEST(OrderedWindow, PostAndFinishInsideAUnitNeverDeadlock) {
   constexpr std::size_t shards = 8;
   std::array<std::atomic<int>, shards> hits{};
-  ParallelRunner runner({.workers = 4, .shards = shards});
-  runner.map([&](std::size_t s) {
+  window_map(shards, 4, [&](std::size_t s) {
     auto ticket = WorkerPool::instance().post(
         [&hits, s] { hits[s].fetch_add(1, std::memory_order_relaxed); });
     WorkerPool::instance().finish(ticket);
@@ -389,8 +351,9 @@ TEST(OrderedWindow, PostAndFinishInsideAUnitNeverDeadlock) {
   }
 }
 
-// Async jobs posted while a map is in flight share the pool's queue with
-// its units: both complete, and the map still runs every shard once.
+// Async jobs posted while a window is in flight share the pool's queue
+// with its units: both complete, and the window still runs every shard
+// once.
 TEST(OrderedWindow, AsyncJobsInterleaveWithAMap) {
   for (int round = 0; round < 10; ++round) {
     std::atomic<int> async_hits{0};
@@ -398,8 +361,7 @@ TEST(OrderedWindow, AsyncJobsInterleaveWithAMap) {
         [&] { async_hits.fetch_add(1, std::memory_order_relaxed); });
     constexpr std::size_t jobs = 8;
     std::array<std::atomic<int>, jobs> hits{};
-    ParallelRunner runner({.workers = 4, .shards = jobs});
-    runner.map([&](std::size_t s) {
+    window_map(jobs, 4, [&](std::size_t s) {
       return hits[s].fetch_add(1, std::memory_order_relaxed);
     });
     WorkerPool::instance().finish(ticket);

@@ -1,14 +1,15 @@
 // FileTraceSource replay tests — the store subsystem's acceptance
 // criterion: a CPA campaign replayed from a file recorded by
 // RecordingSink is bit-identical to the live campaign that recorded it,
-// sequentially and when ParallelRunner workers replay disjoint chunk
-// ranges of the same file.
+// sequentially and when shard units on the ordered window replay
+// disjoint chunk ranges of the same file.
 #include "store/file_trace_source.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,9 +98,10 @@ TEST(FileTraceSource, ReplayedCpaCampaignBitIdenticalToLiveRecording) {
   }
 }
 
-// Sharded out-of-core replay: ParallelRunner workers each replay a
-// disjoint chunk-aligned row range of one file; merging shard engines in
-// shard order equals sequential replay (same contract as live shards).
+// Sharded out-of-core replay: shard units on the ordered window each
+// replay a disjoint chunk-aligned row range of one file; merging shard
+// engines in shard order equals sequential replay (same contract as live
+// shards).
 TEST(FileTraceSource, ShardedReplayMatchesSequentialReplay) {
   const std::string path = temp_path("sharded_replay.pstr");
   const std::vector<power::PowerModel> models = {power::PowerModel::rd0_hw};
@@ -150,21 +152,20 @@ TEST(FileTraceSource, ShardedReplayMatchesSequentialReplay) {
     EXPECT_EQ(next, probe.trace_count());
   }
 
-  // Parallel replay: each worker owns its own reader over its range.
-  core::ParallelRunner runner({.workers = 4, .shards = shards});
-  auto engines = runner.map([&](std::size_t s) {
-    auto reader = std::make_unique<TraceFileReader>(path);
-    const auto [begin, count] = shard_row_range(*reader, shards, s);
-    FileTraceSource replay(std::move(reader), begin, count);
-    util::Xoshiro256 unused_rng(0);
-    return core::accumulate_cpa(replay, synth.keys()[0], models, 0,
-                                unused_rng);
-  });
-
-  core::CpaEngine merged = std::move(engines[0]);
-  for (std::size_t s = 1; s < engines.size(); ++s) {
-    merged.merge(engines[s]);
-  }
+  // Parallel replay: each unit owns its own reader over its range.
+  std::vector<std::optional<core::CpaEngine>> engines(shards);
+  core::CpaEngine merged(models);
+  core::run_ordered_window(
+      shards, [] { return std::size_t{4}; },
+      [&](std::size_t s) {
+        auto reader = std::make_unique<TraceFileReader>(path);
+        const auto [begin, count] = shard_row_range(*reader, shards, s);
+        FileTraceSource replay(std::move(reader), begin, count);
+        util::Xoshiro256 unused_rng(0);
+        engines[s] = core::accumulate_cpa(replay, synth.keys()[0], models, 0,
+                                          unused_rng);
+      },
+      [&](std::size_t s) { merged.merge(*engines[s]); });
   EXPECT_EQ(merged.trace_count(), sequential.trace_count());
 
   const core::ModelResult a = merged.analyze(models[0], round_keys);
@@ -177,6 +178,55 @@ TEST(FileTraceSource, ShardedReplayMatchesSequentialReplay) {
       ASSERT_NEAR(a.bytes[i].correlation[g], b.bytes[i].correlation[g],
                   1e-12);
     }
+  }
+}
+
+// A source over several row ranges replays them back to back — a shard's
+// slice of several recorded sets — with prefetch on or off, and a batch
+// may straddle two ranges.
+TEST(FileTraceSource, RowRangesReplayBackToBack) {
+  const std::string path = temp_path("ranges.pstr");
+  util::Xoshiro256 rng(45);
+  aes::Block key;
+  rng.fill_bytes(key);
+  core::SyntheticTraceSource synth({}, key, 3);
+  core::TraceSet recorded(synth.keys());
+  {
+    TraceFileWriter writer(path, {.channels = synth.keys(),
+                                  .chunk_capacity = 16});
+    core::TraceBatch batch(1);
+    core::collect_random_batch(synth, 100, rng, batch);
+    recorded.append(batch);
+    writer.append(batch);
+    writer.finalize();
+  }
+  // The last range runs past the end of the file and is clamped.
+  const std::vector<core::RowRange> ranges = {
+      {5, 20}, {40, 0}, {50, 13}, {90, 30}};
+  std::vector<std::size_t> rows;
+  for (const core::RowRange& range : ranges) {
+    for (std::size_t i = range.begin; i < std::min<std::size_t>(
+                                          range.begin + range.count, 100);
+         ++i) {
+      rows.push_back(i);
+    }
+  }
+  for (const PrefetchMode prefetch : {PrefetchMode::on, PrefetchMode::off}) {
+    FileTraceSource replay(std::make_unique<TraceFileReader>(path), ranges,
+                           {.prefetch = prefetch});
+    ASSERT_EQ(replay.remaining(), rows.size());
+    core::TraceBatch batch(1);
+    std::size_t next = 0;
+    for (const std::size_t take : {7u, 18u, 10u, 8u}) {
+      batch.resize(take);
+      replay.collect_batch(batch);
+      for (std::size_t i = 0; i < take; ++i, ++next) {
+        ASSERT_EQ(batch.plaintexts()[i], recorded[rows[next]].plaintext);
+        ASSERT_EQ(batch.column(0)[i], recorded[rows[next]].values[0]);
+      }
+    }
+    EXPECT_EQ(replay.remaining(), 0u);
+    EXPECT_THROW(replay.collect(aes::Block{}), std::out_of_range);
   }
 }
 

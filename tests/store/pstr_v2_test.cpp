@@ -549,9 +549,9 @@ TEST(PstrV2, CompactedLiveRecordingReplaysBitIdenticalThroughTvlaAndCpa) {
   constexpr std::size_t per_set = 500;
   core::SinkCampaignConfig campaign;
   campaign.channels = channels;
-  campaign.make_source = [&live_config](const aes::Block& secret,
-                                        std::uint64_t seed) {
-    return std::make_unique<core::LiveTraceSource>(live_config, secret, seed);
+  campaign.make_source = [&live_config](const core::ShardSource& shard) {
+    return std::make_unique<core::LiveTraceSource>(live_config, shard.secret,
+                                                   shard.seed);
   };
   campaign.traces_per_set = per_set;
   campaign.seed = 53;
