@@ -353,24 +353,25 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
 
   // Shard-order merge as each unit drains: the same sequence of merges a
   // post-pass over every shard would make, with at most a window of
-  // shards alive. merged_cpa[k][ci] folds the ci-th GE snapshot of
-  // attacked column k.
+  // shards alive. merged_cpa[k * n_checkpoints + ci] folds the ci-th GE
+  // snapshot of attacked column k.
+  const std::size_t n_checkpoints = checkpoints.size();
   TvlaSink merged_tvla(tvla ? channels.size() : 0);
-  std::vector<std::vector<std::optional<CpaEngine>>> merged_cpa(
-      config.cpa_columns.size(),
-      std::vector<std::optional<CpaEngine>>(checkpoints.size()));
+  std::vector<std::optional<CpaEngine>> merged_cpa(
+      config.cpa_columns.size() * n_checkpoints);
   const auto merge_shard = [&](std::size_t s) {
     ShardSinks& shard = *slots[s];
     if (tvla) {
       merged_tvla.merge(*shard.tvla);
     }
-    for (std::size_t k = 0; k < merged_cpa.size(); ++k) {
-      for (std::size_t ci = 0; ci < checkpoints.size(); ++ci) {
+    for (std::size_t k = 0; k < shard.cpa.size(); ++k) {
+      for (std::size_t ci = 0; ci < n_checkpoints; ++ci) {
         CpaEngine snapshot = shard.cpa[k].release_snapshot(ci);
-        if (merged_cpa[k][ci]) {
-          merged_cpa[k][ci]->merge(snapshot);
+        std::optional<CpaEngine>& merged = merged_cpa[k * n_checkpoints + ci];
+        if (merged) {
+          merged->merge(snapshot);
         } else {
-          merged_cpa[k][ci].emplace(std::move(snapshot));
+          merged.emplace(std::move(snapshot));
         }
       }
     }
@@ -382,13 +383,13 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
       config.exec.on_shard_activity(shards, running);
     }
   };
+  const auto budget = [&]() -> std::size_t {
+    return config.exec.shard_budget ? config.exec.shard_budget() : 1;
+  };
   report(0);
   std::atomic<std::size_t> running{0};
   run_ordered_window(
-      shards,
-      [&]() -> std::size_t {
-        return config.exec.shard_budget ? config.exec.shard_budget() : 1;
-      },
+      shards, budget,
       [&](std::size_t s) {
         report(running.fetch_add(1) + 1);
         try {
@@ -405,22 +406,35 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
     result.tvla.push_back(
         {channels[c].str(), merged_tvla.accumulator(c).matrix()});
   }
-  for (std::size_t k = 0; k < merged_cpa.size(); ++k) {
-    CpaKeyResult& out = result.cpa[k];
-    out.curves.resize(config.models.size());
-    for (std::size_t ci = 0; ci < checkpoints.size(); ++ci) {
-      for (std::size_t m = 0; m < config.models.size(); ++m) {
-        const ModelResult res =
-            merged_cpa[k][ci]->analyze(config.models[m], result.round_keys);
-        out.curves[m].push_back({checkpoints[ci], res.ge_bits,
-                                 res.mean_rank, res.recovered_bytes});
-        if (ci + 1 == checkpoints.size()) {
-          out.final_results.push_back(res);
-        }
-      }
-      merged_cpa[k][ci].reset();
-    }
+
+  // The GE post-pass runs on the same window and budget as the shards:
+  // unit u analyzes model u % n_models on merged engine u / n_models into
+  // its own curve slot. Only the final checkpoint keeps full
+  // ModelResults, and each engine is freed once its last model drains.
+  const std::size_t n_models = config.models.size();
+  for (CpaKeyResult& out : result.cpa) {
+    out.curves.assign(n_models, std::vector<GeCurvePoint>(n_checkpoints));
+    out.final_results.resize(n_models);
   }
+  run_ordered_window(
+      merged_cpa.size() * n_models, budget,
+      [&](std::size_t u) {
+        const std::size_t m = u % n_models;
+        const std::size_t ci = u / n_models % n_checkpoints;
+        CpaKeyResult& out = result.cpa[u / n_models / n_checkpoints];
+        ModelResult res = merged_cpa[u / n_models]->analyze(
+            config.models[m], result.round_keys);
+        out.curves[m][ci] = {checkpoints[ci], res.ge_bits, res.mean_rank,
+                             res.recovered_bytes};
+        if (ci + 1 == n_checkpoints) {
+          out.final_results[m] = std::move(res);
+        }
+      },
+      [&](std::size_t u) {
+        if (u % n_models + 1 == n_models) {
+          merged_cpa[u / n_models].reset();
+        }
+      });
   return result;
 }
 

@@ -191,9 +191,11 @@ CombinedCampaignResult run_combined_campaign(
 // sets only) plus one GeCheckpointSink per attacked column. Shard units
 // run on core::run_ordered_window and their sinks merge strictly in shard
 // order as each unit drains, so results are a pure function of (seed,
-// shards, source) and shards = 1 reproduces the sequential loop. The
-// wrappers above — and the scenario runner and bus jobs — fill in a
-// source factory and call this loop.
+// shards, source) and shards = 1 reproduces the sequential loop. The GE
+// post-pass then runs on a second window under the same budget, one
+// analyze unit per (attacked column, checkpoint, model). The wrappers
+// above — and the scenario runner and bus jobs — fill in a source
+// factory and call this loop.
 
 enum class CampaignProtocol {
   // Six labeled (class, collection) sets of traces_per_set traces:
@@ -220,13 +222,15 @@ using SinkSourceFactory =
 
 // How shard units execute. Neither hook ever changes a result.
 struct ShardExecution {
-  // Max shard units in flight, re-read before each unit is issued
-  // (values < 1 count as 1, which runs the unit inline). Null: every
-  // unit runs inline on the calling thread, touching no pool state.
+  // Max units in flight — shard units, then GE analysis units — re-read
+  // before each unit is issued (values < 1 count as 1, which runs the
+  // unit inline). Null: every unit runs inline on the calling thread,
+  // touching no pool state.
   std::function<std::size_t()> shard_budget;
   // Observer of (shard count, units running): called once with
-  // running = 0 as the campaign starts, then as each unit starts and
-  // finishes — concurrently from pool threads under a budget.
+  // running = 0 as the campaign starts, then as each shard unit starts
+  // and finishes — concurrently from pool threads under a budget.
+  // Analysis units are not reported.
   std::function<void(std::size_t shards, std::size_t running)>
       on_shard_activity;
 };

@@ -1,9 +1,11 @@
 #include "core/cpa.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
+#include "aes/sbox.h"
 #include "core/guessing_entropy.h"
 
 namespace psc::core {
@@ -22,6 +24,35 @@ double correlation_from_sums(double n, double sum_m, double sum_mm,
   }
   return cov / std::sqrt(var_m * var_t);
 }
+
+// Hypothesis table of a single-byte model, built once per process on
+// first use: entry g * 256 + v is Predictor(v, g), the prediction for
+// known byte v under guess g. uint8_t entries keep it at 64 KB.
+template <int (*Predictor)(std::uint8_t, std::uint8_t)>
+const std::uint8_t* hypothesis_table() {
+  static const std::array<std::uint8_t, 256 * 256> table = [] {
+    std::array<std::uint8_t, 256 * 256> t{};
+    for (std::size_t g = 0; g < 256; ++g) {
+      for (std::size_t v = 0; v < 256; ++v) {
+        t[g * 256 + v] = static_cast<std::uint8_t>(
+            Predictor(static_cast<std::uint8_t>(v),
+                      static_cast<std::uint8_t>(g)));
+      }
+    }
+    return t;
+  }();
+  return table.data();
+}
+
+// Hamming weight of every byte value: Rd10-HD's HW(lri ^ ct_src).
+constexpr std::array<std::uint8_t, 256> byte_weights = [] {
+  std::array<std::uint8_t, 256> w{};
+  for (std::size_t b = 0; b < 256; ++b) {
+    w[b] = static_cast<std::uint8_t>(
+        aes::hamming_weight(static_cast<std::uint8_t>(b)));
+  }
+  return w;
+}();
 
 }  // namespace
 
@@ -198,19 +229,18 @@ ByteRanking CpaEngine::analyze_byte(power::PowerModel model,
       double sum_mt = 0.0;
       for (int ct_i = 0; ct_i < 256; ++ct_i) {
         const std::size_t row = static_cast<std::size_t>(ct_i) * 256;
-        for (int ct_src = 0; ct_src < 256; ++ct_src) {
-          const std::uint32_t c = counts[row + static_cast<std::size_t>(
-                                                   ct_src)];
+        // The last-round input byte is fixed for the whole row.
+        const std::uint8_t lri =
+            aes::inv_sbox[static_cast<std::uint8_t>(ct_i ^ g)];
+        for (std::size_t ct_src = 0; ct_src < 256; ++ct_src) {
+          const std::uint32_t c = counts[row + ct_src];
           if (c == 0) {
             continue;
           }
-          const double m = power::predict_rd10_hd(
-              static_cast<std::uint8_t>(ct_i),
-              static_cast<std::uint8_t>(ct_src),
-              static_cast<std::uint8_t>(g));
+          const double m = byte_weights[lri ^ ct_src];
           sum_m += m * c;
           sum_mm += m * m * c;
-          sum_mt += m * sums[row + static_cast<std::size_t>(ct_src)];
+          sum_mt += m * sums[row + ct_src];
         }
       }
       out.correlation[static_cast<std::size_t>(g)] =
@@ -225,36 +255,36 @@ ByteRanking CpaEngine::analyze_byte(power::PowerModel model,
   const double* hist_sum = inputs.uses_plaintext
                                ? &pt_sum_[byte_index * 256]
                                : &ct_sum_[byte_index * 256];
-  int (*predictor)(std::uint8_t, std::uint8_t) = nullptr;
+  const std::uint8_t* table = nullptr;
   switch (model) {
     case power::PowerModel::rd0_hw:
-      predictor = power::predict_rd0_hw;
+      table = hypothesis_table<power::predict_rd0_hw>();
       break;
     case power::PowerModel::rd1_sbox_hw:
-      predictor = power::predict_rd1_sbox_hw;
+      table = hypothesis_table<power::predict_rd1_sbox_hw>();
       break;
     case power::PowerModel::rd10_hw:
-      predictor = power::predict_rd10_hw;
+      table = hypothesis_table<power::predict_rd10_hw>();
       break;
     case power::PowerModel::rd10_hd:
       break;  // handled above
   }
-  for (int g = 0; g < 256; ++g) {
+  for (std::size_t g = 0; g < 256; ++g) {
+    const std::uint8_t* predictions = table + g * 256;
     double sum_m = 0.0;
     double sum_mm = 0.0;
     double sum_mt = 0.0;
-    for (int v = 0; v < 256; ++v) {
-      const std::uint32_t c = hist_count[static_cast<std::size_t>(v)];
+    for (std::size_t v = 0; v < 256; ++v) {
+      const std::uint32_t c = hist_count[v];
       if (c == 0) {
         continue;
       }
-      const double m = predictor(static_cast<std::uint8_t>(v),
-                                 static_cast<std::uint8_t>(g));
+      const double m = predictions[v];
       sum_m += m * c;
       sum_mm += m * m * c;
-      sum_mt += m * hist_sum[static_cast<std::size_t>(v)];
+      sum_mt += m * hist_sum[v];
     }
-    out.correlation[static_cast<std::size_t>(g)] =
+    out.correlation[g] =
         correlation_from_sums(n, sum_m, sum_mm, sum_mt, sum_t, sum_tt);
   }
   return out;

@@ -100,7 +100,14 @@ class CpaEngine {
   std::size_t trace_count() const noexcept { return n_; }
 
   // Correlations for every guess at one byte position under one model,
-  // computed from the current accumulator state.
+  // computed from the current accumulator state. Predictions come from
+  // tables built once per process: rd0_hw, rd10_hw and rd1_sbox_hw read
+  // a 256x256 uint8_t hypothesis table (row g holds the prediction for
+  // every known byte under guess g); rd10_hd takes InvSBox(ct_i ^ g)
+  // once per pair-histogram row and reads a 256-entry byte-weight table
+  // at that value ^ ct_src. Bins are summed in ascending order, so the
+  // result equals a per-bin power::predict_* loop bit for bit. Safe to
+  // call concurrently on one engine.
   ByteRanking analyze_byte(power::PowerModel model,
                            std::size_t byte_index) const;
 

@@ -21,14 +21,16 @@
 // Shard executor
 // --------------
 // Every shard fan-out in the repo runs on one executor,
-// run_ordered_window, called from one place: the campaign loop
+// run_ordered_window, called from one function: the campaign loop
 // core::run_sink_campaign (core/campaigns.h), which live campaigns,
 // scenario runs and the bus daemon's replay and scenario jobs all
-// share. Before posting each unit the window re-reads its cap, keeps at
-// most that many units in flight on the process-wide persistent
-// WorkerPool, and drains them strictly in index order on the calling
-// thread — merging each finished unit before the next one, so merge
-// order never depends on which pool thread finished first. Drain goes
+// share. It opens two windows under the same cap: the shard loop, then
+// the analysis fan-out, one CpaEngine::analyze unit per attacked key,
+// GE checkpoint and model. Before posting each unit the window re-reads
+// its cap, keeps at most that many units in flight on the process-wide
+// persistent WorkerPool, and drains them strictly in index order on the
+// calling thread — merging each finished unit before the next one, so
+// merge order never depends on which pool thread finished first. Drain goes
 // through WorkerPool::finish, which steals a still-queued unit back and
 // runs it inline, so the window never deadlocks, even nested inside
 // another window's unit. The pool starts empty and grows (never

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "aes/aes128.h"
 #include "scenario/probe.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
@@ -33,15 +34,7 @@ namespace psc::scenario {
 
 namespace {
 
-constexpr std::size_t popcount_block_bits = 128;
-
-std::size_t block_popcount(const aes::Block& block) noexcept {
-  std::size_t bits = 0;
-  for (const std::uint8_t byte : block) {
-    bits += static_cast<std::size_t>(__builtin_popcount(byte));
-  }
-  return bits;
-}
+constexpr double block_bits = 128.0;
 
 struct DvfsProbeConfig {
   soc::DeviceProfile profile;
@@ -78,9 +71,7 @@ class DvfsFrequencyProbe final : public ChannelProbe {
     output = input;  // the workload produces no ciphertext
 
     const double intensity =
-        config_.leak ? static_cast<double>(block_popcount(input)) /
-                           popcount_block_bits
-                     : 0.5;
+        config_.leak ? aes::hamming_weight(input) / block_bits : 0.5;
 
     soc::Governor governor(config_.profile.governor,
                            config_.profile.p_ladder);

@@ -195,6 +195,11 @@ TEST(Hamming, ByteWeight) {
   EXPECT_EQ(hamming_weight(std::uint8_t{0xa5}), 4);
 }
 
+static_assert(hamming_weight(std::uint8_t{0x00}) == 0);
+static_assert(hamming_weight(std::uint8_t{0x80}) == 1);
+static_assert(hamming_weight(std::uint8_t{0x5a}) == 4);
+static_assert(hamming_weight(std::uint8_t{0xff}) == 8);
+
 TEST(Hamming, BlockWeightAndDistance) {
   Block zeros{};
   Block ones;
@@ -203,6 +208,33 @@ TEST(Hamming, BlockWeightAndDistance) {
   EXPECT_EQ(hamming_weight(ones), 128);
   EXPECT_EQ(hamming_distance(zeros, ones), 128);
   EXPECT_EQ(hamming_distance(ones, ones), 0);
+}
+
+// Set bits counted one at a time, over all 128 bits of the block.
+int bit_loop_weight(const Block& block) {
+  int bits = 0;
+  for (const std::uint8_t byte : block) {
+    for (int b = 0; b < 8; ++b) {
+      bits += (byte >> b) & 1;
+    }
+  }
+  return bits;
+}
+
+TEST(Hamming, BlockWeightAndDistanceMatchBitLoop) {
+  util::Xoshiro256 rng(128);
+  for (int i = 0; i < 10000; ++i) {
+    Block a;
+    Block b;
+    rng.fill_bytes(a);
+    rng.fill_bytes(b);
+    Block diff;
+    for (std::size_t j = 0; j < diff.size(); ++j) {
+      diff[j] = static_cast<std::uint8_t>(a[j] ^ b[j]);
+    }
+    ASSERT_EQ(hamming_weight(a), bit_loop_weight(a)) << "block " << i;
+    ASSERT_EQ(hamming_distance(a, b), bit_loop_weight(diff)) << "block " << i;
+  }
 }
 
 // Property sweeps over random keys/plaintexts.

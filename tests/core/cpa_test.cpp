@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <span>
 #include <vector>
 
 #include "util/rng.h"
+#include "util/simd.h"
 #include "util/stats.h"
 
 namespace psc::core {
@@ -256,6 +259,111 @@ TEST_P(CpaMergeEquivalence, ShardsMergeToMonolithicResult) {
 
 INSTANTIATE_TEST_SUITE_P(AllModels, CpaMergeEquivalence,
                          ::testing::ValuesIn(power::all_power_models));
+
+// Reference analyze_byte: bins the traces by the model's known byte(s),
+// then per guess calls the power::predict_* function once per non-empty
+// bin in ascending bin order and sums m * c, m * m * c and m * sum.
+std::array<double, 256> per_bin_predictor_correlations(
+    power::PowerModel model, std::span<const aes::Block> pts,
+    std::span<const aes::Block> cts, std::span<const double> values,
+    std::size_t byte_index) {
+  util::simd::MomentStripes moments;
+  for (std::size_t t = 0; t < values.size(); ++t) {
+    util::simd::accumulate_moments(&values[t], 1, t, moments);
+  }
+  const double n = static_cast<double>(values.size());
+  const double sum_t = util::simd::reduce_stripes(moments.sum);
+  const double sum_tt = util::simd::reduce_stripes(moments.sumsq);
+
+  const bool pair = model == power::PowerModel::rd10_hd;
+  const bool plaintext = power::power_model_inputs(model).uses_plaintext;
+  const std::size_t src = aes::shift_rows_source(byte_index);
+  std::vector<std::uint32_t> counts(pair ? 65536 : 256, 0);
+  std::vector<double> sums(counts.size(), 0.0);
+  for (std::size_t t = 0; t < values.size(); ++t) {
+    const std::size_t bin =
+        pair ? std::size_t{cts[t][byte_index]} * 256 + cts[t][src]
+             : (plaintext ? pts[t] : cts[t])[byte_index];
+    ++counts[bin];
+    sums[bin] += values[t];
+  }
+
+  std::array<double, 256> out{};
+  for (int g = 0; g < 256; ++g) {
+    const auto guess = static_cast<std::uint8_t>(g);
+    double sum_m = 0.0;
+    double sum_mm = 0.0;
+    double sum_mt = 0.0;
+    for (std::size_t bin = 0; bin < counts.size(); ++bin) {
+      const std::uint32_t c = counts[bin];
+      if (c == 0) {
+        continue;
+      }
+      const auto hi = static_cast<std::uint8_t>(bin >> 8);
+      const auto lo = static_cast<std::uint8_t>(bin);
+      double m = 0.0;
+      switch (model) {
+        case power::PowerModel::rd0_hw:
+          m = power::predict_rd0_hw(lo, guess);
+          break;
+        case power::PowerModel::rd10_hw:
+          m = power::predict_rd10_hw(lo, guess);
+          break;
+        case power::PowerModel::rd10_hd:
+          m = power::predict_rd10_hd(hi, lo, guess);
+          break;
+        case power::PowerModel::rd1_sbox_hw:
+          m = power::predict_rd1_sbox_hw(lo, guess);
+          break;
+      }
+      sum_m += m * c;
+      sum_mm += m * m * c;
+      sum_mt += m * sums[bin];
+    }
+    const double cov = n * sum_mt - sum_m * sum_t;
+    const double var_m = n * sum_mm - sum_m * sum_m;
+    const double var_t = n * sum_tt - sum_t * sum_t;
+    out[static_cast<std::size_t>(g)] =
+        var_m <= 0.0 || var_t <= 0.0 ? 0.0 : cov / std::sqrt(var_m * var_t);
+  }
+  return out;
+}
+
+// Every model's analyze_byte equals the per-bin predictor loop bit for
+// bit, on a sparse histogram (most pair bins empty) and a dense one.
+TEST(CpaEngine, AnalyzeMatchesPerBinPredictorBitForBit) {
+  for (const std::size_t n_traces : {std::size_t{300}, std::size_t{50000}}) {
+    util::Xoshiro256 rng(n_traces);
+    aes::Aes128 cipher(random_block(rng));
+    std::vector<aes::Block> pts(n_traces);
+    std::vector<aes::Block> cts(n_traces);
+    std::vector<double> values(n_traces);
+    CpaEngine engine({power::all_power_models.begin(),
+                      power::all_power_models.end()});
+    aes::RoundTrace trace;
+    for (std::size_t t = 0; t < n_traces; ++t) {
+      pts[t] = random_block(rng);
+      cts[t] = cipher.encrypt_trace(pts[t], trace);
+      values[t] = aes::hamming_weight(trace.post_add_round_key[0]) +
+                  aes::hamming_weight(trace.post_sub_bytes[9]) +
+                  rng.gaussian(0.0, 5.0);
+      engine.add_trace(pts[t], cts[t], values[t]);
+    }
+    for (const power::PowerModel model : power::all_power_models) {
+      for (std::size_t i = 0; i < 16; ++i) {
+        const std::array<double, 256> want =
+            per_bin_predictor_correlations(model, pts, cts, values, i);
+        const ByteRanking got = engine.analyze_byte(model, i);
+        for (std::size_t g = 0; g < 256; ++g) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.correlation[g]),
+                    std::bit_cast<std::uint64_t>(want[g]))
+              << power::power_model_name(model) << ", " << n_traces
+              << " traces, byte " << i << ", guess " << g;
+        }
+      }
+    }
+  }
+}
 
 TEST(CpaEngine, BatchFeedEqualsLoopFeedBitForBit) {
   util::Xoshiro256 rng(42);

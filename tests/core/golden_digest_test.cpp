@@ -135,6 +135,33 @@ TEST(GoldenDigest, CpaCampaignWithThreeCheckpoints) {
   expect_digest(digest, golden, "cpa campaign");
 }
 
+// Every CPA model, rd10_hd's pair histogram and rd1_sbox_hw included, at
+// one worker and at four.
+TEST(GoldenDigest, CpaCampaignAllFourModels) {
+  constexpr std::uint64_t golden = 0x8d52f21db1cd38d8ULL;
+  for (const std::size_t workers : {1u, 4u}) {
+    const core::CpaCampaignResult r = core::run_cpa_campaign({
+        .profile = soc::DeviceProfile::macbook_air_m2(),
+        .victim = victim::VictimModel::user_space(),
+        .trace_count = 6000,
+        .models = {power::all_power_models.begin(),
+                   power::all_power_models.end()},
+        .keys = {smc::FourCc("PHPC")},
+        .checkpoints = {1500, 3500},
+        .seed = 91,
+        .workers = workers,
+        .shards = 5,
+    });
+    ASSERT_EQ(r.keys.at(0).curves.size(), 4u);
+    ASSERT_EQ(r.keys.at(0).curves.at(0).size(), 3u);
+    Fnv1a digest;
+    digest.add(r.keys);
+    expect_digest(digest, golden,
+                  "all-models cpa campaign, workers " +
+                      std::to_string(workers));
+  }
+}
+
 // One aes-power-user recording in TVLA protocol order, replayed by the
 // dataset jobs sequentially and under a shard budget.
 class GoldenReplay : public ::testing::Test {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ios>
+
 #include "aes/aes128.h"
+#include "util/hex.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -163,6 +166,44 @@ TEST(LeakageEvaluator, HdTermCountsLastRoundTransition) {
   const double expected = aes::hamming_distance(
       trace.post_add_round_key[9], trace.post_add_round_key[10]);
   EXPECT_DOUBLE_EQ(eval.encryption_energy(pt, trace), expected);
+}
+
+// Absolute anchors: the default profile's deviations for fixed
+// (key, plaintext) pairs, pinned as exact doubles. A change that shifts
+// any leakage term or weight fails here, even when every relative check
+// still agrees with itself. A mismatch prints the actual value as a
+// hexfloat; paste it in only for an intended change to the model.
+TEST(LeakageEvaluator, DeviationsPinnedForFixedInputs) {
+  struct Anchor {
+    const char* key;
+    const char* plaintext;
+    double energy_deviation;
+    double bus_energy_deviation;
+  };
+  const Anchor anchors[] = {
+      {"2b7e151628aed2a6abf7158809cf4f3c", "3243f6a8885a308d313198a2e0370734",
+       -0x1.dd61adf2f266p-47, -0x1.2b7d47b1c5f74p-43},
+      {"000102030405060708090a0b0c0d0e0f", "00112233445566778899aabbccddeeff",
+       -0x1.f94dcaf60c2ep-46, -0x1.7a4d6808fa1p-45},
+      {"ffffffffffffffffffffffffffffffff", "00000000000000000000000000000000",
+       0x1.5478dda1adep-47, -0x1.f86735614d6a6p-42},
+  };
+  const LeakageEvaluator eval(LeakageConfig::apple_silicon_default());
+  for (const Anchor& a : anchors) {
+    aes::Block key;
+    aes::Block pt;
+    ASSERT_TRUE(util::from_hex_exact(a.key, key));
+    ASSERT_TRUE(util::from_hex_exact(a.plaintext, pt));
+    aes::RoundTrace trace;
+    const aes::Block ct = aes::Aes128(key).encrypt_trace(pt, trace);
+    const double energy = eval.energy_deviation(pt, trace);
+    const double bus = eval.bus_energy_deviation(pt, ct);
+    EXPECT_EQ(energy, a.energy_deviation)
+        << a.key << "/" << a.plaintext << ": actual " << std::hexfloat
+        << energy;
+    EXPECT_EQ(bus, a.bus_energy_deviation)
+        << a.key << "/" << a.plaintext << ": actual " << std::hexfloat << bus;
+  }
 }
 
 // Property sweep: plaintext classes used by TVLA have distinct energies.
