@@ -1,5 +1,5 @@
 // Ablation (ours): which silicon leakage shape explains the paper's
-// model hierarchy? DESIGN.md's calibration claims the observable channel
+// model hierarchy? The default calibration assumes the observable channel
 // carries value (HW) leakage dominated by the round-0 state and no
 // register-overwrite (HD) leakage. This bench flips those knobs:
 //
@@ -30,9 +30,9 @@ std::array<double, 3> final_ge(const psc::soc::DeviceProfile& profile,
   };
   bench::apply_parallel_env(config);
   const auto result = run_cpa_campaign(config);
-  return {result.keys[0].final_results[0].ge_bits,
-          result.keys[0].final_results[1].ge_bits,
-          result.keys[0].final_results[2].ge_bits};
+  return {result.cpa[0].final_results[0].ge_bits,
+          result.cpa[0].final_results[1].ge_bits,
+          result.cpa[0].final_results[2].ge_bits};
 }
 
 }  // namespace

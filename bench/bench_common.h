@@ -3,8 +3,6 @@
 // result next to the published reference.
 //
 // Scale control:
-//   PSC_FULL=1      run the paper-scale trace counts (default: already
-//                   paper scale for CPA/TVLA; kept for symmetry)
 //   PSC_QUICK=1     cut trace counts ~10x for smoke runs
 //   PSC_TRACES=N    override the CPA trace count explicitly
 //   PSC_SEED=N      change the campaign seed

@@ -44,8 +44,8 @@ int main() {
   const auto m1 = run_cpa_campaign(m1_config);
   std::cout << " done\n\n";
 
-  const auto& m2_curves = m2.keys[0].curves;
-  const auto& m1_curves = m1.keys[0].curves;
+  const auto& m2_curves = m2.cpa[0].curves;
+  const auto& m1_curves = m1.cpa[0].curves;
   std::vector<core::GeCurveSeries> series;
   for (std::size_t m = 0; m < models.size(); ++m) {
     series.push_back({"M2 " + std::string(power_model_name(models[m])),

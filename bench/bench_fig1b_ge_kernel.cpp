@@ -46,17 +46,17 @@ int main() {
   for (std::size_t m = 0; m < models.size(); ++m) {
     series.push_back(
         {"kernel " + std::string(power_model_name(models[m])),
-         &kernel.keys[0].curves[m]});
+         &kernel.cpa[0].curves[m]});
   }
-  series.push_back({"user Rd0-HW (baseline)", &user.keys[0].curves[0]});
+  series.push_back({"user Rd0-HW (baseline)", &user.cpa[0].curves[0]});
 
   std::cout << "CSV series (plot input):\n";
   core::write_ge_curves_csv(std::cout, series);
   std::cout << "\n";
   core::render_ge_curves(std::cout, series);
 
-  const double kernel_final = kernel.keys[0].curves[0].back().ge_bits;
-  const double user_final = user.keys[0].curves[0].back().ge_bits;
+  const double kernel_final = kernel.cpa[0].curves[0].back().ge_bits;
+  const double user_final = user.cpa[0].curves[0].back().ge_bits;
   std::cout << "\nfinal GE: kernel Rd0-HW "
             << util::fixed(kernel_final, 1) << " bits vs user "
             << util::fixed(user_final, 1) << " bits\n";

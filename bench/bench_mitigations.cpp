@@ -50,7 +50,7 @@ int main() {
     };
     bench::apply_parallel_env(tvla_config);
     const auto tvla = run_tvla_campaign(tvla_config);
-    const double t = std::abs(tvla.find("PHPC")->matrix.score(
+    const double t = std::abs(tvla.find_tvla("PHPC")->matrix.score(
         core::PlaintextClass::all_zeros, core::PlaintextClass::all_ones));
 
     core::CpaCampaignConfig cpa_config{
@@ -65,7 +65,7 @@ int main() {
     };
     bench::apply_parallel_env(cpa_config);
     const auto cpa = run_cpa_campaign(cpa_config);
-    const auto& final = cpa.keys[0].final_results[0];
+    const auto& final = cpa.cpa[0].final_results[0];
 
     util::Xoshiro256 key_rng(1);
     aes::Block key;

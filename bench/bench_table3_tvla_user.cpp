@@ -23,10 +23,10 @@ int main() {
             << "  (paper: 10k per class)\n\n";
   const auto result = run_tvla_campaign(config);
 
-  core::tvla_table("measured t-scores", result.channels).render(std::cout);
+  core::tvla_table("measured t-scores", result.tvla).render(std::cout);
   std::cout << "\n";
   core::tvla_classification_table("classification (threshold |t| >= 4.5)",
-                                  result.channels)
+                                  result.tvla)
       .render(std::cout);
 
   std::cout <<

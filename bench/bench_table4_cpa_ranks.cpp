@@ -49,21 +49,21 @@ int main() {
   std::vector<core::RankColumn> columns;
   for (const char* key : {"PHPC", "PDTR", "PMVC", "PSTR"}) {
     const auto parsed = smc::FourCc::parse(key);
-    columns.push_back({key, &m2.find(*parsed)->final_results[0]});
+    columns.push_back({key, &m2.find_cpa(*parsed)->final_results[0]});
   }
   columns.push_back(
-      {"PHPC (M1)", &m1.find(smc::FourCc("PHPC"))->final_results[0]});
+      {"PHPC (M1)", &m1.find_cpa(smc::FourCc("PHPC"))->final_results[0]});
 
   core::cpa_rank_table("measured ranks (* = recovered, + = rank < 10)",
                        columns)
       .render(std::cout);
 
-  const auto& phpc = *m2.find(smc::FourCc("PHPC"));
+  const auto& phpc = *m2.find_cpa(smc::FourCc("PHPC"));
   const auto key_rank = core::estimate_key_rank(phpc.final_results[0]);
   std::cout << "\nRd0-HW best-guess key (PHPC): "
             << util::to_hex(phpc.final_results[0].best_round_key)
             << "\nvictim master key          : "
-            << util::to_hex(m2.victim_key)
+            << util::to_hex(m2.secret)
             << "\noptimal enumeration rank   : 2^"
             << util::fixed(key_rank.log2_rank, 1)
             << " full keys (GE's independence approximation: 2^"

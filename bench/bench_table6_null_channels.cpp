@@ -24,7 +24,7 @@ int main() {
   };
   bench::apply_parallel_env(pcpu_config);
   const auto pcpu_result = run_tvla_campaign(pcpu_config);
-  const auto* pcpu = pcpu_result.find("PCPU");
+  const auto* pcpu = pcpu_result.find_tvla("PCPU");
 
   // Column 2: execution-time TVLA under lowpowermode throttling.
   core::ThrottleExperimentConfig throttle_config{

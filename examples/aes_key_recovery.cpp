@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       .shards = 8,
   };
   const auto result = run_cpa_campaign(config);
-  const auto& key_result = *result.find(smc::FourCc("PHPC"));
+  const auto& key_result = *result.find_cpa(smc::FourCc("PHPC"));
   const auto& final = key_result.final_results[0];
 
   std::cout << "GE trajectory (bits of remaining key search space):\n";
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < 16; ++i) {
     char truth[8];
     char guess[8];
-    std::snprintf(truth, sizeof truth, "0x%02x", result.victim_key[i]);
+    std::snprintf(truth, sizeof truth, "0x%02x", result.secret[i]);
     std::snprintf(guess, sizeof guess, "0x%02x",
                   final.best_round_key[i]);
     table.add_row({std::to_string(i), truth, guess,
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   table.render(std::cout);
 
   const auto key_rank = core::estimate_key_rank(final);
-  std::cout << "\nvictim key : " << util::to_hex(result.victim_key)
+  std::cout << "\nvictim key : " << util::to_hex(result.secret)
             << "\nbest guess : " << util::to_hex(final.best_round_key)
             << "\nGE " << util::fixed(final.ge_bits, 1) << " bits (random: "
             << util::fixed(core::random_guess_ge_bits(), 1)

@@ -34,12 +34,12 @@ int main(int argc, char** argv) {
   };
   const auto tvla = run_tvla_campaign(tvla_config);
   std::cout << "TVLA (kernel victim): PHPC t(0s' vs 1s) = "
-            << util::fixed(tvla.find("PHPC")->matrix.score(
+            << util::fixed(tvla.find_tvla("PHPC")->matrix.score(
                                core::PlaintextClass::all_zeros,
                                core::PlaintextClass::all_ones),
                            2)
             << ", PHPS t(0s' vs 1s) = "
-            << util::fixed(tvla.find("PHPS")->matrix.score(
+            << util::fixed(tvla.find_tvla("PHPS")->matrix.score(
                                core::PlaintextClass::all_zeros,
                                core::PlaintextClass::all_ones),
                            2)
@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
   util::TextTable table;
   table.header({"victim", "GE bits", "mean rank", "rank-1 bytes",
                 "rank<10 bytes"});
-  const auto& kernel_final = kernel.keys[0].final_results[0];
-  const auto& user_final = user.keys[0].final_results[0];
+  const auto& kernel_final = kernel.cpa[0].final_results[0];
+  const auto& user_final = user.cpa[0].final_results[0];
   table.add_row({"kernel module", util::fixed(kernel_final.ge_bits, 1),
                  util::fixed(kernel_final.mean_rank, 1),
                  std::to_string(kernel_final.recovered_bytes),
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
                  std::to_string(user_final.near_recovered_bytes)});
   table.render(std::cout);
 
-  std::cout << "\nkernel secret  : " << util::to_hex(kernel.victim_key)
+  std::cout << "\nkernel secret  : " << util::to_hex(kernel.secret)
             << "\nbest guess     : "
             << util::to_hex(kernel_final.best_round_key) << "\n\n"
             << "the kernel attack needs roughly twice the traces of the "

@@ -48,8 +48,8 @@ int main() {
   // 4. Miniature TVLA: does PHPC distinguish what the victim encrypts?
   //    Acquisition goes through the pluggable trace-source layer (the
   //    live source is statistically equivalent to driving the full
-  //    platform; see DESIGN.md section 6 — swap in a ReplayTraceSource to
-  //    run the same assessment from a CSV capture).
+  //    platform — swap in a store::FileTraceSource to run the same
+  //    assessment from a recorded PSTR capture).
   core::LiveTraceSource source(
       {.profile = soc::DeviceProfile::macbook_air_m2(),
        .victim = victim::VictimModel::user_space()},

@@ -113,12 +113,7 @@ SinkCampaignConfig live_campaign(const LiveSourceConfig& source_config) {
 
 }  // namespace
 
-const TvlaChannelResult* TvlaCampaignResult::find(
-    const std::string& channel) const noexcept {
-  return find_by(channels, &TvlaChannelResult::channel, channel);
-}
-
-TvlaCampaignResult run_tvla_campaign(const TvlaCampaignConfig& config) {
+SinkCampaignResult run_tvla_campaign(const TvlaCampaignConfig& config) {
   SinkCampaignConfig generic = live_campaign({
       .profile = config.profile,
       .victim = config.victim,
@@ -130,21 +125,10 @@ TvlaCampaignResult run_tvla_campaign(const TvlaCampaignConfig& config) {
   generic.progress = config.progress;
   run_on_workers(generic, config.workers, config.shards,
                  6 * config.traces_per_set);
-
-  SinkCampaignResult sink_result = run_sink_campaign(generic);
-
-  TvlaCampaignResult result;
-  result.victim_key = sink_result.secret;
-  result.traces_per_set = config.traces_per_set;
-  result.channels = std::move(sink_result.tvla);
-  return result;
+  return run_sink_campaign(generic);
 }
 
-const CpaKeyResult* CpaCampaignResult::find(smc::FourCc key) const noexcept {
-  return find_by(keys, &CpaKeyResult::key, key);
-}
-
-CpaCampaignResult run_cpa_campaign(const CpaCampaignConfig& config) {
+SinkCampaignResult run_cpa_campaign(const CpaCampaignConfig& config) {
   SinkCampaignConfig generic = live_campaign({
       .profile = config.profile,
       .victim = config.victim,
@@ -160,28 +144,10 @@ CpaCampaignResult run_cpa_campaign(const CpaCampaignConfig& config) {
   generic.seed = config.seed;
   generic.progress = config.progress;
   run_on_workers(generic, config.workers, config.shards, config.trace_count);
-
-  SinkCampaignResult sink_result = run_sink_campaign(generic);
-
-  CpaCampaignResult result;
-  result.victim_key = sink_result.secret;
-  result.round_keys = sink_result.round_keys;
-  result.trace_count = config.trace_count;
-  result.keys = std::move(sink_result.cpa);
-  return result;
+  return run_sink_campaign(generic);
 }
 
-const TvlaChannelResult* CombinedCampaignResult::find_tvla(
-    const std::string& channel) const noexcept {
-  return find_by(tvla, &TvlaChannelResult::channel, channel);
-}
-
-const CpaKeyResult* CombinedCampaignResult::find_cpa(
-    smc::FourCc key) const noexcept {
-  return find_by(cpa, &CpaKeyResult::key, key);
-}
-
-CombinedCampaignResult run_combined_campaign(
+SinkCampaignResult run_combined_campaign(
     const CombinedCampaignConfig& config) {
   SinkCampaignConfig generic = live_campaign({
       .profile = config.profile,
@@ -198,22 +164,17 @@ CombinedCampaignResult run_combined_campaign(
   generic.progress = config.progress;
   run_on_workers(generic, config.workers, config.shards,
                  6 * config.traces_per_set);
-
-  SinkCampaignResult sink_result = run_sink_campaign(generic);
-
-  CombinedCampaignResult result;
-  result.victim_key = sink_result.secret;
-  result.round_keys = sink_result.round_keys;
-  result.traces_per_set = sink_result.traces_per_set;
-  result.cpa_trace_count = sink_result.cpa_trace_count;
-  result.tvla = std::move(sink_result.tvla);
-  result.cpa = std::move(sink_result.cpa);
-  return result;
+  return run_sink_campaign(generic);
 }
 
 const TvlaChannelResult* SinkCampaignResult::find_tvla(
     const std::string& channel) const noexcept {
   return find_by(tvla, &TvlaChannelResult::channel, channel);
+}
+
+const CpaKeyResult* SinkCampaignResult::find_cpa(
+    smc::FourCc key) const noexcept {
+  return find_by(cpa, &CpaKeyResult::key, key);
 }
 
 SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {

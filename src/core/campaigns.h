@@ -69,16 +69,6 @@ struct TvlaChannelResult {
   TvlaMatrix matrix;
 };
 
-struct TvlaCampaignResult {
-  aes::Block victim_key{};
-  std::size_t traces_per_set = 0;
-  std::vector<TvlaChannelResult> channels;
-
-  const TvlaChannelResult* find(const std::string& channel) const noexcept;
-};
-
-TvlaCampaignResult run_tvla_campaign(const TvlaCampaignConfig& config);
-
 // ---------- CPA campaigns (Table 4; Figures 1a and 1b) ----------
 
 struct CpaCampaignConfig {
@@ -117,17 +107,6 @@ struct CpaKeyResult {
   std::vector<std::vector<GeCurvePoint>> curves;
 };
 
-struct CpaCampaignResult {
-  aes::Block victim_key{};
-  std::array<aes::Block, aes::num_rounds + 1> round_keys{};
-  std::size_t trace_count = 0;
-  std::vector<CpaKeyResult> keys;
-
-  const CpaKeyResult* find(smc::FourCc key) const noexcept;
-};
-
-CpaCampaignResult run_cpa_campaign(const CpaCampaignConfig& config);
-
 // ---------- combined campaign (one acquisition, every analysis) ----------
 //
 // Runs the TVLA collection protocol once — six labeled (class, collection)
@@ -158,21 +137,6 @@ struct CombinedCampaignConfig {
   CampaignProgressFn progress{};  // see CampaignProgressFn above
 };
 
-struct CombinedCampaignResult {
-  aes::Block victim_key{};
-  std::array<aes::Block, aes::num_rounds + 1> round_keys{};
-  std::size_t traces_per_set = 0;
-  std::size_t cpa_trace_count = 0;  // 2 * traces_per_set
-  std::vector<TvlaChannelResult> tvla;
-  std::vector<CpaKeyResult> cpa;
-
-  const TvlaChannelResult* find_tvla(const std::string& channel) const noexcept;
-  const CpaKeyResult* find_cpa(smc::FourCc key) const noexcept;
-};
-
-CombinedCampaignResult run_combined_campaign(
-    const CombinedCampaignConfig& config);
-
 // ---------- the campaign loop ----------
 //
 // Every campaign in the repo — live, scenario-registry and dataset
@@ -193,9 +157,9 @@ CombinedCampaignResult run_combined_campaign(
 // order as each unit drains, so results are a pure function of (seed,
 // shards, source) and shards = 1 reproduces the sequential loop. The GE
 // post-pass then runs on a second window under the same budget, one
-// analyze unit per (attacked column, checkpoint, model). The wrappers
-// above — and the scenario runner and bus jobs — fill in a source
-// factory and call this loop.
+// analyze unit per (attacked column, checkpoint, model). The live
+// campaigns below — and the scenario runner and bus jobs — fill in a
+// source factory and call this loop.
 
 enum class CampaignProtocol {
   // Six labeled (class, collection) sets of traces_per_set traces:
@@ -265,18 +229,34 @@ struct SinkCampaignConfig {
   std::function<AnalysisSink*(std::size_t shard)> extra_sink{};
 };
 
+// What every campaign returns.
 struct SinkCampaignResult {
-  aes::Block secret{};
+  aes::Block secret{};  // the victim key CPA ranked against
   std::array<aes::Block, aes::num_rounds + 1> round_keys{};
   std::size_t traces_per_set = 0;   // 0 for a random stream
   std::size_t cpa_trace_count = 0;  // traces the CPA sinks saw
   std::vector<TvlaChannelResult> tvla;  // TVLA sets: one per channel
-  std::vector<CpaKeyResult> cpa;        // one per cpa_columns entry
+  std::vector<CpaKeyResult> cpa;        // one per attacked column
 
+  // The entry for `channel` / `key`, or null.
   const TvlaChannelResult* find_tvla(const std::string& channel) const noexcept;
+  const CpaKeyResult* find_cpa(smc::FourCc key) const noexcept;
 };
 
 SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config);
+
+// ---------- live campaigns over the simulated device ----------
+//
+// Each shard calibrates its own LiveTraceSource. `workers` units run at a
+// time, and shards = 0 sizes the shard count to the traces acquired
+// (ShardPlan::resolved_shards_for).
+
+// TVLA sets: one `tvla` matrix per channel; `cpa` is empty.
+SinkCampaignResult run_tvla_campaign(const TvlaCampaignConfig& config);
+// One random stream: one `cpa` entry per attacked key; `tvla` is empty.
+SinkCampaignResult run_cpa_campaign(const CpaCampaignConfig& config);
+// TVLA sets whose two random collections also feed CPA: both halves.
+SinkCampaignResult run_combined_campaign(const CombinedCampaignConfig& config);
 
 // Log-spaced checkpoint schedule from `first` to `last` (inclusive).
 std::vector<std::size_t> log_spaced_checkpoints(std::size_t first,

@@ -1,7 +1,6 @@
 #include "core/trace_source.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "smc/key_database.h"
@@ -24,18 +23,17 @@ void check_channels(const TraceSource& source, const TraceBatch& batch,
 
 }  // namespace
 
-void TraceSource::collect_batch(TraceBatch& batch) {
-  check_channels(*this, batch, "TraceSource::collect_batch");
-  const auto pts = batch.plaintexts();
-  const auto cts = batch.ciphertexts();
-  for (std::size_t t = 0; t < batch.size(); ++t) {
-    const TraceRecord record = collect(pts[t]);
-    pts[t] = record.plaintext;
-    cts[t] = record.ciphertext;
-    for (std::size_t c = 0; c < batch.channels(); ++c) {
-      batch.column(c)[t] = record.values[c];
-    }
+TraceRecord TraceSource::collect(const aes::Block& plaintext) {
+  TraceBatch row(keys().size());
+  row.resize(1);
+  row.plaintexts()[0] = plaintext;
+  collect_batch(row);
+  TraceRecord record{row.plaintexts()[0], row.ciphertexts()[0], {}};
+  record.values.reserve(row.channels());
+  for (std::size_t c = 0; c < row.channels(); ++c) {
+    record.values.push_back(row.column(c)[0]);
   }
+  return record;
 }
 
 void collect_random_batch(TraceSource& source, std::size_t count,
@@ -74,21 +72,6 @@ std::vector<util::FourCc> LiveTraceSource::channel_names(
   return keys;
 }
 
-TraceRecord LiveTraceSource::collect(const aes::Block& plaintext) {
-  TraceRecord record;
-  record.plaintext = plaintext;
-  record.values.resize(keys_.size());
-  std::uint64_t pcpu_mj = 0;
-  source_.collect_into(plaintext, record.ciphertext,
-                       std::span<double>(record.values.data(),
-                                         source_.keys().size()),
-                       pcpu_mj);
-  if (include_pcpu_) {
-    record.values.back() = static_cast<double>(pcpu_mj);
-  }
-  return record;
-}
-
 void LiveTraceSource::collect_batch(TraceBatch& batch) {
   check_channels(*this, batch, "LiveTraceSource::collect_batch");
   const auto pts = batch.plaintexts();
@@ -107,57 +90,6 @@ void LiveTraceSource::collect_batch(TraceBatch& batch) {
   }
 }
 
-// ---------- ReplayTraceSource ----------
-
-ReplayTraceSource::ReplayTraceSource(std::shared_ptr<const TraceSet> set)
-    : ReplayTraceSource(std::move(set), 0,
-                        std::numeric_limits<std::size_t>::max()) {}
-
-ReplayTraceSource::ReplayTraceSource(std::shared_ptr<const TraceSet> set,
-                                     std::size_t begin, std::size_t count)
-    : set_(std::move(set)) {
-  if (!set_) {
-    throw std::invalid_argument("ReplayTraceSource: null trace set");
-  }
-  pos_ = std::min(begin, set_->size());
-  end_ = count > set_->size() - pos_ ? set_->size() : pos_ + count;
-}
-
-const std::vector<util::FourCc>& ReplayTraceSource::keys() const noexcept {
-  return set_->keys();
-}
-
-TraceRecord ReplayTraceSource::collect(const aes::Block& /*plaintext*/) {
-  if (pos_ >= end_) {
-    throw std::out_of_range("ReplayTraceSource: trace set exhausted");
-  }
-  const TraceBatch::ConstRow row = (*set_)[pos_++];
-  TraceRecord record;
-  record.plaintext = row.plaintext;
-  record.ciphertext = row.ciphertext;
-  record.values.resize(row.values.size());
-  for (std::size_t c = 0; c < record.values.size(); ++c) {
-    record.values[c] = row.values[c];
-  }
-  return record;
-}
-
-void ReplayTraceSource::collect_batch(TraceBatch& batch) {
-  check_channels(*this, batch, "ReplayTraceSource::collect_batch");
-  const std::size_t n = batch.size();
-  if (n > end_ - pos_) {
-    throw std::out_of_range("ReplayTraceSource: trace set exhausted");
-  }
-  const TraceBatch& stored = set_->batch();
-  batch.clear();
-  batch.append(stored, pos_, n);
-  pos_ += n;
-}
-
-std::optional<std::size_t> ReplayTraceSource::remaining() const noexcept {
-  return end_ - pos_;
-}
-
 // ---------- SyntheticTraceSource ----------
 
 SyntheticTraceSource::SyntheticTraceSource(const SyntheticSourceConfig& config,
@@ -170,47 +102,20 @@ SyntheticTraceSource::SyntheticTraceSource(const SyntheticSourceConfig& config,
       gain_(config.gain),
       keys_({config.channel}) {}
 
-double SyntheticTraceSource::leak_value(const aes::Block& plaintext,
-                                        aes::Block& ciphertext) {
-  aes::RoundTrace trace;
-  ciphertext = cipher_.encrypt_trace(plaintext, trace);
-  const double value = gain_ * evaluator_.energy_deviation(plaintext, trace);
-  return noise_.apply(value, rng_);
-}
-
-TraceRecord SyntheticTraceSource::collect(const aes::Block& plaintext) {
-  TraceRecord record;
-  record.plaintext = plaintext;
-  record.values.push_back(leak_value(plaintext, record.ciphertext));
-  return record;
-}
-
 void SyntheticTraceSource::collect_batch(TraceBatch& batch) {
   check_channels(*this, batch, "SyntheticTraceSource::collect_batch");
   const auto pts = batch.plaintexts();
   const auto cts = batch.ciphertexts();
   const auto values = batch.column(0);
   for (std::size_t t = 0; t < batch.size(); ++t) {
-    values[t] = leak_value(pts[t], cts[t]);
+    aes::RoundTrace trace;
+    cts[t] = cipher_.encrypt_trace(pts[t], trace);
+    values[t] = noise_.apply(
+        gain_ * evaluator_.energy_deviation(pts[t], trace), rng_);
   }
 }
 
 // ---------- helpers ----------
-
-TraceSet capture_trace_set(TraceSource& source, std::size_t count,
-                           util::Xoshiro256& rng) {
-  TraceSet set(source.keys());
-  TraceBatch batch(source.keys().size());
-  batch.reserve(std::min(count, default_chunk));
-  std::size_t produced = 0;
-  while (produced < count) {
-    const std::size_t chunk = std::min(default_chunk, count - produced);
-    collect_random_batch(source, chunk, rng, batch);
-    set.append(batch);
-    produced += chunk;
-  }
-  return set;
-}
 
 CpaEngine accumulate_cpa(TraceSource& source, util::FourCc key,
                          const std::vector<power::PowerModel>& models,

@@ -5,30 +5,29 @@
 //   LiveTraceSource      the simulated device (victim::FastTraceSource
 //                        driving the SMC read path), optionally exposing
 //                        the IOReport PCPU channel as an extra column;
-//   ReplayTraceSource    a recorded TraceSet (e.g. a CSV capture),
-//                        decoupling analysis from collection;
 //   SyntheticTraceSource a bare leakage model plus measurement noise, for
 //                        fast statistical tests of the analysis pipeline.
 //
-// A fourth source lives in the store layer: store::FileTraceSource
+// Two more sources live outside core: store::FileTraceSource
 // (store/file_trace_source.h) replays a chunked binary PSTR trace store
 // out-of-core — datasets larger than RAM stream through collect_batch
 // one chunk at a time, optionally sharded so each shard of a campaign
-// (core/campaigns.h) replays its own row ranges of the same file.
+// (core/campaigns.h) replays its own row ranges of the same file — and
+// scenario::ProbeTraceSource (scenario/probe.h) adapts a registry
+// scenario's per-observation probe.
 //
 // The native currency is the columnar core::TraceBatch, filled through a
 // stage-then-collect protocol: the caller sizes the batch and writes the
 // chosen plaintexts into its plaintext column, then collect_batch()
-// computes the ciphertext and channel columns in place. All three shipped
-// sources override collect_batch with allocation-free columnar fills; the
-// per-trace collect() path remains as a thin wrapper for convenience.
+// computes the ciphertext and channel columns in place. collect_batch is
+// the one thing a source implements; the per-trace collect() is defined
+// once, in the base class, as a one-row collect_batch.
 //
 // Sources are single-threaded; the campaign loop gives each shard its own
 // source built from a split RNG stream (see core/campaigns.h).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -60,19 +59,20 @@ class TraceSource {
   // columns (and TraceRecord::values).
   virtual const std::vector<util::FourCc>& keys() const noexcept = 0;
 
-  // One trace for an attacker-chosen plaintext. Replay sources ignore
-  // `plaintext` and return the next recorded trace (whose own plaintext is
-  // in the returned record).
-  virtual TraceRecord collect(const aes::Block& plaintext) = 0;
+  // One trace for an attacker-chosen plaintext: stages a one-row batch
+  // and calls collect_batch, so it is row t of a collect_batch from the
+  // same state. Replay sources ignore `plaintext` and return the next
+  // recorded trace (whose own plaintext is in the returned record).
+  // Virtual only so a decorating source can forward it.
+  virtual TraceRecord collect(const aes::Block& plaintext);
 
   // Fills the ciphertext and value columns of `batch` for its staged
   // plaintext column (the caller resizes the batch and writes chosen
   // plaintexts first). Replay sources overwrite the plaintext column with
-  // the recorded plaintexts instead. Throws std::invalid_argument unless
-  // batch.channels() == keys().size(). The base implementation loops
-  // collect(); sources override it with allocation-free columnar fills
-  // that are bit-identical to the loop.
-  virtual void collect_batch(TraceBatch& batch);
+  // the recorded plaintexts instead, and throw std::out_of_range if fewer
+  // rows remain. Throws std::invalid_argument unless
+  // batch.channels() == keys().size().
+  virtual void collect_batch(TraceBatch& batch) = 0;
 
   // Seconds of attacker wall-time one trace costs (the SMC update window).
   virtual double window_s() const noexcept { return 1.0; }
@@ -114,7 +114,6 @@ class LiveTraceSource final : public TraceSource {
   const std::vector<util::FourCc>& keys() const noexcept override {
     return keys_;
   }
-  TraceRecord collect(const aes::Block& plaintext) override;
   // Columnar fill through FastTraceSource::collect_into — no per-trace
   // allocation.
   void collect_batch(TraceBatch& batch) override;
@@ -128,32 +127,6 @@ class LiveTraceSource final : public TraceSource {
   std::vector<util::FourCc> keys_;
   bool include_pcpu_;
   std::vector<double> scratch_;  // one row of SMC values, reused
-};
-
-// ---------- CSV / TraceSet replay ----------
-
-class ReplayTraceSource final : public TraceSource {
- public:
-  // Replays every record of `set` in order.
-  explicit ReplayTraceSource(std::shared_ptr<const TraceSet> set);
-  // Replays records [begin, begin + count) — a shard view for parallel
-  // offline analysis.
-  ReplayTraceSource(std::shared_ptr<const TraceSet> set, std::size_t begin,
-                    std::size_t count);
-
-  const std::vector<util::FourCc>& keys() const noexcept override;
-  // Returns the next recorded trace; `plaintext` is ignored. Throws
-  // std::out_of_range once the view is exhausted.
-  TraceRecord collect(const aes::Block& plaintext) override;
-  // Bulk column copy of the next batch.size() recorded traces (including
-  // their plaintexts); throws std::out_of_range if fewer remain.
-  void collect_batch(TraceBatch& batch) override;
-  std::optional<std::size_t> remaining() const noexcept override;
-
- private:
-  std::shared_ptr<const TraceSet> set_;
-  std::size_t pos_ = 0;
-  std::size_t end_ = 0;
 };
 
 // ---------- synthetic leakage ----------
@@ -177,14 +150,11 @@ class SyntheticTraceSource final : public TraceSource {
   const std::vector<util::FourCc>& keys() const noexcept override {
     return keys_;
   }
-  TraceRecord collect(const aes::Block& plaintext) override;
   void collect_batch(TraceBatch& batch) override;
 
   const aes::Aes128& cipher() const noexcept { return cipher_; }
 
  private:
-  double leak_value(const aes::Block& plaintext, aes::Block& ciphertext);
-
   aes::Aes128 cipher_;
   power::LeakageEvaluator evaluator_;
   power::GaussianNoise noise_;
@@ -194,11 +164,6 @@ class SyntheticTraceSource final : public TraceSource {
 };
 
 // ---------- source-generic acquisition helpers ----------
-
-// Captures `count` chosen-plaintext traces (plaintexts drawn from `rng`)
-// into a TraceSet ready for CSV persistence. Runs on the batched path.
-TraceSet capture_trace_set(TraceSource& source, std::size_t count,
-                           util::Xoshiro256& rng);
 
 // Acquire-and-accumulate CPA over any source: feeds `count` traces
 // (0 = everything remaining, for finite sources) into a CpaEngine

@@ -51,8 +51,7 @@ struct LeakageConfig {
   // only weakly correlated with any single-byte hypothesis.
   double bus_joules_per_bit = 0.0;
 
-  // Calibrated profile reproducing the paper's observations (see DESIGN.md
-  // "Calibration targets").
+  // Calibrated profile reproducing the paper's observations.
   static LeakageConfig apple_silicon_default();
 
   // Expected energy per encryption under uniform random data, used to

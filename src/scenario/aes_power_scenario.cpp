@@ -1,10 +1,9 @@
 // The paper's own scenarios, ported onto the registry: an AES-128 victim
 // (user-space process or kernel module) observed through the simulated
 // device's SMC power keys. make_source builds the same LiveTraceSource
-// the legacy run_tvla_campaign / run_combined_campaign entry points
-// build, with the same per-shard seeding — so a registry run is
-// bit-identical to the pre-registry campaign paths (asserted in
-// tests/scenario/scenario_runner_test.cpp).
+// that run_tvla_campaign / run_combined_campaign build, with the same
+// per-shard seeding — so a registry run is bit-identical to those live
+// campaigns (asserted in tests/scenario/scenario_runner_test.cpp).
 
 #include <memory>
 #include <stdexcept>
@@ -69,7 +68,7 @@ class AesPowerScenario final : public Scenario {
     AnalysisSpec spec;
     spec.default_traces_per_set = 2000;
     spec.cpa = true;
-    // The legacy campaigns' default attack set: every workload-dependent
+    // The live campaigns' default attack set: every workload-dependent
     // key except the PHPS estimate (no signal, Table 3) and the IOReport
     // PCPU pseudo-channel. These are also the channels TVLA flags.
     for (const util::FourCc key : channels(params)) {

@@ -12,14 +12,6 @@ ProbeTraceSource::ProbeTraceSource(std::unique_ptr<ChannelProbe> probe)
   row_.resize(probe_->keys().size());
 }
 
-core::TraceRecord ProbeTraceSource::collect(const aes::Block& plaintext) {
-  core::TraceRecord record;
-  record.plaintext = plaintext;
-  record.values.resize(row_.size());
-  probe_->sample(plaintext, record.ciphertext, record.values);
-  return record;
-}
-
 void ProbeTraceSource::collect_batch(core::TraceBatch& batch) {
   if (batch.channels() != row_.size()) {
     throw std::invalid_argument(

@@ -43,9 +43,8 @@ class ChannelProbe {
   virtual double window_s() const noexcept { return 1.0; }
 };
 
-// Adapts a ChannelProbe to the columnar TraceSource protocol. Fills are
-// bit-identical to a per-trace collect() loop: rows are sampled in order
-// and scattered into the batch's value columns.
+// Adapts a ChannelProbe to the columnar TraceSource protocol: rows are
+// sampled in order and scattered into the batch's value columns.
 class ProbeTraceSource final : public core::TraceSource {
  public:
   explicit ProbeTraceSource(std::unique_ptr<ChannelProbe> probe);
@@ -53,7 +52,6 @@ class ProbeTraceSource final : public core::TraceSource {
   const std::vector<util::FourCc>& keys() const noexcept override {
     return probe_->keys();
   }
-  core::TraceRecord collect(const aes::Block& plaintext) override;
   void collect_batch(core::TraceBatch& batch) override;
   double window_s() const noexcept override { return probe_->window_s(); }
 

@@ -7,7 +7,7 @@
 // (temperature, voltage, fan, battery) so that the idle-vs-busy triage of
 // section 3.2 is a real search problem.
 //
-// Rail binding hypothesis (real semantics are not public; see DESIGN.md):
+// Rail binding hypothesis (real semantics are not public):
 //   PHPC - P-cluster core rail meter (uW class, low noise)
 //   PDTR - DC input meter over the compute rails, weak DRAM/IO coupling
 //   PSTR - full system rail including DRAM/IO (noisy)

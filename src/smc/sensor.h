@@ -4,7 +4,7 @@
 //
 // Real SMC key semantics on Apple silicon are undocumented; these bindings
 // are the reproduction's ground-truth hypothesis, chosen so the published
-// per-key behaviour (Tables 2-5) emerges mechanistically. See DESIGN.md §3.
+// per-key behaviour (Tables 2-5) emerges mechanistically.
 #pragma once
 
 #include <array>

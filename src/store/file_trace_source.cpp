@@ -62,8 +62,6 @@ FileTraceSource::FileTraceSource(std::unique_ptr<TraceFileReader> reader,
   if (!reader_) {
     throw std::invalid_argument("FileTraceSource: null reader");
   }
-  row_scratch_.reset_channels(reader_->channels().size());
-  row_scratch_.reserve(1);
   const std::size_t rows = reader_->trace_count();
   for (core::RowRange& range : ranges_) {
     range.begin = std::min(range.begin, rows);
@@ -85,8 +83,8 @@ const ChunkView& FileTraceSource::current_view(std::size_t row) {
          row >= view_.row_begin() + view_.rows()) {
     std::optional<ChunkView> next = prefetcher_->next_chunk();
     if (!next.has_value()) {
-      // Unreachable when the bounds checks in collect()/collect_batch()
-      // hold; guard so a logic bug cannot become an infinite loop.
+      // Unreachable when the bounds check in collect_batch() holds;
+      // guard so a logic bug cannot become an infinite loop.
       throw std::out_of_range("FileTraceSource: prefetch range exhausted");
     }
     view_ = *next;
@@ -123,22 +121,6 @@ void FileTraceSource::append_rows(std::size_t n, core::TraceBatch& batch) {
     pos_ += take;
     n -= take;
   }
-}
-
-core::TraceRecord FileTraceSource::collect(const aes::Block& /*plaintext*/) {
-  if (*remaining() == 0) {
-    throw std::out_of_range("FileTraceSource: file exhausted");
-  }
-  row_scratch_.clear();
-  append_rows(1, row_scratch_);
-  core::TraceRecord record;
-  record.plaintext = row_scratch_.plaintexts()[0];
-  record.ciphertext = row_scratch_.ciphertexts()[0];
-  record.values.resize(row_scratch_.channels());
-  for (std::size_t c = 0; c < row_scratch_.channels(); ++c) {
-    record.values[c] = row_scratch_.column(c)[0];
-  }
-  return record;
 }
 
 void FileTraceSource::collect_batch(core::TraceBatch& batch) {

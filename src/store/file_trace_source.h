@@ -1,10 +1,10 @@
 // Out-of-core replay: a core::TraceSource that streams a PSTR trace
 // store through the standard acquire->accumulate pipeline, so every
 // existing analysis (CPA, TVLA, GE, combined campaigns) runs against a
-// recorded dataset larger than RAM without touching its math. Like
-// ReplayTraceSource, collect() ignores the requested plaintext and
+// recorded dataset larger than RAM without touching its math.
 // collect_batch() overwrites the staged plaintext column with the
-// recorded plaintexts.
+// recorded plaintexts (so the base collect() ignores the requested
+// plaintext).
 //
 // Sharded replay: each shard of a campaign (core::run_sink_campaign)
 // replays its own row ranges of the same file — its slice of every
@@ -89,9 +89,6 @@ class FileTraceSource final : public core::TraceSource {
   const std::vector<util::FourCc>& keys() const noexcept override {
     return reader_->channels();
   }
-  // Returns the next recorded trace; `plaintext` is ignored. Throws
-  // std::out_of_range once the view is exhausted.
-  core::TraceRecord collect(const aes::Block& plaintext) override;
   // Bulk chunk-seeked copy of the next batch.size() recorded traces
   // (including their plaintexts); throws std::out_of_range if fewer
   // remain.
@@ -109,7 +106,6 @@ class FileTraceSource final : public core::TraceSource {
   const ChunkView& current_view(std::size_t row);
 
   std::unique_ptr<TraceFileReader> reader_;
-  core::TraceBatch row_scratch_;  // one-row staging for collect(), reused
   std::vector<core::RowRange> ranges_;  // clamped; [next_range_, end) to go
   std::size_t next_range_ = 0;
   std::size_t later_rows_ = 0;  // rows in the ranges after the current one

@@ -1,5 +1,4 @@
-// Environment-variable knobs for the bench harness (e.g. PSC_FULL=1 to run
-// paper-scale trace counts).
+// Environment-variable knobs for the bench harness.
 #pragma once
 
 #include <cstddef>

@@ -106,16 +106,6 @@ double FastTraceSource::baseline_package_w() const noexcept {
   return baseline_rail_w_[static_cast<std::size_t>(soc::RailId::total_soc)];
 }
 
-FastTraceSource::TraceSample FastTraceSource::collect(
-    const aes::Block& plaintext) {
-  TraceSample sample;
-  sample.plaintext = plaintext;
-  sample.smc_values.resize(key_entries_.size());
-  collect_into(plaintext, sample.ciphertext, sample.smc_values,
-               sample.pcpu_mj);
-  return sample;
-}
-
 void FastTraceSource::collect_into(const aes::Block& plaintext,
                                    aes::Block& ciphertext,
                                    std::span<double> smc_values,

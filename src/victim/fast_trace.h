@@ -58,20 +58,10 @@ class FastTraceSource {
   // in KeyDatabase order).
   const std::vector<smc::FourCc>& keys() const noexcept { return keys_; }
 
-  struct TraceSample {
-    aes::Block plaintext{};
-    aes::Block ciphertext{};
-    std::vector<double> smc_values;  // aligned with keys()
-    std::uint64_t pcpu_mj = 0;       // IOReport PCPU energy over the window
-  };
-
-  // One trace for the given plaintext. Thin wrapper over collect_into().
-  TraceSample collect(const aes::Block& plaintext);
-
-  // Allocation-free collect for the columnar batch path: writes the
+  // One trace for the given plaintext, allocation-free: writes the
   // ciphertext, the SMC values (`smc_values` must have exactly
-  // keys().size() entries) and the IOReport PCPU energy for one trace.
-  // Arithmetic and RNG draws are identical to collect().
+  // keys().size() entries, aligned with keys()) and the IOReport PCPU
+  // energy over the window, in mJ.
   void collect_into(const aes::Block& plaintext, aes::Block& ciphertext,
                     std::span<double> smc_values, std::uint64_t& pcpu_mj);
 

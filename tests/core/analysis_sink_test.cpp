@@ -163,7 +163,7 @@ TEST(CampaignEquivalence, TvlaMatchesPerRecordLoop) {
   util::Xoshiro256 rng(config.seed);
   aes::Block victim_key;
   rng.fill_bytes(victim_key);
-  ASSERT_EQ(victim_key, campaign.victim_key);
+  ASSERT_EQ(victim_key, campaign.secret);
   const LiveSourceConfig source_config{
       .profile = config.profile,
       .victim = config.victim,
@@ -185,14 +185,14 @@ TEST(CampaignEquivalence, TvlaMatchesPerRecordLoop) {
     }
   }
 
-  ASSERT_EQ(campaign.channels.size(), channels.size());
+  ASSERT_EQ(campaign.tvla.size(), channels.size());
   for (std::size_t c = 0; c < channels.size(); ++c) {
     const TvlaMatrix expected = accumulators[c].matrix();
-    const TvlaMatrix& got = campaign.channels[c].matrix;
+    const TvlaMatrix& got = campaign.tvla[c].matrix;
     for (const PlaintextClass row : all_plaintext_classes) {
       for (const PlaintextClass col : all_plaintext_classes) {
         ASSERT_EQ(got.score(row, col), expected.score(row, col))
-            << campaign.channels[c].channel;
+            << campaign.tvla[c].channel;
       }
     }
   }
@@ -245,7 +245,7 @@ TEST(CampaignEquivalence, CpaMatchesPerRecordLoop) {
     }
   }
 
-  const auto& got = campaign.keys[0].curves[0];
+  const auto& got = campaign.cpa[0].curves[0];
   ASSERT_EQ(got.size(), curve.size());
   for (std::size_t i = 0; i < curve.size(); ++i) {
     EXPECT_EQ(got[i].traces, curve[i].traces);
@@ -306,7 +306,7 @@ TEST(CampaignEquivalence, ShardedCpaMatchesMergedPerRecordShards) {
 
   const ModelResult expected =
       merged.analyze(power::PowerModel::rd0_hw, round_keys);
-  const ModelResult& got = campaign.keys[0].final_results[0];
+  const ModelResult& got = campaign.cpa[0].final_results[0];
   EXPECT_EQ(got.true_ranks, expected.true_ranks);
   ASSERT_EQ(got.ge_bits, expected.ge_bits);
   for (std::size_t i = 0; i < 16; ++i) {
@@ -380,12 +380,12 @@ TEST_F(CombinedCampaignTest, TvlaHalfBitIdenticalToTvlaCampaign) {
     };
     const auto dedicated = run_tvla_campaign(tvla_config);
 
-    ASSERT_EQ(combined.tvla.size(), dedicated.channels.size());
+    ASSERT_EQ(combined.tvla.size(), dedicated.tvla.size());
     for (std::size_t c = 0; c < combined.tvla.size(); ++c) {
       for (const PlaintextClass row : all_plaintext_classes) {
         for (const PlaintextClass col : all_plaintext_classes) {
           ASSERT_EQ(combined.tvla[c].matrix.score(row, col),
-                    dedicated.channels[c].matrix.score(row, col))
+                    dedicated.tvla[c].matrix.score(row, col))
               << combined.tvla[c].channel << " shards=" << shards;
         }
       }

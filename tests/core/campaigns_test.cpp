@@ -38,18 +38,18 @@ class TvlaCampaignTest : public ::testing::Test {
 TEST_F(TvlaCampaignTest, ChannelsReported) {
   const auto result = run_tvla_campaign(config_);
   // M2: PHPC PDTR PHPS PMVC PSTR + PCPU.
-  EXPECT_EQ(result.channels.size(), 6u);
-  EXPECT_NE(result.find("PHPC"), nullptr);
-  EXPECT_NE(result.find("PCPU"), nullptr);
-  EXPECT_EQ(result.find("NOPE"), nullptr);
+  EXPECT_EQ(result.tvla.size(), 6u);
+  EXPECT_NE(result.find_tvla("PHPC"), nullptr);
+  EXPECT_NE(result.find_tvla("PCPU"), nullptr);
+  EXPECT_EQ(result.find_tvla("NOPE"), nullptr);
   EXPECT_EQ(result.traces_per_set, 2000u);
 }
 
 TEST_F(TvlaCampaignTest, PhpcLeaksPhpsDoesNot) {
   const auto result = run_tvla_campaign(config_);
-  const auto* phpc = result.find("PHPC");
-  const auto* phps = result.find("PHPS");
-  const auto* pcpu = result.find("PCPU");
+  const auto* phpc = result.find_tvla("PHPC");
+  const auto* phps = result.find_tvla("PHPS");
+  const auto* pcpu = result.find_tvla("PCPU");
   ASSERT_NE(phpc, nullptr);
   ASSERT_NE(phps, nullptr);
   ASSERT_NE(pcpu, nullptr);
@@ -64,7 +64,7 @@ TEST_F(TvlaCampaignTest, PhpcLeaksPhpsDoesNot) {
 
 TEST_F(TvlaCampaignTest, SameClassPairsIndistinguishable) {
   const auto result = run_tvla_campaign(config_);
-  for (const auto& channel : result.channels) {
+  for (const auto& channel : result.tvla) {
     for (const PlaintextClass cls : all_plaintext_classes) {
       EXPECT_LT(std::abs(channel.matrix.score(cls, cls)),
                 util::tvla_threshold)
@@ -76,12 +76,12 @@ TEST_F(TvlaCampaignTest, SameClassPairsIndistinguishable) {
 TEST_F(TvlaCampaignTest, DeterministicForSeed) {
   const auto a = run_tvla_campaign(config_);
   const auto b = run_tvla_campaign(config_);
-  EXPECT_EQ(a.victim_key, b.victim_key);
-  for (std::size_t c = 0; c < a.channels.size(); ++c) {
+  EXPECT_EQ(a.secret, b.secret);
+  for (std::size_t c = 0; c < a.tvla.size(); ++c) {
     EXPECT_DOUBLE_EQ(
-        a.channels[c].matrix.score(PlaintextClass::all_zeros,
+        a.tvla[c].matrix.score(PlaintextClass::all_zeros,
                                    PlaintextClass::all_ones),
-        b.channels[c].matrix.score(PlaintextClass::all_zeros,
+        b.tvla[c].matrix.score(PlaintextClass::all_zeros,
                                    PlaintextClass::all_ones));
   }
 }
@@ -90,7 +90,7 @@ TEST_F(TvlaCampaignTest, KernelVictimAlsoLeaks) {
   config_.victim = victim::VictimModel::kernel_module();
   config_.seed = 12;
   const auto result = run_tvla_campaign(config_);
-  const auto* phpc = result.find("PHPC");
+  const auto* phpc = result.find_tvla("PHPC");
   ASSERT_NE(phpc, nullptr);
   EXPECT_GE(std::abs(phpc->matrix.score(PlaintextClass::all_zeros,
                                         PlaintextClass::all_ones)),
@@ -112,22 +112,22 @@ class CpaCampaignTest : public ::testing::Test {
 
 TEST_F(CpaCampaignTest, StructureOfResult) {
   const auto result = run_cpa_campaign(config_);
-  EXPECT_EQ(result.trace_count, 40000u);
-  ASSERT_EQ(result.keys.size(), 1u);
-  EXPECT_EQ(result.keys[0].key, smc::FourCc("PHPC"));
-  ASSERT_EQ(result.keys[0].final_results.size(), 1u);
-  ASSERT_EQ(result.keys[0].curves.size(), 1u);
-  ASSERT_EQ(result.keys[0].curves[0].size(), 2u);
-  EXPECT_EQ(result.keys[0].curves[0][0].traces, 10000u);
-  EXPECT_EQ(result.keys[0].curves[0][1].traces, 40000u);
-  EXPECT_EQ(result.round_keys[0], result.victim_key);
-  EXPECT_NE(result.find(smc::FourCc("PHPC")), nullptr);
-  EXPECT_EQ(result.find(smc::FourCc("PSTR")), nullptr);
+  EXPECT_EQ(result.cpa_trace_count, 40000u);
+  ASSERT_EQ(result.cpa.size(), 1u);
+  EXPECT_EQ(result.cpa[0].key, smc::FourCc("PHPC"));
+  ASSERT_EQ(result.cpa[0].final_results.size(), 1u);
+  ASSERT_EQ(result.cpa[0].curves.size(), 1u);
+  ASSERT_EQ(result.cpa[0].curves[0].size(), 2u);
+  EXPECT_EQ(result.cpa[0].curves[0][0].traces, 10000u);
+  EXPECT_EQ(result.cpa[0].curves[0][1].traces, 40000u);
+  EXPECT_EQ(result.round_keys[0], result.secret);
+  EXPECT_NE(result.find_cpa(smc::FourCc("PHPC")), nullptr);
+  EXPECT_EQ(result.find_cpa(smc::FourCc("PSTR")), nullptr);
 }
 
 TEST_F(CpaCampaignTest, GeDecreasesWithTraces) {
   const auto result = run_cpa_campaign(config_);
-  const auto& curve = result.keys[0].curves[0];
+  const auto& curve = result.cpa[0].curves[0];
   EXPECT_GT(curve[0].ge_bits, curve[1].ge_bits);
   // Even at 40k traces we must be visibly below the random reference.
   EXPECT_LT(curve[1].ge_bits, random_guess_ge_bits() - 5.0);
@@ -138,8 +138,8 @@ TEST_F(CpaCampaignTest, DefaultKeysExcludePhps) {
   config_.trace_count = 5000;
   config_.checkpoints.clear();
   const auto result = run_cpa_campaign(config_);
-  EXPECT_EQ(result.keys.size(), 4u);  // PHPC PDTR PMVC PSTR
-  EXPECT_EQ(result.find(smc::FourCc("PHPS")), nullptr);
+  EXPECT_EQ(result.cpa.size(), 4u);  // PHPC PDTR PMVC PSTR
+  EXPECT_EQ(result.find_cpa(smc::FourCc("PHPS")), nullptr);
 }
 
 TEST_F(CpaCampaignTest, UnknownKeyRejected) {
@@ -150,7 +150,7 @@ TEST_F(CpaCampaignTest, UnknownKeyRejected) {
 TEST_F(CpaCampaignTest, FinalCheckpointImplicit) {
   config_.checkpoints = {10000};  // not including the final count
   const auto result = run_cpa_campaign(config_);
-  const auto& curve = result.keys[0].curves[0];
+  const auto& curve = result.cpa[0].curves[0];
   ASSERT_EQ(curve.size(), 2u);
   EXPECT_EQ(curve.back().traces, 40000u);
 }
@@ -168,12 +168,12 @@ TEST_F(CpaCampaignTest, KernelVictimConvergesSlower) {
     config_.seed = seed;
     config_.victim = victim::VictimModel::user_space();
     const auto user = run_cpa_campaign(config_);
-    for (const auto& p : user.keys[0].curves[0]) {
+    for (const auto& p : user.cpa[0].curves[0]) {
       user_ge += p.ge_bits;
     }
     config_.victim = victim::VictimModel::kernel_module();
     const auto kernel = run_cpa_campaign(config_);
-    for (const auto& p : kernel.keys[0].curves[0]) {
+    for (const auto& p : kernel.cpa[0].curves[0]) {
       kernel_ge += p.ge_bits;
     }
   }
@@ -185,8 +185,8 @@ TEST_F(CpaCampaignTest, M1DeviceRuns) {
   config_.trace_count = 20000;
   config_.checkpoints.clear();
   const auto result = run_cpa_campaign(config_);
-  ASSERT_EQ(result.keys.size(), 1u);
-  EXPECT_GT(result.keys[0].final_results[0].ge_bits, 0.0);
+  ASSERT_EQ(result.cpa.size(), 1u);
+  EXPECT_GT(result.cpa[0].final_results[0].ge_bits, 0.0);
 }
 
 }  // namespace

@@ -106,7 +106,7 @@ core::CombinedCampaignConfig combined_config(std::size_t workers) {
 TEST(GoldenDigest, CombinedCampaignAtFourShards) {
   constexpr std::uint64_t golden = 0x868a7f51e7c69b44ULL;
   for (const std::size_t workers : {1u, 4u}) {
-    const core::CombinedCampaignResult r =
+    const core::SinkCampaignResult r =
         core::run_combined_campaign(combined_config(workers));
     Fnv1a digest;
     digest.add(r.tvla);
@@ -118,7 +118,7 @@ TEST(GoldenDigest, CombinedCampaignAtFourShards) {
 
 TEST(GoldenDigest, CpaCampaignWithThreeCheckpoints) {
   constexpr std::uint64_t golden = 0x92c4c1f63d56351bULL;
-  const core::CpaCampaignResult r = core::run_cpa_campaign({
+  const core::SinkCampaignResult r = core::run_cpa_campaign({
       .profile = soc::DeviceProfile::macbook_air_m2(),
       .victim = victim::VictimModel::user_space(),
       .trace_count = 12000,
@@ -129,9 +129,9 @@ TEST(GoldenDigest, CpaCampaignWithThreeCheckpoints) {
       .workers = 3,
       .shards = 5,
   });
-  ASSERT_EQ(r.keys.at(0).curves.at(0).size(), 4u);
+  ASSERT_EQ(r.cpa.at(0).curves.at(0).size(), 4u);
   Fnv1a digest;
-  digest.add(r.keys);
+  digest.add(r.cpa);
   expect_digest(digest, golden, "cpa campaign");
 }
 
@@ -140,7 +140,7 @@ TEST(GoldenDigest, CpaCampaignWithThreeCheckpoints) {
 TEST(GoldenDigest, CpaCampaignAllFourModels) {
   constexpr std::uint64_t golden = 0x8d52f21db1cd38d8ULL;
   for (const std::size_t workers : {1u, 4u}) {
-    const core::CpaCampaignResult r = core::run_cpa_campaign({
+    const core::SinkCampaignResult r = core::run_cpa_campaign({
         .profile = soc::DeviceProfile::macbook_air_m2(),
         .victim = victim::VictimModel::user_space(),
         .trace_count = 6000,
@@ -152,10 +152,10 @@ TEST(GoldenDigest, CpaCampaignAllFourModels) {
         .workers = workers,
         .shards = 5,
     });
-    ASSERT_EQ(r.keys.at(0).curves.size(), 4u);
-    ASSERT_EQ(r.keys.at(0).curves.at(0).size(), 3u);
+    ASSERT_EQ(r.cpa.at(0).curves.size(), 4u);
+    ASSERT_EQ(r.cpa.at(0).curves.at(0).size(), 3u);
     Fnv1a digest;
-    digest.add(r.keys);
+    digest.add(r.cpa);
     expect_digest(digest, golden,
                   "all-models cpa campaign, workers " +
                       std::to_string(workers));

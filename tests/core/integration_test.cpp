@@ -48,12 +48,12 @@ TEST(Integration, TvlaLeakageHierarchy) {
                             .include_pcpu = true,
                             .seed = 32};
   const auto result = run_tvla_campaign(config);
-  ASSERT_NE(result.find("PHPC"), nullptr);
-  EXPECT_TRUE(result.find("PHPC")->matrix.perfectly_data_dependent());
-  EXPECT_TRUE(result.find("PHPS")->matrix.no_data_dependence());
-  EXPECT_TRUE(result.find("PCPU")->matrix.no_data_dependence());
+  ASSERT_NE(result.find_tvla("PHPC"), nullptr);
+  EXPECT_TRUE(result.find_tvla("PHPC")->matrix.perfectly_data_dependent());
+  EXPECT_TRUE(result.find_tvla("PHPS")->matrix.no_data_dependence());
+  EXPECT_TRUE(result.find_tvla("PCPU")->matrix.no_data_dependence());
   // Package-level channels still cross the threshold for fixed classes.
-  EXPECT_GE(std::abs(result.find("PSTR")->matrix.score(
+  EXPECT_GE(std::abs(result.find_tvla("PSTR")->matrix.score(
                 PlaintextClass::all_zeros, PlaintextClass::all_ones)),
             util::tvla_threshold);
 }
@@ -69,7 +69,7 @@ TEST(Integration, CpaRecoversKeyMaterialFromPhpc) {
                            .checkpoints = {},
                            .seed = 33};
   const auto result = run_cpa_campaign(config);
-  const auto& final = result.keys[0].final_results[0];
+  const auto& final = result.cpa[0].final_results[0];
   EXPECT_LT(final.ge_bits, random_guess_ge_bits() - 30.0);
   EXPECT_GE(final.near_recovered_bytes, 3);
 }
@@ -86,7 +86,7 @@ TEST(Integration, PowerModelHierarchyOnPhpc) {
                            .checkpoints = {},
                            .seed = 34};
   const auto result = run_cpa_campaign(config);
-  const auto& finals = result.keys[0].final_results;
+  const auto& finals = result.cpa[0].final_results;
   const double rd0 = finals[0].ge_bits;
   const double rd10hd = finals[2].ge_bits;
   EXPECT_LT(rd0, rd10hd - 20.0);
@@ -103,9 +103,9 @@ TEST(Integration, PstrSurvivesCpa) {
                            .checkpoints = {},
                            .seed = 35};
   const auto result = run_cpa_campaign(config);
-  EXPECT_GT(result.keys[0].final_results[0].ge_bits,
+  EXPECT_GT(result.cpa[0].final_results[0].ge_bits,
             random_guess_ge_bits() - 25.0);
-  EXPECT_EQ(result.keys[0].final_results[0].recovered_bytes, 0);
+  EXPECT_EQ(result.cpa[0].final_results[0].recovered_bytes, 0);
 }
 
 TEST(Integration, ThrottlingExperimentEndToEnd) {

@@ -19,7 +19,7 @@ TEST(MitigatedCampaigns, FilteringKillsTvlaLeakage) {
       .seed = 71,
   };
   const auto result = run_tvla_campaign(config);
-  for (const auto& channel : result.channels) {
+  for (const auto& channel : result.tvla) {
     EXPECT_TRUE(channel.matrix.no_data_dependence()) << channel.channel;
   }
 }
@@ -36,9 +36,9 @@ TEST(MitigatedCampaigns, FilteringKillsCpaRecovery) {
       .seed = 72,
   };
   const auto result = run_cpa_campaign(config);
-  EXPECT_GT(result.keys[0].final_results[0].ge_bits,
+  EXPECT_GT(result.cpa[0].final_results[0].ge_bits,
             random_guess_ge_bits() - 20.0);
-  EXPECT_EQ(result.keys[0].final_results[0].recovered_bytes, 0);
+  EXPECT_EQ(result.cpa[0].final_results[0].recovered_bytes, 0);
 }
 
 TEST(MitigatedCampaigns, SlowerUpdatesRaiseAttackCost) {
@@ -70,7 +70,7 @@ TEST(MitigatedCampaigns, UnmitigatedBaselineStillLeaks) {
       .seed = 71,
   };
   const auto result = run_tvla_campaign(config);
-  EXPECT_FALSE(result.find("PHPC")->matrix.no_data_dependence());
+  EXPECT_FALSE(result.find_tvla("PHPC")->matrix.no_data_dependence());
 }
 
 }  // namespace

@@ -291,13 +291,13 @@ TEST(CampaignProgress, CountsEveryTraceAndLeavesResultsUntouched) {
   EXPECT_EQ(high_water.load(), config.trace_count);
   EXPECT_EQ(reported_total.load(), config.trace_count);
   EXPECT_GE(calls.load(), 2u);  // at least one call per shard
-  ASSERT_EQ(observed.keys.size(), plain.keys.size());
-  EXPECT_EQ(observed.keys[0].final_results[0].true_ranks,
-            plain.keys[0].final_results[0].true_ranks);
+  ASSERT_EQ(observed.cpa.size(), plain.cpa.size());
+  EXPECT_EQ(observed.cpa[0].final_results[0].true_ranks,
+            plain.cpa[0].final_results[0].true_ranks);
   for (std::size_t i = 0; i < 16; ++i) {
     for (std::size_t g = 0; g < 256; ++g) {
-      ASSERT_EQ(observed.keys[0].final_results[0].bytes[i].correlation[g],
-                plain.keys[0].final_results[0].bytes[i].correlation[g]);
+      ASSERT_EQ(observed.cpa[0].final_results[0].bytes[i].correlation[g],
+                plain.cpa[0].final_results[0].bytes[i].correlation[g]);
     }
   }
 }
@@ -393,10 +393,10 @@ TEST(ParallelCpaCampaign, WorkerCountDoesNotChangeResults) {
   config.workers = 4;
   const auto parallel = run_cpa_campaign(config);
 
-  EXPECT_EQ(serial.victim_key, parallel.victim_key);
-  ASSERT_EQ(serial.keys.size(), parallel.keys.size());
-  const auto& a = serial.keys[0];
-  const auto& b = parallel.keys[0];
+  EXPECT_EQ(serial.secret, parallel.secret);
+  ASSERT_EQ(serial.cpa.size(), parallel.cpa.size());
+  const auto& a = serial.cpa[0];
+  const auto& b = parallel.cpa[0];
   ASSERT_EQ(a.curves[0].size(), b.curves[0].size());
   for (std::size_t p = 0; p < a.curves[0].size(); ++p) {
     EXPECT_EQ(a.curves[0][p].traces, b.curves[0][p].traces);
@@ -431,14 +431,14 @@ TEST(ParallelTvlaCampaign, WorkerCountDoesNotChangeResults) {
   config.workers = 3;
   const auto parallel = run_tvla_campaign(config);
 
-  ASSERT_EQ(serial.channels.size(), parallel.channels.size());
-  for (std::size_t c = 0; c < serial.channels.size(); ++c) {
-    EXPECT_EQ(serial.channels[c].channel, parallel.channels[c].channel);
+  ASSERT_EQ(serial.tvla.size(), parallel.tvla.size());
+  for (std::size_t c = 0; c < serial.tvla.size(); ++c) {
+    EXPECT_EQ(serial.tvla[c].channel, parallel.tvla[c].channel);
     for (const PlaintextClass row : all_plaintext_classes) {
       for (const PlaintextClass col : all_plaintext_classes) {
-        ASSERT_DOUBLE_EQ(serial.channels[c].matrix.score(row, col),
-                         parallel.channels[c].matrix.score(row, col))
-            << serial.channels[c].channel;
+        ASSERT_DOUBLE_EQ(serial.tvla[c].matrix.score(row, col),
+                         parallel.tvla[c].matrix.score(row, col))
+            << serial.tvla[c].channel;
       }
     }
   }
@@ -460,7 +460,7 @@ TEST(ParallelCpaCampaign, ShardedCampaignStillConverges) {
       .shards = 8,
   };
   const auto result = run_cpa_campaign(config);
-  const auto& curve = result.keys[0].curves[0];
+  const auto& curve = result.cpa[0].curves[0];
   ASSERT_EQ(curve.size(), 2u);
   EXPECT_GT(curve[0].ge_bits, curve[1].ge_bits);
   EXPECT_LT(curve[1].ge_bits, random_guess_ge_bits() - 5.0);
@@ -477,9 +477,9 @@ TEST(ParallelTvlaCampaign, ShardedCampaignStillDetectsLeakage) {
       .shards = 4,
   };
   const auto result = run_tvla_campaign(config);
-  const auto* phpc = result.find("PHPC");
-  const auto* phps = result.find("PHPS");
-  const auto* pcpu = result.find("PCPU");
+  const auto* phpc = result.find_tvla("PHPC");
+  const auto* phps = result.find_tvla("PHPS");
+  const auto* pcpu = result.find_tvla("PCPU");
   ASSERT_NE(phpc, nullptr);
   ASSERT_NE(phps, nullptr);
   ASSERT_NE(pcpu, nullptr);
@@ -509,14 +509,14 @@ TEST(ParallelCpaCampaign, DefaultPlanIsSingleShard) {
   default_config.shards = 0;
   const auto a = run_cpa_campaign(explicit_config);
   const auto b = run_cpa_campaign(default_config);
-  EXPECT_EQ(a.keys[0].final_results[0].true_ranks,
-            b.keys[0].final_results[0].true_ranks);
+  EXPECT_EQ(a.cpa[0].final_results[0].true_ranks,
+            b.cpa[0].final_results[0].true_ranks);
   for (std::size_t i = 0; i < 16; ++i) {
     for (int g = 0; g < 256; ++g) {
       ASSERT_DOUBLE_EQ(
-          a.keys[0].final_results[0].bytes[i]
+          a.cpa[0].final_results[0].bytes[i]
               .correlation[static_cast<std::size_t>(g)],
-          b.keys[0].final_results[0].bytes[i]
+          b.cpa[0].final_results[0].bytes[i]
               .correlation[static_cast<std::size_t>(g)]);
     }
   }

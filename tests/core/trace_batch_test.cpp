@@ -219,7 +219,10 @@ TEST(TraceBatch, CsvRoundTripOfBatchIsExact) {
   LiveTraceSource source({.profile = soc::DeviceProfile::macbook_air_m2(),
                           .victim = victim::VictimModel::user_space()},
                          victim_key, 7);
-  const TraceSet set = capture_trace_set(source, 64, rng);
+  TraceBatch batch(source.keys().size());
+  collect_random_batch(source, 64, rng, batch);
+  TraceSet set(source.keys());
+  set.append(batch);
 
   std::stringstream csv;
   set.save_csv(csv);

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "core/guessing_entropy.h"
+#include "scenario/registry.h"
+#include "store/file_trace_source.h"
+#include "store/trace_file_writer.h"
 
 namespace psc::core {
 namespace {
@@ -50,15 +56,18 @@ TEST(LiveTraceSource, MatchesUnderlyingFastTraceSource) {
   victim::FastTraceSource direct(soc::DeviceProfile::macbook_air_m2(), key,
                                  victim::VictimModel::user_space(), 7);
 
+  std::vector<double> smc_values(direct.keys().size());
   for (int t = 0; t < 20; ++t) {
     const aes::Block pt = random_block(rng);
     const TraceRecord record = wrapped.collect(pt);
-    const auto sample = direct.collect(pt);
-    EXPECT_EQ(record.plaintext, sample.plaintext);
-    EXPECT_EQ(record.ciphertext, sample.ciphertext);
-    ASSERT_EQ(record.values.size(), sample.smc_values.size());
+    aes::Block ciphertext;
+    std::uint64_t pcpu_mj = 0;
+    direct.collect_into(pt, ciphertext, smc_values, pcpu_mj);
+    EXPECT_EQ(record.plaintext, pt);
+    EXPECT_EQ(record.ciphertext, ciphertext);
+    ASSERT_EQ(record.values.size(), smc_values.size());
     for (std::size_t k = 0; k < record.values.size(); ++k) {
-      ASSERT_DOUBLE_EQ(record.values[k], sample.smc_values[k]);
+      ASSERT_DOUBLE_EQ(record.values[k], smc_values[k]);
     }
   }
 }
@@ -76,10 +85,10 @@ TEST(LiveTraceSource, PcpuColumnCarriesIoreportEnergy) {
   EXPECT_DOUBLE_EQ(pcpu, std::floor(pcpu));  // whole millijoules
 }
 
-// The satellite guarantee of the pluggable acquisition layer: replaying a
-// CSV-persisted capture through the analysis pipeline yields the *same*
-// ModelResult as the live source that produced it.
-TEST(ReplayTraceSource, CsvReplayMatchesLiveAnalysisBitForBit) {
+// The guarantee of CSV persistence: feeding a CSV-persisted capture
+// through the analysis pipeline yields the *same* ModelResult as the live
+// source that produced it.
+TEST(TraceSet, CsvReplayMatchesLiveAnalysisBitForBit) {
   util::Xoshiro256 key_rng(10);
   const aes::Block victim_key = random_block(key_rng);
   const std::vector<power::PowerModel> models = {power::PowerModel::rd0_hw};
@@ -95,17 +104,20 @@ TEST(ReplayTraceSource, CsvReplayMatchesLiveAnalysisBitForBit) {
   // and reloaded.
   LiveTraceSource capture_source(m2_user_config(), victim_key, 11);
   util::Xoshiro256 pt_rng_b(12);
-  const TraceSet captured =
-      capture_trace_set(capture_source, n_traces, pt_rng_b);
+  TraceBatch capture(capture_source.keys().size());
+  collect_random_batch(capture_source, n_traces, pt_rng_b, capture);
+  TraceSet captured(capture_source.keys());
+  captured.append(capture);
   std::stringstream csv;
   captured.save_csv(csv);
   const TraceSet reloaded = TraceSet::load_csv(csv);
   ASSERT_EQ(reloaded.size(), n_traces);
 
-  ReplayTraceSource replay(std::make_shared<TraceSet>(reloaded));
-  util::Xoshiro256 pt_rng_c(99);  // ignored by replay
-  const CpaEngine replay_engine = accumulate_cpa(
-      replay, util::FourCc("PHPC"), models, 0, pt_rng_c);
+  const std::optional<std::size_t> phpc =
+      reloaded.key_index(util::FourCc("PHPC"));
+  ASSERT_TRUE(phpc.has_value());
+  CpaEngine replay_engine(models);
+  replay_engine.add_batch(reloaded.batch(), *phpc);
 
   const auto round_keys = aes::Aes128::expand_key(victim_key);
   const ModelResult live_result =
@@ -124,37 +136,6 @@ TEST(ReplayTraceSource, CsvReplayMatchesLiveAnalysisBitForBit) {
           << "byte " << i << " guess " << g;
     }
   }
-}
-
-TEST(ReplayTraceSource, ExhaustionThrows) {
-  auto set = std::make_shared<TraceSet>(
-      std::vector<util::FourCc>{util::FourCc("PHPC")});
-  util::Xoshiro256 rng(13);
-  set->add({random_block(rng), random_block(rng), {1.0}});
-  ReplayTraceSource replay(set);
-  EXPECT_EQ(replay.remaining(), std::optional<std::size_t>(1));
-  (void)replay.collect(aes::Block{});
-  EXPECT_EQ(replay.remaining(), std::optional<std::size_t>(0));
-  EXPECT_THROW(replay.collect(aes::Block{}), std::out_of_range);
-}
-
-TEST(ReplayTraceSource, ShardViewsPartitionTheSet) {
-  auto set = std::make_shared<TraceSet>(
-      std::vector<util::FourCc>{util::FourCc("PHPC")});
-  util::Xoshiro256 rng(14);
-  for (int i = 0; i < 10; ++i) {
-    set->add({random_block(rng), random_block(rng),
-              {static_cast<double>(i)}});
-  }
-  ReplayTraceSource first(set, 0, 4);
-  ReplayTraceSource second(set, 4, 6);
-  EXPECT_EQ(first.remaining(), std::optional<std::size_t>(4));
-  EXPECT_EQ(second.remaining(), std::optional<std::size_t>(6));
-  EXPECT_DOUBLE_EQ(first.collect(aes::Block{}).values[0], 0.0);
-  EXPECT_DOUBLE_EQ(second.collect(aes::Block{}).values[0], 4.0);
-  // Out-of-range views clamp.
-  ReplayTraceSource tail(set, 8, 100);
-  EXPECT_EQ(tail.remaining(), std::optional<std::size_t>(2));
 }
 
 TEST(SyntheticTraceSource, NoiselessLeakageRecoversFullKey) {
@@ -191,30 +172,80 @@ TEST(SyntheticTraceSource, NoiseDegradesButDefaultProfileStillLeaks) {
   EXPECT_LT(result.ge_bits, random_guess_ge_bits() - 5.0);
 }
 
+// The base collect() stages one row and calls collect_batch(), so on
+// every shipped source collect(pt) must be row t of a collect_batch()
+// from a twin built with the same seed, bit for bit. Replay sources
+// ignore the staged plaintexts; a finite source must throw once
+// exhausted.
+void expect_collect_matches_batch(TraceSource& batched, TraceSource& looped,
+                                  std::size_t rows, const std::string& what) {
+  SCOPED_TRACE(what);
+  util::Xoshiro256 batch_rng(21);
+  TraceBatch batch(batched.keys().size());
+  collect_random_batch(batched, rows, batch_rng, batch);
+  ASSERT_EQ(batch.size(), rows);
+
+  util::Xoshiro256 loop_rng(21);
+  aes::Block pt;
+  for (std::size_t t = 0; t < rows; ++t) {
+    loop_rng.fill_bytes(pt);
+    const TraceRecord expected = looped.collect(pt);
+    EXPECT_EQ(batch.plaintexts()[t], expected.plaintext) << "row " << t;
+    EXPECT_EQ(batch.ciphertexts()[t], expected.ciphertext) << "row " << t;
+    ASSERT_EQ(expected.values.size(), batch.channels());
+    for (std::size_t c = 0; c < batch.channels(); ++c) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(batch.column(c)[t]),
+                std::bit_cast<std::uint64_t>(expected.values[c]))
+          << "row " << t << " column " << c;
+    }
+  }
+  if (looped.remaining().has_value()) {
+    EXPECT_EQ(looped.remaining(), std::optional<std::size_t>(0));
+    EXPECT_THROW(looped.collect(pt), std::out_of_range);
+  }
+}
+
 TEST(TraceSource, BatchedCollectMatchesCollectLoop) {
   util::Xoshiro256 rng(19);
   const aes::Block victim_key = random_block(rng);
+  constexpr std::size_t rows = 50;
+
   power::LeakageConfig leakage{};
   leakage.ark_hw_weight[0] = 1.0;
   leakage.leak_joules_per_bit = 1.0;
-  const SyntheticSourceConfig config{.leakage = leakage};
+  const SyntheticSourceConfig synthetic{.leakage = leakage};
+  SyntheticTraceSource synthetic_a(synthetic, victim_key, 20);
+  SyntheticTraceSource synthetic_b(synthetic, victim_key, 20);
+  expect_collect_matches_batch(synthetic_a, synthetic_b, rows, "synthetic");
 
-  SyntheticTraceSource batched_source(config, victim_key, 20);
-  util::Xoshiro256 batch_rng(21);
-  TraceBatch batch(1);
-  collect_random_batch(batched_source, 50, batch_rng, batch);
+  LiveSourceConfig live = m2_user_config();
+  live.include_pcpu = true;
+  LiveTraceSource live_a(live, victim_key, 20);
+  LiveTraceSource live_b(live, victim_key, 20);
+  expect_collect_matches_batch(live_a, live_b, rows, "live with PCPU");
 
-  SyntheticTraceSource looped_source(config, victim_key, 20);
-  util::Xoshiro256 loop_rng(21);
-  ASSERT_EQ(batch.size(), 50u);
-  aes::Block pt;
-  for (std::size_t t = 0; t < batch.size(); ++t) {
-    loop_rng.fill_bytes(pt);
-    const TraceRecord expected = looped_source.collect(pt);
-    EXPECT_EQ(batch.plaintexts()[t], expected.plaintext);
-    EXPECT_EQ(batch.ciphertexts()[t], expected.ciphertext);
-    EXPECT_DOUBLE_EQ(batch.column(0)[t], expected.values[0]);
+  const auto cache_timing =
+      scenario::ScenarioRegistry::built_in().find("cache-timing");
+  ASSERT_NE(cache_timing, nullptr);
+  const scenario::ParamSet params = cache_timing->parse_params({});
+  const std::unique_ptr<TraceSource> probe_a =
+      cache_timing->make_source(params, victim_key, 20);
+  const std::unique_ptr<TraceSource> probe_b =
+      cache_timing->make_source(params, victim_key, 20);
+  expect_collect_matches_batch(*probe_a, *probe_b, rows, "cache-timing probe");
+
+  const std::string path = ::testing::TempDir() + "collect_twins.pstr";
+  {
+    store::TraceFileWriter writer(
+        path, {.channels = synthetic_a.keys(), .chunk_capacity = 8});
+    TraceBatch batch(1);
+    collect_random_batch(synthetic_a, rows, rng, batch);
+    writer.append(batch);
+    writer.finalize();
   }
+  store::FileTraceSource file_a(path);
+  store::FileTraceSource file_b(path);
+  expect_collect_matches_batch(file_a, file_b, rows, "PSTR file");
 }
 
 TEST(TraceSource, CollectBatchRejectsMisshapenBatch) {
@@ -226,36 +257,14 @@ TEST(TraceSource, CollectBatchRejectsMisshapenBatch) {
   EXPECT_THROW(source.collect_batch(batch), std::invalid_argument);
 }
 
-TEST(ReplayTraceSource, CollectBatchIsBulkColumnCopy) {
-  util::Xoshiro256 rng(32);
-  const aes::Block victim_key = random_block(rng);
-  LiveTraceSource live(m2_user_config(), victim_key, 33);
-  auto set = std::make_shared<TraceSet>(capture_trace_set(live, 25, rng));
-
-  ReplayTraceSource replay(set);
-  TraceBatch batch(set->keys().size());
-  batch.resize(10);
-  replay.collect_batch(batch);
-  EXPECT_EQ(replay.remaining(), std::optional<std::size_t>(15));
-  for (std::size_t t = 0; t < 10; ++t) {
-    EXPECT_EQ(batch.plaintexts()[t], (*set)[t].plaintext);
-    EXPECT_EQ(batch.ciphertexts()[t], (*set)[t].ciphertext);
-    for (std::size_t c = 0; c < batch.channels(); ++c) {
-      ASSERT_EQ(batch.column(c)[t], (*set)[t].values[c]);
-    }
-  }
-  // Asking for more than remains throws without consuming.
-  batch.clear();
-  batch.resize(16);
-  EXPECT_THROW(replay.collect_batch(batch), std::out_of_range);
-  EXPECT_EQ(replay.remaining(), std::optional<std::size_t>(15));
-}
-
 TEST(TraceSet, CsvRoundTripIsBitExact) {
   util::Xoshiro256 rng(22);
   const aes::Block victim_key = random_block(rng);
   LiveTraceSource source(m2_user_config(), victim_key, 23);
-  const TraceSet set = capture_trace_set(source, 50, rng);
+  TraceBatch batch(source.keys().size());
+  collect_random_batch(source, 50, rng, batch);
+  TraceSet set(source.keys());
+  set.append(batch);
 
   std::stringstream csv;
   set.save_csv(csv);

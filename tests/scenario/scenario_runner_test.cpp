@@ -39,18 +39,18 @@ TEST(ScenarioRunner, AesPowerUserTvlaBitIdenticalToLegacyCampaign) {
       .workers = 2,
       .shards = 3,
   };
-  const core::TvlaCampaignResult expected = core::run_tvla_campaign(legacy);
+  const core::SinkCampaignResult expected = core::run_tvla_campaign(legacy);
 
   const ScenarioRunResult got = run_scenario(
       "aes-power-user", {},
       {.traces_per_set = kPerSet, .seed = kSeed, .workers = 2, .shards = 3});
 
-  EXPECT_EQ(got.secret, expected.victim_key);
-  ASSERT_EQ(got.tvla.size(), expected.channels.size());
+  EXPECT_EQ(got.secret, expected.secret);
+  ASSERT_EQ(got.tvla.size(), expected.tvla.size());
   for (std::size_t c = 0; c < got.tvla.size(); ++c) {
-    EXPECT_EQ(got.tvla[c].channel, expected.channels[c].channel);
+    EXPECT_EQ(got.tvla[c].channel, expected.tvla[c].channel);
     expect_matrices_identical(got.tvla[c].matrix,
-                              expected.channels[c].matrix,
+                              expected.tvla[c].matrix,
                               got.tvla[c].channel);
   }
 }
@@ -69,7 +69,7 @@ TEST(ScenarioRunner, AesPowerKernelCombinedBitIdenticalToLegacyCampaign) {
       .workers = 2,
       .shards = 2,
   };
-  const core::CombinedCampaignResult expected =
+  const core::SinkCampaignResult expected =
       core::run_combined_campaign(legacy);
 
   const ScenarioRunResult got =
@@ -80,7 +80,7 @@ TEST(ScenarioRunner, AesPowerKernelCombinedBitIdenticalToLegacyCampaign) {
                     .workers = 2,
                     .shards = 2});
 
-  EXPECT_EQ(got.secret, expected.victim_key);
+  EXPECT_EQ(got.secret, expected.secret);
   ASSERT_EQ(got.tvla.size(), expected.tvla.size());
   for (std::size_t c = 0; c < got.tvla.size(); ++c) {
     EXPECT_EQ(got.tvla[c].channel, expected.tvla[c].channel);

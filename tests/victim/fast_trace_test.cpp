@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "util/stats.h"
 #include "victim/victims.h"
@@ -21,6 +23,21 @@ std::size_t key_index(const FastTraceSource& source, const char (&name)[5]) {
   const auto it = std::find(keys.begin(), keys.end(), smc::FourCc(name));
   EXPECT_NE(it, keys.end());
   return static_cast<std::size_t>(it - keys.begin());
+}
+
+// One trace's outputs, filled through collect_into.
+struct Sample {
+  aes::Block ciphertext{};
+  std::vector<double> smc_values;  // aligned with keys()
+  std::uint64_t pcpu_mj = 0;
+};
+
+Sample collect(FastTraceSource& source, const aes::Block& plaintext) {
+  Sample sample;
+  sample.smc_values.resize(source.keys().size());
+  source.collect_into(plaintext, sample.ciphertext, sample.smc_values,
+                      sample.pcpu_mj);
+  return sample;
 }
 
 class FastTraceTest : public ::testing::Test {
@@ -44,9 +61,8 @@ TEST_F(FastTraceTest, CiphertextIsRealAes) {
   FastTraceSource source(profile_, key_, VictimModel::user_space(), 1);
   util::Xoshiro256 rng(32);
   const aes::Block pt = random_block(rng);
-  const auto sample = source.collect(pt);
+  const auto sample = collect(source, pt);
   EXPECT_EQ(sample.ciphertext, aes::Aes128(key_).encrypt(pt));
-  EXPECT_EQ(sample.plaintext, pt);
   EXPECT_EQ(sample.smc_values.size(), source.keys().size());
 }
 
@@ -56,8 +72,8 @@ TEST_F(FastTraceTest, DeterministicForSameSeed) {
   util::Xoshiro256 rng(33);
   for (int i = 0; i < 20; ++i) {
     const aes::Block pt = random_block(rng);
-    const auto sa = a.collect(pt);
-    const auto sb = b.collect(pt);
+    const auto sa = collect(a, pt);
+    const auto sb = collect(b, pt);
     EXPECT_EQ(sa.smc_values, sb.smc_values);
     EXPECT_EQ(sa.pcpu_mj, sb.pcpu_mj);
   }
@@ -84,7 +100,7 @@ TEST_F(FastTraceTest, PhpcCentredOnPClusterBaseline) {
   util::Xoshiro256 rng(34);
   util::RunningStats stats;
   for (int i = 0; i < 3000; ++i) {
-    stats.add(source.collect(random_block(rng)).smc_values[phpc]);
+    stats.add(collect(source, random_block(rng)).smc_values[phpc]);
   }
   // 3 AES P-cores at max frequency: each ~1.2 W.
   EXPECT_GT(stats.mean(), 2.0);
@@ -102,8 +118,8 @@ TEST_F(FastTraceTest, PhpsShowsNoPlaintextDependence) {
   util::RunningStats s0;
   util::RunningStats s1;
   for (int i = 0; i < 4000; ++i) {
-    s0.add(source.collect(zeros).smc_values[phps]);
-    s1.add(source.collect(ones).smc_values[phps]);
+    s0.add(collect(source, zeros).smc_values[phps]);
+    s1.add(collect(source, ones).smc_values[phps]);
   }
   const auto t = util::welch_t_test(s0, s1);
   EXPECT_LT(std::abs(t.t), util::tvla_threshold);
@@ -118,8 +134,8 @@ TEST_F(FastTraceTest, PhpcDistinguishesPlaintextClasses) {
   util::RunningStats s0;
   util::RunningStats s1;
   for (int i = 0; i < 4000; ++i) {
-    s0.add(source.collect(zeros).smc_values[phpc]);
-    s1.add(source.collect(ones).smc_values[phpc]);
+    s0.add(collect(source, zeros).smc_values[phpc]);
+    s1.add(collect(source, ones).smc_values[phpc]);
   }
   const auto t = util::welch_t_test(s0, s1);
   EXPECT_GT(std::abs(t.t), util::tvla_threshold);
@@ -133,8 +149,8 @@ TEST_F(FastTraceTest, PcpuIndependentOfPlaintext) {
   util::RunningStats s0;
   util::RunningStats s1;
   for (int i = 0; i < 3000; ++i) {
-    s0.add(static_cast<double>(source.collect(zeros).pcpu_mj));
-    s1.add(static_cast<double>(source.collect(ones).pcpu_mj));
+    s0.add(static_cast<double>(collect(source, zeros).pcpu_mj));
+    s1.add(static_cast<double>(collect(source, ones).pcpu_mj));
   }
   const auto t = util::welch_t_test(s0, s1);
   EXPECT_LT(std::abs(t.t), util::tvla_threshold);
@@ -149,8 +165,8 @@ TEST_F(FastTraceTest, KernelModelNoisierOnPhpc) {
   util::RunningStats sk;
   aes::Block pt = random_block(rng);
   for (int i = 0; i < 4000; ++i) {
-    su.add(user.collect(pt).smc_values[phpc]);
-    sk.add(kernel.collect(pt).smc_values[phpc]);
+    su.add(collect(user, pt).smc_values[phpc]);
+    sk.add(collect(kernel, pt).smc_values[phpc]);
   }
   // Kernel adds 18 uW syscall noise on top of the 45 uW sensor noise:
   // total sigma rises by ~8%.
@@ -169,7 +185,7 @@ TEST_F(FastTraceTest, MatchesFullSimulationStatistics) {
 
   util::RunningStats fast_stats;
   for (int i = 0; i < 2000; ++i) {
-    fast_stats.add(fast.collect(pt).smc_values[phpc_idx]);
+    fast_stats.add(collect(fast, pt).smc_values[phpc_idx]);
   }
 
   Platform platform(profile_, 9);
