@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   // the store back through the same analysis path, out-of-core.
   store::FileTraceSource replay(path);
   std::cout << "replaying " << *replay.remaining() << " traces ("
-            << (replay.reader().mapped() ? "mmap" : "stream") << " reader, "
+            << (replay.reader().mapped() ? "mmap" : "heap") << " reader, "
             << (replay.prefetch_enabled() ? "prefetch on" : "prefetch off")
             << ")\n\n";
   util::Xoshiro256 unused_rng(0);  // replay returns its recorded plaintexts

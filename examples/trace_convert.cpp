@@ -61,7 +61,7 @@ int cmd_info(const std::string& path) {
   // single payload byte.
   const store::DatasetSummary summary = store::summarize_dataset(reader);
   print_dataset_summary(std::cout, summary);
-  std::cout << "reader      : " << (reader.mapped() ? "mmap" : "stream")
+  std::cout << "reader      : " << (reader.mapped() ? "mmap" : "heap")
             << "\n";
   if (reader.chunk_count() > 0) {
     const std::size_t last = reader.chunk_count() - 1;

@@ -25,22 +25,15 @@ bool resolve_prefetch(PrefetchMode mode) {
 
 }  // namespace
 
-FileTraceSource::FileTraceSource(const std::string& path, ReaderMode mode)
-    : FileTraceSource(path, FileSourceOptions{.mode = mode}) {}
-
 FileTraceSource::FileTraceSource(const std::string& path,
                                  const FileSourceOptions& options)
-    : FileTraceSource(std::make_unique<TraceFileReader>(path, options.mode),
+    : FileTraceSource(std::make_unique<TraceFileReader>(path),
                       0, std::numeric_limits<std::size_t>::max(), options) {}
-
-FileTraceSource::FileTraceSource(const std::string& path, std::size_t begin,
-                                 std::size_t count, ReaderMode mode)
-    : FileTraceSource(path, begin, count, FileSourceOptions{.mode = mode}) {}
 
 FileTraceSource::FileTraceSource(const std::string& path, std::size_t begin,
                                  std::size_t count,
                                  const FileSourceOptions& options)
-    : FileTraceSource(std::make_unique<TraceFileReader>(path, options.mode),
+    : FileTraceSource(std::make_unique<TraceFileReader>(path),
                       begin, count, options) {}
 
 FileTraceSource::FileTraceSource(std::unique_ptr<TraceFileReader> reader)

@@ -1,7 +1,8 @@
 // Out-of-core replay: a core::TraceSource that streams a PSTR trace
 // store through the standard acquire->accumulate pipeline, so every
 // existing analysis (CPA, TVLA, GE, combined campaigns) runs against a
-// recorded dataset larger than RAM without touching its math.
+// recorded dataset without touching its math — larger than RAM when the
+// reader's mapping is mmap-backed (see store/shared_mapping.h).
 // collect_batch() overwrites the staged plaintext column with the
 // recorded plaintexts (so the base collect() ignores the requested
 // plaintext).
@@ -12,10 +13,12 @@
 // replay jobs), or a chunk-aligned range from shard_row_range(), which
 // partitions the chunk list with core::shard_size so no two shards decode
 // the same chunk. Each shard constructs its own FileTraceSource (and thus
-// its own reader; readers are single-threaded, while the OS page cache
-// shares the mapped file across all of them). Because ranges are
-// disjoint and in shard order, merging per-shard engines in shard order
-// is bit-identical to one sequential replay.
+// its own reader; readers are single-threaded, while the file's bytes
+// are shared: through the OS page cache, or through one
+// store::SharedMapping handed to every shard's reader, as the bus replay
+// jobs do). Because ranges are disjoint and in shard order, merging
+// per-shard engines in shard order is bit-identical to one sequential
+// replay.
 // Replay overlaps chunk decode with analysis by default: the source
 // walks its row range through a store::ChunkPrefetcher, which decodes
 // chunk N+1 on the persistent core::WorkerPool while the caller ingests
@@ -48,7 +51,6 @@ enum class PrefetchMode {
 };
 
 struct FileSourceOptions {
-  ReaderMode mode = ReaderMode::automatic;
   PrefetchMode prefetch = PrefetchMode::automatic;
 };
 
@@ -56,14 +58,11 @@ class FileTraceSource final : public core::TraceSource {
  public:
   // Replays every trace of the file at `path` in order.
   explicit FileTraceSource(const std::string& path,
-                           ReaderMode mode = ReaderMode::automatic);
-  FileTraceSource(const std::string& path, const FileSourceOptions& options);
+                           const FileSourceOptions& options = {});
   // Replays rows [begin, begin + count) — a shard view for parallel
   // out-of-core analysis. `count` is clamped to the rows available.
   FileTraceSource(const std::string& path, std::size_t begin,
-                  std::size_t count, ReaderMode mode = ReaderMode::automatic);
-  FileTraceSource(const std::string& path, std::size_t begin,
-                  std::size_t count, const FileSourceOptions& options);
+                  std::size_t count, const FileSourceOptions& options = {});
   // Adopts an already-open reader (single-threaded use only).
   explicit FileTraceSource(std::unique_ptr<TraceFileReader> reader);
   FileTraceSource(std::unique_ptr<TraceFileReader> reader, std::size_t begin,

@@ -1,21 +1,31 @@
 #include "store/shared_mapping.h"
 
 #include <atomic>
-#include <fstream>
+#include <cerrno>
+
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "store/pstr_format.h"
 #include "util/env.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define PSC_SHARED_MAPPING_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <unistd.h>
-#else
-#define PSC_SHARED_MAPPING_HAS_MMAP 0
-#endif
-
 namespace psc::store {
+
+namespace {
+
+// Closes the descriptor on every exit from open(), throwing ones included.
+struct FdGuard {
+  int fd;
+  ~FdGuard() {
+    if (fd >= 0) {
+      ::close(fd);
+    }
+  }
+};
+
+}  // namespace
 
 std::shared_ptr<const SharedMapping> SharedMapping::open(
     const std::string& path) {
@@ -26,49 +36,55 @@ std::shared_ptr<const SharedMapping> SharedMapping::open(
   mapping->path_ = path;
   mapping->id_ = next_id.fetch_add(1, std::memory_order_relaxed);
 
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  // One descriptor answers every question: what the file is, how big it
+  // is, and its bytes — so a directory or device is rejected up front
+  // instead of being sized as a huge stream and allocated.
+  const FdGuard file{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
+  if (file.fd < 0) {
     throw StoreError("PSTR " + path + ": cannot open file");
   }
-  in.seekg(0, std::ios::end);
-  const std::size_t size = static_cast<std::size_t>(in.tellg());
-  in.seekg(0);
+  struct stat st {};
+  if (::fstat(file.fd, &st) != 0) {
+    throw StoreError("PSTR " + path + ": cannot stat file");
+  }
+  if (!S_ISREG(st.st_mode)) {
+    throw StoreError("PSTR " + path + ": not a regular file");
+  }
+  const std::size_t size = static_cast<std::size_t>(st.st_size);
   mapping->size_ = size;
 
-#if PSC_SHARED_MAPPING_HAS_MMAP
   if (!util::env_flag("PSC_NO_MMAP") && size > 0) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (map != MAP_FAILED) {
-        mapping->data_ = static_cast<const std::byte*>(map);
-        mapping->mapped_ = true;
-        return mapping;
-      }
+    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, file.fd, 0);
+    if (map != MAP_FAILED) {
+      mapping->data_ = static_cast<const std::byte*>(map);
+      mapping->mapped_ = true;
+      return mapping;
     }
   }
-#endif
 
   // Heap fallback: one shared copy of the file.
   mapping->heap_.resize(size);
-  if (size > 0) {
-    in.read(reinterpret_cast<char*>(mapping->heap_.data()),
-            static_cast<std::streamsize>(size));
-    if (in.gcount() != static_cast<std::streamsize>(size)) {
+  std::size_t done = 0;
+  while (done < size) {
+    const ssize_t n =
+        ::pread(file.fd, mapping->heap_.data() + done, size - done,
+                static_cast<off_t>(done));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
       throw StoreError("PSTR " + path + ": short read loading file");
     }
+    done += static_cast<std::size_t>(n);
   }
   mapping->data_ = mapping->heap_.data();
   return mapping;
 }
 
 SharedMapping::~SharedMapping() {
-#if PSC_SHARED_MAPPING_HAS_MMAP
-  if (mapped_ && data_ != nullptr) {
+  if (mapped_) {
     ::munmap(const_cast<std::byte*>(data_), size_);
   }
-#endif
 }
 
 }  // namespace psc::store

@@ -1,18 +1,19 @@
 // Refcounted read-only bytes of one PSTR file, shared across readers.
 //
-// A TraceFileReader normally owns a private mmap of its file; N readers
-// over the same dataset each pay their own open/map and page-table setup.
-// The bus daemon serves many concurrent jobs over one dataset, so it
-// opens the file once as a SharedMapping and builds each job's (and each
-// shard's) reader over the same bytes: one mapping, one page-cache
-// working set, any number of single-threaded readers on top. The handle
-// is handed around as shared_ptr<const SharedMapping>; the bytes unmap
-// when the last reader and the registry drop it.
+// Every TraceFileReader reads through one of these. The bus daemon serves
+// many concurrent jobs over one dataset, so it opens the file once as a
+// SharedMapping and builds each job's (and each shard's) reader over the
+// same bytes: one mapping, one page-cache working set, any number of
+// single-threaded readers on top. The handle is handed around as
+// shared_ptr<const SharedMapping>; the bytes unmap when the last reader
+// and the registry drop it.
 //
-// On platforms without mmap (or under PSC_NO_MMAP) the whole file is
-// loaded into one heap buffer instead — still a single shared copy, so
-// the sharing contract survives the fallback; out-of-core streaming is
-// lost, which matches what a no-mmap platform could do anyway.
+// The file is mmap'ed when it can be. When mmap fails, or under
+// PSC_NO_MMAP=1, the whole file is read into one heap buffer instead —
+// still a single shared copy, so the sharing contract survives the
+// fallback, but resident memory is then the whole file. Both flavors
+// give an 8-aligned base (page or operator new alignment), which the
+// reader's zero-copy chunk views rely on.
 //
 // The bytes are immutable after open(), so concurrent readers need no
 // locking on the mapping itself.
@@ -29,7 +30,8 @@ namespace psc::store {
 class SharedMapping {
  public:
   // Opens `path` and maps (or loads) its current contents. Throws
-  // StoreError when the file cannot be opened, mapped or read.
+  // StoreError when the file cannot be opened or read, or is not a
+  // regular file (a directory, a device).
   static std::shared_ptr<const SharedMapping> open(const std::string& path);
 
   ~SharedMapping();

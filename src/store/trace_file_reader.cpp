@@ -7,16 +7,6 @@
 #include "store/chunk_cache.h"
 #include "util/codec.h"
 #include "util/crc32.h"
-#include "util/env.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define PSC_STORE_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <unistd.h>
-#else
-#define PSC_STORE_HAS_MMAP 0
-#endif
 
 namespace psc::store {
 
@@ -50,72 +40,19 @@ void ChunkView::append_to(core::TraceBatch& batch, std::size_t begin,
 }
 
 void TraceFileReader::fail(const std::string& what) const {
-  throw StoreError("PSTR " + path_ + ": " + what);
+  throw StoreError("PSTR " + path() + ": " + what);
 }
 
-TraceFileReader::TraceFileReader(const std::string& path, ReaderMode mode)
-    : path_(path) {
-  // PSC_NO_MMAP forces the buffered-read fallback everywhere automatic
-  // mode would map — the knob CI uses to run the whole suite down the
-  // stream path (an explicit ReaderMode::mmap request still maps).
-  if (mode == ReaderMode::automatic && util::env_flag("PSC_NO_MMAP")) {
-    mode = ReaderMode::stream;
-  }
-  in_.open(path_, std::ios::binary);
-  if (!in_) {
-    fail("cannot open file");
-  }
-  in_.seekg(0, std::ios::end);
-  file_bytes_ = static_cast<std::size_t>(in_.tellg());
-  in_.seekg(0);
-
-#if PSC_STORE_HAS_MMAP
-  if (mode != ReaderMode::stream && file_bytes_ > 0) {
-    const int fd = ::open(path_.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      void* map = ::mmap(nullptr, file_bytes_, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (map != MAP_FAILED) {
-        map_ = static_cast<const std::byte*>(map);
-        map_size_ = file_bytes_;
-      }
-    }
-  }
-  if (mode == ReaderMode::mmap && map_ == nullptr) {
-    fail("mmap failed");
-  }
-#else
-  if (mode == ReaderMode::mmap) {
-    fail("mmap unsupported on this platform");
-  }
-#endif
-
-  // A throwing constructor skips the destructor, so the mapping made
-  // above must be released by hand when validation rejects the file.
-  try {
-    validate_structure();
-  } catch (...) {
-    unmap();
-    throw;
-  }
-
-  if (map_ != nullptr) {
-    in_.close();
-  }
-}
+TraceFileReader::TraceFileReader(const std::string& path)
+    : TraceFileReader(SharedMapping::open(path)) {}
 
 TraceFileReader::TraceFileReader(std::shared_ptr<const SharedMapping> mapping)
-    : path_(mapping != nullptr ? mapping->path() : std::string()) {
-  if (mapping == nullptr) {
+    : mapping_(std::move(mapping)) {
+  if (mapping_ == nullptr) {
     throw std::invalid_argument("TraceFileReader: null SharedMapping");
   }
-  // Borrowed bytes: both the mmap and the heap-fallback flavors of
-  // SharedMapping present one contiguous buffer, so the reader always
-  // takes its (zero-copy) mapped path; no stream state is opened.
-  mapping_ = std::move(mapping);
+  data_ = mapping_->data();
   file_bytes_ = mapping_->size();
-  map_ = mapping_->data();
-  map_size_ = file_bytes_;
   validate_structure();
 }
 
@@ -125,8 +62,7 @@ void TraceFileReader::validate_structure() {
   if (file_bytes_ < 4) {
     fail("truncated file (shorter than the magic)");
   }
-  std::byte fixed[fixed_header_bytes];
-  load_bytes(0, std::span(fixed, std::min(file_bytes_, fixed_header_bytes)));
+  const std::byte* fixed = data_;
   if (!magic_matches(fixed, file_magic)) {
     fail("bad magic (not a PSTR trace store)");
   }
@@ -150,47 +86,9 @@ void TraceFileReader::validate_structure() {
   if (header_bytes_ > file_bytes_ - footer_bytes) {
     fail("truncated file (header overlaps footer)");
   }
-  std::vector<std::byte> header(header_bytes_);
-  load_bytes(0, header);
-  parse_header(header.data(), header.size());
+  parse_header(data_, header_bytes_);
   parse_footer_and_index();
   crc_checked_.assign(index_.size(), 0);
-}
-
-void TraceFileReader::unmap() noexcept {
-  if (mapping_ != nullptr) {
-    // Borrowed bytes: the SharedMapping releases them when its last
-    // reference drops, which may be long after this reader dies.
-    map_ = nullptr;
-    mapping_.reset();
-    return;
-  }
-#if PSC_STORE_HAS_MMAP
-  if (map_ != nullptr) {
-    ::munmap(const_cast<std::byte*>(map_), map_size_);
-    map_ = nullptr;
-  }
-#endif
-}
-
-TraceFileReader::~TraceFileReader() { unmap(); }
-
-void TraceFileReader::load_bytes(std::uint64_t offset,
-                                 std::span<std::byte> out) {
-  if (offset > file_bytes_ || out.size() > file_bytes_ - offset) {
-    fail("truncated file (read past end)");
-  }
-  if (map_ != nullptr) {
-    std::memcpy(out.data(), map_ + offset, out.size());
-    return;
-  }
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(offset));
-  in_.read(reinterpret_cast<char*>(out.data()),
-           static_cast<std::streamsize>(out.size()));
-  if (in_.gcount() != static_cast<std::streamsize>(out.size())) {
-    fail("short read at offset " + std::to_string(offset));
-  }
 }
 
 void TraceFileReader::parse_header(const std::byte* data, std::size_t size) {
@@ -235,8 +133,7 @@ void TraceFileReader::parse_header(const std::byte* data, std::size_t size) {
 }
 
 void TraceFileReader::parse_footer_and_index() {
-  std::byte footer[footer_bytes];
-  load_bytes(file_bytes_ - footer_bytes, footer);
+  const std::byte* footer = data_ + file_bytes_ - footer_bytes;
   if (!magic_matches(footer + 28, footer_magic) ||
       util::crc32(footer, 24) != get_u32(footer + 24)) {
     fail("missing or corrupt footer (file truncated?)");
@@ -258,13 +155,11 @@ void TraceFileReader::parse_footer_and_index() {
       index_offset != file_bytes_ - footer_bytes - index_size) {
     fail("corrupt footer (index bounds)");
   }
-  std::vector<std::byte> raw(index_size);
-  load_bytes(index_offset, raw);
-  if (!magic_matches(raw.data(), index_magic) ||
-      get_u64(raw.data() + 8) != chunks) {
+  const std::byte* raw = data_ + index_offset;
+  if (!magic_matches(raw, index_magic) || get_u64(raw + 8) != chunks) {
     fail("corrupt chunk index (bad index header)");
   }
-  const std::byte* entries = raw.data() + 16;
+  const std::byte* entries = raw + 16;
   const std::size_t entries_size = chunks * index_entry_bytes;
   if (util::crc32(entries, entries_size) !=
       get_u32(entries + entries_size)) {
@@ -275,7 +170,10 @@ void TraceFileReader::parse_footer_and_index() {
   // rows exactly. A v2 chunk's size depends on its codecs; here we only
   // require room for the chunk header and column directory — per-column
   // block extents are validated against index_offset_ when the chunk is
-  // opened (parse_v2_directory).
+  // opened (load_v2_directory). The format 8-aligns every chunk and the
+  // mapping base is 8-aligned, so chunk columns are served as aligned
+  // spans straight from the mapping; an unaligned offset is a corrupt
+  // index, not something to copy around.
   const std::uint64_t row_bytes = 2 * block_bytes + 8 * channels_.size();
   const std::uint64_t min_chunk =
       version_ >= format_version_v2
@@ -291,7 +189,8 @@ void TraceFileReader::parse_footer_and_index() {
                           .rows = get_u32(e + 16),
                           .crc32 = get_u32(e + 20)};
     const bool in_bounds =
-        entry.offset >= header_bytes_ && entry.offset <= index_offset &&
+        entry.offset % 8 == 0 && entry.offset >= header_bytes_ &&
+        entry.offset <= index_offset &&
         index_offset - entry.offset >= min_chunk &&
         (version_ >= format_version_v2 ||
          entry.rows <=
@@ -319,29 +218,6 @@ std::size_t TraceFileReader::chunk_containing(std::size_t row) const {
   return static_cast<std::size_t>(it - index_.begin()) - 1;
 }
 
-const std::byte* TraceFileReader::chunk_base(const ChunkIndexEntry& entry,
-                                             std::size_t i) {
-  const std::size_t size = chunk_bytes(entry.rows, channels_.size());
-  if (map_ != nullptr) {
-    const std::byte* base = map_ + entry.offset;
-    // The format 8-aligns chunks, so the mapped payload serves as aligned
-    // double columns directly; a corrupt index offset falls back to the
-    // copying path rather than a misaligned load.
-    if (reinterpret_cast<std::uintptr_t>(base + chunk_header_bytes) %
-            alignof(double) ==
-        0) {
-      return base;
-    }
-  }
-  if (loaded_chunk_ != i) {
-    scratch_.resize(size);
-    load_bytes(entry.offset, scratch_);
-    loaded_chunk_ = i;
-    crc_checked_[i] = 0;  // fresh bytes: re-verify below
-  }
-  return scratch_.data();
-}
-
 ChunkView TraceFileReader::make_view(const std::byte* payload,
                                      const ChunkIndexEntry& entry) {
   ChunkView view;
@@ -352,85 +228,9 @@ ChunkView TraceFileReader::make_view(const std::byte* payload,
   return view;
 }
 
-ChunkView TraceFileReader::chunk(std::size_t i) {
-  if (version_ >= format_version_v2) {
-    return chunk_v2(i);
-  }
+void TraceFileReader::check_chunk_header(std::size_t i) const {
   const ChunkIndexEntry& entry = index_.at(i);
-  const std::byte* base = chunk_base(entry, i);
-
-  if (!magic_matches(base, chunk_magic)) {
-    fail("corrupt chunk " + std::to_string(i) + " (bad magic)");
-  }
-  if (get_u32(base + 4) != entry.rows || get_u32(base + 8) != entry.crc32) {
-    fail("corrupt chunk " + std::to_string(i) +
-         " (header disagrees with index)");
-  }
-  if (!crc_checked_[i]) {
-    const std::size_t payload_size =
-        chunk_bytes(entry.rows, channels_.size()) - chunk_header_bytes;
-    if (util::crc32(base + chunk_header_bytes, payload_size) != entry.crc32) {
-      fail("chunk " + std::to_string(i) + " payload CRC mismatch");
-    }
-    crc_checked_[i] = 1;
-  }
-  return make_view(base + chunk_header_bytes, entry);
-}
-
-// v1 chunk into caller-owned storage: zero-copy from an aligned mapping,
-// else the whole chunk lands in `storage` (validated + CRC-checked).
-ChunkView TraceFileReader::chunk_v1_into(std::size_t i,
-                                         std::vector<std::byte>& storage) {
-  const ChunkIndexEntry& entry = index_.at(i);
-  const std::size_t size = chunk_bytes(entry.rows, channels_.size());
-  const std::byte* base = nullptr;
-  bool fresh = false;
-  if (map_ != nullptr) {
-    const std::byte* mapped = map_ + entry.offset;
-    if (reinterpret_cast<std::uintptr_t>(mapped + chunk_header_bytes) %
-            alignof(double) ==
-        0) {
-      base = mapped;
-    }
-  }
-  if (base == nullptr) {
-    storage.resize(size);
-    load_bytes(entry.offset, storage);
-    base = storage.data();
-    fresh = true;  // private bytes: always verify this copy
-  }
-  if (!magic_matches(base, chunk_magic)) {
-    fail("corrupt chunk " + std::to_string(i) + " (bad magic)");
-  }
-  if (get_u32(base + 4) != entry.rows || get_u32(base + 8) != entry.crc32) {
-    fail("corrupt chunk " + std::to_string(i) +
-         " (header disagrees with index)");
-  }
-  if (fresh || !crc_checked_[i]) {
-    if (util::crc32(base + chunk_header_bytes, size - chunk_header_bytes) !=
-        entry.crc32) {
-      fail("chunk " + std::to_string(i) + " payload CRC mismatch");
-    }
-    if (!fresh) {
-      crc_checked_[i] = 1;
-    }
-  }
-  return make_view(base + chunk_header_bytes, entry);
-}
-
-bool TraceFileReader::load_v2_directory(std::size_t i) {
-  const ChunkIndexEntry& entry = index_.at(i);
-  const std::size_t columns = chunk_column_count(channels_.size());
-  const std::size_t dir_bytes = columns * column_entry_bytes;
-
-  const std::byte* head = nullptr;
-  if (map_ != nullptr) {
-    head = map_ + entry.offset;
-  } else {
-    dir_scratch_.resize(chunk_header_bytes + dir_bytes);
-    load_bytes(entry.offset, dir_scratch_);
-    head = dir_scratch_.data();
-  }
+  const std::byte* head = data_ + entry.offset;
   if (!magic_matches(head, chunk_magic)) {
     fail("corrupt chunk " + std::to_string(i) + " (bad magic)");
   }
@@ -438,6 +238,25 @@ bool TraceFileReader::load_v2_directory(std::size_t i) {
     fail("corrupt chunk " + std::to_string(i) +
          " (header disagrees with index)");
   }
+}
+
+ChunkView TraceFileReader::chunk(std::size_t i) {
+  if (loaded_chunk_ != i) {
+    // Cleared first, so a throwing decode never leaves a stale memo.
+    loaded_chunk_ = static_cast<std::size_t>(-1);
+    loaded_view_ = read_chunk_into(i, resident_);
+    loaded_chunk_ = i;
+  }
+  return loaded_view_;
+}
+
+bool TraceFileReader::load_v2_directory(std::size_t i) {
+  const ChunkIndexEntry& entry = index_.at(i);
+  const std::size_t columns = chunk_column_count(channels_.size());
+  const std::size_t dir_bytes = columns * column_entry_bytes;
+
+  check_chunk_header(i);
+  const std::byte* head = data_ + entry.offset;
 
   // Bytes this chunk may occupy before the index; parse_footer_and_index
   // already guaranteed header + directory fit, so the subtraction below
@@ -496,35 +315,6 @@ bool TraceFileReader::load_v2_directory(std::size_t i) {
   return all_identity;
 }
 
-bool TraceFileReader::parse_v2_directory(std::size_t i,
-                                         const std::byte*& payload) {
-  const bool all_identity = load_v2_directory(i);
-  const ChunkIndexEntry& entry = index_.at(i);
-  const std::size_t dir_bytes =
-      chunk_column_count(channels_.size()) * column_entry_bytes;
-
-  // An all-identity mapped chunk stores exactly the v1 payload bytes
-  // after the directory: serve it zero-copy when aligned, CRC-checking
-  // the mapped bytes once.
-  if (all_identity && map_ != nullptr) {
-    const std::byte* mapped = map_ + entry.offset + chunk_header_bytes +
-                              dir_bytes;
-    if (reinterpret_cast<std::uintptr_t>(mapped) % alignof(double) == 0) {
-      if (!crc_checked_[i]) {
-        const std::size_t payload_size =
-            chunk_bytes(entry.rows, channels_.size()) - chunk_header_bytes;
-        if (util::crc32(mapped, payload_size) != entry.crc32) {
-          fail("chunk " + std::to_string(i) + " payload CRC mismatch");
-        }
-        crc_checked_[i] = 1;
-      }
-      payload = mapped;
-      return true;
-    }
-  }
-  return false;
-}
-
 void TraceFileReader::decode_v2_chunk(std::size_t i,
                                       std::vector<std::byte>& dest) {
   const ChunkIndexEntry& entry = index_.at(i);
@@ -536,14 +326,7 @@ void TraceFileReader::decode_v2_chunk(std::size_t i,
   std::uint64_t raw_off = 0;
   for (std::size_t col = 0; col < dir_.size(); ++col) {
     const ColumnBlock& block = dir_[col];
-    const std::byte* src;
-    if (map_ != nullptr) {
-      src = map_ + entry.offset + block.offset;
-    } else {
-      comp_scratch_.resize(block.stored_bytes);
-      load_bytes(entry.offset + block.offset, comp_scratch_);
-      src = comp_scratch_.data();
-    }
+    const std::byte* src = data_ + entry.offset + block.offset;
     std::byte* out = dest.data() + raw_off;
     if (block.codec == ColumnCodec::identity) {
       std::memcpy(out, src, block.raw_bytes);
@@ -564,64 +347,45 @@ void TraceFileReader::decode_v2_chunk(std::size_t i,
 }
 
 void TraceFileReader::set_chunk_cache(std::shared_ptr<ChunkCache> cache) {
-  if (mapping_ == nullptr) {
-    throw std::logic_error(
-        "TraceFileReader::set_chunk_cache: reader does not borrow a "
-        "SharedMapping (no stable dataset id to key the cache by)");
-  }
   chunk_cache_ = std::move(cache);
-  dataset_id_ = mapping_->id();
-  cache_hold_.reset();
-}
-
-std::shared_ptr<const std::vector<std::byte>> TraceFileReader::cached_chunk(
-    std::size_t i) {
-  // The decode callback runs on this reader (dir_ is already loaded for
-  // chunk i) and only for the one caller that misses; concurrent readers
-  // of the same chunk wait inside the cache and share the result.
-  return chunk_cache_->get_or_decode(
-      dataset_id_, i,
-      [this, i](std::vector<std::byte>& dest) { decode_v2_chunk(i, dest); });
-}
-
-ChunkView TraceFileReader::chunk_v2(std::size_t i) {
-  const std::byte* payload = nullptr;
-  if (parse_v2_directory(i, payload)) {
-    return make_view(payload, index_[i]);
-  }
-  if (chunk_cache_ != nullptr) {
-    cache_hold_ = cached_chunk(i);
-    return make_view(cache_hold_->data(), index_[i]);
-  }
-  if (loaded_chunk_ != i) {
-    decode_v2_chunk(i, decode_);
-    loaded_chunk_ = i;
-  }
-  return make_view(decode_.data(), index_[i]);
-}
-
-ChunkView TraceFileReader::chunk_v2_into(std::size_t i, ChunkBuffer& buf) {
-  const std::byte* payload = nullptr;
-  if (parse_v2_directory(i, payload)) {
-    buf.cached.reset();
-    return make_view(payload, index_.at(i));
-  }
-  if (chunk_cache_ != nullptr) {
-    buf.cached = cached_chunk(i);
-    return make_view(buf.cached->data(), index_.at(i));
-  }
-  buf.cached.reset();
-  decode_v2_chunk(i, buf.bytes);
-  return make_view(buf.bytes.data(), index_.at(i));
 }
 
 ChunkView TraceFileReader::read_chunk_into(std::size_t i, ChunkBuffer& buf) {
-  if (version_ >= format_version_v2) {
-    return chunk_v2_into(i, buf);
-  }
+  const ChunkIndexEntry& entry = index_.at(i);
   buf.cached.reset();
-  ChunkView view = chunk_v1_into(i, buf.bytes);
-  return view;
+  // v1 chunks, and v2 chunks whose columns are all identity, hold the
+  // decoded payload verbatim after the header (and directory): serve them
+  // zero-copy, CRC-checking the mapped bytes once.
+  const std::byte* payload = data_ + entry.offset + chunk_header_bytes;
+  bool verbatim = true;
+  if (version_ >= format_version_v2) {
+    verbatim = load_v2_directory(i);  // checks the chunk header too
+    payload += chunk_column_count(channels_.size()) * column_entry_bytes;
+  } else {
+    check_chunk_header(i);
+  }
+  if (verbatim) {
+    if (!crc_checked_[i]) {
+      const std::size_t payload_size =
+          chunk_bytes(entry.rows, channels_.size()) - chunk_header_bytes;
+      if (util::crc32(payload, payload_size) != entry.crc32) {
+        fail("chunk " + std::to_string(i) + " payload CRC mismatch");
+      }
+      crc_checked_[i] = 1;
+    }
+    return make_view(payload, entry);
+  }
+  if (chunk_cache_ != nullptr) {
+    // The decode callback runs on this reader (dir_ is loaded for chunk
+    // i) and only for the one caller that misses; concurrent readers of
+    // the same chunk wait inside the cache and share the result.
+    buf.cached = chunk_cache_->get_or_decode(
+        mapping_->id(), i,
+        [this, i](std::vector<std::byte>& dest) { decode_v2_chunk(i, dest); });
+    return make_view(buf.cached->data(), entry);
+  }
+  decode_v2_chunk(i, buf.bytes);
+  return make_view(buf.bytes.data(), entry);
 }
 
 std::vector<TraceFileReader::ColumnStats> TraceFileReader::column_stats() {

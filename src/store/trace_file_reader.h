@@ -1,18 +1,20 @@
 // PSTR reader: validates and decodes the chunked binary trace store
 // written by store::TraceFileWriter (layout in store/pstr_format.h).
 //
-// On POSIX the file is memory-mapped and chunks are exposed as zero-copy
-// ChunkViews — aligned spans straight into the mapping (the format
-// 8-aligns every column), so replaying a 100 GB capture touches only the
-// pages the analysis walks. Elsewhere, or with ReaderMode::stream, a
-// buffered-read fallback materializes one chunk at a time into a
-// reusable scratch buffer: resident memory is a single chunk regardless
-// of file size, which is what lets replay campaigns run out-of-core.
+// Every reader reads through a store::SharedMapping: an mmap of the file
+// where mmap works, else one whole-file heap copy (see
+// store/shared_mapping.h). Either way the bytes are one contiguous,
+// 8-aligned buffer, so v1 chunks and all-identity v2 chunks are exposed
+// as zero-copy ChunkViews — aligned spans straight into the mapping (the
+// format 8-aligns every column), and replaying a 100 GB capture touches
+// only the pages the analysis walks. Compressed v2 chunks decode into a
+// caller-owned buffer or a shared store::ChunkCache.
 //
 // Every structural failure is a loud StoreError, never UB or a silent
 // short read: bad magic, unsupported version, truncated file, corrupt
-// footer/index, and per-chunk CRC mismatches (checked on first access of
-// each chunk) all name the file and the violation.
+// footer/index (including a misaligned chunk offset), and per-chunk CRC
+// mismatches (checked on first access of each chunk) all name the file
+// and the violation.
 //
 // Readers are single-threaded; sharded replay gives each shard its own
 // reader over a disjoint chunk range (see store/file_trace_source.h).
@@ -20,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -36,15 +37,8 @@ namespace psc::store {
 
 class ChunkCache;  // store/chunk_cache.h
 
-enum class ReaderMode {
-  automatic,  // mmap where the platform supports it, else stream; the
-              // PSC_NO_MMAP env flag forces the stream fallback
-  mmap,       // require the memory-mapped path (StoreError if unsupported)
-  stream,     // force the buffered-read fallback (one chunk resident)
-};
-
-// Decoded view of one chunk: column spans over either the file mapping
-// (zero-copy) or the reader's scratch buffer. Valid until the next
+// Decoded view of one chunk: column spans over either the mapping
+// (zero-copy) or a decoded-chunk buffer. Valid until the next
 // chunk()/read_rows() call on the owning reader.
 class ChunkView {
  public:
@@ -81,20 +75,18 @@ class ChunkView {
 
 class TraceFileReader {
  public:
-  // Opens and structurally validates `path` (header, footer, chunk
-  // index); chunk payload CRCs are checked lazily on first access.
-  explicit TraceFileReader(const std::string& path,
-                           ReaderMode mode = ReaderMode::automatic);
-  // Reads through an already-open SharedMapping instead of opening the
-  // file again: N readers (one per job or shard) share one mapping of
-  // the dataset. The reader keeps a reference, so the bytes outlive it.
+  // Opens `path` as a SharedMapping of its own and reads through it.
+  explicit TraceFileReader(const std::string& path);
+  // Structurally validates the mapped file (header, footer, chunk index);
+  // chunk payload CRCs are checked lazily on first access. N readers (one
+  // per job or shard) can share one mapping of the dataset; the reader
+  // keeps a reference, so the bytes outlive it.
   explicit TraceFileReader(std::shared_ptr<const SharedMapping> mapping);
-  ~TraceFileReader();
 
   TraceFileReader(const TraceFileReader&) = delete;
   TraceFileReader& operator=(const TraceFileReader&) = delete;
 
-  const std::string& path() const noexcept { return path_; }
+  const std::string& path() const noexcept { return mapping_->path(); }
   // On-disk format version (1 or 2; see store/pstr_format.h).
   std::uint16_t format_version() const noexcept { return version_; }
   const std::vector<util::FourCc>& channels() const noexcept {
@@ -106,15 +98,14 @@ class TraceFileReader {
   std::size_t chunk_capacity() const noexcept { return chunk_capacity_; }
   std::size_t file_bytes() const noexcept { return file_bytes_; }
 
-  // True when the file is memory-mapped (the zero-copy path).
-  bool mapped() const noexcept { return map_ != nullptr; }
-  // Bytes of chunk data the reader itself keeps resident: at most one
-  // chunk's scratch (stream mode) plus one decoded chunk and its
-  // compressed bytes (v2); 0 when mapped v1 (pages belong to the OS
-  // cache). Bounded by a small constant number of chunks regardless of
-  // file size — the out-of-core property.
+  // True when the file is memory-mapped; false for the heap copy. Both
+  // serve uncompressed chunks zero-copy.
+  bool mapped() const noexcept { return mapping_->mmap_backed(); }
+  // Bytes of decoded chunk data the reader itself keeps resident for
+  // chunk(): at most one decoded v2 chunk, 0 while every chunk served
+  // was zero-copy (the mapping's pages are not counted).
   std::size_t resident_bytes() const noexcept {
-    return scratch_.size() + decode_.size() + comp_scratch_.size();
+    return resident_.bytes.size();
   }
 
   std::size_t chunk_rows(std::size_t i) const { return index_.at(i).rows; }
@@ -124,17 +115,16 @@ class TraceFileReader {
   // Index of the chunk holding global row `row` (row < trace_count()).
   std::size_t chunk_containing(std::size_t row) const;
 
-  // Decodes chunk `i`, verifying its CRC on first access; throws
-  // StoreError on corruption. The view is invalidated by the next
-  // chunk()/read_rows() call.
+  // read_chunk_into(i) on the reader's own buffer, memoised on the last
+  // chunk; throws StoreError on corruption. The view is invalidated by
+  // the next chunk()/read_rows() call.
   ChunkView chunk(std::size_t i);
 
   // Routes v2 chunk decodes through a shared decoded-chunk cache keyed
   // by (mapping id, chunk index): N readers over one SharedMapping decode
   // each compressed chunk once and share the immutable bytes. Identity
   // all-column chunks keep their zero-copy mapped path and never touch
-  // the cache. Only SharedMapping-backed readers can attach a cache (the
-  // key needs a stable dataset id); throws std::logic_error otherwise.
+  // the cache.
   void set_chunk_cache(std::shared_ptr<ChunkCache> cache);
 
   // Caller-owned decoded-chunk storage for read_chunk_into: lets the
@@ -148,12 +138,13 @@ class TraceFileReader {
     std::shared_ptr<const std::vector<std::byte>> cached;
   };
 
-  // Like chunk(), but materializes into `buf` when the chunk cannot be
-  // served zero-copy from the mapping, leaving the reader's internal
-  // resident chunk untouched. The view stays valid until `buf` is
-  // reused, even across later chunk()/read_chunk_into() calls — the
-  // contract the double-buffered prefetcher needs. Not thread-safe:
-  // callers serialize all access to the reader (see
+  // The one chunk decoder: checks chunk i's header, serves v1 and
+  // all-identity v2 chunks zero-copy from the mapping (CRC checked on
+  // first access), and otherwise fetches the decoded payload from the
+  // attached cache or decodes it into `buf`. The view stays valid until
+  // `buf` is reused, even across later chunk()/read_chunk_into() calls
+  // — the contract the double-buffered prefetcher needs. Not
+  // thread-safe: callers serialize all access to the reader (see
   // store/chunk_prefetcher.h).
   ChunkView read_chunk_into(std::size_t i, ChunkBuffer& buf);
 
@@ -189,53 +180,30 @@ class TraceFileReader {
 
   [[noreturn]] void fail(const std::string& what) const;
   void validate_structure();
-  void unmap() noexcept;
   void parse_header(const std::byte* data, std::size_t size);
   void parse_footer_and_index();
-  void load_bytes(std::uint64_t offset, std::span<std::byte> out);
-  const std::byte* chunk_base(const ChunkIndexEntry& entry, std::size_t i);
-  ChunkView chunk_v1_into(std::size_t i, std::vector<std::byte>& storage);
-  ChunkView chunk_v2(std::size_t i);
-  ChunkView chunk_v2_into(std::size_t i, ChunkBuffer& buf);
-  // Fetches chunk i's decoded payload through the attached cache; the
-  // chunk's directory (dir_) must already be loaded.
-  std::shared_ptr<const std::vector<std::byte>> cached_chunk(std::size_t i);
-  // Loads + validates chunk i's header and column directory into dir_;
-  // returns true when every column is stored identity. No payload bytes
-  // are touched.
+  // Checks chunk i's header against its index entry.
+  void check_chunk_header(std::size_t i) const;
+  // Validates chunk i's header and column directory into dir_; returns
+  // true when every column is stored identity. No payload bytes are
+  // touched.
   bool load_v2_directory(std::size_t i);
-  // Loads + validates chunk i's header and column directory; returns
-  // true with `payload` set when the all-identity mapped chunk can be
-  // served zero-copy (CRC checked once).
-  bool parse_v2_directory(std::size_t i, const std::byte*& payload);
   void decode_v2_chunk(std::size_t i, std::vector<std::byte>& dest);
   ChunkView make_view(const std::byte* payload, const ChunkIndexEntry& entry);
 
-  std::string path_;
-  std::size_t file_bytes_ = 0;
-
-  // mmap path (null when streaming).
-  const std::byte* map_ = nullptr;
-  std::size_t map_size_ = 0;
-  // Set when map_ points into a SharedMapping this reader does not own.
   std::shared_ptr<const SharedMapping> mapping_;
+  const std::byte* data_ = nullptr;  // mapping_->data()
+  std::size_t file_bytes_ = 0;       // mapping_->size()
 
-  // stream path.
-  std::ifstream in_;
-  std::vector<std::byte> scratch_;
+  // chunk()'s memo: the view of loaded_chunk_, backed by resident_ when
+  // the chunk is not zero-copy.
+  ChunkBuffer resident_;
+  ChunkView loaded_view_;
   std::size_t loaded_chunk_ = static_cast<std::size_t>(-1);
 
-  // Shared decoded-chunk cache (optional; SharedMapping-backed readers
-  // only). cache_hold_ pins the entry behind the last chunk() view.
+  // Shared decoded-chunk cache (optional), keyed by mapping_->id().
   std::shared_ptr<ChunkCache> chunk_cache_;
-  std::uint64_t dataset_id_ = 0;
-  std::shared_ptr<const std::vector<std::byte>> cache_hold_;
-
-  // v2 path: decoded resident chunk (both modes), compressed staging and
-  // the parsed directory of the chunk being opened.
-  std::vector<std::byte> decode_;
-  std::vector<std::byte> comp_scratch_;
-  std::vector<std::byte> dir_scratch_;
+  // Parsed column directory of the v2 chunk being opened.
   std::vector<ColumnBlock> dir_;
 
   std::uint16_t version_ = format_version_v1;

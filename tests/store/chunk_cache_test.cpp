@@ -297,14 +297,6 @@ TEST(ChunkCacheReader, TinyCacheStillServesBitIdenticalBytes) {
   EXPECT_GT(cache->stats().evictions, 0u);
 }
 
-TEST(ChunkCacheReader, FileBackedReaderRejectsCache) {
-  const std::string path = write_compressed("chunk_cache_reject.pstr");
-  TraceFileReader reader(path);  // owns its mapping: no stable dataset id
-  EXPECT_THROW(
-      reader.set_chunk_cache(std::make_shared<ChunkCache>(1 << 20)),
-      std::logic_error);
-}
-
 TEST(ChunkCacheReader, MappingIdsAreUniquePerOpen) {
   const std::string path = write_compressed("chunk_cache_ids.pstr");
   const auto a = SharedMapping::open(path);

@@ -87,15 +87,13 @@ TEST(FileTraceSource, ReplayedCpaCampaignBitIdenticalToLiveRecording) {
     live_result = cpa.engine(0).analyze(models[0], round_keys);
   }
 
-  for (const ReaderMode mode : {ReaderMode::automatic, ReaderMode::stream}) {
-    FileTraceSource replay(path, mode);
-    ASSERT_EQ(replay.remaining(), total);
-    util::Xoshiro256 unused_rng(0);  // replay returns recorded plaintexts
-    const core::CpaEngine engine = core::accumulate_cpa(
-        replay, util::FourCc("PHPC"), models, /*count=*/0, unused_rng);
-    expect_results_identical(engine.analyze(models[0], round_keys),
-                             live_result);
-  }
+  FileTraceSource replay(path);
+  ASSERT_EQ(replay.remaining(), total);
+  util::Xoshiro256 unused_rng(0);  // replay returns recorded plaintexts
+  const core::CpaEngine engine = core::accumulate_cpa(
+      replay, util::FourCc("PHPC"), models, /*count=*/0, unused_rng);
+  expect_results_identical(engine.analyze(models[0], round_keys),
+                           live_result);
 }
 
 // Sharded out-of-core replay: shard units on the ordered window each

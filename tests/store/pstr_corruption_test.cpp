@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "store/shared_mapping.h"
 #include "store/trace_file_reader.h"
 #include "store/trace_file_writer.h"
 #include "util/crc32.h"
@@ -61,10 +63,9 @@ void dump(const std::string& path, const std::vector<char>& bytes) {
 
 // Expects opening (or fully reading) `path` to throw a StoreError whose
 // message contains `needle`.
-void expect_open_fails(const std::string& path, const std::string& needle,
-                       ReaderMode mode = ReaderMode::automatic) {
+void expect_open_fails(const std::string& path, const std::string& needle) {
   try {
-    TraceFileReader reader(path, mode);
+    TraceFileReader reader(path);
     core::TraceBatch batch(reader.channels().size());
     reader.read_rows(0, reader.trace_count(), batch);
     FAIL() << "expected StoreError containing \"" << needle << "\"";
@@ -76,6 +77,26 @@ void expect_open_fails(const std::string& path, const std::string& needle,
 
 TEST(PstrCorruption, MissingFile) {
   expect_open_fails(temp_path("does_not_exist.pstr"), "cannot open");
+}
+
+// A directory is sized, mapped and read through one descriptor, so it is
+// refused as "not a regular file" — on the mmap path and the heap-copy
+// path alike, never sized as a huge stream and allocated.
+TEST(PstrCorruption, DirectoryIsNotARegularFile) {
+  const std::string dir = ::testing::TempDir();
+  const char* prior = std::getenv("PSC_NO_MMAP");
+  const std::string saved = prior != nullptr ? prior : "";
+  for (const char* no_mmap : {"0", "1"}) {
+    SCOPED_TRACE(std::string("PSC_NO_MMAP=") + no_mmap);
+    ASSERT_EQ(::setenv("PSC_NO_MMAP", no_mmap, 1), 0);
+    expect_open_fails(dir, "not a regular file");
+    EXPECT_THROW(SharedMapping::open(dir), StoreError);
+  }
+  if (prior != nullptr) {
+    ASSERT_EQ(::setenv("PSC_NO_MMAP", saved.c_str(), 1), 0);
+  } else {
+    ASSERT_EQ(::unsetenv("PSC_NO_MMAP"), 0);
+  }
 }
 
 TEST(PstrCorruption, FileShorterThanMagic) {
@@ -116,40 +137,38 @@ TEST(PstrCorruption, TruncatedTail) {
 }
 
 TEST(PstrCorruption, ChunkPayloadBitFlip) {
-  for (const ReaderMode mode : {ReaderMode::automatic, ReaderMode::stream}) {
-    const std::string path = write_valid_file("payload.pstr");
-    auto bytes = slurp(path);
-    // Chunks are contiguous after the header; find chunk 1's header by
-    // scanning for the second "CHNK", then flip one payload bit.
-    std::size_t victim_offset = bytes.size();
-    std::size_t seen = 0;
-    for (std::size_t i = 0; i + 4 <= bytes.size(); ++i) {
-      if (bytes[i] == 'C' && bytes[i + 1] == 'H' && bytes[i + 2] == 'N' &&
-          bytes[i + 3] == 'K' && ++seen == 2) {
-        victim_offset = i + chunk_header_bytes + 40;  // inside the payload
-        break;
-      }
+  const std::string path = write_valid_file("payload.pstr");
+  auto bytes = slurp(path);
+  // Chunks are contiguous after the header; find chunk 1's header by
+  // scanning for the second "CHNK", then flip one payload bit.
+  std::size_t victim_offset = bytes.size();
+  std::size_t seen = 0;
+  for (std::size_t i = 0; i + 4 <= bytes.size(); ++i) {
+    if (bytes[i] == 'C' && bytes[i + 1] == 'H' && bytes[i + 2] == 'N' &&
+        bytes[i + 3] == 'K' && ++seen == 2) {
+      victim_offset = i + chunk_header_bytes + 40;  // inside the payload
+      break;
     }
-    ASSERT_LT(victim_offset, bytes.size());
-    bytes[victim_offset] = static_cast<char>(bytes[victim_offset] ^ 0x10);
-    dump(path, bytes);
+  }
+  ASSERT_LT(victim_offset, bytes.size());
+  bytes[victim_offset] = static_cast<char>(bytes[victim_offset] ^ 0x10);
+  dump(path, bytes);
 
-    TraceFileReader reader(path, mode);
-    core::TraceBatch batch(2);
-    // Chunk 0 is intact and reads fine...
-    reader.read_rows(0, chunk_rows, batch);
-    EXPECT_EQ(batch.size(), chunk_rows);
-    // ...but touching the flipped chunk is a loud CRC error, not a wrong
-    // correlation.
-    batch.clear();
-    try {
-      reader.read_rows(chunk_rows, chunk_rows, batch);
-      FAIL() << "expected CRC mismatch";
-    } catch (const StoreError& e) {
-      EXPECT_NE(std::string(e.what()).find("CRC mismatch"),
-                std::string::npos)
-          << e.what();
-    }
+  TraceFileReader reader(path);
+  core::TraceBatch batch(2);
+  // Chunk 0 is intact and reads fine...
+  reader.read_rows(0, chunk_rows, batch);
+  EXPECT_EQ(batch.size(), chunk_rows);
+  // ...but touching the flipped chunk is a loud CRC error, not a wrong
+  // correlation.
+  batch.clear();
+  try {
+    reader.read_rows(chunk_rows, chunk_rows, batch);
+    FAIL() << "expected CRC mismatch";
+  } catch (const StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("CRC mismatch"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -192,9 +211,25 @@ TEST(PstrCorruption, CraftedHugeChunkOffsetWithValidIndexCrc) {
   const std::size_t entries_size = chunks * index_entry_bytes;
   put_u32(entries + entries_size, util::crc32(entries, entries_size));
   dump(path, bytes);
-  for (const ReaderMode mode : {ReaderMode::automatic, ReaderMode::stream}) {
-    expect_open_fails(path, "chunk index", mode);
-  }
+  expect_open_fails(path, "chunk index");
+}
+
+// Every section starts 8-aligned and so does the mapping, so a chunk
+// offset that is not must be refused as a corrupt index (never served as
+// a misaligned double column).
+TEST(PstrCorruption, MisalignedChunkOffsetWithValidIndexCrc) {
+  const std::string path = write_valid_file("misaligned_offset.pstr");
+  auto bytes = slurp(path);
+  std::byte* data = reinterpret_cast<std::byte*>(bytes.data());
+  const std::byte* footer = data + bytes.size() - footer_bytes;
+  const std::uint64_t index_offset = get_u64(footer);
+  const std::uint64_t chunks = get_u64(footer + 16);
+  std::byte* entries = data + index_offset + 16;
+  put_u64(entries, get_u64(entries) + 4);
+  const std::size_t entries_size = chunks * index_entry_bytes;
+  put_u32(entries + entries_size, util::crc32(entries, entries_size));
+  dump(path, bytes);
+  expect_open_fails(path, "chunk index");
 }
 
 TEST(PstrCorruption, CraftedHugeChunkCountWithValidFooterCrc) {

@@ -77,18 +77,16 @@ TEST(PstrStore, RoundTripsBitExactAcrossChunkBoundaries) {
   EXPECT_EQ(writer.trace_count(), 180u);
   writer.finalize();
 
-  for (const ReaderMode mode : {ReaderMode::automatic, ReaderMode::stream}) {
-    TraceFileReader reader(path, mode);
-    EXPECT_EQ(reader.trace_count(), 180u);
-    EXPECT_EQ(reader.chunk_count(), 3u);  // 64 + 64 + 52
-    EXPECT_EQ(reader.chunk_rows(0), 64u);
-    EXPECT_EQ(reader.chunk_rows(2), 52u);
-    EXPECT_EQ(reader.channels(), two_channels);
+  TraceFileReader reader(path);
+  EXPECT_EQ(reader.trace_count(), 180u);
+  EXPECT_EQ(reader.chunk_count(), 3u);  // 64 + 64 + 52
+  EXPECT_EQ(reader.chunk_rows(0), 64u);
+  EXPECT_EQ(reader.chunk_rows(2), 52u);
+  EXPECT_EQ(reader.channels(), two_channels);
 
-    core::TraceBatch loaded(2);
-    reader.read_rows(0, reader.trace_count(), loaded);
-    expect_batches_identical(loaded, data);
-  }
+  core::TraceBatch loaded(2);
+  reader.read_rows(0, reader.trace_count(), loaded);
+  expect_batches_identical(loaded, data);
 }
 
 TEST(PstrStore, HeaderMetadataRoundTrips) {
@@ -157,76 +155,17 @@ TEST(PstrStore, MappedReaderServesZeroCopyChunks) {
   writer.append(data);
   writer.finalize();
 
-  TraceFileReader reader(path, ReaderMode::mmap);
-  ASSERT_TRUE(reader.mapped());
+  TraceFileReader reader(path);
   const ChunkView view = reader.chunk(1);
   EXPECT_EQ(view.rows(), 32u);
   EXPECT_EQ(view.row_begin(), 64u);
-  // Aligned mapped chunks never touch the scratch buffer.
+  // v1 chunks are served straight from the mapping, mmap-backed or
+  // heap-copied alike: the reader decodes nothing into its own buffer.
   EXPECT_EQ(reader.resident_bytes(), 0u);
   for (std::size_t i = 0; i < view.rows(); ++i) {
     ASSERT_EQ(view.plaintexts()[i], data.plaintexts()[64 + i]);
     ASSERT_EQ(view.column(1)[i], data.column(1)[64 + i]);
   }
-}
-
-// The out-of-core guarantee: a stream-mode reader walking a file keeps
-// only one chunk resident, so files larger than any configured batch
-// pool replay without being loaded wholesale.
-TEST(PstrStore, StreamReaderStaysOutOfCore) {
-  const std::string path = temp_path("outofcore.pstr");
-  util::Xoshiro256 rng(5);
-  constexpr std::size_t chunk_rows = 128;
-  constexpr std::size_t total_rows = 6400;
-  {
-    TraceFileWriter writer(
-        path, {.channels = two_channels, .chunk_capacity = chunk_rows});
-    core::TraceBatch batch(2);
-    for (std::size_t produced = 0; produced < total_rows; produced += 400) {
-      batch = random_batch(rng, 400, 2);
-      writer.append(batch);
-    }
-    writer.finalize();
-  }
-
-  TraceFileReader reader(path, ReaderMode::stream);
-  EXPECT_FALSE(reader.mapped());
-  const std::size_t one_chunk = chunk_bytes(chunk_rows, 2);
-  ASSERT_GT(reader.file_bytes(), 10 * one_chunk);
-
-  core::TraceBatch batch(2);
-  std::size_t seen = 0;
-  while (seen < reader.trace_count()) {
-    const std::size_t take = std::min<std::size_t>(100, total_rows - seen);
-    batch.clear();
-    reader.read_rows(seen, take, batch);
-    ASSERT_EQ(batch.size(), take);
-    // Never more than one chunk resident, however much has streamed by.
-    ASSERT_LE(reader.resident_bytes(), one_chunk);
-    seen += take;
-  }
-  EXPECT_EQ(seen, total_rows);
-  EXPECT_LT(reader.resident_bytes(), reader.file_bytes() / 10);
-}
-
-TEST(PstrStore, StreamAndMmapReadsAreIdentical) {
-  const std::string path = temp_path("modes.pstr");
-  util::Xoshiro256 rng(6);
-  const core::TraceBatch data = random_batch(rng, 250, 3);
-  TraceFileWriter writer(
-      path, {.channels = {util::FourCc("PHPC"), util::FourCc("PMVC"),
-                          util::FourCc("PCPU")},
-             .chunk_capacity = 77});
-  writer.append(data);
-  writer.finalize();
-
-  TraceFileReader mapped(path, ReaderMode::automatic);
-  TraceFileReader streamed(path, ReaderMode::stream);
-  core::TraceBatch a(3);
-  core::TraceBatch b(3);
-  mapped.read_rows(13, 200, a);
-  streamed.read_rows(13, 200, b);
-  expect_batches_identical(a, b);
 }
 
 TEST(PstrStore, WriterRejectsMisuse) {

@@ -1,6 +1,6 @@
 // PSTR v2: compressed chunk codecs end-to-end through the store layer.
-// Round trips must be bit-exact in both reader modes, corruption inside
-// a *compressed* column block must be a loud StoreError (the CRC covers
+// Round trips must be bit-exact, corruption inside a *compressed*
+// column block must be a loud StoreError (the CRC covers
 // the decoded payload, so codecs cannot weaken integrity), a CPA
 // campaign replayed from a v2 file — through the prefetching source —
 // must match the live recording bit for bit, and a v1 recording
@@ -173,10 +173,9 @@ std::size_t column_block_offset(std::vector<char>& bytes, std::size_t col) {
   return off;
 }
 
-void expect_chunk0_fails(const std::string& path, const std::string& needle,
-                         ReaderMode mode) {
+void expect_chunk0_fails(const std::string& path, const std::string& needle) {
   try {
-    TraceFileReader reader(path, mode);
+    TraceFileReader reader(path);
     core::TraceBatch batch(reader.channels().size());
     reader.read_rows(0, chunk_rows, batch);
     FAIL() << "expected StoreError containing \"" << needle << "\"";
@@ -186,18 +185,16 @@ void expect_chunk0_fails(const std::string& path, const std::string& needle,
   }
 }
 
-TEST(PstrV2, RoundTripsBitExactInBothReaderModes) {
+TEST(PstrV2, RoundTripsBitExact) {
   const core::TraceBatch original = quantized_batch(3);
   const std::string path = write_v2_file("v2_roundtrip.pstr", original);
 
-  for (const ReaderMode mode : {ReaderMode::automatic, ReaderMode::stream}) {
-    TraceFileReader reader(path, mode);
-    EXPECT_EQ(reader.format_version(), format_version_v2);
-    ASSERT_EQ(reader.trace_count(), rows);
-    core::TraceBatch loaded(n_channels);
-    reader.read_rows(0, rows, loaded);
-    expect_batches_bit_identical(loaded, original);
-  }
+  TraceFileReader reader(path);
+  EXPECT_EQ(reader.format_version(), format_version_v2);
+  ASSERT_EQ(reader.trace_count(), rows);
+  core::TraceBatch loaded(n_channels);
+  reader.read_rows(0, rows, loaded);
+  expect_batches_bit_identical(loaded, original);
 }
 
 TEST(PstrV2, CompressionEngagesAndShrinksChannelColumns) {
@@ -273,47 +270,41 @@ TEST(PstrV2, UnquantizedDataFallsBackToIdentityAndRoundTrips) {
   writer.finalize();
   EXPECT_EQ(writer.channel_stored_bytes(), writer.channel_raw_bytes());
 
-  for (const ReaderMode mode : {ReaderMode::automatic, ReaderMode::stream}) {
-    TraceFileReader reader(path, mode);
-    core::TraceBatch loaded(n_channels);
-    reader.read_rows(0, rows, loaded);
-    expect_batches_bit_identical(loaded, batch);
-  }
+  TraceFileReader reader(path);
+  core::TraceBatch loaded(n_channels);
+  reader.read_rows(0, rows, loaded);
+  expect_batches_bit_identical(loaded, batch);
 }
 
 TEST(PstrV2, BitFlipInCompressedBlockHeaderIsLoudError) {
-  for (const ReaderMode mode : {ReaderMode::automatic, ReaderMode::stream}) {
-    const std::string path =
-        write_v2_file("v2_flip_header.pstr", quantized_batch(11));
-    auto bytes = slurp(path);
-    // Channel 0 (column 2) must actually be compressed, or the test
-    // would pass vacuously against an identity block.
-    ASSERT_EQ(get_u32(dir_entry(bytes, 2)),
-              static_cast<std::uint32_t>(ColumnCodec::delta_bitpack));
-    // Corrupt the encoded block's count field: decode fails structurally.
-    const std::size_t off = column_block_offset(bytes, 2);
-    bytes[off] = static_cast<char>(bytes[off] ^ 0x01);
-    dump(path, bytes);
-    expect_chunk0_fails(path, "corrupt compressed block", mode);
-  }
+  const std::string path =
+      write_v2_file("v2_flip_header.pstr", quantized_batch(11));
+  auto bytes = slurp(path);
+  // Channel 0 (column 2) must actually be compressed, or the test
+  // would pass vacuously against an identity block.
+  ASSERT_EQ(get_u32(dir_entry(bytes, 2)),
+            static_cast<std::uint32_t>(ColumnCodec::delta_bitpack));
+  // Corrupt the encoded block's count field: decode fails structurally.
+  const std::size_t off = column_block_offset(bytes, 2);
+  bytes[off] = static_cast<char>(bytes[off] ^ 0x01);
+  dump(path, bytes);
+  expect_chunk0_fails(path, "corrupt compressed block");
 }
 
 TEST(PstrV2, BitFlipInPackedDeltasFailsDecodedPayloadCrc) {
-  for (const ReaderMode mode : {ReaderMode::automatic, ReaderMode::stream}) {
-    const std::string path =
-        write_v2_file("v2_flip_payload.pstr", quantized_batch(13));
-    auto bytes = slurp(path);
-    ASSERT_EQ(get_u32(dir_entry(bytes, 2)),
-              static_cast<std::uint32_t>(ColumnCodec::delta_bitpack));
-    // Flip a packed delta bit past the 24-byte codec header: the block
-    // stays structurally valid and decodes — to different values, which
-    // the CRC over the *decoded* payload must catch.
-    ASSERT_GT(get_u64(dir_entry(bytes, 2) + 16), std::uint64_t{24});
-    const std::size_t off = column_block_offset(bytes, 2) + 24;
-    bytes[off] = static_cast<char>(bytes[off] ^ 0x10);
-    dump(path, bytes);
-    expect_chunk0_fails(path, "payload CRC mismatch", mode);
-  }
+  const std::string path =
+      write_v2_file("v2_flip_payload.pstr", quantized_batch(13));
+  auto bytes = slurp(path);
+  ASSERT_EQ(get_u32(dir_entry(bytes, 2)),
+            static_cast<std::uint32_t>(ColumnCodec::delta_bitpack));
+  // Flip a packed delta bit past the 24-byte codec header: the block
+  // stays structurally valid and decodes — to different values, which
+  // the CRC over the *decoded* payload must catch.
+  ASSERT_GT(get_u64(dir_entry(bytes, 2) + 16), std::uint64_t{24});
+  const std::size_t off = column_block_offset(bytes, 2) + 24;
+  bytes[off] = static_cast<char>(bytes[off] ^ 0x10);
+  dump(path, bytes);
+  expect_chunk0_fails(path, "payload CRC mismatch");
 }
 
 TEST(PstrV2, DirectoryCorruptionIsLoudError) {
@@ -324,10 +315,7 @@ TEST(PstrV2, DirectoryCorruptionIsLoudError) {
     auto bytes = slurp(path);
     put_u32(dir_entry(bytes, 2), 7);
     dump(path, bytes);
-    for (const ReaderMode mode :
-         {ReaderMode::automatic, ReaderMode::stream}) {
-      expect_chunk0_fails(path, "unknown codec 7", mode);
-    }
+    expect_chunk0_fails(path, "unknown codec 7");
   }
   // stored_bytes beyond the chunk's byte budget.
   {
@@ -336,10 +324,7 @@ TEST(PstrV2, DirectoryCorruptionIsLoudError) {
     auto bytes = slurp(path);
     put_u64(dir_entry(bytes, 2) + 16, 0xfffffffffffff000ull);
     dump(path, bytes);
-    for (const ReaderMode mode :
-         {ReaderMode::automatic, ReaderMode::stream}) {
-      expect_chunk0_fails(path, "corrupt chunk 0", mode);
-    }
+    expect_chunk0_fails(path, "corrupt chunk 0");
   }
 }
 
@@ -367,13 +352,17 @@ TEST(PstrV2, PrefetchOnAndOffProduceBitIdenticalBatches) {
   expect_batches_bit_identical(with_prefetch, original);
 }
 
-TEST(PstrV2, NoMmapEnvForcesStreamFallback) {
+TEST(PstrV2, NoMmapEnvForcesHeapCopy) {
   const core::TraceBatch original = quantized_batch(29);
   const std::string path = write_v2_file("v2_no_mmap.pstr", original);
 
+  // Restored at the end, so a suite run under PSC_NO_MMAP=1 stays on
+  // the heap path for the tests after this one.
+  const char* prior = std::getenv("PSC_NO_MMAP");
+  const std::string saved = prior != nullptr ? prior : "";
   ASSERT_EQ(::setenv("PSC_NO_MMAP", "1", 1), 0);
   {
-    // automatic now takes the buffered-fread path...
+    // The reader's SharedMapping is now a whole-file heap copy...
     TraceFileReader reader(path);
     EXPECT_FALSE(reader.mapped());
     core::TraceBatch loaded(n_channels);
@@ -387,14 +376,12 @@ TEST(PstrV2, NoMmapEnvForcesStreamFallback) {
     replayed.resize(rows);
     source.collect_batch(replayed);
     expect_batches_bit_identical(replayed, original);
-
-    // Asking for mmap explicitly still maps: the env knob only steers
-    // `automatic`.
-    TraceFileReader mapped_reader(path, ReaderMode::mmap);
-    EXPECT_TRUE(mapped_reader.mapped());
   }
   ASSERT_EQ(::unsetenv("PSC_NO_MMAP"), 0);
   EXPECT_TRUE(TraceFileReader(path).mapped());
+  if (prior != nullptr) {
+    ASSERT_EQ(::setenv("PSC_NO_MMAP", saved.c_str(), 1), 0);
+  }
 }
 
 void expect_results_identical(const core::ModelResult& a,
@@ -411,8 +398,8 @@ void expect_results_identical(const core::ModelResult& a,
 }
 
 // The v2 acceptance test: a live campaign teed to a *compressed*
-// recording replays bit-identically through the prefetching source, in
-// both reader modes. Compression and async decode change bytes on disk
+// recording replays bit-identically through the prefetching source.
+// Compression and async decode change bytes on disk
 // and the schedule — never a single analyzed bit.
 TEST(PstrV2, ReplayedCpaFromV2FileBitIdenticalToLiveRecording) {
   const std::string path = temp_path("v2_recorded_campaign.pstr");
@@ -468,17 +455,15 @@ TEST(PstrV2, ReplayedCpaFromV2FileBitIdenticalToLiveRecording) {
   // against drifting away from what the measurement path emits.
   EXPECT_LT(stored_bytes * 2, raw_bytes);
 
-  for (const ReaderMode mode : {ReaderMode::automatic, ReaderMode::stream}) {
-    FileTraceSource replay(
-        path, FileSourceOptions{.mode = mode, .prefetch = PrefetchMode::on});
-    EXPECT_EQ(replay.reader().format_version(), format_version_v2);
-    ASSERT_EQ(replay.remaining(), total);
-    util::Xoshiro256 unused_rng(0);  // replay returns recorded plaintexts
-    const core::CpaEngine engine = core::accumulate_cpa(
-        replay, util::FourCc("PHPC"), models, /*count=*/0, unused_rng);
-    expect_results_identical(engine.analyze(models[0], round_keys),
-                             live_result);
-  }
+  FileTraceSource replay(path,
+                         FileSourceOptions{.prefetch = PrefetchMode::on});
+  EXPECT_EQ(replay.reader().format_version(), format_version_v2);
+  ASSERT_EQ(replay.remaining(), total);
+  util::Xoshiro256 unused_rng(0);  // replay returns recorded plaintexts
+  const core::CpaEngine engine = core::accumulate_cpa(
+      replay, util::FourCc("PHPC"), models, /*count=*/0, unused_rng);
+  expect_results_identical(engine.analyze(models[0], round_keys),
+                           live_result);
 }
 
 // Replays a store recorded in TVLA protocol order through one TvlaSink
