@@ -17,20 +17,22 @@
 //                        [--per-set N] [--seed N] [--shards N]
 //                        [--watch] [--verify-local]
 //   psc_busctl watch     --socket S <job-id>
-//   psc_busctl result    --socket S cpa|tvla|scenario <job-id>
+//   psc_busctl result    --socket S <job-id>
 //   psc_busctl shutdown  --socket S
 //
 // `submit --verify-local` is the bit-identity check the CI smoke job
 // leans on: after the daemon finishes the job, the same spec is rerun
 // in-process (run_*_job over the same file, or run_scenario_job for
-// live-acquisition scenario jobs) and every result double is compared
-// bit-for-bit — any drift between daemon-served and local analysis
-// exits non-zero. `serve` installs SIGINT/SIGTERM handlers and drains
-// running jobs before exiting, so `kill -TERM` is a clean stop.
+// live-acquisition scenario jobs), encoded with the served job id, and
+// the resulting frame is compared with the served result frame byte for
+// byte. Every result field is on the wire and every double travels as
+// its bit pattern, so any drift between daemon-served and local
+// analysis exits non-zero. `serve` installs SIGINT/SIGTERM handlers and
+// drains running jobs before exiting, so `kill -TERM` is a clean stop.
 // `datasets` also prints the daemon's STATS frame: decoded-chunk cache
 // counters plus the per-job shard-scheduler rows.
-#include <bit>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -69,7 +71,7 @@ int usage() {
          "                       [--per-set N] [--seed N] [--shards N]\n"
          "                       [--watch] [--verify-local]\n"
          "  psc_busctl watch     --socket S <job-id>\n"
-         "  psc_busctl result    --socket S cpa|tvla|scenario <job-id>\n"
+         "  psc_busctl result    --socket S <job-id>\n"
          "  psc_busctl shutdown  --socket S\n";
   return 2;
 }
@@ -150,7 +152,8 @@ void print_progress(const bus::ProgressMsg& msg) {
   std::cout << "\n";
 }
 
-void print_cpa_result(std::uint64_t id, const bus::CpaJobResult& result) {
+void print(const bus::CpaResultMsg& msg) {
+  const auto& [id, result] = msg;
   std::cout << "job " << id << ": CPA over " << result.traces << " traces\n";
   std::vector<core::RankColumn> columns;
   for (const core::ModelResult& model : result.models) {
@@ -168,7 +171,8 @@ void print_cpa_result(std::uint64_t id, const bus::CpaJobResult& result) {
   }
 }
 
-void print_tvla_result(std::uint64_t id, const bus::TvlaJobResult& result) {
+void print(const bus::TvlaResultMsg& msg) {
+  const auto& [id, result] = msg;
   std::cout << "job " << id << ": TVLA with " << result.traces_per_set
             << " traces per set\n";
   core::tvla_table("TVLA t-scores (daemon job " + std::to_string(id) + ")",
@@ -176,8 +180,8 @@ void print_tvla_result(std::uint64_t id, const bus::TvlaJobResult& result) {
       .render(std::cout);
 }
 
-void print_scenario_result(std::uint64_t id,
-                           const bus::ScenarioJobResult& result) {
+void print(const bus::ScenarioResultMsg& msg) {
+  const auto& [id, result] = msg;
   std::cout << "job " << id << ": scenario '" << result.scenario << "', "
             << result.traces_per_set << " traces per set\n";
   core::tvla_table("TVLA t-scores (daemon job " + std::to_string(id) + ")",
@@ -196,117 +200,16 @@ void print_scenario_result(std::uint64_t id,
             << result.max_cross_class_t() << "\n";
 }
 
-// ---------- bit-identity comparison (submit --verify-local) ----------
-
-bool bits_equal(double a, double b) {
-  // == would call 0.0 and -0.0 identical and NaN unequal to itself; the
-  // contract is bit-identity, so compare the representation.
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-bool model_result_equal(const core::ModelResult& x,
-                        const core::ModelResult& y) {
-  if (x.model != y.model || x.true_ranks != y.true_ranks ||
-      x.scored_key != y.scored_key || !bits_equal(x.ge_bits, y.ge_bits) ||
-      !bits_equal(x.mean_rank, y.mean_rank) ||
-      x.best_round_key != y.best_round_key ||
-      x.implied_master_key != y.implied_master_key ||
-      x.recovered_bytes != y.recovered_bytes ||
-      x.near_recovered_bytes != y.near_recovered_bytes) {
-    return false;
+// Prints any of the three result frames fetch_result() accepts.
+void print_result(const bus::ResultFrame& frame) {
+  bus::PayloadReader r(frame.payload);
+  if (frame.type == bus::MsgType::cpa_result) {
+    print(bus::CpaResultMsg::decode(r));
+  } else if (frame.type == bus::MsgType::tvla_result) {
+    print(bus::TvlaResultMsg::decode(r));
+  } else {
+    print(bus::ScenarioResultMsg::decode(r));
   }
-  for (std::size_t i = 0; i < 16; ++i) {
-    for (std::size_t g = 0; g < 256; ++g) {
-      if (!bits_equal(x.bytes[i].correlation[g], y.bytes[i].correlation[g])) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool cpa_equal(const bus::CpaJobResult& a, const bus::CpaJobResult& b) {
-  if (a.traces != b.traces || a.models.size() != b.models.size()) {
-    return false;
-  }
-  for (std::size_t m = 0; m < a.models.size(); ++m) {
-    if (!model_result_equal(a.models[m], b.models[m])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool tvla_equal(const bus::TvlaJobResult& a, const bus::TvlaJobResult& b) {
-  if (a.traces_per_set != b.traces_per_set ||
-      a.channels.size() != b.channels.size()) {
-    return false;
-  }
-  for (std::size_t c = 0; c < a.channels.size(); ++c) {
-    if (a.channels[c].channel != b.channels[c].channel) {
-      return false;
-    }
-    for (std::size_t i = 0; i < 3; ++i) {
-      for (std::size_t j = 0; j < 3; ++j) {
-        if (!bits_equal(a.channels[c].matrix.t[i][j],
-                        b.channels[c].matrix.t[i][j])) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
-bool scenario_equal(const bus::ScenarioJobResult& a,
-                    const bus::ScenarioJobResult& b) {
-  if (a.scenario != b.scenario || a.secret != b.secret ||
-      a.traces_per_set != b.traces_per_set ||
-      a.cpa_trace_count != b.cpa_trace_count || a.channels != b.channels ||
-      a.leakage_channels != b.leakage_channels ||
-      a.tvla.size() != b.tvla.size() || a.cpa.size() != b.cpa.size()) {
-    return false;
-  }
-  for (std::size_t c = 0; c < a.tvla.size(); ++c) {
-    if (a.tvla[c].channel != b.tvla[c].channel) {
-      return false;
-    }
-    for (std::size_t i = 0; i < 3; ++i) {
-      for (std::size_t j = 0; j < 3; ++j) {
-        if (!bits_equal(a.tvla[c].matrix.t[i][j], b.tvla[c].matrix.t[i][j])) {
-          return false;
-        }
-      }
-    }
-  }
-  for (std::size_t k = 0; k < a.cpa.size(); ++k) {
-    const core::CpaKeyResult& x = a.cpa[k];
-    const core::CpaKeyResult& y = b.cpa[k];
-    if (x.key != y.key || x.final_results.size() != y.final_results.size() ||
-        x.curves.size() != y.curves.size()) {
-      return false;
-    }
-    for (std::size_t m = 0; m < x.final_results.size(); ++m) {
-      if (!model_result_equal(x.final_results[m], y.final_results[m])) {
-        return false;
-      }
-    }
-    for (std::size_t m = 0; m < x.curves.size(); ++m) {
-      if (x.curves[m].size() != y.curves[m].size()) {
-        return false;
-      }
-      for (std::size_t p = 0; p < x.curves[m].size(); ++p) {
-        const core::GeCurvePoint& u = x.curves[m][p];
-        const core::GeCurvePoint& v = y.curves[m][p];
-        if (u.traces != v.traces || !bits_equal(u.ge_bits, v.ge_bits) ||
-            !bits_equal(u.mean_rank, v.mean_rank) ||
-            u.recovered_bytes != v.recovered_bytes) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
 }
 
 // The daemon's stored path for `dataset` (the summary travels with the
@@ -423,10 +326,14 @@ int cmd_submit(const Args& args) {
   bus::BusClient client(require_socket(args));
 
   std::uint64_t id = 0;
-  bus::CpaJobSpec cpa;
-  bus::TvlaJobSpec tvla;
-  bus::ScenarioJobSpec scenario;
+  // Reruns the submitted spec in-process and encodes the result as the
+  // daemon does, served job id included (submit --verify-local).
+  std::function<bus::ResultFrame()> run_local;
+  const auto local_dataset = [&] {
+    return store::SharedMapping::open(dataset_path(client, dataset));
+  };
   if (kind == "cpa") {
+    bus::CpaJobSpec cpa;
     const auto channel = args.flag("channel");
     const auto key = args.flag("key");
     if (!channel.has_value() || !key.has_value()) {
@@ -457,7 +364,12 @@ int cmd_submit(const Args& args) {
       cpa.shards = static_cast<std::uint32_t>(parse_u64(*shards));
     }
     id = client.submit_cpa(dataset, cpa);
+    run_local = [&, id, cpa] {
+      return bus::result_frame(
+          bus::CpaResultMsg{id, bus::run_cpa_job(local_dataset(), cpa)});
+    };
   } else if (kind == "tvla") {
+    bus::TvlaJobSpec tvla;
     if (const auto per_set = args.flag("per-set")) {
       tvla.traces_per_set = parse_u64(*per_set);
     }
@@ -465,7 +377,12 @@ int cmd_submit(const Args& args) {
       tvla.shards = static_cast<std::uint32_t>(parse_u64(*shards));
     }
     id = client.submit_tvla(dataset, tvla);
+    run_local = [&, id, tvla] {
+      return bus::result_frame(
+          bus::TvlaResultMsg{id, bus::run_tvla_job(local_dataset(), tvla)});
+    };
   } else if (kind == "scenario") {
+    bus::ScenarioJobSpec scenario;
     scenario.scenario = dataset;  // second positional is the scenario name
     for (const std::string& spec : args.flag_all("param")) {
       const std::size_t eq = spec.find('=');
@@ -485,6 +402,12 @@ int cmd_submit(const Args& args) {
       scenario.shards = static_cast<std::uint32_t>(parse_u64(*shards));
     }
     id = client.submit_scenario(scenario);
+    // Scenario results are worker-invariant, so a single-worker rerun
+    // of the same spec must match the daemon's parallel run exactly.
+    run_local = [id, scenario] {
+      return bus::result_frame(
+          bus::ScenarioResultMsg{id, bus::run_scenario_job(scenario)});
+    };
   } else {
     return usage();
   }
@@ -500,46 +423,15 @@ int cmd_submit(const Args& args) {
     return 1;
   }
 
-  if (kind == "cpa") {
-    const bus::CpaJobResult remote = client.cpa_result(id);
-    print_cpa_result(id, remote);
-    if (args.verify_local) {
-      const bus::CpaJobResult local =
-          bus::run_cpa_job(store::SharedMapping::open(
-                               dataset_path(client, dataset)),
-                           cpa);
-      const bool same = cpa_equal(remote, local);
-      std::cout << "verify-local: " << (same ? "bit-identical" : "MISMATCH")
-                << "\n";
-      return same ? 0 : 1;
-    }
-  } else if (kind == "tvla") {
-    const bus::TvlaJobResult remote = client.tvla_result(id);
-    print_tvla_result(id, remote);
-    if (args.verify_local) {
-      const bus::TvlaJobResult local =
-          bus::run_tvla_job(store::SharedMapping::open(
-                                dataset_path(client, dataset)),
-                            tvla);
-      const bool same = tvla_equal(remote, local);
-      std::cout << "verify-local: " << (same ? "bit-identical" : "MISMATCH")
-                << "\n";
-      return same ? 0 : 1;
-    }
-  } else {
-    const bus::ScenarioJobResult remote = client.scenario_result(id);
-    print_scenario_result(id, remote);
-    if (args.verify_local) {
-      // Scenario results are worker-invariant, so a single-worker rerun
-      // of the same spec must match the daemon's parallel run exactly.
-      const bus::ScenarioJobResult local = bus::run_scenario_job(scenario);
-      const bool same = scenario_equal(remote, local);
-      std::cout << "verify-local: " << (same ? "bit-identical" : "MISMATCH")
-                << "\n";
-      return same ? 0 : 1;
-    }
+  const bus::ResultFrame served = client.fetch_result(id);
+  print_result(served);
+  if (!args.verify_local) {
+    return 0;
   }
-  return 0;
+  const bool same = run_local() == served;
+  std::cout << "verify-local: " << (same ? "bit-identical" : "MISMATCH")
+            << "\n";
+  return same ? 0 : 1;
 }
 
 int cmd_watch(const Args& args) {
@@ -558,21 +450,11 @@ int cmd_watch(const Args& args) {
 }
 
 int cmd_result(const Args& args) {
-  if (args.positional.size() != 2) {
+  if (args.positional.size() != 1) {
     return usage();
   }
   bus::BusClient client(require_socket(args));
-  const std::string& kind = args.positional[0];
-  const std::uint64_t id = parse_u64(args.positional[1]);
-  if (kind == "cpa") {
-    print_cpa_result(id, client.cpa_result(id));
-  } else if (kind == "tvla") {
-    print_tvla_result(id, client.tvla_result(id));
-  } else if (kind == "scenario") {
-    print_scenario_result(id, client.scenario_result(id));
-  } else {
-    return usage();
-  }
+  print_result(client.fetch_result(parse_u64(args.positional[0])));
   return 0;
 }
 

@@ -6,12 +6,24 @@ namespace psc::bus {
 
 namespace {
 
-[[noreturn]] void throw_unexpected(MsgType got, MsgType expected) {
+[[noreturn]] void throw_unexpected(MsgType got, const std::string& expected) {
   throw ProtocolError("daemon sent message type " +
-                      std::to_string(static_cast<unsigned>(got)) +
-                      " where type " +
-                      std::to_string(static_cast<unsigned>(expected)) +
-                      " was expected");
+                      std::to_string(static_cast<unsigned>(got)) + " where " +
+                      expected + " was expected");
+}
+
+[[noreturn]] void throw_unexpected(MsgType got, MsgType expected) {
+  throw_unexpected(got,
+                   "type " + std::to_string(static_cast<unsigned>(expected)));
+}
+
+template <typename ResultMsg>
+ResultMsg decode_result(const ResultFrame& frame) {
+  if (frame.type != ResultMsg::type) {
+    throw_unexpected(frame.type, ResultMsg::type);
+  }
+  PayloadReader r(frame.payload);
+  return ResultMsg::decode(r);
 }
 
 }  // namespace
@@ -19,8 +31,7 @@ namespace {
 BusClient::BusClient(const std::string& socket_path)
     : socket_(connect_unix(socket_path)) {}
 
-void BusClient::request(MsgType type, const PayloadWriter& body,
-                        MsgType expected) {
+MsgType BusClient::exchange(MsgType type, const PayloadWriter& body) {
   send_frame(socket_, type, body);
   const std::optional<MsgType> got = recv_frame(socket_, payload_);
   if (!got.has_value()) {
@@ -31,8 +42,14 @@ void BusClient::request(MsgType type, const PayloadWriter& body,
     const ErrorMsg err = ErrorMsg::decode(r);
     throw BusRemoteError(err.code, err.message);
   }
-  if (*got != expected) {
-    throw_unexpected(*got, expected);
+  return *got;
+}
+
+void BusClient::request(MsgType type, const PayloadWriter& body,
+                        MsgType expected) {
+  const MsgType got = exchange(type, body);
+  if (got != expected) {
+    throw_unexpected(got, expected);
   }
 }
 
@@ -128,28 +145,27 @@ JobStatusMsg BusClient::watch(std::uint64_t id, const WatchFn& on_progress) {
   }
 }
 
-CpaJobResult BusClient::cpa_result(std::uint64_t id) {
+ResultFrame BusClient::fetch_result(std::uint64_t id) {
   PayloadWriter w;
   JobIdMsg{id}.encode(w);
-  request(MsgType::fetch_result, w, MsgType::cpa_result);
-  PayloadReader r(payload_);
-  return CpaResultMsg::decode(r).result;
+  const MsgType got = exchange(MsgType::fetch_result, w);
+  if (got != MsgType::cpa_result && got != MsgType::tvla_result &&
+      got != MsgType::scenario_result) {
+    throw_unexpected(got, "a result frame");
+  }
+  return {got, std::move(payload_)};
+}
+
+CpaJobResult BusClient::cpa_result(std::uint64_t id) {
+  return decode_result<CpaResultMsg>(fetch_result(id)).result;
 }
 
 TvlaJobResult BusClient::tvla_result(std::uint64_t id) {
-  PayloadWriter w;
-  JobIdMsg{id}.encode(w);
-  request(MsgType::fetch_result, w, MsgType::tvla_result);
-  PayloadReader r(payload_);
-  return TvlaResultMsg::decode(r).result;
+  return decode_result<TvlaResultMsg>(fetch_result(id)).result;
 }
 
 ScenarioJobResult BusClient::scenario_result(std::uint64_t id) {
-  PayloadWriter w;
-  JobIdMsg{id}.encode(w);
-  request(MsgType::fetch_result, w, MsgType::scenario_result);
-  PayloadReader r(payload_);
-  return ScenarioResultMsg::decode(r).result;
+  return decode_result<ScenarioResultMsg>(fetch_result(id)).result;
 }
 
 void BusClient::shutdown_server() {

@@ -70,8 +70,11 @@ class BusClient {
   using WatchFn = std::function<void(const ProgressMsg&)>;
   JobStatusMsg watch(std::uint64_t id, const WatchFn& on_progress = {});
 
-  // Fetch a finished job's result; BusRemoteError(internal) relays the
-  // failure message of a failed job.
+  // Fetch a finished job's result frame, whatever its type;
+  // BusRemoteError(internal) relays the failure message of a failed job.
+  ResultFrame fetch_result(std::uint64_t id);
+  // fetch_result decoded as one result type; a frame of another type is
+  // a ProtocolError.
   CpaJobResult cpa_result(std::uint64_t id);
   TvlaJobResult tvla_result(std::uint64_t id);
   ScenarioJobResult scenario_result(std::uint64_t id);
@@ -81,9 +84,11 @@ class BusClient {
   void shutdown_server();
 
  private:
-  // Sends `type` and blocks for one response frame, which must be
-  // `expected` — an ERROR frame becomes BusRemoteError, anything else a
-  // ProtocolError. The response payload lands in payload_.
+  // Sends `type` and blocks for one response frame, whose type it
+  // returns — an ERROR frame becomes BusRemoteError. The response
+  // payload lands in payload_.
+  MsgType exchange(MsgType type, const PayloadWriter& body);
+  // exchange() whose response must be `expected` (else ProtocolError).
   void request(MsgType type, const PayloadWriter& body, MsgType expected);
 
   Socket socket_;

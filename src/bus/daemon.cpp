@@ -292,8 +292,7 @@ bool BusDaemon::dispatch(Socket& socket, std::uint64_t session, MsgType type,
     case MsgType::open_dataset: {
       PayloadReader r(payload);
       const OpenDatasetMsg msg = OpenDatasetMsg::decode(r);
-      if (stopping_.load(std::memory_order_acquire)) {
-        send_error(socket, ErrorCode::shutting_down, "daemon is draining");
+      if (reject_if_draining(socket)) {
         return true;
       }
       try {
@@ -307,16 +306,28 @@ bool BusDaemon::dispatch(Socket& socket, std::uint64_t session, MsgType type,
     }
     case MsgType::submit_cpa: {
       PayloadReader r(payload);
-      SubmitCpaMsg msg = SubmitCpaMsg::decode(r);
-      submit_job(socket, session, JobKind::cpa, std::move(msg.dataset),
-                 msg.spec, {}, {});
+      const SubmitCpaMsg msg = SubmitCpaMsg::decode(r);
+      if (auto mapping = submit_dataset(socket, msg.dataset)) {
+        submit_job(socket, session, [mapping, spec = msg.spec](
+                                        auto id, const auto& progress,
+                                        const auto& exec) {
+          return result_frame(
+              CpaResultMsg{id, run_cpa_job(mapping, spec, progress, exec)});
+        });
+      }
       return true;
     }
     case MsgType::submit_tvla: {
       PayloadReader r(payload);
-      SubmitTvlaMsg msg = SubmitTvlaMsg::decode(r);
-      submit_job(socket, session, JobKind::tvla, std::move(msg.dataset), {},
-                 msg.spec, {});
+      const SubmitTvlaMsg msg = SubmitTvlaMsg::decode(r);
+      if (auto mapping = submit_dataset(socket, msg.dataset)) {
+        submit_job(socket, session, [mapping, spec = msg.spec](
+                                        auto id, const auto& progress,
+                                        const auto& exec) {
+          return result_frame(
+              TvlaResultMsg{id, run_tvla_job(mapping, spec, progress, exec)});
+        });
+      }
       return true;
     }
     case MsgType::list_scenarios: {
@@ -338,8 +349,28 @@ bool BusDaemon::dispatch(Socket& socket, std::uint64_t session, MsgType type,
     case MsgType::submit_scenario: {
       PayloadReader r(payload);
       const SubmitScenarioMsg msg = SubmitScenarioMsg::decode(r);
-      submit_job(socket, session, JobKind::scenario, /*dataset=*/"", {}, {},
-                 msg.spec);
+      if (reject_if_draining(socket)) {
+        return true;
+      }
+      const std::shared_ptr<const scenario::Scenario> sc =
+          scenario::ScenarioRegistry::built_in().find(msg.spec.scenario);
+      if (sc == nullptr) {
+        send_error(socket, ErrorCode::unknown_scenario,
+                   "no such scenario: " + msg.spec.scenario);
+        return true;
+      }
+      try {  // channels() surfaces out-of-range values
+        (void)sc->channels(sc->parse_params(msg.spec.params));
+      } catch (const std::exception& e) {
+        send_error(socket, ErrorCode::bad_request, e.what());
+        return true;
+      }
+      submit_job(socket, session, [spec = msg.spec](auto id,
+                                                    const auto& progress,
+                                                    const auto& exec) {
+        return result_frame(
+            ScenarioResultMsg{id, run_scenario_job(spec, progress, exec)});
+      });
       return true;
     }
     case MsgType::job_status: {
@@ -405,43 +436,30 @@ bool BusDaemon::dispatch(Socket& socket, std::uint64_t session, MsgType type,
   }
 }
 
-void BusDaemon::submit_job(Socket& socket, std::uint64_t session, JobKind kind,
-                           std::string dataset, const CpaJobSpec& cpa,
-                           const TvlaJobSpec& tvla,
-                           const ScenarioJobSpec& scenario) {
-  if (stopping_.load(std::memory_order_acquire)) {
-    send_error(socket, ErrorCode::shutting_down, "daemon is draining");
-    return;
+bool BusDaemon::reject_if_draining(const Socket& socket) {
+  if (!stopping_.load(std::memory_order_acquire)) {
+    return false;
   }
-  // Validate everything a typed error can catch before the job exists:
-  // an unknown dataset or scenario, or malformed params, costs one ERROR
-  // frame, never the connection (and never the daemon).
-  std::shared_ptr<const store::SharedMapping> mapping;
-  if (kind == JobKind::scenario) {
-    const std::shared_ptr<const scenario::Scenario> sc =
-        scenario::ScenarioRegistry::built_in().find(scenario.scenario);
-    if (sc == nullptr) {
-      send_error(socket, ErrorCode::unknown_scenario,
-                 "no such scenario: " + scenario.scenario);
-      return;
-    }
-    try {
-      const scenario::ParamSet params = sc->parse_params(scenario.params);
-      (void)sc->channels(params);  // surfaces out-of-range values
-    } catch (const std::exception& e) {
-      send_error(socket, ErrorCode::bad_request, e.what());
-      return;
-    }
-  } else {
-    mapping = registry_.mapping(dataset);
-    if (mapping == nullptr) {
-      send_error(socket, ErrorCode::unknown_dataset,
-                 "no such dataset: " + dataset);
-      return;
-    }
+  send_error(socket, ErrorCode::shutting_down, "daemon is draining");
+  return true;
+}
+
+std::shared_ptr<const store::SharedMapping> BusDaemon::submit_dataset(
+    const Socket& socket, const std::string& name) {
+  if (reject_if_draining(socket)) {
+    return nullptr;
   }
-  const std::uint64_t id =
-      jobs_->submit(session, kind, std::move(dataset), cpa, tvla, scenario);
+  std::shared_ptr<const store::SharedMapping> mapping =
+      registry_.mapping(name);
+  if (mapping == nullptr) {
+    send_error(socket, ErrorCode::unknown_dataset, "no such dataset: " + name);
+  }
+  return mapping;
+}
+
+void BusDaemon::submit_job(const Socket& socket, std::uint64_t session,
+                           JobRun run) {
+  const std::uint64_t id = jobs_->submit(session);
   if (id == 0) {
     send_error(socket, ErrorCode::quota_exceeded,
                "session quota of " + std::to_string(config_.per_session_quota) +
@@ -460,16 +478,15 @@ void BusDaemon::submit_job(Socket& socket, std::uint64_t session, JobKind kind,
   // shard count — and with it the result — is a pure function of the
   // spec, so the cap can never make a served job differ from a client's
   // local verification run. The closure owns everything it touches: the
-  // table keeps the job row alive, the mapping keeps the dataset bytes
-  // alive, both independent of this daemon's sockets and of the
-  // submitting client, which may disconnect long before the job
-  // finishes.
+  // table keeps the job row alive, `run` keeps the job's spec (and a
+  // dataset job's mapping) alive, all independent of this daemon's
+  // sockets and of the submitting client, which may disconnect long
+  // before the job finishes.
   std::shared_ptr<JobTable> table = jobs_;
   std::shared_ptr<store::ChunkCache> cache = chunk_cache_;
   const std::uint32_t parallelism = shard_parallelism();
   auto done = std::make_shared<std::atomic<bool>>(false);
-  auto driver = [table, mapping, cache, parallelism, done, id, kind, cpa,
-                 tvla, scenario] {
+  auto driver = [table, cache, parallelism, done, id, run = std::move(run)] {
     // Granted before the job turns running, so a running row in STATS
     // always shows the cap it runs under.
     table->shard_budget(id, parallelism);
@@ -489,24 +506,7 @@ void BusDaemon::submit_job(Socket& socket, std::uint64_t session, JobKind kind,
                                          std::uint64_t total) {
         table->update_progress(id, consumed, total);
       };
-      switch (kind) {
-        case JobKind::cpa:
-          table->mark_done(id,
-                           std::make_unique<CpaJobResult>(
-                               run_cpa_job(mapping, cpa, progress, exec)),
-                           nullptr);
-          break;
-        case JobKind::tvla:
-          table->mark_done(id, nullptr,
-                           std::make_unique<TvlaJobResult>(
-                               run_tvla_job(mapping, tvla, progress, exec)));
-          break;
-        case JobKind::scenario:
-          table->mark_done(id, nullptr, nullptr,
-                           std::make_unique<ScenarioJobResult>(
-                               run_scenario_job(scenario, progress, exec)));
-          break;
-      }
+      table->mark_done(id, run(id, progress, exec));
     } catch (const std::exception& e) {
       table->mark_failed(id, e.what());
     } catch (...) {
@@ -584,7 +584,7 @@ void BusDaemon::send_result(Socket& socket, std::uint64_t id) {
     return;
   }
   // A done job never mutates again and the status() read above
-  // synchronized with the terminal transition, so the result fields are
+  // synchronized with the terminal transition, so the result frame is
   // safe to read without the table lock. The job may have been retired
   // from the table in between (JobTable keeps only the most recent
   // terminal jobs); the handle keeps a job found here alive.
@@ -594,19 +594,7 @@ void BusDaemon::send_result(Socket& socket, std::uint64_t id) {
                "no such job: " + std::to_string(id));
     return;
   }
-  if (job->kind == JobKind::cpa) {
-    PayloadWriter w;
-    CpaResultMsg{id, *job->cpa_result}.encode(w);
-    send_frame(socket, MsgType::cpa_result, w);
-  } else if (job->kind == JobKind::tvla) {
-    PayloadWriter w;
-    TvlaResultMsg{id, *job->tvla_result}.encode(w);
-    send_frame(socket, MsgType::tvla_result, w);
-  } else {
-    PayloadWriter w;
-    ScenarioResultMsg{id, *job->scenario_result}.encode(w);
-    send_frame(socket, MsgType::scenario_result, w);
-  }
+  send_frame(socket, job->result.type, job->result.payload);
 }
 
 }  // namespace psc::bus

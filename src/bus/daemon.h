@@ -38,6 +38,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -48,6 +49,7 @@
 #include "bus/dataset_registry.h"
 #include "bus/framing.h"
 #include "bus/job_table.h"
+#include "bus/jobs.h"
 #include "util/env.h"
 
 namespace psc::store {
@@ -55,6 +57,13 @@ class ChunkCache;
 }
 
 namespace psc::bus {
+
+// A job as a SUBMIT_* case of the dispatcher builds it once the request
+// validated: it runs the campaign and returns the encoded result frame.
+// Past that point nothing in the daemon knows what kind of job it runs.
+using JobRun = std::function<ResultFrame(
+    std::uint64_t id, const JobProgressFn& progress,
+    const JobExecOptions& exec)>;
 
 struct BusDaemonConfig {
   std::string socket_path;
@@ -114,15 +123,15 @@ class BusDaemon {
   // One request; returns false when the connection should close.
   bool dispatch(Socket& socket, std::uint64_t session, MsgType type,
                 const std::vector<std::byte>& payload);
-  // SUBMIT_CPA / SUBMIT_TVLA / SUBMIT_SCENARIO: validates the dataset
-  // name (unknown_dataset), or the scenario name against the built-in
-  // registry (unknown_scenario) and its params (bad_request), before
-  // accepting — any failure is a typed ERROR frame on a connection that
-  // stays open. Then starts the job's driver thread; the spec of the
-  // job's kind is used, the other two are ignored.
-  void submit_job(Socket& socket, std::uint64_t session, JobKind kind,
-                  std::string dataset, const CpaJobSpec& cpa,
-                  const TvlaJobSpec& tvla, const ScenarioJobSpec& scenario);
+  // True (after answering shutting_down) once a stop was requested.
+  bool reject_if_draining(const Socket& socket);
+  // The registered dataset `name`; nullptr after answering
+  // shutting_down or unknown_dataset.
+  std::shared_ptr<const store::SharedMapping> submit_dataset(
+      const Socket& socket, const std::string& name);
+  // Accepts a validated job (quota_exceeded when the session is full)
+  // and starts its driver thread, which stores run's result frame.
+  void submit_job(const Socket& socket, std::uint64_t session, JobRun run);
   void stream_watch(Socket& socket, std::uint64_t id);
   void send_result(Socket& socket, std::uint64_t id);
   void request_stop();  // async: nudges the stopper thread

@@ -20,10 +20,7 @@ JobStatusMsg status_of(const Job& job) {
 
 }  // namespace
 
-std::uint64_t JobTable::submit(std::uint64_t session, JobKind kind,
-                               std::string dataset, const CpaJobSpec& cpa,
-                               const TvlaJobSpec& tvla,
-                               const ScenarioJobSpec& scenario) {
+std::uint64_t JobTable::submit(std::uint64_t session) {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t& in_flight = in_flight_[session];
   if (in_flight >= quota_) {
@@ -35,11 +32,6 @@ std::uint64_t JobTable::submit(std::uint64_t session, JobKind kind,
   auto job = std::make_shared<Job>();
   job->id = next_id_++;
   job->session = session;
-  job->kind = kind;
-  job->dataset = std::move(dataset);
-  job->cpa_spec = cpa;
-  job->tvla_spec = tvla;
-  job->scenario_spec = scenario;
   jobs_.emplace(job->id, job);
   change_cv_.notify_all();
   return job->id;
@@ -126,9 +118,7 @@ void JobTable::fill_stats(StatsMsg& msg) const {
             });
 }
 
-void JobTable::mark_done(std::uint64_t id, std::unique_ptr<CpaJobResult> cpa,
-                         std::unique_ptr<TvlaJobResult> tvla,
-                         std::unique_ptr<ScenarioJobResult> scenario) {
+void JobTable::mark_done(std::uint64_t id, ResultFrame result) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end() || is_terminal(it->second->state)) {
@@ -136,9 +126,7 @@ void JobTable::mark_done(std::uint64_t id, std::unique_ptr<CpaJobResult> cpa,
   }
   Job& job = *it->second;
   job.state = JobState::done;
-  job.cpa_result = std::move(cpa);
-  job.tvla_result = std::move(tvla);
-  job.scenario_result = std::move(scenario);
+  job.result = std::move(result);
   job.consumed = job.total;
   finish_locked(job);
 }

@@ -1,6 +1,8 @@
 // Session + job table of the bus daemon: tracks every submitted
 // campaign job through queued -> running -> done/failed, enforces
-// per-session in-flight quotas, and wakes watchers on any change.
+// per-session in-flight quotas, and wakes watchers on any change. A row
+// knows nothing of what its job computes: the daemon hands the table
+// the job's encoded result frame when it is done.
 //
 // Quota accounting is the part the robustness tests lean on: a session's
 // in-flight count is charged at submit and released exactly once when
@@ -8,8 +10,8 @@
 // disconnected long before (mid-job disconnect must not leak the job
 // slot, and the job itself runs to completion).
 //
-// Retention: a finished job's status and result stay fetchable by job id
-// from any connection until retained_terminal_jobs later jobs have
+// Retention: a finished job's status and result frame stay fetchable by
+// job id from any connection until retained_terminal_jobs later jobs have
 // finished. The table then retires the oldest terminal job, so a
 // long-running daemon holds a bounded number of results; queued and
 // running jobs are never retired. A retired id answers like an unknown
@@ -31,26 +33,18 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bus/jobs.h"
 #include "bus/protocol.h"
 
 namespace psc::bus {
 
-enum class JobKind : std::uint8_t { cpa, tvla, scenario };
-
 // Terminal (done or failed) jobs the table keeps; see "Retention" above.
 inline constexpr std::size_t retained_terminal_jobs = 256;
 
-// One submitted campaign. Immutable identity fields are set at submit;
-// everything mutable is written under JobTable::mu_.
+// One submitted campaign. Identity fields are set at submit; everything
+// mutable is written under JobTable::mu_.
 struct Job {
   std::uint64_t id = 0;
   std::uint64_t session = 0;
-  JobKind kind = JobKind::cpa;
-  std::string dataset;  // empty for scenario jobs (live acquisition)
-  CpaJobSpec cpa_spec;
-  TvlaJobSpec tvla_spec;
-  ScenarioJobSpec scenario_spec;
 
   JobState state = JobState::queued;
   std::uint64_t consumed = 0;
@@ -63,10 +57,7 @@ struct Job {
   std::uint32_t peak_shards = 0;
   std::uint32_t shard_cap = 0;
   std::string error;
-  // Set on done, by kind.
-  std::unique_ptr<CpaJobResult> cpa_result;
-  std::unique_ptr<TvlaJobResult> tvla_result;
-  std::unique_ptr<ScenarioJobResult> scenario_result;
+  ResultFrame result;  // set on done
 };
 
 class JobTable {
@@ -76,12 +67,7 @@ class JobTable {
 
   // Registers a job for `session`, charging its quota. Returns the job
   // id, or 0 when the session already has `quota` jobs in flight.
-  // Scenario jobs carry no dataset; the other kinds leave `scenario`
-  // defaulted.
-  std::uint64_t submit(std::uint64_t session, JobKind kind,
-                       std::string dataset, const CpaJobSpec& cpa,
-                       const TvlaJobSpec& tvla,
-                       const ScenarioJobSpec& scenario = {});
+  std::uint64_t submit(std::uint64_t session);
 
   // Point-in-time status copy; nullptr when the id is unknown.
   std::unique_ptr<JobStatusMsg> status(std::uint64_t id) const;
@@ -116,9 +102,7 @@ class JobTable {
   // active (non-terminal) count, and one row per non-terminal job in id
   // order.
   void fill_stats(StatsMsg& msg) const;
-  void mark_done(std::uint64_t id, std::unique_ptr<CpaJobResult> cpa,
-                 std::unique_ptr<TvlaJobResult> tvla,
-                 std::unique_ptr<ScenarioJobResult> scenario = nullptr);
+  void mark_done(std::uint64_t id, ResultFrame result);
   void mark_failed(std::uint64_t id, const std::string& error);
 
   // Blocks until the job's (state, consumed) differs from the caller's

@@ -1,10 +1,10 @@
 // Campaign jobs the bus daemon executes over shared mmap'd datasets.
 //
 // run_cpa_job / run_tvla_job are the single compute path for a campaign
-// over a recorded PSTR dataset: the daemon runs them under a driver
-// thread per job, and in-process verification (`psc_busctl submit
-// --verify-local`, the ctest bit-identity suite) calls the same
-// functions directly. Each one validates its spec and runs the campaign
+// over a recorded PSTR dataset: a served job is a closure that calls one
+// of them and encodes the result frame, and in-process verification
+// (`psc_busctl submit --verify-local`, the ctest bit-identity suite)
+// calls the same functions directly. Each one validates its spec and runs the campaign
 // loop, core::run_sink_campaign, with a replay source factory: shard s
 // replays its rows through a store::FileTraceSource of its own. A job
 // result is a pure function of (dataset bytes, spec): shards accumulate

@@ -69,6 +69,27 @@ core::ModelResult decode_model_result(PayloadReader& r) {
   return m;
 }
 
+// u32 count, then each model result.
+void encode_models(PayloadWriter& w,
+                   const std::vector<core::ModelResult>& models) {
+  w.u32(static_cast<std::uint32_t>(models.size()));
+  for (const core::ModelResult& m : models) {
+    encode_model_result(w, m);
+  }
+}
+
+std::vector<core::ModelResult> decode_models(PayloadReader& r) {
+  const std::uint32_t count = r.u32();
+  if (count > power::all_power_models.size()) {
+    malformed("bad model count");
+  }
+  std::vector<core::ModelResult> models;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    models.push_back(decode_model_result(r));
+  }
+  return models;
+}
+
 void encode_ge_curve(PayloadWriter& w,
                      const std::vector<core::GeCurvePoint>& curve) {
   w.u32(static_cast<std::uint32_t>(curve.size()));
@@ -94,25 +115,54 @@ std::vector<core::GeCurvePoint> decode_ge_curve(PayloadReader& r) {
   return curve;
 }
 
-void encode_tvla_channel(PayloadWriter& w,
-                         const core::TvlaChannelResult& channel) {
-  w.str(channel.channel);
-  for (const auto& row : channel.matrix.t) {
-    for (const double t : row) {
-      w.f64(t);
+// u32 count, then per channel its name and 3x3 t-matrix.
+void encode_tvla_channels(
+    PayloadWriter& w, const std::vector<core::TvlaChannelResult>& channels) {
+  w.u32(static_cast<std::uint32_t>(channels.size()));
+  for (const core::TvlaChannelResult& channel : channels) {
+    w.str(channel.channel);
+    for (const auto& row : channel.matrix.t) {
+      for (const double t : row) {
+        w.f64(t);
+      }
     }
   }
 }
 
-core::TvlaChannelResult decode_tvla_channel(PayloadReader& r) {
-  core::TvlaChannelResult channel;
-  channel.channel = r.str();
-  for (auto& row : channel.matrix.t) {
-    for (double& t : row) {
-      t = r.f64();
+std::vector<core::TvlaChannelResult> decode_tvla_channels(PayloadReader& r) {
+  std::vector<core::TvlaChannelResult> channels;
+  const std::uint32_t count = r.u32();
+  for (std::uint32_t c = 0; c < count; ++c) {
+    core::TvlaChannelResult channel;
+    channel.channel = r.str();
+    for (auto& row : channel.matrix.t) {
+      for (double& t : row) {
+        t = r.f64();
+      }
     }
+    channels.push_back(std::move(channel));
   }
-  return channel;
+  return channels;
+}
+
+// u32 count, then key and value strings (metadata, scenario params).
+void encode_string_pairs(PayloadWriter& w, const store::Metadata& pairs) {
+  w.u32(static_cast<std::uint32_t>(pairs.size()));
+  for (const auto& [key, value] : pairs) {
+    w.str(key);
+    w.str(value);
+  }
+}
+
+store::Metadata decode_string_pairs(PayloadReader& r) {
+  store::Metadata pairs;
+  const std::uint32_t count = r.u32();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::string key = r.str();
+    std::string value = r.str();
+    pairs.emplace_back(std::move(key), std::move(value));
+  }
+  return pairs;
 }
 
 void encode_fourcc_list(PayloadWriter& w,
@@ -143,11 +193,7 @@ void encode_summary(PayloadWriter& w, const store::DatasetSummary& s) {
   for (const std::string& channel : s.channels) {
     w.str(channel);
   }
-  w.u32(static_cast<std::uint32_t>(s.metadata.size()));
-  for (const auto& [key, value] : s.metadata) {
-    w.str(key);
-    w.str(value);
-  }
+  encode_string_pairs(w, s.metadata);
   w.u32(static_cast<std::uint32_t>(s.columns.size()));
   for (const store::DatasetColumnSummary& col : s.columns) {
     w.str(col.name);
@@ -169,12 +215,7 @@ store::DatasetSummary decode_summary(PayloadReader& r) {
   for (std::uint32_t c = 0; c < channels; ++c) {
     s.channels.push_back(r.str());
   }
-  const std::uint32_t pairs = r.u32();
-  for (std::uint32_t i = 0; i < pairs; ++i) {
-    std::string key = r.str();
-    std::string value = r.str();
-    s.metadata.emplace_back(std::move(key), std::move(value));
-  }
+  s.metadata = decode_string_pairs(r);
   const std::uint32_t columns = r.u32();
   for (std::uint32_t c = 0; c < columns; ++c) {
     store::DatasetColumnSummary col;
@@ -412,11 +453,7 @@ SubmitTvlaMsg SubmitTvlaMsg::decode(PayloadReader& r) {
 
 void SubmitScenarioMsg::encode(PayloadWriter& w) const {
   w.str(spec.scenario);
-  w.u32(static_cast<std::uint32_t>(spec.params.size()));
-  for (const auto& [key, value] : spec.params) {
-    w.str(key);
-    w.str(value);
-  }
+  encode_string_pairs(w, spec.params);
   w.u64(spec.traces_per_set);
   w.u64(spec.seed);
   w.u32(spec.shards);
@@ -425,12 +462,7 @@ void SubmitScenarioMsg::encode(PayloadWriter& w) const {
 SubmitScenarioMsg SubmitScenarioMsg::decode(PayloadReader& r) {
   SubmitScenarioMsg m;
   m.spec.scenario = r.str();
-  const std::uint32_t params = r.u32();
-  for (std::uint32_t i = 0; i < params; ++i) {
-    std::string key = r.str();
-    std::string value = r.str();
-    m.spec.params.emplace_back(std::move(key), std::move(value));
-  }
+  m.spec.params = decode_string_pairs(r);
   m.spec.traces_per_set = r.u64();
   m.spec.seed = r.u64();
   m.spec.shards = r.u32();
@@ -593,23 +625,14 @@ StatsMsg StatsMsg::decode(PayloadReader& r) {
 void CpaResultMsg::encode(PayloadWriter& w) const {
   w.u64(id);
   w.u64(result.traces);
-  w.u32(static_cast<std::uint32_t>(result.models.size()));
-  for (const core::ModelResult& m : result.models) {
-    encode_model_result(w, m);
-  }
+  encode_models(w, result.models);
 }
 
 CpaResultMsg CpaResultMsg::decode(PayloadReader& r) {
   CpaResultMsg m;
   m.id = r.u64();
   m.result.traces = r.u64();
-  const std::uint32_t models = r.u32();
-  if (models > power::all_power_models.size()) {
-    malformed("bad model count");
-  }
-  for (std::uint32_t i = 0; i < models; ++i) {
-    m.result.models.push_back(decode_model_result(r));
-  }
+  m.result.models = decode_models(r);
   r.expect_end();
   return m;
 }
@@ -617,32 +640,14 @@ CpaResultMsg CpaResultMsg::decode(PayloadReader& r) {
 void TvlaResultMsg::encode(PayloadWriter& w) const {
   w.u64(id);
   w.u64(result.traces_per_set);
-  w.u32(static_cast<std::uint32_t>(result.channels.size()));
-  for (const core::TvlaChannelResult& channel : result.channels) {
-    w.str(channel.channel);
-    for (const auto& row : channel.matrix.t) {
-      for (const double t : row) {
-        w.f64(t);
-      }
-    }
-  }
+  encode_tvla_channels(w, result.channels);
 }
 
 TvlaResultMsg TvlaResultMsg::decode(PayloadReader& r) {
   TvlaResultMsg m;
   m.id = r.u64();
   m.result.traces_per_set = r.u64();
-  const std::uint32_t channels = r.u32();
-  for (std::uint32_t c = 0; c < channels; ++c) {
-    core::TvlaChannelResult channel;
-    channel.channel = r.str();
-    for (auto& row : channel.matrix.t) {
-      for (double& t : row) {
-        t = r.f64();
-      }
-    }
-    m.result.channels.push_back(std::move(channel));
-  }
+  m.result.channels = decode_tvla_channels(r);
   r.expect_end();
   return m;
 }
@@ -655,17 +660,11 @@ void ScenarioResultMsg::encode(PayloadWriter& w) const {
   w.u64(result.cpa_trace_count);
   encode_fourcc_list(w, result.channels);
   encode_fourcc_list(w, result.leakage_channels);
-  w.u32(static_cast<std::uint32_t>(result.tvla.size()));
-  for (const core::TvlaChannelResult& channel : result.tvla) {
-    encode_tvla_channel(w, channel);
-  }
+  encode_tvla_channels(w, result.tvla);
   w.u32(static_cast<std::uint32_t>(result.cpa.size()));
   for (const core::CpaKeyResult& key : result.cpa) {
     w.u32(key.key.code());
-    w.u32(static_cast<std::uint32_t>(key.final_results.size()));
-    for (const core::ModelResult& model : key.final_results) {
-      encode_model_result(w, model);
-    }
+    encode_models(w, key.final_results);
     w.u32(static_cast<std::uint32_t>(key.curves.size()));
     for (const std::vector<core::GeCurvePoint>& curve : key.curves) {
       encode_ge_curve(w, curve);
@@ -682,21 +681,12 @@ ScenarioResultMsg ScenarioResultMsg::decode(PayloadReader& r) {
   m.result.cpa_trace_count = static_cast<std::size_t>(r.u64());
   m.result.channels = decode_fourcc_list(r);
   m.result.leakage_channels = decode_fourcc_list(r);
-  const std::uint32_t tvla = r.u32();
-  for (std::uint32_t c = 0; c < tvla; ++c) {
-    m.result.tvla.push_back(decode_tvla_channel(r));
-  }
+  m.result.tvla = decode_tvla_channels(r);
   const std::uint32_t cpa = r.u32();
   for (std::uint32_t k = 0; k < cpa; ++k) {
     core::CpaKeyResult key;
     key.key = util::FourCc(r.u32());
-    const std::uint32_t models = r.u32();
-    if (models > power::all_power_models.size()) {
-      malformed("bad model count");
-    }
-    for (std::uint32_t i = 0; i < models; ++i) {
-      key.final_results.push_back(decode_model_result(r));
-    }
+    key.final_results = decode_models(r);
     const std::uint32_t curves = r.u32();
     if (curves > power::all_power_models.size()) {
       malformed("bad curve count");

@@ -307,7 +307,11 @@ struct ScenarioListMsg {
   static ScenarioListMsg decode(PayloadReader& r);
 };
 
+// Result messages encode every field of their job result, each double
+// as its bit pattern, so two results are bit-identical exactly when
+// their encoded payloads are byte-equal.
 struct CpaResultMsg {
+  static constexpr MsgType type = MsgType::cpa_result;
   std::uint64_t id = 0;
   CpaJobResult result;
 
@@ -316,6 +320,7 @@ struct CpaResultMsg {
 };
 
 struct TvlaResultMsg {
+  static constexpr MsgType type = MsgType::tvla_result;
   std::uint64_t id = 0;
   TvlaJobResult result;
 
@@ -325,14 +330,34 @@ struct TvlaResultMsg {
 
 // The complete scenario runner result: secret, TVLA matrix per channel,
 // and — when the scenario binds CPA — the full rankings and GE curves.
-// Everything a local rerun produces crosses the wire bit-exactly, which
-// is what `submit scenario --verify-local` compares.
 struct ScenarioResultMsg {
+  static constexpr MsgType type = MsgType::scenario_result;
   std::uint64_t id = 0;
   ScenarioJobResult result;
 
   void encode(PayloadWriter& w) const;
   static ScenarioResultMsg decode(PayloadReader& r);
 };
+
+// A finished job's result as it travels: the frame type (CPA_RESULT,
+// TVLA_RESULT or SCENARIO_RESULT) and the encoded payload. The daemon
+// stores one per done job and sends it verbatim on every FETCH_RESULT;
+// `psc_busctl submit --verify-local` compares a local rerun's frame
+// with the served one byte for byte.
+struct ResultFrame {
+  MsgType type = MsgType::cpa_result;
+  std::vector<std::byte> payload;
+
+  bool operator==(const ResultFrame&) const = default;
+};
+
+// Encodes a result message into an exactly-sized frame (the writer's
+// spare capacity is not retained).
+template <typename ResultMsg>
+ResultFrame result_frame(const ResultMsg& msg) {
+  PayloadWriter w;
+  msg.encode(w);
+  return {ResultMsg::type, {w.bytes().begin(), w.bytes().end()}};
+}
 
 }  // namespace psc::bus

@@ -1,22 +1,15 @@
 // Scenario jobs: live-acquisition campaigns the bus daemon serves by
-// registry name (protocol v3's SUBMIT_SCENARIO), next to the recorded-
-// dataset jobs of bus/jobs.h.
+// registry name (protocol v3's SUBMIT_SCENARIO).
 //
-// run_scenario_job is the single compute path: the daemon runs it under
-// the same driver and JobExecOptions as the dataset jobs (a fair shard
-// budget re-read before each unit, shard-activity reports), and
-// in-process verification (`psc_busctl submit scenario --verify-local`,
-// the ctest suite) calls the same function directly. Scenario results
-// are a pure function of (scenario, params, traces_per_set, seed,
-// shards) — the budget only changes how fast they arrive
-// (tests/scenario asserts worker invariance) — so the daemon may execute
-// with its fair share of the pool while a client verifies sequentially,
-// and the doubles still match bit for bit.
-// As with the dataset jobs, a spec shard count of 0 auto-sizes through a
-// policy that is a pure function of the trace budget (resolved_job_shards
-// clamped to the per-set size), never of worker availability; anything
-// else would let the daemon and a local rerun resolve different shard
-// counts and mismatch.
+// run_scenario_job is the single compute path, exactly as run_cpa_job
+// is for dataset replays (bus/jobs.h): the daemon's job closure calls it
+// under its fair shard budget, and in-process verification calls it
+// directly. The result is a pure function of (scenario, params,
+// traces_per_set, seed, shards) — the budget only changes how fast it
+// arrives (tests/scenario asserts worker invariance), and shards = 0
+// auto-sizes from the trace budget alone (resolved_job_shards clamped
+// to the per-set size) — so a served job and a sequential local rerun
+// match bit for bit.
 #pragma once
 
 #include <cstdint>

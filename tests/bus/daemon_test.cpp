@@ -539,6 +539,81 @@ TEST_F(BusDaemonTest, BadSpecFailsTheJobAndRelaysTheMessage) {
   EXPECT_EQ(daemon_->jobs().in_flight(1), 0u);
 }
 
+// The daemon stores each done job's encoded result frame once and sends
+// it verbatim: repeated fetches are byte-identical, carry the job's
+// result type and equal the local run encoded under the served id. A
+// failed job still relays its message, a retired id reads as unknown,
+// and a typed fetch of the wrong result type is a ProtocolError.
+TEST_F(BusDaemonTest, FetchResultSendsTheStoredFrameVerbatim) {
+  serve("frame");
+  BusClient client(daemon_->socket_path());
+  const auto mapping = store::SharedMapping::open(dataset_path_);
+
+  CpaJobSpec cpa;
+  cpa.channel = util::FourCc("PHPC").code();
+  cpa.known_key = test_key();
+  cpa.shards = 2;
+  TvlaJobSpec tvla;
+  tvla.shards = 3;
+  ScenarioJobSpec scenario;
+  scenario.scenario = "sqmul-timing";
+  scenario.traces_per_set = 300;
+  scenario.seed = 9;
+  scenario.shards = 2;
+
+  const std::uint64_t cpa_id = client.submit_cpa("bench", cpa);
+  const std::uint64_t tvla_id = client.submit_tvla("bench", tvla);
+  const std::uint64_t scenario_id = client.submit_scenario(scenario);
+  const std::vector<std::pair<std::uint64_t, ResultFrame>> local = {
+      {cpa_id, result_frame(CpaResultMsg{cpa_id, run_cpa_job(mapping, cpa)})},
+      {tvla_id,
+       result_frame(TvlaResultMsg{tvla_id, run_tvla_job(mapping, tvla)})},
+      {scenario_id, result_frame(ScenarioResultMsg{
+                        scenario_id, run_scenario_job(scenario)})}};
+  for (const auto& [id, expected] : local) {
+    ASSERT_EQ(client.watch(id).state, JobState::done) << "job " << id;
+    const ResultFrame first = client.fetch_result(id);
+    const ResultFrame second = client.fetch_result(id);
+    EXPECT_EQ(first.type, expected.type) << "job " << id;
+    EXPECT_EQ(first.payload, second.payload) << "job " << id;
+    EXPECT_EQ(first.payload, expected.payload) << "job " << id;
+  }
+  EXPECT_THROW(client.tvla_result(cpa_id), ProtocolError);
+  EXPECT_THROW(client.cpa_result(scenario_id), ProtocolError);
+  client.ping();  // the connection stays in sync after a type mismatch
+
+  CpaJobSpec bad;
+  bad.channel = util::FourCc("XXXX").code();
+  const std::uint64_t failed_id = client.submit_cpa("bench", bad);
+  ASSERT_EQ(client.watch(failed_id).state, JobState::failed);
+  try {
+    client.fetch_result(failed_id);
+    FAIL() << "expected BusRemoteError";
+  } catch (const BusRemoteError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::internal);
+    EXPECT_NE(std::string(e.what()).find("XXXX"), std::string::npos);
+  }
+
+  // Retire every job above: retained_terminal_jobs later jobs finish.
+  // They go straight through the table under a session no connection
+  // uses, so no campaign has to run.
+  JobTable& table = daemon_->jobs();
+  constexpr std::uint64_t filler_session = 1u << 30;
+  for (std::size_t i = 0; i < retained_terminal_jobs; ++i) {
+    const std::uint64_t id = table.submit(filler_session);
+    ASSERT_NE(id, 0u);
+    table.mark_done(id, ResultFrame{});
+  }
+  for (const std::uint64_t id : {cpa_id, failed_id}) {
+    try {
+      client.fetch_result(id);
+      FAIL() << "expected BusRemoteError for retired job " << id;
+    } catch (const BusRemoteError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::unknown_job);
+    }
+  }
+}
+
 // Each kind of wire garbage must cost only the offending connection:
 // the daemon answers (best-effort) with one ERROR frame, closes, and
 // keeps serving everyone else.

@@ -18,8 +18,20 @@ namespace {
 using namespace std::chrono_literals;
 
 std::uint64_t submit(JobTable& table, std::uint64_t session) {
-  return table.submit(session, JobKind::cpa, "ds", CpaJobSpec{},
-                      TvlaJobSpec{});
+  return table.submit(session);
+}
+
+// A result frame naming job `id` (the table stores it opaquely).
+ResultFrame frame(std::uint64_t id, std::uint64_t traces = 0) {
+  CpaResultMsg msg{id, {}};
+  msg.result.traces = traces;
+  return result_frame(msg);
+}
+
+CpaResultMsg stored(const Job& job) {
+  EXPECT_EQ(job.result.type, MsgType::cpa_result);
+  PayloadReader r(job.result.payload);
+  return CpaResultMsg::decode(r);
 }
 
 TEST(JobTable, QuotaChargedPerSessionAndReleasedOnTerminal) {
@@ -36,7 +48,7 @@ TEST(JobTable, QuotaChargedPerSessionAndReleasedOnTerminal) {
   EXPECT_EQ(table.in_flight(2), 1u);
 
   // done releases; failed releases.
-  table.mark_done(a1, std::make_unique<CpaJobResult>(), nullptr);
+  table.mark_done(a1, frame(a1));
   EXPECT_EQ(table.in_flight(1), 1u);
   EXPECT_NE(submit(table, 1), 0u);
   table.mark_failed(a2, "boom");
@@ -47,11 +59,11 @@ TEST(JobTable, TerminalTransitionReleasesExactlyOnce) {
   JobTable table(1);
   const std::uint64_t id = submit(table, 7);
   ASSERT_NE(id, 0u);
-  table.mark_done(id, std::make_unique<CpaJobResult>(), nullptr);
+  table.mark_done(id, frame(id));
   // Every further transition on a terminal job is a no-op: no double
   // release, no state change, no error overwrite.
   table.mark_failed(id, "late failure");
-  table.mark_done(id, std::make_unique<CpaJobResult>(), nullptr);
+  table.mark_done(id, frame(id));
   EXPECT_EQ(table.in_flight(7), 0u);
   const auto status = table.status(id);
   ASSERT_NE(status, nullptr);
@@ -74,17 +86,15 @@ TEST(JobTable, StatusTracksProgressAndResultsStayFetchable) {
   EXPECT_EQ(status->consumed, 100u);
   EXPECT_EQ(status->total, 400u);
 
-  auto result = std::make_unique<CpaJobResult>();
-  result->traces = 400;
-  table.mark_done(id, std::move(result), nullptr);
+  table.mark_done(id, frame(id, 400));
   status = table.status(id);
   EXPECT_EQ(status->state, JobState::done);
   EXPECT_EQ(status->consumed, status->total);  // done implies fully consumed
 
   const std::shared_ptr<Job> job = table.find(id);
   ASSERT_NE(job, nullptr);
-  ASSERT_NE(job->cpa_result, nullptr);
-  EXPECT_EQ(job->cpa_result->traces, 400u);
+  EXPECT_EQ(job->result, frame(id, 400));
+  EXPECT_EQ(stored(*job).result.traces, 400u);
   EXPECT_EQ(table.status(999), nullptr);
   EXPECT_EQ(table.find(999), nullptr);
 }
@@ -102,12 +112,10 @@ TEST(JobTable, RetiresOldestTerminalJobsBeyondTheCap) {
     const std::uint64_t id = submit(table, 1);
     ASSERT_NE(id, 0u);
     ids.push_back(id);
-    auto result = std::make_unique<CpaJobResult>();
-    result->traces = id;
     if (i % 3 == 0) {
       table.mark_failed(id, "induced");
     } else {
-      table.mark_done(id, std::move(result), nullptr);
+      table.mark_done(id, frame(id));
     }
     EXPECT_LE(table.job_count(), retained_terminal_jobs + 1);
   }
@@ -120,8 +128,7 @@ TEST(JobTable, RetiresOldestTerminalJobsBeyondTheCap) {
     const std::shared_ptr<Job> job = table.find(ids[i]);
     ASSERT_NE(job, nullptr) << "job " << ids[i];
     if (job->state == JobState::done) {
-      ASSERT_NE(job->cpa_result, nullptr);
-      EXPECT_EQ(job->cpa_result->traces, ids[i]);
+      EXPECT_EQ(stored(*job).id, ids[i]);
     }
   }
   const auto status = table.status(queued);
@@ -160,11 +167,11 @@ TEST(JobTable, WaitIdleBlocksUntilAllJobsTerminal) {
   });
   std::this_thread::sleep_for(20ms);
   EXPECT_FALSE(drained.load());  // jobs still queued
-  table.mark_done(ids[0], std::make_unique<CpaJobResult>(), nullptr);
+  table.mark_done(ids[0], frame(ids[0]));
   table.mark_failed(ids[1], "x");
   std::this_thread::sleep_for(20ms);
   EXPECT_FALSE(drained.load());  // one job left
-  table.mark_done(ids[2], std::make_unique<CpaJobResult>(), nullptr);
+  table.mark_done(ids[2], frame(ids[2]));
   drainer.join();
   EXPECT_TRUE(drained.load());
 }
@@ -189,7 +196,7 @@ TEST(JobTable, ConcurrentSubmittersAndFinishersStayConsistent) {
         table.mark_running(id);
         table.update_progress(id, 1, 2);
         if (done % 2 == 0) {
-          table.mark_done(id, std::make_unique<CpaJobResult>(), nullptr);
+          table.mark_done(id, frame(id));
         } else {
           table.mark_failed(id, "induced");
         }

@@ -17,9 +17,13 @@
 #include <vector>
 
 #include "bus/framing.h"
+#include "bus/jobs.h"
 #include "bus/protocol.h"
+#include "bus/scenario_jobs.h"
 #include "store/pstr_format.h"
+#include "store/trace_file_writer.h"
 #include "util/crc32.h"
+#include "util/rng.h"
 
 namespace psc::bus {
 namespace {
@@ -315,6 +319,78 @@ TEST(Messages, TvlaResultRoundTrip) {
           std::bit_cast<std::uint64_t>(channel.matrix.t[i][j]));
     }
   }
+}
+
+// Every strict prefix of a valid encoding must be a ProtocolError, never
+// a shorter message and never another exception; the whole encoding
+// decodes.
+template <typename Msg>
+void expect_every_strict_prefix_throws(const Msg& msg) {
+  PayloadWriter w;
+  msg.encode(w);
+  const std::vector<std::byte>& bytes = w.bytes();
+  std::size_t decoded = 0;
+  std::size_t first_decoded = bytes.size();
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    PayloadReader r(bytes.data(), n);
+    try {
+      Msg::decode(r);
+      ++decoded;
+      first_decoded = std::min(first_decoded, n);
+    } catch (const ProtocolError&) {
+    }
+  }
+  EXPECT_EQ(decoded, 0u) << "first decoding prefix: " << first_decoded
+                         << " of " << bytes.size() << " bytes";
+  PayloadReader full(bytes);
+  EXPECT_NO_THROW(Msg::decode(full));
+}
+
+// A small recorded dataset (random plaintexts, one noisy channel; 192
+// rows, so six TVLA sets) for real CPA and TVLA job results.
+std::shared_ptr<const store::SharedMapping> small_dataset() {
+  const std::string path = ::testing::TempDir() + "bus_protocol_prefix.pstr";
+  util::Xoshiro256 rng(7);
+  core::TraceBatch batch(1);
+  batch.resize(192);
+  for (auto& pt : batch.plaintexts()) {
+    rng.fill_bytes(pt);
+  }
+  for (auto& ct : batch.ciphertexts()) {
+    rng.fill_bytes(ct);
+  }
+  for (auto& v : batch.column(0)) {
+    v = rng.gaussian(0.0, 1.0);
+  }
+  store::TraceFileWriter writer(
+      path, {.channels = {util::FourCc("PHPC")}, .chunk_capacity = 64});
+  writer.append(batch);
+  writer.finalize();
+  return store::SharedMapping::open(path);
+}
+
+TEST(Messages, EveryStrictPrefixOfResultsAndSubmitsThrows) {
+  const auto dataset = small_dataset();
+  CpaJobSpec cpa;
+  cpa.channel = util::FourCc("PHPC").code();
+  cpa.shards = 2;
+  expect_every_strict_prefix_throws(
+      CpaResultMsg{1, run_cpa_job(dataset, cpa)});
+  expect_every_strict_prefix_throws(
+      TvlaResultMsg{2, run_tvla_job(dataset, TvlaJobSpec{})});
+
+  ScenarioJobSpec scenario;
+  scenario.scenario = "aes-power-user";
+  scenario.params = {{"device", "m1"}};
+  scenario.traces_per_set = 30;
+  scenario.seed = 3;
+  ScenarioJobResult result = run_scenario_job(scenario);
+  // One CPA key keeps the sweep (quadratic in the payload size) short;
+  // the other keys take the same decode path.
+  ASSERT_GT(result.cpa.size(), 1u);
+  result.cpa.resize(1);
+  expect_every_strict_prefix_throws(ScenarioResultMsg{3, result});
+  expect_every_strict_prefix_throws(SubmitScenarioMsg{scenario});
 }
 
 TEST(Messages, MalformedPayloadsThrowNotCrash) {
