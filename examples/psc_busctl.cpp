@@ -30,12 +30,18 @@
 // analysis exits non-zero. `serve` installs SIGINT/SIGTERM handlers and
 // drains running jobs before exiting, so `kill -TERM` is a clean stop.
 // `datasets` also prints the daemon's STATS frame: decoded-chunk cache
-// counters plus the per-job shard-scheduler rows.
-#include <cstdlib>
+// counters plus the per-job shard-scheduler rows. A malformed command
+// line, including a count or job id that is not a decimal integer in
+// range, exits 2 before anything is sent.
+#include <charconv>
+#include <cstdint>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "aes/aes128.h"
@@ -130,8 +136,30 @@ std::string require_socket(const Args& args) {
   return *socket;
 }
 
-std::uint64_t parse_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 10);
+// A malformed command line: main prints the message and exits 2, as
+// usage() does.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+// A decimal count or id, all of `s` and at most `max`; anything else
+// (empty, a sign, non-digits, trailing characters, out of range) is a
+// UsageError naming `what`.
+std::uint64_t parse_u64(const std::string& what, const std::string& s,
+                        std::uint64_t max =
+                            std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc{} || end != s.data() + s.size() || value > max) {
+    throw UsageError(what + " wants an integer in [0, " + std::to_string(max) +
+                     "], got '" + s + "'");
+  }
+  return value;
+}
+
+std::uint32_t parse_u32(const std::string& what, const std::string& s) {
+  return static_cast<std::uint32_t>(
+      parse_u64(what, s, std::numeric_limits<std::uint32_t>::max()));
 }
 
 power::PowerModel parse_model(const std::string& name) {
@@ -229,16 +257,16 @@ int cmd_serve(const Args& args) {
   bus::BusDaemonConfig config;
   config.socket_path = require_socket(args);
   if (const auto quota = args.flag("quota")) {
-    config.per_session_quota = parse_u64(*quota);
+    config.per_session_quota = parse_u64("--quota", *quota);
   }
   if (const auto threads = args.flag("threads")) {
-    config.pool_reserve = parse_u64(*threads);
+    config.pool_reserve = parse_u64("--threads", *threads);
   }
   if (const auto parallel = args.flag("job-parallel")) {
-    config.shard_parallelism = parse_u64(*parallel);
+    config.shard_parallelism = parse_u64("--job-parallel", *parallel);
   }
   if (const auto cache_mb = args.flag("cache-mb")) {
-    config.chunk_cache_mb = parse_u64(*cache_mb);
+    config.chunk_cache_mb = parse_u64("--cache-mb", *cache_mb);
   }
   for (const std::string& spec : args.flag_all("dataset")) {
     const std::size_t eq = spec.find('=');
@@ -358,10 +386,10 @@ int cmd_submit(const Args& args) {
       }
     }
     if (const auto traces = args.flag("traces")) {
-      cpa.trace_count = parse_u64(*traces);
+      cpa.trace_count = parse_u64("--traces", *traces);
     }
     if (const auto shards = args.flag("shards")) {
-      cpa.shards = static_cast<std::uint32_t>(parse_u64(*shards));
+      cpa.shards = parse_u32("--shards", *shards);
     }
     id = client.submit_cpa(dataset, cpa);
     run_local = [&, id, cpa] {
@@ -371,10 +399,10 @@ int cmd_submit(const Args& args) {
   } else if (kind == "tvla") {
     bus::TvlaJobSpec tvla;
     if (const auto per_set = args.flag("per-set")) {
-      tvla.traces_per_set = parse_u64(*per_set);
+      tvla.traces_per_set = parse_u64("--per-set", *per_set);
     }
     if (const auto shards = args.flag("shards")) {
-      tvla.shards = static_cast<std::uint32_t>(parse_u64(*shards));
+      tvla.shards = parse_u32("--shards", *shards);
     }
     id = client.submit_tvla(dataset, tvla);
     run_local = [&, id, tvla] {
@@ -393,13 +421,13 @@ int cmd_submit(const Args& args) {
       scenario.params.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
     }
     if (const auto per_set = args.flag("per-set")) {
-      scenario.traces_per_set = parse_u64(*per_set);
+      scenario.traces_per_set = parse_u64("--per-set", *per_set);
     }
     if (const auto seed = args.flag("seed")) {
-      scenario.seed = parse_u64(*seed);
+      scenario.seed = parse_u64("--seed", *seed);
     }
     if (const auto shards = args.flag("shards")) {
-      scenario.shards = static_cast<std::uint32_t>(parse_u64(*shards));
+      scenario.shards = parse_u32("--shards", *shards);
     }
     id = client.submit_scenario(scenario);
     // Scenario results are worker-invariant, so a single-worker rerun
@@ -438,8 +466,8 @@ int cmd_watch(const Args& args) {
   if (args.positional.size() != 1) {
     return usage();
   }
+  const std::uint64_t id = parse_u64("job id", args.positional[0]);
   bus::BusClient client(require_socket(args));
-  const std::uint64_t id = parse_u64(args.positional[0]);
   const bus::JobStatusMsg status = client.watch(id, print_progress);
   std::cout << "job " << id << ": " << bus::job_state_name(status.state);
   if (status.state == bus::JobState::failed) {
@@ -453,8 +481,9 @@ int cmd_result(const Args& args) {
   if (args.positional.size() != 1) {
     return usage();
   }
+  const std::uint64_t id = parse_u64("job id", args.positional[0]);
   bus::BusClient client(require_socket(args));
-  print_result(client.fetch_result(parse_u64(args.positional[0])));
+  print_result(client.fetch_result(id));
   return 0;
 }
 
@@ -507,6 +536,9 @@ int main(int argc, char** argv) {
       std::cout << "daemon draining\n";
       return 0;
     }
+  } catch (const UsageError& e) {
+    std::cerr << "usage error: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

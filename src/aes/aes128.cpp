@@ -1,9 +1,11 @@
 #include "aes/aes128.h"
 
-#include <bit>
-#include <cstring>
-
 #include "aes/sbox.h"
+#include "util/simd.h"
+
+#if defined(PSC_SIMD_X86)
+#include <immintrin.h>
+#endif
 
 namespace psc::aes {
 
@@ -51,12 +53,52 @@ void set_word(std::array<Block, num_rounds + 1>& keys, std::size_t i,
   }
 }
 
-// The block as two 64-bit words: two popcounts instead of sixteen.
-std::array<std::uint64_t, 2> block_words(const Block& block) noexcept {
-  std::array<std::uint64_t, 2> words;
-  std::memcpy(words.data(), block.data(), sizeof words);
-  return words;
+#if defined(PSC_SIMD_X86)
+__m128i load_block(const Block& block) noexcept {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(block.data()));
 }
+
+void store_block(Block& block, __m128i v) noexcept {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(block.data()), v);
+}
+
+// AESENC is SubBytes, ShiftRows, MixColumns, AddRoundKey and AESENCLAST
+// drops MixColumns, so each output is a post_add_round_key state.
+// AESENCLAST with a zero key is ShiftRows(SubBytes(s)); the PSHUFB mask
+// undoes the ShiftRows (out[i] = in[mask[i]], the inverse permutation of
+// shift_rows_source), leaving the post_sub_bytes state.
+__attribute__((target("aes,ssse3"))) Block encrypt_trace_aesni(
+    const std::array<Block, num_rounds + 1>& round_keys,
+    const Block& plaintext, RoundTrace& trace) noexcept {
+  const __m128i inv_shift_rows_mask =
+      _mm_setr_epi8(0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3);
+  const __m128i zero = _mm_setzero_si128();
+  __m128i state = _mm_xor_si128(load_block(plaintext),
+                                load_block(round_keys[0]));
+  store_block(trace.post_add_round_key[0], state);
+  for (std::size_t round = 1; round <= num_rounds; ++round) {
+    store_block(trace.post_sub_bytes[round - 1],
+                _mm_shuffle_epi8(_mm_aesenclast_si128(state, zero),
+                                 inv_shift_rows_mask));
+    const __m128i key = load_block(round_keys[round]);
+    state = round < num_rounds ? _mm_aesenc_si128(state, key)
+                               : _mm_aesenclast_si128(state, key);
+    store_block(trace.post_add_round_key[round], state);
+  }
+  Block ciphertext;
+  store_block(ciphertext, state);
+  return ciphertext;
+}
+
+// AES-NI runs unless dispatch is pinned to the portable bodies
+// (PSC_SIMD=scalar or util::simd::force_backend(Backend::scalar)).
+bool use_aesni() noexcept {
+  static const bool cpu_has_aesni = __builtin_cpu_supports("aes") != 0 &&
+                                    __builtin_cpu_supports("ssse3") != 0;
+  return cpu_has_aesni &&
+         util::simd::active_backend() != util::simd::Backend::scalar;
+}
+#endif  // PSC_SIMD_X86
 
 }  // namespace
 
@@ -186,6 +228,11 @@ Block Aes128::encrypt(const Block& plaintext) const noexcept {
 
 Block Aes128::encrypt_trace(const Block& plaintext,
                             RoundTrace& trace) const noexcept {
+#if defined(PSC_SIMD_X86)
+  if (use_aesni()) {
+    return encrypt_trace_aesni(round_keys_, plaintext, trace);
+  }
+#endif
   Block state = plaintext;
   add_round_key(state, round_keys_[0]);
   trace.post_add_round_key[0] = state;
@@ -218,17 +265,6 @@ Block Aes128::decrypt(const Block& ciphertext) const noexcept {
   }
   add_round_key(state, round_keys_[0]);
   return state;
-}
-
-int hamming_weight(const Block& block) noexcept {
-  const auto [lo, hi] = block_words(block);
-  return std::popcount(lo) + std::popcount(hi);
-}
-
-int hamming_distance(const Block& a, const Block& b) noexcept {
-  const auto [a_lo, a_hi] = block_words(a);
-  const auto [b_lo, b_hi] = block_words(b);
-  return std::popcount(a_lo ^ b_lo) + std::popcount(a_hi ^ b_hi);
 }
 
 }  // namespace psc::aes

@@ -11,6 +11,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 
 namespace psc::aes {
 
@@ -39,6 +40,16 @@ class Aes128 {
 
   // Encrypts one block and records all intermediate states in `trace`.
   // Returns the ciphertext (== trace.post_add_round_key[10]).
+  //
+  // Dispatch: on x86-64, when the CPU has AES-NI and SSSE3 and
+  // util::simd::active_backend() is not `scalar`, a target("aes,ssse3")
+  // body runs: each AESENC (AESENCLAST for round 10) output is a
+  // post_add_round_key state, and AESENCLAST with a zero round key
+  // followed by an inverse-ShiftRows PSHUFB gives each post_sub_bytes
+  // state. Otherwise (PSC_SIMD=scalar, other CPUs, PSC_FORCE_SCALAR
+  // builds) the portable byte-wise body runs. Both record byte-identical
+  // traces; tests/aes/aes128_test.cpp pins each to FIPS-197 appendix B
+  // and to each other.
   Block encrypt_trace(const Block& plaintext, RoundTrace& trace) const noexcept;
 
   // Decrypts one block (inverse cipher, FIPS-197 section 5.3).
@@ -87,10 +98,22 @@ constexpr int hamming_weight(std::uint8_t b) noexcept {
   return std::popcount(b);
 }
 
-// Hamming weight of a 16-byte block (0..128).
-int hamming_weight(const Block& block) noexcept;
+// Hamming distance between two blocks (0..128), as two 64-bit popcounts.
+// Always inlined, so that a caller compiled for POPCNT (the dispatched
+// body of power::LeakageEvaluator::encryption_energy) counts with the
+// instruction and every other caller with the portable code.
+[[gnu::always_inline]] inline int hamming_distance(const Block& a,
+                                                   const Block& b) noexcept {
+  std::uint64_t wa[2];
+  std::uint64_t wb[2];
+  std::memcpy(wa, a.data(), sizeof wa);
+  std::memcpy(wb, b.data(), sizeof wb);
+  return std::popcount(wa[0] ^ wb[0]) + std::popcount(wa[1] ^ wb[1]);
+}
 
-// Hamming distance between two blocks (0..128).
-int hamming_distance(const Block& a, const Block& b) noexcept;
+// Hamming weight of a 16-byte block (0..128).
+[[gnu::always_inline]] inline int hamming_weight(const Block& block) noexcept {
+  return hamming_distance(block, Block{});
+}
 
 }  // namespace psc::aes

@@ -1,6 +1,7 @@
 #include "bus/dataset_registry.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <stdexcept>
 
 #include "store/chunk_cache.h"
@@ -35,8 +36,11 @@ void DatasetRegistry::open(const std::string& name, const std::string& path) {
   }
   // Map and summarize outside the lock: opening a cold file does disk
   // I/O and must not stall list()/mapping() calls from other sessions.
+  // The mapping keeps the absolute path, so a client in another working
+  // directory can open the file the listing names.
   std::shared_ptr<const store::SharedMapping> mapping =
-      store::SharedMapping::open(path);
+      store::SharedMapping::open(
+          path.empty() ? path : std::filesystem::absolute(path).string());
   store::TraceFileReader reader(mapping);
   store::DatasetSummary summary = store::summarize_dataset(reader);
 

@@ -36,7 +36,9 @@ class DatasetRegistry {
   // way.
   void set_chunk_cache(std::shared_ptr<store::ChunkCache> cache);
 
-  // Opens `path` and registers it under `name`. Throws
+  // Opens `path` and registers it under `name`; a relative path is made
+  // absolute against the current working directory, and the summary
+  // reports that absolute path. Throws
   // std::invalid_argument when the name is taken and StoreError when the
   // file does not validate; a failed open registers nothing.
   void open(const std::string& name, const std::string& path);

@@ -25,23 +25,98 @@ double correlation_from_sums(double n, double sum_m, double sum_mm,
   return cov / std::sqrt(var_m * var_t);
 }
 
-// Hypothesis table of a single-byte model, built once per process on
-// first use: entry g * 256 + v is Predictor(v, g), the prediction for
-// known byte v under guess g. uint8_t entries keep it at 64 KB.
+// A 256-point integer vector in Walsh-Hadamard (XOR-convolution) space.
+using Spectrum = std::array<std::int64_t, 256>;
+
+// In-place unnormalized Walsh-Hadamard transform. Applying it twice
+// multiplies by 256, and it turns XOR convolution into a pointwise
+// product: WHT(a * b) = WHT(a) . WHT(b), where (a * b)[g] is
+// sum_v a[v] b[v ^ g].
+void walsh_hadamard(Spectrum& a) noexcept {
+  for (std::size_t h = 1; h < a.size(); h <<= 1) {
+    for (std::size_t i = 0; i < a.size(); i += 2 * h) {
+      for (std::size_t j = i; j < i + h; ++j) {
+        const std::int64_t x = a[j];
+        const std::int64_t y = a[j + h];
+        a[j] = x + y;
+        a[j + h] = x - y;
+      }
+    }
+  }
+}
+
+// Guesses scored per pass over a byte position's bins: eight independent
+// sum_mt chains, one per lane.
+constexpr std::size_t guess_block = 8;
+
+// Two guess lanes as one GCC/Clang vector (SSE2 on x86-64, NEON on
+// AArch64). Lane arithmetic is elementwise IEEE multiply and add, two
+// roundings under -ffp-contract=off, so each lane computes exactly what a
+// scalar chain would.
+using LanePair = double __attribute__((vector_size(16)));
+
+// Tables of a single-byte model whose prediction for known byte v under
+// guess g is f(v ^ g), built once per process on first use from
+// f(x) = Predictor(x, 0).
+struct SingleByteTables {
+  // WHT of f and of f^2: the exact integer sums of m and m^2 over a count
+  // histogram are XOR convolutions of the counts with these.
+  Spectrum m_spectrum{};
+  Spectrum mm_spectrum{};
+  // The prediction table transposed so that a guess block's eight lanes
+  // are contiguous doubles. With x = v ^ g0 for a block starting at
+  // g0 (a multiple of 8), lane j predicts f(x ^ j), and x ^ j keeps the
+  // high five bits of x: lanes[x & 7][(x & ~7) + j] = f(x ^ j). Eight
+  // 256-entry rows (16 KB) thus cover all 256 x 256 (v, g) pairs.
+  alignas(64) std::array<std::array<double, 256>, guess_block> lanes{};
+};
+
 template <int (*Predictor)(std::uint8_t, std::uint8_t)>
-const std::uint8_t* hypothesis_table() {
-  static const std::array<std::uint8_t, 256 * 256> table = [] {
-    std::array<std::uint8_t, 256 * 256> t{};
-    for (std::size_t g = 0; g < 256; ++g) {
-      for (std::size_t v = 0; v < 256; ++v) {
-        t[g * 256 + v] = static_cast<std::uint8_t>(
-            Predictor(static_cast<std::uint8_t>(v),
-                      static_cast<std::uint8_t>(g)));
+const SingleByteTables& single_byte_tables() {
+  static const SingleByteTables tables = [] {
+    SingleByteTables t;
+    std::array<int, 256> f{};
+    for (std::size_t x = 0; x < 256; ++x) {
+      f[x] = Predictor(static_cast<std::uint8_t>(x), 0);
+      t.m_spectrum[x] = f[x];
+      t.mm_spectrum[x] = f[x] * f[x];
+    }
+    walsh_hadamard(t.m_spectrum);
+    walsh_hadamard(t.mm_spectrum);
+    for (std::size_t b = 0; b < guess_block; ++b) {
+      for (std::size_t x = 0; x < 256; ++x) {
+        t.lanes[b][x] =
+            f[(x & ~(guess_block - 1)) | ((x ^ b) & (guess_block - 1))];
       }
     }
     return t;
   }();
-  return table.data();
+  return tables;
+}
+
+// sum_mt of guesses g0 .. g0 + 7 (g0 a multiple of 8): each lane adds
+// m * sum over the bins in ascending v, exactly the per-guess loop's
+// order, with the eight lanes in four independent vector chains.
+// Kept out of line: inlined into analyze_byte, GCC spills two of the
+// four accumulators to the stack.
+[[gnu::noinline]] std::array<double, guess_block> block_sum_mt(
+    const SingleByteTables& tables, const double* hist_sum,
+    std::size_t g0) noexcept {
+  LanePair a0 = {};
+  LanePair a1 = {};
+  LanePair a2 = {};
+  LanePair a3 = {};
+  for (std::size_t v = 0; v < 256; ++v) {
+    const std::size_t x = v ^ g0;
+    const LanePair* m = reinterpret_cast<const LanePair*>(
+        &tables.lanes[x & (guess_block - 1)][x & ~(guess_block - 1)]);
+    const LanePair s = {hist_sum[v], hist_sum[v]};
+    a0 += m[0] * s;
+    a1 += m[1] * s;
+    a2 += m[2] * s;
+    a3 += m[3] * s;
+  }
+  return {a0[0], a0[1], a1[0], a1[1], a2[0], a2[1], a3[0], a3[1]};
 }
 
 // Hamming weight of every byte value: Rd10-HD's HW(lri ^ ct_src).
@@ -255,37 +330,57 @@ ByteRanking CpaEngine::analyze_byte(power::PowerModel model,
   const double* hist_sum = inputs.uses_plaintext
                                ? &pt_sum_[byte_index * 256]
                                : &ct_sum_[byte_index * 256];
-  const std::uint8_t* table = nullptr;
+  const SingleByteTables* tables = nullptr;
   switch (model) {
     case power::PowerModel::rd0_hw:
-      table = hypothesis_table<power::predict_rd0_hw>();
+      tables = &single_byte_tables<power::predict_rd0_hw>();
       break;
     case power::PowerModel::rd1_sbox_hw:
-      table = hypothesis_table<power::predict_rd1_sbox_hw>();
+      tables = &single_byte_tables<power::predict_rd1_sbox_hw>();
       break;
     case power::PowerModel::rd10_hw:
-      table = hypothesis_table<power::predict_rd10_hw>();
+      tables = &single_byte_tables<power::predict_rd10_hw>();
       break;
     case power::PowerModel::rd10_hd:
       break;  // handled above
   }
-  for (std::size_t g = 0; g < 256; ++g) {
-    const std::uint8_t* predictions = table + g * 256;
-    double sum_m = 0.0;
-    double sum_mm = 0.0;
-    double sum_mt = 0.0;
-    for (std::size_t v = 0; v < 256; ++v) {
-      const std::uint32_t c = hist_count[v];
-      if (c == 0) {
-        continue;
-      }
-      const double m = predictions[v];
-      sum_m += m * c;
-      sum_mm += m * m * c;
-      sum_mt += m * hist_sum[v];
+  if (n_ > max_exact_traces) {
+    throw std::overflow_error(
+        "CpaEngine::analyze_byte: trace count beyond the exact-sum bound");
+  }
+
+  // sum_m[g] = sum_v c[v] f(v ^ g) and sum_mm[g] likewise with f^2, as
+  // exact int64 XOR convolutions. Every partial stays at or below
+  // 256 * n * 2^14 (|WHT(c)| <= n, |WHT(f^2)| <= 256 * 64), which
+  // max_exact_traces (2^40) keeps below 2^62; the results stay below
+  // 2^53, so each converts to the double a per-bin loop would sum.
+  Spectrum sum_m;
+  for (std::size_t v = 0; v < 256; ++v) {
+    sum_m[v] = hist_count[v];
+  }
+  walsh_hadamard(sum_m);
+  Spectrum sum_mm;
+  for (std::size_t k = 0; k < 256; ++k) {
+    sum_mm[k] = sum_m[k] * tables->mm_spectrum[k];
+    sum_m[k] *= tables->m_spectrum[k];
+  }
+  walsh_hadamard(sum_m);
+  walsh_hadamard(sum_mm);
+
+  // sum_mt for a block of eight guesses per pass. Each lane adds m * sum
+  // over the bins in ascending v, exactly the per-guess loop's order.
+  // Empty bins are not skipped: their sum is +0.0, m >= 0 makes every
+  // such term +0.0, and a sum that starts at +0.0 never becomes -0.0, so
+  // the extra terms leave every lane unchanged.
+  for (std::size_t g0 = 0; g0 < 256; g0 += guess_block) {
+    const std::array<double, guess_block> sum_mt =
+        block_sum_mt(*tables, hist_sum, g0);
+    for (std::size_t j = 0; j < guess_block; ++j) {
+      const std::size_t g = g0 + j;
+      out.correlation[g] = correlation_from_sums(
+          n, static_cast<double>(sum_m[g] / 256),
+          static_cast<double>(sum_mm[g] / 256), sum_mt[j], sum_t, sum_tt);
     }
-    out.correlation[g] =
-        correlation_from_sums(n, sum_m, sum_mm, sum_mt, sum_t, sum_tt);
   }
   return out;
 }

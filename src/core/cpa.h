@@ -99,15 +99,24 @@ class CpaEngine {
 
   std::size_t trace_count() const noexcept { return n_; }
 
+  // Trace count up to which the single-byte models' integer sums stay
+  // exact: the transform's int64 partials grow as 2^22 per trace.
+  static constexpr std::uint64_t max_exact_traces = std::uint64_t{1} << 40;
+
   // Correlations for every guess at one byte position under one model,
-  // computed from the current accumulator state. Predictions come from
-  // tables built once per process: rd0_hw, rd10_hw and rd1_sbox_hw read
-  // a 256x256 uint8_t hypothesis table (row g holds the prediction for
-  // every known byte under guess g); rd10_hd takes InvSBox(ct_i ^ g)
-  // once per pair-histogram row and reads a 256-entry byte-weight table
-  // at that value ^ ct_src. Bins are summed in ascending order, so the
-  // result equals a per-bin power::predict_* loop bit for bit. Safe to
-  // call concurrently on one engine.
+  // computed from the current accumulator state, equal bit for bit to a
+  // loop that, per guess, sums m * count, m * m * count and m * sum over
+  // the non-empty bins in ascending order with m from power::predict_*.
+  //  * rd0_hw, rd10_hw and rd1_sbox_hw predict f(v ^ g) for known byte v
+  //    under guess g. Their sum_m and sum_mm are exact int64 XOR
+  //    convolutions of the count histogram with f and f^2 (one 256-point
+  //    Walsh-Hadamard transform each), converted to double once; sum_mt
+  //    runs eight guesses per pass over a once-built transposed
+  //    prediction table, each lane adding its bins in ascending order.
+  //  * rd10_hd takes InvSBox(ct_i ^ g) once per pair-histogram row and
+  //    reads a 256-entry byte-weight table at that value ^ ct_src.
+  // Throws std::overflow_error for a single-byte model beyond
+  // max_exact_traces. Safe to call concurrently on one engine.
   ByteRanking analyze_byte(power::PowerModel model,
                            std::size_t byte_index) const;
 

@@ -1,6 +1,62 @@
 #include "power/leakage_model.h"
 
+#include "util/simd.h"
+
 namespace psc::power {
+
+namespace {
+
+// The weighted bit count of one encryption. Inlined into both bodies,
+// with aes::hamming_weight/distance inlined into it, so each popcount is
+// the POPCNT instruction in the target("popcnt") body and a libgcc call
+// in the portable one; both sum the same terms in the same order, so they
+// return the same double.
+[[gnu::always_inline]] inline double weighted_bits_of(
+    const LeakageConfig& config, const aes::Block& plaintext,
+    const aes::RoundTrace& trace) {
+  double weighted_bits = 0.0;
+  for (std::size_t r = 0; r <= aes::num_rounds; ++r) {
+    const double w = config.ark_hw_weight[r];
+    if (w != 0.0) {
+      weighted_bits += w * aes::hamming_weight(trace.post_add_round_key[r]);
+    }
+  }
+  for (std::size_t r = 0; r < aes::num_rounds; ++r) {
+    const double w = config.sbox_hw_weight[r];
+    if (w != 0.0) {
+      weighted_bits += w * aes::hamming_weight(trace.post_sub_bytes[r]);
+    }
+  }
+  if (config.plaintext_load_weight != 0.0) {
+    weighted_bits +=
+        config.plaintext_load_weight * aes::hamming_weight(plaintext);
+  }
+  if (config.last_round_hd_weight != 0.0) {
+    weighted_bits += config.last_round_hd_weight *
+                     aes::hamming_distance(
+                         trace.post_add_round_key[aes::num_rounds - 1],
+                         trace.post_add_round_key[aes::num_rounds]);
+  }
+  return weighted_bits;
+}
+
+#if defined(PSC_SIMD_X86)
+__attribute__((target("popcnt"))) double weighted_bits_popcnt(
+    const LeakageConfig& config, const aes::Block& plaintext,
+    const aes::RoundTrace& trace) noexcept {
+  return weighted_bits_of(config, plaintext, trace);
+}
+
+// POPCNT runs unless dispatch is pinned to the portable bodies
+// (PSC_SIMD=scalar or util::simd::force_backend(Backend::scalar)).
+bool use_popcnt() noexcept {
+  static const bool cpu_has_popcnt = __builtin_cpu_supports("popcnt") != 0;
+  return cpu_has_popcnt &&
+         util::simd::active_backend() != util::simd::Backend::scalar;
+}
+#endif  // PSC_SIMD_X86
+
+}  // namespace
 
 LeakageConfig LeakageConfig::apple_silicon_default() {
   LeakageConfig cfg;
@@ -66,35 +122,19 @@ double LeakageConfig::max_energy() const noexcept {
 
 double LeakageEvaluator::encryption_energy(
     const aes::Block& plaintext, const aes::RoundTrace& trace) const noexcept {
-  double weighted_bits = 0.0;
-  for (std::size_t r = 0; r <= aes::num_rounds; ++r) {
-    const double w = config_.ark_hw_weight[r];
-    if (w != 0.0) {
-      weighted_bits += w * aes::hamming_weight(trace.post_add_round_key[r]);
-    }
+#if defined(PSC_SIMD_X86)
+  if (use_popcnt()) {
+    return weighted_bits_popcnt(config_, plaintext, trace) *
+           config_.leak_joules_per_bit;
   }
-  for (std::size_t r = 0; r < aes::num_rounds; ++r) {
-    const double w = config_.sbox_hw_weight[r];
-    if (w != 0.0) {
-      weighted_bits += w * aes::hamming_weight(trace.post_sub_bytes[r]);
-    }
-  }
-  if (config_.plaintext_load_weight != 0.0) {
-    weighted_bits += config_.plaintext_load_weight *
-                     aes::hamming_weight(plaintext);
-  }
-  if (config_.last_round_hd_weight != 0.0) {
-    weighted_bits += config_.last_round_hd_weight *
-                     aes::hamming_distance(
-                         trace.post_add_round_key[aes::num_rounds - 1],
-                         trace.post_add_round_key[aes::num_rounds]);
-  }
-  return weighted_bits * config_.leak_joules_per_bit;
+#endif
+  return weighted_bits_of(config_, plaintext, trace) *
+         config_.leak_joules_per_bit;
 }
 
 double LeakageEvaluator::energy_deviation(
     const aes::Block& plaintext, const aes::RoundTrace& trace) const noexcept {
-  return encryption_energy(plaintext, trace) - config_.expected_energy();
+  return encryption_energy(plaintext, trace) - expected_energy_;
 }
 
 double LeakageEvaluator::bus_energy(

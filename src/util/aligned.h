@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <new>
 #include <vector>
 
@@ -36,12 +38,31 @@ struct AlignedAllocator {
     using other = AlignedAllocator<U, Alignment>;
   };
 
+  // Over-allocates through the plain operator new and aligns by hand,
+  // keeping the block's own address just below the aligned one. The
+  // aligned operator new is glibc memalign, which splits small leading
+  // and trailing fragments off each block; with the churn of histogram
+  // copies that campaign checkpoints make on several threads, those
+  // fragments kept megabytes of freed memory resident in the per-thread
+  // arenas.
   T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t(Alignment)));
+    constexpr std::size_t overhead = Alignment + sizeof(void*);
+    if (n > (static_cast<std::size_t>(-1) - overhead) / sizeof(T)) {
+      throw std::bad_array_new_length();
+    }
+    void* block = ::operator new(n * sizeof(T) + overhead);
+    const std::uintptr_t aligned =
+        (reinterpret_cast<std::uintptr_t>(block) + overhead - 1) &
+        ~std::uintptr_t{Alignment - 1};
+    std::memcpy(reinterpret_cast<void*>(aligned - sizeof(void*)), &block,
+                sizeof block);
+    return reinterpret_cast<T*>(aligned);
   }
   void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t(Alignment));
+    void* block = nullptr;
+    std::memcpy(&block, reinterpret_cast<const std::byte*>(p) - sizeof block,
+                sizeof block);
+    ::operator delete(block);
   }
 
   friend bool operator==(const AlignedAllocator&,

@@ -9,17 +9,16 @@
 // ISA availability. PSC_SIMD_FORCE_SCALAR (CMake -DPSC_FORCE_SCALAR=ON)
 // compiles the portable fallback only — the configuration CI keeps green
 // so non-x86/non-ARM ports always have a working path.
-#if !defined(PSC_SIMD_FORCE_SCALAR)
-#if defined(__x86_64__) && defined(__GNUC__)
+#if defined(PSC_SIMD_X86)
 #define PSC_SIMD_HAVE_SSE2 1
 #define PSC_SIMD_HAVE_AVX2 1
 #define PSC_SIMD_HAVE_AVX512 1
 #include <immintrin.h>
-#elif defined(__aarch64__) && defined(__ARM_NEON)
+#elif !defined(PSC_SIMD_FORCE_SCALAR) && defined(__aarch64__) && \
+    defined(__ARM_NEON)
 #define PSC_SIMD_HAVE_NEON 1
 #include <arm_neon.h>
 #endif
-#endif  // !PSC_SIMD_FORCE_SCALAR
 
 namespace psc::util::simd {
 

@@ -5,8 +5,10 @@
 // of (count, value-sum), and — for the pair model — a 16x65536 pair
 // histogram. This header exposes those inner loops as free-function
 // kernels with one implementation per instruction set (scalar, SSE2,
-// AVX2, AVX-512, NEON), selected once at runtime from CPU capabilities —
-// the same per-ISA-dispatch model aes_armv8 set for the cipher.
+// AVX2, AVX-512, NEON), selected once at runtime from CPU capabilities.
+// The acquisition bodies outside this file follow the same switch: the
+// AES-NI round trace (aes/aes128.cpp) and the POPCNT leakage sum
+// (power/leakage_model.cpp) run unless the active backend is `scalar`.
 //
 // Bit-exactness contract
 // ----------------------
@@ -39,7 +41,8 @@
 // active_backend() resolves once from the CPU (best available wins); the
 // PSC_SIMD environment variable (scalar|sse2|avx2|avx512|neon) or
 // force_backend() — the override hook the bit-consistency tests and the
-// per-kernel benches use — pin a specific backend. Building with
+// per-kernel benches use — pin a specific backend. Pinning `scalar` also
+// selects the portable AES round-trace and leakage popcount bodies. Building with
 // -DPSC_FORCE_SCALAR=ON (CMake) compiles the portable fallback only.
 //
 // Adding a new SIMD kernel
@@ -62,6 +65,14 @@
 #include <cstdint>
 #include <string_view>
 #include <vector>
+
+// Defined when this build compiles the x86-64 bodies: GCC or Clang on
+// x86-64, and not a PSC_FORCE_SCALAR build. The AES-NI and POPCNT bodies
+// outside this module are compiled under the same condition.
+#if !defined(PSC_SIMD_FORCE_SCALAR) && defined(__x86_64__) && \
+    defined(__GNUC__)
+#define PSC_SIMD_X86 1
+#endif
 
 namespace psc::util::simd {
 

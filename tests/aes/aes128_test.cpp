@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "aes/sbox.h"
 #include "util/hex.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace psc::aes {
 namespace {
@@ -89,15 +94,82 @@ TEST(Aes128, TraceSubBytesConsistent) {
   }
 }
 
-TEST(Aes128, TraceFirstRoundMatchesFips197) {
-  // FIPS-197 appendix B: state after round 1 is a49c7ff2689f352b6b5bea43026a5049.
+// FIPS-197 appendix B, every round: post_add_round_key[r] is the "start
+// of round" state of round r + 1 (r = 10: the output) and
+// post_sub_bytes[r] the "after SubBytes" state of round r + 1. Pinned on
+// the dispatched body (AES-NI where the CPU has it) and on the portable
+// byte-wise body that PSC_SIMD=scalar selects.
+TEST(Aes128, TraceMatchesFips197AppendixBEveryRound) {
+  namespace simd = util::simd;
   const Block key = block_from_hex("2b7e151628aed2a6abf7158809cf4f3c");
   const Block pt = block_from_hex("3243f6a8885a308d313198a2e0370734");
-  Aes128 cipher(key);
-  RoundTrace trace;
-  cipher.encrypt_trace(pt, trace);
-  EXPECT_EQ(trace.post_add_round_key[1],
-            block_from_hex("a49c7ff2689f352b6b5bea43026a5049"));
+  const char* const start_of_round[num_rounds + 1] = {
+      "193de3bea0f4e22b9ac68d2ae9f84808", "a49c7ff2689f352b6b5bea43026a5049",
+      "aa8f5f0361dde3ef82d24ad26832469a", "486c4eee671d9d0d4de3b138d65f58e7",
+      "e0927fe8c86363c0d9b1355085b8be01", "f1006f55c1924cef7cc88b325db5d50c",
+      "260e2e173d41b77de86472a9fdd28b25", "5a4142b11949dc1fa3e019657a8c040c",
+      "ea835cf00445332d655d98ad8596b0c5", "eb40f21e592e38848ba113e71bc342d2",
+      "3925841d02dc09fbdc118597196a0b32"};
+  const char* const after_sub_bytes[num_rounds] = {
+      "d42711aee0bf98f1b8b45de51e415230", "49ded28945db96f17f39871a7702533b",
+      "ac73cf7befc111df13b5d6b545235ab8", "52502f2885a45ed7e311c807f6cf6a94",
+      "e14fd29be8fbfbba35c89653976cae7c", "a163a8fc784f29df10e83d234cd503fe",
+      "f7ab31f02783a9ff9b4340d354b53d3f", "be832cc8d43b86c00ae1d44dda64f2fe",
+      "87ec4a8cf26ec3d84d4c46959790e7a6", "e9098972cb31075f3d327d94af2e2cb5"};
+  const Aes128 cipher(key);
+  for (const bool portable : {false, true}) {
+    if (portable) {
+      simd::force_backend(simd::Backend::scalar);
+    } else {
+      simd::reset_backend();
+    }
+    const std::string body = portable ? "portable body" : "dispatched body";
+    RoundTrace trace;
+    EXPECT_EQ(cipher.encrypt_trace(pt, trace),
+              block_from_hex(start_of_round[num_rounds]))
+        << body;
+    for (std::size_t r = 0; r <= num_rounds; ++r) {
+      EXPECT_EQ(trace.post_add_round_key[r],
+                block_from_hex(start_of_round[r]))
+          << body << ", post_add_round_key[" << r << "]";
+    }
+    for (std::size_t r = 0; r < num_rounds; ++r) {
+      EXPECT_EQ(trace.post_sub_bytes[r], block_from_hex(after_sub_bytes[r]))
+          << body << ", post_sub_bytes[" << r << "]";
+    }
+  }
+  simd::reset_backend();
+}
+
+// The dispatched round-trace body records byte-for-byte the same states
+// as the portable one, over seeded random keys and plaintexts.
+TEST(Aes128, DispatchedTraceEqualsPortableBody) {
+  namespace simd = util::simd;
+  constexpr std::size_t pairs = 10240;
+  util::Xoshiro256 rng(197);
+  std::vector<Block> keys(pairs);
+  std::vector<Block> pts(pairs);
+  for (std::size_t i = 0; i < pairs; ++i) {
+    rng.fill_bytes(keys[i]);
+    rng.fill_bytes(pts[i]);
+  }
+  const auto traces = [&] {
+    std::vector<RoundTrace> out(pairs);
+    for (std::size_t i = 0; i < pairs; ++i) {
+      Aes128(keys[i]).encrypt_trace(pts[i], out[i]);
+    }
+    return out;
+  };
+  simd::reset_backend();
+  const std::vector<RoundTrace> dispatched = traces();
+  simd::force_backend(simd::Backend::scalar);
+  const std::vector<RoundTrace> portable = traces();
+  simd::reset_backend();
+  for (std::size_t i = 0; i < pairs; ++i) {
+    ASSERT_EQ(std::memcmp(&dispatched[i], &portable[i], sizeof(RoundTrace)),
+              0)
+        << "pair " << i;
+  }
 }
 
 TEST(Aes128, LastRoundStructure) {

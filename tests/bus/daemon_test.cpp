@@ -16,6 +16,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -24,6 +25,7 @@
 
 #include "bus/client.h"
 #include "bus/daemon.h"
+#include "bus/dataset_registry.h"
 #include "bus/jobs.h"
 #include "bus/scenario_jobs.h"
 #include "store/pstr_format.h"
@@ -150,6 +152,24 @@ class BusDaemonTest : public ::testing::Test {
   std::string dataset_path_;
   std::unique_ptr<BusDaemon> daemon_;
 };
+
+// A dataset registered by a relative path lists, and maps, its absolute
+// path, so a client in another working directory (psc_busctl submit
+// --verify-local) can open the file the daemon names.
+TEST(DatasetRegistry, RelativePathIsRegisteredAbsolute) {
+  const std::string path = write_dataset("bus_relative.pstr");
+  const std::filesystem::path relative = std::filesystem::relative(path);
+  ASSERT_TRUE(relative.is_relative()) << relative;
+  DatasetRegistry registry;
+  registry.open("relative", relative.string());
+  const auto listed = registry.list();
+  ASSERT_EQ(listed.size(), 1u);
+  const std::string& reported = listed[0].summary.path;
+  EXPECT_TRUE(std::filesystem::path(reported).is_absolute()) << reported;
+  EXPECT_EQ(reported, std::filesystem::absolute(relative).string());
+  EXPECT_TRUE(std::filesystem::equivalent(reported, path));
+  EXPECT_EQ(registry.mapping("relative")->path(), reported);
+}
 
 TEST_F(BusDaemonTest, PingAndDatasetListMatchLocalSummary) {
   serve("list");

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "util/rng.h"
@@ -260,106 +262,247 @@ TEST_P(CpaMergeEquivalence, ShardsMergeToMonolithicResult) {
 INSTANTIATE_TEST_SUITE_P(AllModels, CpaMergeEquivalence,
                          ::testing::ValuesIn(power::all_power_models));
 
-// Reference analyze_byte: bins the traces by the model's known byte(s),
-// then per guess calls the power::predict_* function once per non-empty
-// bin in ascending bin order and sums m * c, m * m * c and m * sum.
-std::array<double, 256> per_bin_predictor_correlations(
-    power::PowerModel model, std::span<const aes::Block> pts,
-    std::span<const aes::Block> cts, std::span<const double> values,
-    std::size_t byte_index) {
-  util::simd::MomentStripes moments;
-  for (std::size_t t = 0; t < values.size(); ++t) {
-    util::simd::accumulate_moments(&values[t], 1, t, moments);
-  }
-  const double n = static_cast<double>(values.size());
-  const double sum_t = util::simd::reduce_stripes(moments.sum);
-  const double sum_tt = util::simd::reduce_stripes(moments.sumsq);
+// Reference analyze_byte at one byte position: bins the traces by every
+// model's known byte(s), then per guess calls the power::predict_*
+// function once per non-empty bin in ascending bin order and sums m * c,
+// m * m * c and m * sum. Fed one trace at a time, so a stream of any
+// length can be checked without holding it.
+class PerBinReference {
+ public:
+  explicit PerBinReference(std::size_t byte_index)
+      : byte_(byte_index), src_(aes::shift_rows_source(byte_index)) {}
 
-  const bool pair = model == power::PowerModel::rd10_hd;
-  const bool plaintext = power::power_model_inputs(model).uses_plaintext;
-  const std::size_t src = aes::shift_rows_source(byte_index);
-  std::vector<std::uint32_t> counts(pair ? 65536 : 256, 0);
-  std::vector<double> sums(counts.size(), 0.0);
-  for (std::size_t t = 0; t < values.size(); ++t) {
-    const std::size_t bin =
-        pair ? std::size_t{cts[t][byte_index]} * 256 + cts[t][src]
-             : (plaintext ? pts[t] : cts[t])[byte_index];
-    ++counts[bin];
-    sums[bin] += values[t];
+  void add(const aes::Block& pt, const aes::Block& ct, double value) {
+    util::simd::accumulate_moments(&value, 1, n_++, moments_);
+    pt_.add(pt[byte_], value);
+    ct_.add(ct[byte_], value);
+    pair_.add(std::size_t{ct[byte_]} * 256 + ct[src_], value);
   }
 
-  std::array<double, 256> out{};
-  for (int g = 0; g < 256; ++g) {
-    const auto guess = static_cast<std::uint8_t>(g);
-    double sum_m = 0.0;
-    double sum_mm = 0.0;
-    double sum_mt = 0.0;
-    for (std::size_t bin = 0; bin < counts.size(); ++bin) {
-      const std::uint32_t c = counts[bin];
-      if (c == 0) {
-        continue;
+  std::array<double, 256> correlations(power::PowerModel model) const {
+    const double n = static_cast<double>(n_);
+    const double sum_t = util::simd::reduce_stripes(moments_.sum);
+    const double sum_tt = util::simd::reduce_stripes(moments_.sumsq);
+    const Bins& bins = model == power::PowerModel::rd10_hd ? pair_
+                       : power::power_model_inputs(model).uses_plaintext
+                           ? pt_
+                           : ct_;
+    std::array<double, 256> out{};
+    for (int g = 0; g < 256; ++g) {
+      const auto guess = static_cast<std::uint8_t>(g);
+      double sum_m = 0.0;
+      double sum_mm = 0.0;
+      double sum_mt = 0.0;
+      for (std::size_t bin = 0; bin < bins.counts.size(); ++bin) {
+        const std::uint32_t c = bins.counts[bin];
+        if (c == 0) {
+          continue;
+        }
+        const auto hi = static_cast<std::uint8_t>(bin >> 8);
+        const auto lo = static_cast<std::uint8_t>(bin);
+        double m = 0.0;
+        switch (model) {
+          case power::PowerModel::rd0_hw:
+            m = power::predict_rd0_hw(lo, guess);
+            break;
+          case power::PowerModel::rd10_hw:
+            m = power::predict_rd10_hw(lo, guess);
+            break;
+          case power::PowerModel::rd10_hd:
+            m = power::predict_rd10_hd(hi, lo, guess);
+            break;
+          case power::PowerModel::rd1_sbox_hw:
+            m = power::predict_rd1_sbox_hw(lo, guess);
+            break;
+        }
+        sum_m += m * c;
+        sum_mm += m * m * c;
+        sum_mt += m * bins.sums[bin];
       }
-      const auto hi = static_cast<std::uint8_t>(bin >> 8);
-      const auto lo = static_cast<std::uint8_t>(bin);
-      double m = 0.0;
-      switch (model) {
-        case power::PowerModel::rd0_hw:
-          m = power::predict_rd0_hw(lo, guess);
-          break;
-        case power::PowerModel::rd10_hw:
-          m = power::predict_rd10_hw(lo, guess);
-          break;
-        case power::PowerModel::rd10_hd:
-          m = power::predict_rd10_hd(hi, lo, guess);
-          break;
-        case power::PowerModel::rd1_sbox_hw:
-          m = power::predict_rd1_sbox_hw(lo, guess);
-          break;
-      }
-      sum_m += m * c;
-      sum_mm += m * m * c;
-      sum_mt += m * sums[bin];
+      const double cov = n * sum_mt - sum_m * sum_t;
+      const double var_m = n * sum_mm - sum_m * sum_m;
+      const double var_t = n * sum_tt - sum_t * sum_t;
+      out[static_cast<std::size_t>(g)] =
+          var_m <= 0.0 || var_t <= 0.0 ? 0.0
+                                       : cov / std::sqrt(var_m * var_t);
     }
-    const double cov = n * sum_mt - sum_m * sum_t;
-    const double var_m = n * sum_mm - sum_m * sum_m;
-    const double var_t = n * sum_tt - sum_t * sum_t;
-    out[static_cast<std::size_t>(g)] =
-        var_m <= 0.0 || var_t <= 0.0 ? 0.0 : cov / std::sqrt(var_m * var_t);
+    return out;
   }
-  return out;
+
+  // The largest single-byte bin count, plaintext or ciphertext.
+  std::uint32_t max_single_byte_count() const {
+    return std::max(*std::max_element(pt_.counts.begin(), pt_.counts.end()),
+                    *std::max_element(ct_.counts.begin(), ct_.counts.end()));
+  }
+
+ private:
+  struct Bins {
+    explicit Bins(std::size_t size) : counts(size, 0), sums(size, 0.0) {}
+    void add(std::size_t bin, double value) {
+      ++counts[bin];
+      sums[bin] += value;
+    }
+    std::vector<std::uint32_t> counts;
+    std::vector<double> sums;
+  };
+
+  std::size_t byte_;
+  std::size_t src_;
+  std::uint64_t n_ = 0;
+  util::simd::MomentStripes moments_;
+  Bins pt_{256};
+  Bins ct_{256};
+  Bins pair_{65536};
+};
+
+void expect_bit_equal(const std::array<double, 256>& want,
+                      const ByteRanking& got, const std::string& what) {
+  for (std::size_t g = 0; g < 256; ++g) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.correlation[g]),
+              std::bit_cast<std::uint64_t>(want[g]))
+        << what << ", guess " << g;
+  }
 }
 
 // Every model's analyze_byte equals the per-bin predictor loop bit for
-// bit, on a sparse histogram (most pair bins empty) and a dense one.
+// bit, with the engine fed on every supported SIMD backend, on:
+//  * a sparse histogram (single-byte bins and most pair bins empty);
+//  * a dense one;
+//  * a channel of negative values, where a bin predicted m = 0 adds
+//    0 * sum = -0.0;
+//  * a stream whose fixed-plaintext part puts more than 2^24 traces in
+//    one bin per position, checked for every single-byte model.
 TEST(CpaEngine, AnalyzeMatchesPerBinPredictorBitForBit) {
-  for (const std::size_t n_traces : {std::size_t{300}, std::size_t{50000}}) {
-    util::Xoshiro256 rng(n_traces);
+  namespace simd = util::simd;
+  const std::vector<simd::Backend> backends = simd::supported_backends();
+  struct Case {
+    std::size_t traces;
+    double offset;
+  };
+  for (const Case c : {Case{300, 0.0}, Case{50000, 0.0}, Case{1000, -100.0}}) {
+    util::Xoshiro256 rng(c.traces);
     aes::Aes128 cipher(random_block(rng));
-    std::vector<aes::Block> pts(n_traces);
-    std::vector<aes::Block> cts(n_traces);
-    std::vector<double> values(n_traces);
-    CpaEngine engine({power::all_power_models.begin(),
-                      power::all_power_models.end()});
+    std::vector<aes::Block> pts(c.traces);
+    std::vector<aes::Block> cts(c.traces);
+    std::vector<double> values(c.traces);
+    std::vector<PerBinReference> refs;
+    for (std::size_t i = 0; i < 16; ++i) {
+      refs.emplace_back(i);
+    }
     aes::RoundTrace trace;
-    for (std::size_t t = 0; t < n_traces; ++t) {
+    for (std::size_t t = 0; t < c.traces; ++t) {
       pts[t] = random_block(rng);
       cts[t] = cipher.encrypt_trace(pts[t], trace);
       values[t] = aes::hamming_weight(trace.post_add_round_key[0]) +
                   aes::hamming_weight(trace.post_sub_bytes[9]) +
-                  rng.gaussian(0.0, 5.0);
-      engine.add_trace(pts[t], cts[t], values[t]);
+                  rng.gaussian(0.0, 5.0) + c.offset;
+      for (PerBinReference& ref : refs) {
+        ref.add(pts[t], cts[t], values[t]);
+      }
     }
+    std::vector<std::array<double, 256>> want;
     for (const power::PowerModel model : power::all_power_models) {
-      for (std::size_t i = 0; i < 16; ++i) {
-        const std::array<double, 256> want =
-            per_bin_predictor_correlations(model, pts, cts, values, i);
-        const ByteRanking got = engine.analyze_byte(model, i);
-        for (std::size_t g = 0; g < 256; ++g) {
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.correlation[g]),
-                    std::bit_cast<std::uint64_t>(want[g]))
-              << power::power_model_name(model) << ", " << n_traces
-              << " traces, byte " << i << ", guess " << g;
+      for (const PerBinReference& ref : refs) {
+        want.push_back(ref.correlations(model));
+      }
+    }
+    for (const simd::Backend backend : backends) {
+      simd::force_backend(backend);
+      CpaEngine engine({power::all_power_models.begin(),
+                        power::all_power_models.end()});
+      engine.add_trace_batch(pts, cts, values);
+      std::size_t w = 0;
+      for (const power::PowerModel model : power::all_power_models) {
+        // Every backend fills the pair histogram with the same scalar
+        // loop, so rd10_hd's costly analysis runs on the first only.
+        if (model == power::PowerModel::rd10_hd && backend != backends[0]) {
+          w += 16;
+          continue;
         }
+        for (std::size_t i = 0; i < 16; ++i) {
+          expect_bit_equal(
+              want[w++], engine.analyze_byte(model, i),
+              std::string(power::power_model_name(model)) + ", " +
+                  std::to_string(c.traces) + " traces, offset " +
+                  std::to_string(c.offset) + ", " +
+                  std::string(simd::backend_name(backend)) + ", byte " +
+                  std::to_string(i));
+        }
+      }
+    }
+  }
+
+  // 4096 random-plaintext traces, then 2^24 + 1 of one fixed plaintext in
+  // 64k-trace chunks, fed to one engine per backend as they are drawn.
+  const std::vector<power::PowerModel> single_byte_models = {
+      power::PowerModel::rd0_hw, power::PowerModel::rd10_hw,
+      power::PowerModel::rd1_sbox_hw};
+  const std::array<std::size_t, 3> positions = {0, 6, 15};
+  util::Xoshiro256 rng(24);
+  aes::Aes128 cipher(random_block(rng));
+  std::vector<CpaEngine> engines(backends.size(),
+                                 CpaEngine(single_byte_models));
+  std::vector<PerBinReference> refs;
+  for (const std::size_t i : positions) {
+    refs.emplace_back(i);
+  }
+  const aes::Block fixed = random_block(rng);
+  const aes::Block fixed_ct = cipher.encrypt(fixed);
+  constexpr std::size_t random_traces = 4096;
+  constexpr std::size_t total = random_traces + (std::size_t{1} << 24) + 1;
+  constexpr std::size_t chunk = 65536;
+  std::vector<aes::Block> pts;
+  std::vector<aes::Block> cts;
+  std::vector<double> values;
+  for (std::size_t begin = 0; begin < total; begin += chunk) {
+    const std::size_t len = std::min(chunk, total - begin);
+    pts.resize(len);
+    cts.resize(len);
+    values.resize(len);
+    for (std::size_t t = 0; t < len; ++t) {
+      const bool random = begin + t < random_traces;
+      pts[t] = random ? random_block(rng) : fixed;
+      cts[t] = random ? cipher.encrypt(pts[t]) : fixed_ct;
+      values[t] = aes::hamming_weight(pts[t]) - 64.0 +
+                  rng.uniform(-10.0, 10.0);
+      for (PerBinReference& ref : refs) {
+        ref.add(pts[t], cts[t], values[t]);
+      }
+    }
+    for (std::size_t b = 0; b < backends.size(); ++b) {
+      simd::force_backend(backends[b]);
+      engines[b].add_trace_batch(pts, cts, values);
+    }
+  }
+  simd::reset_backend();
+  for (std::size_t p = 0; p < positions.size(); ++p) {
+    ASSERT_GT(refs[p].max_single_byte_count(), std::uint32_t{1} << 24);
+    for (const power::PowerModel model : single_byte_models) {
+      const std::array<double, 256> want = refs[p].correlations(model);
+      for (std::size_t b = 0; b < backends.size(); ++b) {
+        expect_bit_equal(want, engines[b].analyze_byte(model, positions[p]),
+                         std::string(power::power_model_name(model)) +
+                             ", bin above 2^24, " +
+                             std::string(simd::backend_name(backends[b])) +
+                             ", byte " + std::to_string(positions[p]));
+      }
+    }
+  }
+}
+
+// The transform behind the single-byte models' exact sums needs each
+// prediction table to be an XOR shift of its guess-0 row:
+// T(g, v) = T(0, v ^ g) for every guess g and known byte v.
+TEST(CpaEngine, SingleByteModelTablesAreXorShifts) {
+  for (const auto predict :
+       {power::predict_rd0_hw, power::predict_rd10_hw,
+        power::predict_rd1_sbox_hw}) {
+    for (int g = 0; g < 256; ++g) {
+      for (int v = 0; v < 256; ++v) {
+        ASSERT_EQ(predict(static_cast<std::uint8_t>(v),
+                          static_cast<std::uint8_t>(g)),
+                  predict(static_cast<std::uint8_t>(v ^ g), 0))
+            << "guess " << g << ", byte " << v;
       }
     }
   }

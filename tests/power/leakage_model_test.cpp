@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <ios>
+#include <vector>
 
 #include "aes/aes128.h"
 #include "util/hex.h"
 #include "util/rng.h"
+#include "util/simd.h"
 #include "util/stats.h"
 
 namespace psc::power {
@@ -203,6 +207,47 @@ TEST(LeakageEvaluator, DeviationsPinnedForFixedInputs) {
         << energy;
     EXPECT_EQ(bus, a.bus_energy_deviation)
         << a.key << "/" << a.plaintext << ": actual " << std::hexfloat << bus;
+  }
+}
+
+// The POPCNT body of encryption_energy returns bit for bit what the
+// portable body does, for the default profile and for one with every term
+// weighted (the last-round Hamming distance included).
+TEST(LeakageEvaluator, DispatchedEnergyEqualsPortableBody) {
+  namespace simd = util::simd;
+  LeakageConfig every_term = LeakageConfig::apple_silicon_default();
+  every_term.last_round_hd_weight = 0.35;
+  for (std::size_t r = 0; r < aes::num_rounds; ++r) {
+    every_term.sbox_hw_weight[r] = 0.05 * static_cast<double>(r + 1);
+  }
+  constexpr std::size_t pairs = 10240;
+  util::Xoshiro256 rng(2306);
+  std::vector<aes::Block> pts(pairs);
+  std::vector<aes::RoundTrace> traces(pairs);
+  for (std::size_t i = 0; i < pairs; ++i) {
+    pts[i] = random_block(rng);
+    aes::Aes128(random_block(rng)).encrypt_trace(pts[i], traces[i]);
+  }
+  for (const LeakageConfig& config :
+       {LeakageConfig::apple_silicon_default(), every_term}) {
+    const LeakageEvaluator eval(config);
+    const auto deviations = [&] {
+      std::vector<double> out(pairs);
+      for (std::size_t i = 0; i < pairs; ++i) {
+        out[i] = eval.energy_deviation(pts[i], traces[i]);
+      }
+      return out;
+    };
+    simd::reset_backend();
+    const std::vector<double> dispatched = deviations();
+    simd::force_backend(simd::Backend::scalar);
+    const std::vector<double> portable = deviations();
+    simd::reset_backend();
+    for (std::size_t i = 0; i < pairs; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(dispatched[i]),
+                std::bit_cast<std::uint64_t>(portable[i]))
+          << "pair " << i;
+    }
   }
 }
 
