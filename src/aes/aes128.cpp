@@ -108,24 +108,10 @@ void sub_bytes(Block& state) noexcept {
   }
 }
 
-void inv_sub_bytes(Block& state) noexcept {
-  for (auto& b : state) {
-    b = inv_sbox[b];
-  }
-}
-
 void shift_rows(Block& state) noexcept {
   Block out;
   for (std::size_t i = 0; i < 16; ++i) {
     out[i] = state[shift_rows_source(i)];
-  }
-  state = out;
-}
-
-void inv_shift_rows(Block& state) noexcept {
-  Block out;
-  for (std::size_t i = 0; i < 16; ++i) {
-    out[shift_rows_source(i)] = state[i];
   }
   state = out;
 }
@@ -144,31 +130,6 @@ void mix_columns(Block& state) noexcept {
                                                  xtime(a3) ^ a3);
     state[4 * c + 3] = static_cast<std::uint8_t>(xtime(a0) ^ a0 ^ a1 ^ a2 ^
                                                  xtime(a3));
-  }
-}
-
-void inv_mix_columns(Block& state) noexcept {
-  for (std::size_t c = 0; c < 4; ++c) {
-    const std::uint8_t a0 = state[4 * c];
-    const std::uint8_t a1 = state[4 * c + 1];
-    const std::uint8_t a2 = state[4 * c + 2];
-    const std::uint8_t a3 = state[4 * c + 3];
-    state[4 * c] = static_cast<std::uint8_t>(gf_mul(a0, 0x0e) ^
-                                             gf_mul(a1, 0x0b) ^
-                                             gf_mul(a2, 0x0d) ^
-                                             gf_mul(a3, 0x09));
-    state[4 * c + 1] = static_cast<std::uint8_t>(gf_mul(a0, 0x09) ^
-                                                 gf_mul(a1, 0x0e) ^
-                                                 gf_mul(a2, 0x0b) ^
-                                                 gf_mul(a3, 0x0d));
-    state[4 * c + 2] = static_cast<std::uint8_t>(gf_mul(a0, 0x0d) ^
-                                                 gf_mul(a1, 0x09) ^
-                                                 gf_mul(a2, 0x0e) ^
-                                                 gf_mul(a3, 0x0b));
-    state[4 * c + 3] = static_cast<std::uint8_t>(gf_mul(a0, 0x0b) ^
-                                                 gf_mul(a1, 0x0d) ^
-                                                 gf_mul(a2, 0x09) ^
-                                                 gf_mul(a3, 0x0e));
   }
 }
 
@@ -249,21 +210,6 @@ Block Aes128::encrypt_trace(const Block& plaintext,
   shift_rows(state);
   add_round_key(state, round_keys_[num_rounds]);
   trace.post_add_round_key[num_rounds] = state;
-  return state;
-}
-
-Block Aes128::decrypt(const Block& ciphertext) const noexcept {
-  Block state = ciphertext;
-  add_round_key(state, round_keys_[num_rounds]);
-  inv_shift_rows(state);
-  inv_sub_bytes(state);
-  for (int round = num_rounds - 1; round >= 1; --round) {
-    add_round_key(state, round_keys_[static_cast<std::size_t>(round)]);
-    inv_mix_columns(state);
-    inv_shift_rows(state);
-    inv_sub_bytes(state);
-  }
-  add_round_key(state, round_keys_[0]);
   return state;
 }
 

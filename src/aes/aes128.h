@@ -1,6 +1,6 @@
 // AES-128 (FIPS-197) with full intermediate-state capture.
 //
-// The simulator needs more than encrypt/decrypt: the leakage model consumes
+// The simulator needs more than encrypt: the leakage model consumes
 // the true intermediate round states of every encryption, and the CPA
 // attack needs the key schedule in both directions (a round-10 key recovered
 // by a last-round attack must be inverted to the master key). The state is
@@ -52,9 +52,6 @@ class Aes128 {
   // and to each other.
   Block encrypt_trace(const Block& plaintext, RoundTrace& trace) const noexcept;
 
-  // Decrypts one block (inverse cipher, FIPS-197 section 5.3).
-  Block decrypt(const Block& ciphertext) const noexcept;
-
   // Round keys rk[0..10]; rk[0] is the master key.
   const std::array<Block, num_rounds + 1>& round_keys() const noexcept {
     return round_keys_;
@@ -74,15 +71,11 @@ class Aes128 {
   std::array<Block, num_rounds + 1> round_keys_{};
 };
 
-// In-place round primitives, exposed so that the ARMv8-flavour
-// implementation and the attack-side power models can reuse the exact same
-// transforms.
+// In-place forward round primitives of the portable body, exposed so that
+// tests can check round structure with the exact same transforms.
 void sub_bytes(Block& state) noexcept;
-void inv_sub_bytes(Block& state) noexcept;
 void shift_rows(Block& state) noexcept;
-void inv_shift_rows(Block& state) noexcept;
 void mix_columns(Block& state) noexcept;
-void inv_mix_columns(Block& state) noexcept;
 void add_round_key(Block& state, const Block& round_key) noexcept;
 
 // Index of the state byte that ShiftRows moves *into* position i: after

@@ -231,7 +231,7 @@ void CpaEngine::add_trace_batch(std::span<const aes::Block> plaintexts,
   // Histogram updates go through the dispatched kernel. aes::Block is a
   // packed std::array<uint8_t, 16>, so a Block span is exactly the
   // 16-bytes-per-trace layout accumulate_histogram16 consumes. Per bin,
-  // values arrive in trace order on every backend, so the sums are
+  // values arrive in trace order in both SIMD modes, so the sums are
   // bit-identical to the per-trace path.
   if (need_pt_hist_) {
     util::simd::accumulate_histogram16(plaintexts.data()->data(),

@@ -71,7 +71,7 @@ class CpaEngine {
   // unless the spans have equal length. The inner loops run on the
   // runtime-dispatched kernels of util/simd.h, but every accumulator word
   // receives the same values in the same order as an add_trace loop —
-  // and as every other SIMD backend — so batch and loop feeding produce
+  // and as the other SIMD mode — so batch and loop feeding produce
   // bit-identical state (see simd.h for the striping/disjoint-bin
   // construction that guarantees it).
   void add_trace_batch(std::span<const aes::Block> plaintexts,

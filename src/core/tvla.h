@@ -82,7 +82,7 @@ struct TvlaMatrix {
 //
 // Each of the six sets keeps raw striped moment sums (util/simd.h) so the
 // batch path runs on the dispatched SIMD kernels; per-value and batch
-// feeding — and every SIMD backend — produce bit-identical state. The
+// feeding — and both SIMD modes — produce bit-identical state. The
 // matrix is computed from the summarized moments via Welch's test.
 class TvlaAccumulator {
  public:

@@ -40,11 +40,23 @@ namespace {
   return weighted_bits;
 }
 
+// The bus term's bit count, HW(pt) + HW(ct): an integer, so both bodies
+// return the same value.
+[[gnu::always_inline]] inline int bus_bits_of(
+    const aes::Block& plaintext, const aes::Block& ciphertext) {
+  return aes::hamming_weight(plaintext) + aes::hamming_weight(ciphertext);
+}
+
 #if defined(PSC_SIMD_X86)
 __attribute__((target("popcnt"))) double weighted_bits_popcnt(
     const LeakageConfig& config, const aes::Block& plaintext,
     const aes::RoundTrace& trace) noexcept {
   return weighted_bits_of(config, plaintext, trace);
+}
+
+__attribute__((target("popcnt"))) int bus_bits_popcnt(
+    const aes::Block& plaintext, const aes::Block& ciphertext) noexcept {
+  return bus_bits_of(plaintext, ciphertext);
 }
 
 // POPCNT runs unless dispatch is pinned to the portable bodies
@@ -142,9 +154,12 @@ double LeakageEvaluator::bus_energy(
   if (config_.bus_joules_per_bit == 0.0) {
     return 0.0;
   }
-  const int bits = aes::hamming_weight(plaintext) +
-                   aes::hamming_weight(ciphertext);
-  return config_.bus_joules_per_bit * bits;
+#if defined(PSC_SIMD_X86)
+  if (use_popcnt()) {
+    return config_.bus_joules_per_bit * bus_bits_popcnt(plaintext, ciphertext);
+  }
+#endif
+  return config_.bus_joules_per_bit * bus_bits_of(plaintext, ciphertext);
 }
 
 double LeakageEvaluator::bus_energy_deviation(

@@ -86,6 +86,8 @@ class LeakageEvaluator {
 
   // Bus/IO-side energy of one encryption: bus_joules_per_bit *
   // (HW(pt) + HW(ct)). Routed to the DRAM/IO rail by the SoC model.
+  // Counts with POPCNT under the same condition as encryption_energy;
+  // the count is an integer, so both bodies return the same double.
   double bus_energy(const aes::Block& plaintext,
                     const aes::Block& ciphertext) const noexcept;
 

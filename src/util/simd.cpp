@@ -7,16 +7,13 @@
 #include "util/env.h"
 
 // ISA availability. PSC_SIMD_FORCE_SCALAR (CMake -DPSC_FORCE_SCALAR=ON)
-// compiles the portable fallback only — the configuration CI keeps green
+// compiles the portable bodies only — the configuration CI keeps green
 // so non-x86/non-ARM ports always have a working path.
 #if defined(PSC_SIMD_X86)
-#define PSC_SIMD_HAVE_SSE2 1
-#define PSC_SIMD_HAVE_AVX2 1
-#define PSC_SIMD_HAVE_AVX512 1
 #include <immintrin.h>
 #elif !defined(PSC_SIMD_FORCE_SCALAR) && defined(__aarch64__) && \
     defined(__ARM_NEON)
-#define PSC_SIMD_HAVE_NEON 1
+#define PSC_SIMD_NEON 1
 #include <arm_neon.h>
 #endif
 
@@ -44,41 +41,7 @@ void moments_body_scalar(const double* x, std::size_t blocks,
   m.sumsq = sumsq;
 }
 
-#if defined(PSC_SIMD_HAVE_SSE2)
-void moments_body_sse2(const double* x, std::size_t blocks,
-                       MomentStripes& m) noexcept {
-  __m128d s0 = _mm_load_pd(&m.sum[0]);
-  __m128d s1 = _mm_load_pd(&m.sum[2]);
-  __m128d s2 = _mm_load_pd(&m.sum[4]);
-  __m128d s3 = _mm_load_pd(&m.sum[6]);
-  __m128d q0 = _mm_load_pd(&m.sumsq[0]);
-  __m128d q1 = _mm_load_pd(&m.sumsq[2]);
-  __m128d q2 = _mm_load_pd(&m.sumsq[4]);
-  __m128d q3 = _mm_load_pd(&m.sumsq[6]);
-  for (std::size_t b = 0; b < blocks; ++b, x += stripes) {
-    const __m128d v0 = _mm_loadu_pd(x + 0);
-    const __m128d v1 = _mm_loadu_pd(x + 2);
-    const __m128d v2 = _mm_loadu_pd(x + 4);
-    const __m128d v3 = _mm_loadu_pd(x + 6);
-    s0 = _mm_add_pd(s0, v0);
-    s1 = _mm_add_pd(s1, v1);
-    s2 = _mm_add_pd(s2, v2);
-    s3 = _mm_add_pd(s3, v3);
-    q0 = _mm_add_pd(q0, _mm_mul_pd(v0, v0));
-    q1 = _mm_add_pd(q1, _mm_mul_pd(v1, v1));
-    q2 = _mm_add_pd(q2, _mm_mul_pd(v2, v2));
-    q3 = _mm_add_pd(q3, _mm_mul_pd(v3, v3));
-  }
-  _mm_store_pd(&m.sum[0], s0);
-  _mm_store_pd(&m.sum[2], s1);
-  _mm_store_pd(&m.sum[4], s2);
-  _mm_store_pd(&m.sum[6], s3);
-  _mm_store_pd(&m.sumsq[0], q0);
-  _mm_store_pd(&m.sumsq[2], q1);
-  _mm_store_pd(&m.sumsq[4], q2);
-  _mm_store_pd(&m.sumsq[6], q3);
-}
-
+#if defined(PSC_SIMD_X86)
 __attribute__((target("avx2"))) void moments_body_avx2(
     const double* x, std::size_t blocks, MomentStripes& m) noexcept {
   __m256d s0 = _mm256_load_pd(&m.sum[0]);
@@ -99,21 +62,9 @@ __attribute__((target("avx2"))) void moments_body_avx2(
   _mm256_store_pd(&m.sumsq[4], q1);
 }
 
-__attribute__((target("avx512f"))) void moments_body_avx512(
-    const double* x, std::size_t blocks, MomentStripes& m) noexcept {
-  __m512d s = _mm512_load_pd(m.sum.data());
-  __m512d q = _mm512_load_pd(m.sumsq.data());
-  for (std::size_t b = 0; b < blocks; ++b, x += stripes) {
-    const __m512d v = _mm512_loadu_pd(x);
-    s = _mm512_add_pd(s, v);
-    q = _mm512_add_pd(q, _mm512_mul_pd(v, v));
-  }
-  _mm512_store_pd(m.sum.data(), s);
-  _mm512_store_pd(m.sumsq.data(), q);
-}
-#endif  // PSC_SIMD_HAVE_SSE2
+#endif  // PSC_SIMD_X86
 
-#if defined(PSC_SIMD_HAVE_NEON)
+#if defined(PSC_SIMD_NEON)
 void moments_body_neon(const double* x, std::size_t blocks,
                        MomentStripes& m) noexcept {
   float64x2_t s0 = vld1q_f64(&m.sum[0]);
@@ -149,15 +100,14 @@ void moments_body_neon(const double* x, std::size_t blocks,
   vst1q_f64(&m.sumsq[4], q2);
   vst1q_f64(&m.sumsq[6], q3);
 }
-#endif  // PSC_SIMD_HAVE_NEON
+#endif  // PSC_SIMD_NEON
 
 // ---------------------------------------------------------------------------
 // Histogram bodies. The scalar body runs position-major (one 256-bin
 // histogram stays hot across the whole column); AVX-512 runs trace-major,
 // updating all 16 disjoint bins of a trace with gather/scatter. Per bin
-// both orders perform the same additions in trace order. SSE2/AVX2 have
-// no scatter, so they reuse the scalar body — dispatch still reports
-// them, covering the moment kernels they do accelerate.
+// both orders perform the same additions in trace order. Below AVX-512
+// there is no scatter, and the scalar body is the fastest one measured.
 
 void histogram16_scalar(const std::uint8_t* blocks, const double* values,
                         std::size_t n, std::uint32_t* count,
@@ -174,7 +124,7 @@ void histogram16_scalar(const std::uint8_t* blocks, const double* values,
   }
 }
 
-#if defined(PSC_SIMD_HAVE_AVX512)
+#if defined(PSC_SIMD_X86)
 __attribute__((target("avx512f"))) void histogram16_avx512(
     const std::uint8_t* blocks, const double* values, std::size_t n,
     std::uint32_t* count, double* sum) noexcept {
@@ -209,7 +159,7 @@ __attribute__((target("avx512f"))) void histogram16_avx512(
     _mm512_i32scatter_pd(sum, idx_hi, _mm512_add_pd(s_hi, v), 8);
   }
 }
-#endif  // PSC_SIMD_HAVE_AVX512
+#endif  // PSC_SIMD_X86
 
 // ---------------------------------------------------------------------------
 // Bit-unpack bodies. Each field (width <= 56) is one shifted 8-byte
@@ -217,7 +167,7 @@ __attribute__((target("avx512f"))) void histogram16_avx512(
 // assembled byte-wise so the kernel never reads past packed_bytes. The
 // AVX2 body replaces the window load + shift with a 4-lane byte-offset
 // gather and a per-lane variable shift; everything is integer, so the
-// backends are bit-identical without any ordering discipline.
+// bodies are bit-identical without any ordering discipline.
 
 // One field at bit index `bit`, safe at any distance from the end.
 inline std::uint64_t unpack_one(const std::byte* packed,
@@ -244,7 +194,7 @@ void unpack_bits_scalar(const std::byte* packed, std::size_t packed_bytes,
   }
 }
 
-#if defined(PSC_SIMD_HAVE_AVX2)
+#if defined(PSC_SIMD_X86)
 __attribute__((target("avx2"))) void unpack_bits_avx2(
     const std::byte* packed, std::size_t packed_bytes, std::uint64_t bit0,
     unsigned width, std::uint64_t* out, std::size_t n) noexcept {
@@ -281,7 +231,7 @@ __attribute__((target("avx2"))) void unpack_bits_avx2(
     out[j] = unpack_one(packed, packed_bytes, bit, mask);
   }
 }
-#endif  // PSC_SIMD_HAVE_AVX2
+#endif  // PSC_SIMD_X86
 
 // ---------------------------------------------------------------------------
 // Dispatch.
@@ -296,85 +246,45 @@ struct KernelTable {
 
 constexpr KernelTable scalar_table{moments_body_scalar, histogram16_scalar,
                                    unpack_bits_scalar};
-#if defined(PSC_SIMD_HAVE_SSE2)
-// SSE2 lacks per-lane variable shifts, so its unpack is the scalar body;
-// AVX-512 gains nothing over the AVX2 gather for 4-lane 64-bit windows.
-constexpr KernelTable sse2_table{moments_body_sse2, histogram16_scalar,
-                                 unpack_bits_scalar};
-constexpr KernelTable avx2_table{moments_body_avx2, histogram16_scalar,
-                                 unpack_bits_avx2};
-constexpr KernelTable avx512_table{moments_body_avx512, histogram16_avx512,
-                                   unpack_bits_avx2};
+
+#if defined(PSC_SIMD_FORCE_SCALAR)
+constexpr bool native_compiled = false;
+#else
+constexpr bool native_compiled = true;
 #endif
-#if defined(PSC_SIMD_HAVE_NEON)
-constexpr KernelTable neon_table{moments_body_neon, histogram16_scalar,
-                                 unpack_bits_scalar};
+
+// Per kernel, the body that measured fastest among those the CPU can run
+// (4-vCPU AVX-512 host, 1024-trace batches; CHANGES.md has the table):
+// AVX2 moments beat the retired SSE2 and AVX-512 bodies, AVX-512
+// gather/scatter beats the scalar histogram, and AVX2 unpack is ~4.5x the
+// scalar one. NEON is the only AArch64 vector body.
+KernelTable native_table() noexcept {
+  KernelTable table = scalar_table;
+#if defined(PSC_SIMD_X86)
+  if (__builtin_cpu_supports("avx2")) {
+    table.moments_body = moments_body_avx2;
+    table.unpack_bits = unpack_bits_avx2;
+  }
+  if (__builtin_cpu_supports("avx512f")) {
+    table.histogram16 = histogram16_avx512;
+  }
+#elif defined(PSC_SIMD_NEON)
+  table.moments_body = moments_body_neon;
 #endif
+  return table;
+}
 
 const KernelTable* table_for(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::scalar:
-      return &scalar_table;
-#if defined(PSC_SIMD_HAVE_SSE2)
-    case Backend::sse2:
-      return &sse2_table;
-    case Backend::avx2:
-      return &avx2_table;
-    case Backend::avx512:
-      return &avx512_table;
-#endif
-#if defined(PSC_SIMD_HAVE_NEON)
-    case Backend::neon:
-      return &neon_table;
-#endif
-    default:
-      return nullptr;
-  }
+  static const KernelTable native = native_table();
+  return backend == Backend::native ? &native : &scalar_table;
 }
 
-bool cpu_supports(Backend backend) noexcept {
-  if (!backend_compiled(backend)) {
-    return false;
-  }
-  switch (backend) {
-    case Backend::scalar:
-      return true;
-#if defined(PSC_SIMD_HAVE_SSE2)
-    case Backend::sse2:
-      return true;  // x86-64 baseline
-    case Backend::avx2:
-      return __builtin_cpu_supports("avx2") != 0;
-    case Backend::avx512:
-      return __builtin_cpu_supports("avx512f") != 0;
-#endif
-#if defined(PSC_SIMD_HAVE_NEON)
-    case Backend::neon:
-      return true;  // aarch64 baseline
-#endif
-    default:
-      return false;
-  }
-}
-
+// PSC_SIMD=scalar pins the portable bodies; any other value, or none,
+// means native.
 Backend resolve_auto() noexcept {
-  const std::string requested = env_string("PSC_SIMD", "");
-  if (!requested.empty()) {
-    for (const Backend backend : all_backends) {
-      if (requested == backend_name(backend) &&
-          cpu_supports(backend)) {
-        return backend;
-      }
-    }
-    // Unknown or unsupported request: fall through to auto (loud failure
-    // belongs to force_backend; env is a soft knob).
-  }
-  Backend best = Backend::scalar;
-  for (const Backend backend : all_backends) {
-    if (cpu_supports(backend)) {
-      best = backend;  // all_backends is ordered slowest to fastest
-    }
-  }
-  return best;
+  return native_compiled && env_string("PSC_SIMD", "") != "scalar"
+             ? Backend::native
+             : Backend::scalar;
 }
 
 std::atomic<const KernelTable*> g_table{nullptr};
@@ -394,52 +304,14 @@ const KernelTable& active_table() noexcept {
 }  // namespace
 
 std::string_view backend_name(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::scalar:
-      return "scalar";
-    case Backend::sse2:
-      return "sse2";
-    case Backend::avx2:
-      return "avx2";
-    case Backend::avx512:
-      return "avx512";
-    case Backend::neon:
-      return "neon";
-  }
-  return "?";
-}
-
-bool backend_compiled(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::scalar:
-      return true;
-#if defined(PSC_SIMD_HAVE_SSE2)
-    case Backend::sse2:
-    case Backend::avx2:
-    case Backend::avx512:
-      return true;
-#endif
-#if defined(PSC_SIMD_HAVE_NEON)
-    case Backend::neon:
-      return true;
-#endif
-    default:
-      return false;
-  }
-}
-
-bool backend_supported(Backend backend) noexcept {
-  return cpu_supports(backend);
+  return backend == Backend::scalar ? "scalar" : "native";
 }
 
 std::vector<Backend> supported_backends() {
-  std::vector<Backend> out;
-  for (const Backend backend : all_backends) {
-    if (cpu_supports(backend)) {
-      out.push_back(backend);
-    }
+  if (native_compiled) {
+    return {Backend::scalar, Backend::native};
   }
-  return out;
+  return {Backend::scalar};
 }
 
 Backend active_backend() noexcept {
@@ -448,7 +320,7 @@ Backend active_backend() noexcept {
 }
 
 void force_backend(Backend backend) {
-  if (!cpu_supports(backend)) {
+  if (backend == Backend::native && !native_compiled) {
     throw std::invalid_argument(
         "simd::force_backend: backend not supported here: " +
         std::string(backend_name(backend)));
@@ -464,7 +336,7 @@ void reset_backend() noexcept {
 void accumulate_moments(const double* x, std::size_t n, std::uint64_t g0,
                         MomentStripes& m) noexcept {
   // Scalar head until the stream index hits a stripe-0 boundary, so every
-  // backend body sees the same phase.
+  // body sees the same phase.
   while (n > 0 && g0 % stripes != 0) {
     const double v = *x;
     m.sum[g0 % stripes] += v;

@@ -4,24 +4,25 @@
 // moment sums of the measured channel value, 16 byte-indexed histograms
 // of (count, value-sum), and — for the pair model — a 16x65536 pair
 // histogram. This header exposes those inner loops as free-function
-// kernels with one implementation per instruction set (scalar, SSE2,
-// AVX2, AVX-512, NEON), selected once at runtime from CPU capabilities.
-// The acquisition bodies outside this file follow the same switch: the
-// AES-NI round trace (aes/aes128.cpp) and the POPCNT leakage sum
-// (power/leakage_model.cpp) run unless the active backend is `scalar`.
+// kernels with two dispatch modes: `scalar`, the portable reference
+// bodies, and `native`, which runs per kernel the one vector body that
+// measured fastest for the running CPU. The acquisition bodies outside
+// this file follow the same switch: the AES-NI round trace
+// (aes/aes128.cpp) and the POPCNT leakage sums (power/leakage_model.cpp)
+// run unless the active mode is `scalar`.
 //
 // Bit-exactness contract
 // ----------------------
-// Every backend produces bit-identical accumulator state. This is not an
+// Both modes produce bit-identical accumulator state. This is not an
 // accident of testing but of construction:
 //
 //  * Moment sums are *striped*: the value with global stream index g
-//    accumulates into stripe g % stripes. A lane-width w backend
-//    processes stripes [0,w), [w,2w), ... as vector lanes, so each
-//    stripe always receives the same values in the same order — an
-//    8-lane AVX-512 body, a 2-lane SSE2 body, and the portable scalar
-//    loop all build identical stripes. Totals come from the fixed
-//    pairwise reduction tree of reduce_stripes.
+//    accumulates into stripe g % stripes. A lane-width w body processes
+//    stripes [0,w), [w,2w), ... as vector lanes, so each stripe always
+//    receives the same values in the same order — a 4-lane AVX2 body, a
+//    2-lane NEON body, and the portable scalar loop all build identical
+//    stripes. Totals come from the fixed pairwise reduction tree of
+//    reduce_stripes.
 //  * Histogram updates touch 16 *disjoint* bins per trace (one per byte
 //    position), so the vector body that updates all 16 positions of one
 //    trace at a time (AVX-512 gather/scatter) performs, per bin, the same
@@ -38,26 +39,31 @@
 //
 // Dispatch
 // --------
-// active_backend() resolves once from the CPU (best available wins); the
-// PSC_SIMD environment variable (scalar|sse2|avx2|avx512|neon) or
-// force_backend() — the override hook the bit-consistency tests and the
-// per-kernel benches use — pin a specific backend. Pinning `scalar` also
-// selects the portable AES round-trace and leakage popcount bodies. Building with
-// -DPSC_FORCE_SCALAR=ON (CMake) compiles the portable fallback only.
+// active_backend() resolves once: `native` unless the PSC_SIMD
+// environment variable is `scalar` (any other value, or none, means
+// `native`). `native` builds its kernel table once from the CPU's
+// features (__builtin_cpu_supports): on x86-64 the AVX2 moment and
+// unpack bodies and the AVX-512 histogram body, each where the CPU has
+// the ISA and the scalar body where it lacks it; on AArch64 the NEON
+// moment body. force_backend() — the override hook the bit-consistency
+// tests use — pins either mode. Building with -DPSC_FORCE_SCALAR=ON
+// (CMake) compiles the portable bodies only, and `native` does not exist.
 //
 // Adding a new SIMD kernel
 // ------------------------
 //  1. Declare the free function here; implement the portable body in
 //     simd.cpp as `<name>_scalar`.
-//  2. Add per-ISA bodies guarded by PSC_SIMD_HAVE_* with
-//     __attribute__((target(...))); reuse a backend's scalar body when an
-//     ISA brings nothing (e.g. histogram scatter below AVX-512).
-//  3. Wire the function pointers into KernelTable and the per-backend
-//     tables; extend tests/util/simd_test.cpp's backend sweep — the
-//     bit-identity harness picks the kernel up automatically.
+//  2. Add at most one vector body per ISA family (x86-64, AArch64),
+//     guarded by PSC_SIMD_X86 / PSC_SIMD_NEON with
+//     __attribute__((target(...))). Keep a vector body only while it
+//     beats the scalar body and every other candidate on the reference
+//     host; delete it once another body wins.
+//  3. Pick the body for `native` from the CPU features in
+//     native_table(); the sweeps in tests/util/simd_test.cpp run every
+//     kernel on both modes and compare bit for bit.
 //  4. Keep the kernel's FP-addition order per accumulator word identical
 //     across bodies (stripe or disjoint-bin constructions above), or the
-//     cross-backend tests will fail loudly.
+//     cross-mode tests will fail loudly.
 #pragma once
 
 #include <array>
@@ -76,30 +82,29 @@
 
 namespace psc::util::simd {
 
-enum class Backend { scalar = 0, sse2, avx2, avx512, neon };
+// `scalar`: the portable bodies. `native`: the measured-fastest vector
+// body of each kernel for the running CPU (scalar where none applies).
+enum class Backend { scalar = 0, native };
 
-inline constexpr std::array<Backend, 5> all_backends = {
-    Backend::scalar, Backend::sse2, Backend::avx2, Backend::avx512,
-    Backend::neon};
+inline constexpr std::array<Backend, 2> all_backends = {Backend::scalar,
+                                                        Backend::native};
 
 std::string_view backend_name(Backend backend) noexcept;
 
-// Compiled into this binary (ISA headers and bodies present).
-bool backend_compiled(Backend backend) noexcept;
-// Compiled and supported by the running CPU; scalar is always supported.
-bool backend_supported(Backend backend) noexcept;
+// The modes this binary can run: `scalar`, then `native` unless this is
+// a PSC_FORCE_SCALAR build.
 std::vector<Backend> supported_backends();
 
-// The backend the kernels currently dispatch to.
+// The mode the kernels currently dispatch to.
 Backend active_backend() noexcept;
 
 // Dispatch override hook for tests and benches. Throws
-// std::invalid_argument if `backend` is not supported on this machine.
+// std::invalid_argument if `backend` is not supported in this build.
 // Takes effect for subsequent kernel calls; do not race against threads
 // inside kernels (the campaign runners never switch mid-run).
 void force_backend(Backend backend);
 
-// Drops any override and re-resolves from PSC_SIMD / CPU capabilities.
+// Drops any override and re-resolves from PSC_SIMD.
 void reset_backend() noexcept;
 
 // ---------------------------------------------------------------------------
@@ -121,7 +126,7 @@ void accumulate_moments(const double* x, std::size_t n, std::uint64_t g0,
                         MomentStripes& m) noexcept;
 
 // Fixed pairwise reduction: ((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)).
-// Identical on every backend — the only sanctioned way to total stripes.
+// Identical in both modes — the only sanctioned way to total stripes.
 double reduce_stripes(const std::array<double, stripes>& s) noexcept;
 
 // Merges `b` (accumulated from local indices 0..nb) into `a`, whose
@@ -140,7 +145,7 @@ void merge_moments(MomentStripes& a, std::uint64_t na,
 //   ++count[bin];  sum[bin] += values[t];
 // `blocks` is the packed 16-byte-per-trace column (plaintexts or
 // ciphertexts); count/sum hold 16 x 256 bins. Per bin, additions happen
-// in trace order on every backend (the 16 bins of one trace are
+// in trace order in both modes (the 16 bins of one trace are
 // disjoint), so the state is bit-identical to the scalar loop.
 void accumulate_histogram16(const std::uint8_t* blocks, const double* values,
                             std::size_t n, std::uint32_t* count,
@@ -161,7 +166,7 @@ inline constexpr unsigned unpack_bits_max_width = 56;
 // lives in byte b/8 at in-byte position b%8. width == 0 zero-fills.
 // `packed_bytes` must cover the last field's final byte; near the buffer
 // end the kernels assemble the window byte-wise instead of over-reading.
-// Pure integer, so every backend is bit-identical by construction.
+// Pure integer, so both modes are bit-identical by construction.
 void unpack_bits(const std::byte* packed, std::size_t packed_bytes,
                  std::uint64_t bit0, unsigned width, std::uint64_t* out,
                  std::size_t n) noexcept;

@@ -210,9 +210,9 @@ TEST(LeakageEvaluator, DeviationsPinnedForFixedInputs) {
   }
 }
 
-// The POPCNT body of encryption_energy returns bit for bit what the
-// portable body does, for the default profile and for one with every term
-// weighted (the last-round Hamming distance included).
+// The POPCNT bodies of encryption_energy and bus_energy return bit for
+// bit what the portable bodies do, for the default profile and for one
+// with every term weighted (the last-round Hamming distance included).
 TEST(LeakageEvaluator, DispatchedEnergyEqualsPortableBody) {
   namespace simd = util::simd;
   LeakageConfig every_term = LeakageConfig::apple_silicon_default();
@@ -223,18 +223,20 @@ TEST(LeakageEvaluator, DispatchedEnergyEqualsPortableBody) {
   constexpr std::size_t pairs = 10240;
   util::Xoshiro256 rng(2306);
   std::vector<aes::Block> pts(pairs);
+  std::vector<aes::Block> cts(pairs);
   std::vector<aes::RoundTrace> traces(pairs);
   for (std::size_t i = 0; i < pairs; ++i) {
     pts[i] = random_block(rng);
-    aes::Aes128(random_block(rng)).encrypt_trace(pts[i], traces[i]);
+    cts[i] = aes::Aes128(random_block(rng)).encrypt_trace(pts[i], traces[i]);
   }
   for (const LeakageConfig& config :
        {LeakageConfig::apple_silicon_default(), every_term}) {
     const LeakageEvaluator eval(config);
     const auto deviations = [&] {
-      std::vector<double> out(pairs);
+      std::vector<double> out(2 * pairs);
       for (std::size_t i = 0; i < pairs; ++i) {
-        out[i] = eval.energy_deviation(pts[i], traces[i]);
+        out[2 * i] = eval.energy_deviation(pts[i], traces[i]);
+        out[2 * i + 1] = eval.bus_energy_deviation(pts[i], cts[i]);
       }
       return out;
     };
@@ -243,10 +245,10 @@ TEST(LeakageEvaluator, DispatchedEnergyEqualsPortableBody) {
     simd::force_backend(simd::Backend::scalar);
     const std::vector<double> portable = deviations();
     simd::reset_backend();
-    for (std::size_t i = 0; i < pairs; ++i) {
+    for (std::size_t i = 0; i < 2 * pairs; ++i) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(dispatched[i]),
                 std::bit_cast<std::uint64_t>(portable[i]))
-          << "pair " << i;
+          << "pair " << i / 2 << (i % 2 == 0 ? " energy" : " bus energy");
     }
   }
 }

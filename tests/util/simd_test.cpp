@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "util/aligned.h"
@@ -44,34 +47,27 @@ struct BackendGuard {
   ~BackendGuard() { reset_backend(); }
 };
 
-TEST(SimdBackend, ScalarAlwaysSupported) {
-  EXPECT_TRUE(backend_compiled(Backend::scalar));
-  EXPECT_TRUE(backend_supported(Backend::scalar));
-  const auto supported = supported_backends();
-  ASSERT_FALSE(supported.empty());
-  EXPECT_EQ(supported.front(), Backend::scalar);
-}
-
-TEST(SimdBackend, SupportedImpliesCompiled) {
-  for (const Backend backend : all_backends) {
-    if (backend_supported(backend)) {
-      EXPECT_TRUE(backend_compiled(backend)) << backend_name(backend);
-    }
-  }
+// Scalar always; `native` in every build but a PSC_FORCE_SCALAR one,
+// where forcing it throws.
+TEST(SimdBackend, SupportedIsScalarThenNative) {
+#if defined(PSC_SIMD_FORCE_SCALAR)
+  EXPECT_EQ(supported_backends(), std::vector<Backend>{Backend::scalar});
+  EXPECT_THROW(force_backend(Backend::native), std::invalid_argument);
+#else
+  EXPECT_EQ(supported_backends(),
+            (std::vector<Backend>{Backend::scalar, Backend::native}));
+#endif
 }
 
 TEST(SimdBackend, ActiveBackendIsSupported) {
-  EXPECT_TRUE(backend_supported(active_backend()));
+  const auto supported = supported_backends();
+  EXPECT_NE(std::find(supported.begin(), supported.end(), active_backend()),
+            supported.end());
 }
 
-TEST(SimdBackend, NamesAreUnique) {
-  for (const Backend a : all_backends) {
-    for (const Backend b : all_backends) {
-      if (a != b) {
-        EXPECT_NE(backend_name(a), backend_name(b));
-      }
-    }
-  }
+TEST(SimdBackend, Names) {
+  EXPECT_EQ(backend_name(Backend::scalar), "scalar");
+  EXPECT_EQ(backend_name(Backend::native), "native");
 }
 
 TEST(SimdBackend, ForceOverrideTakesEffect) {
@@ -82,12 +78,28 @@ TEST(SimdBackend, ForceOverrideTakesEffect) {
   }
 }
 
-TEST(SimdBackend, ForceUnsupportedThrows) {
-  for (const Backend backend : all_backends) {
-    if (!backend_supported(backend)) {
-      EXPECT_THROW(force_backend(backend), std::invalid_argument);
+// PSC_SIMD=scalar pins the portable bodies; every other value, the
+// retired per-ISA names included, and no value at all resolve to native
+// (scalar in a PSC_FORCE_SCALAR build).
+TEST(SimdBackend, EnvSelectsScalarOrNative) {
+  const char* const saved = std::getenv("PSC_SIMD");
+  const bool was_set = saved != nullptr;
+  const std::string saved_value = was_set ? saved : "";
+  const Backend best = supported_backends().back();
+  const auto resolved_with = [](const char* value) {
+    if (value != nullptr) {
+      ::setenv("PSC_SIMD", value, 1);
+    } else {
+      ::unsetenv("PSC_SIMD");
     }
-  }
+    reset_backend();
+    return active_backend();
+  };
+  EXPECT_EQ(resolved_with("scalar"), Backend::scalar);
+  EXPECT_EQ(resolved_with("avx512"), best);
+  EXPECT_EQ(resolved_with("sse2"), best);
+  EXPECT_EQ(resolved_with(nullptr), best);
+  resolved_with(was_set ? saved_value.c_str() : nullptr);
 }
 
 TEST(SimdMoments, ScalarMatchesReference) {
