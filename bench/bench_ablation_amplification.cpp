@@ -25,29 +25,27 @@ int main() {
     victim::VictimModel model = victim::VictimModel::user_space();
     model.threads = threads;
 
-    core::TvlaCampaignConfig tvla_config{
-        .profile = soc::DeviceProfile::macbook_air_m2(),
-        .victim = model,
-        .traces_per_set = tvla_sets,
-        .include_pcpu = false,
+    core::LiveCampaignConfig tvla_config{
+        .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                   .victim = model},
+        .traces = tvla_sets,
         .seed = bench::bench_seed() + threads,
     };
-    bench::apply_parallel_env(tvla_config);
-    const auto tvla = run_tvla_campaign(tvla_config);
+    bench::apply_parallel_env(tvla_config.workers, tvla_config.shards);
+    const auto tvla = run_live_campaign(tvla_config);
     const double t = std::abs(tvla.find_tvla("PHPC")->matrix.score(
         core::PlaintextClass::all_zeros, core::PlaintextClass::all_ones));
 
-    core::CpaCampaignConfig cpa_config{
-        .profile = soc::DeviceProfile::macbook_air_m2(),
-        .victim = model,
-        .trace_count = cpa_traces,
-        .models = {power::PowerModel::rd0_hw},
+    core::LiveCampaignConfig cpa_config{
+        .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                   .victim = model},
+        .protocol = core::CampaignProtocol::random_stream,
+        .traces = cpa_traces,
         .keys = {smc::FourCc("PHPC")},
-        .checkpoints = {},
         .seed = bench::bench_seed() + threads,
     };
-    bench::apply_parallel_env(cpa_config);
-    const auto cpa = run_cpa_campaign(cpa_config);
+    bench::apply_parallel_env(cpa_config.workers, cpa_config.shards);
+    const auto cpa = run_live_campaign(cpa_config);
     const auto& final = cpa.cpa[0].final_results[0];
 
     table.add_row({std::to_string(threads), util::fixed(t, 2),

@@ -18,18 +18,18 @@ namespace {
 std::array<double, 3> final_ge(const psc::soc::DeviceProfile& profile,
                                std::size_t traces, std::uint64_t seed) {
   using namespace psc;
-  core::CpaCampaignConfig config{
-      .profile = profile,
-      .victim = victim::VictimModel::user_space(),
-      .trace_count = traces,
+  core::LiveCampaignConfig config{
+      .source = {.profile = profile,
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = core::CampaignProtocol::random_stream,
+      .traces = traces,
+      .keys = {smc::FourCc("PHPC")},
       .models = {power::PowerModel::rd0_hw, power::PowerModel::rd10_hw,
                  power::PowerModel::rd10_hd},
-      .keys = {smc::FourCc("PHPC")},
-      .checkpoints = {},
       .seed = seed,
   };
-  bench::apply_parallel_env(config);
-  const auto result = run_cpa_campaign(config);
+  bench::apply_parallel_env(config.workers, config.shards);
+  const auto result = run_live_campaign(config);
   return {result.cpa[0].final_results[0].ge_bits,
           result.cpa[0].final_results[1].ge_bits,
           result.cpa[0].final_results[2].ge_bits};

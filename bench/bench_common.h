@@ -42,17 +42,17 @@ inline std::size_t bench_shards() {
   return util::env_size("PSC_SHARDS", bench_workers() > 1 ? 8 : 1);
 }
 
-// Applies the PSC_WORKERS / PSC_SHARDS execution plan to a campaign
-// config. Announces any non-sequential plan: a shard count > 1 replaces
-// the sequential RNG stream with the per-shard partition, so the numbers
+// Sets a campaign's `workers` / `shards` pair (a core::LiveCampaignConfig
+// or scenario::ScenarioRunConfig) from PSC_WORKERS / PSC_SHARDS.
+// Announces any non-sequential plan: a shard count > 1 replaces the
+// sequential RNG stream with the per-shard partition, so the numbers
 // differ from (while statistically matching) a sequential run.
-template <typename CampaignConfig>
-inline void apply_parallel_env(CampaignConfig& config) {
-  config.workers = bench_workers();
-  config.shards = bench_shards();
-  if (config.workers > 1 || config.shards > 1) {
-    std::cout << "parallel plan: " << config.workers << " worker(s), "
-              << config.shards << " shard(s) — results reproduce for this "
+inline void apply_parallel_env(std::size_t& workers, std::size_t& shards) {
+  workers = bench_workers();
+  shards = bench_shards();
+  if (workers > 1 || shards > 1) {
+    std::cout << "parallel plan: " << workers << " worker(s), " << shards
+              << " shard(s) — results reproduce for this "
               << "(seed, shards) pair under any worker count\n";
   }
 }

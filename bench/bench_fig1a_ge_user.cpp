@@ -16,32 +16,32 @@ int main() {
                                                  power::PowerModel::rd10_hw,
                                                  power::PowerModel::rd10_hd};
 
-  core::CpaCampaignConfig m2_config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .trace_count = bench::scaled(1'000'000),
-      .models = models,
+  core::LiveCampaignConfig m2_config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = core::CampaignProtocol::random_stream,
+      .traces = bench::scaled(1'000'000),
       .keys = {smc::FourCc("PHPC")},
-      .checkpoints = {},
+      .models = models,
       .seed = bench::bench_seed(),
   };
   m2_config.checkpoints =
-      core::log_spaced_checkpoints(10000, m2_config.trace_count, 10);
-  bench::apply_parallel_env(m2_config);
-  std::cout << "M2 campaign: " << m2_config.trace_count << " traces..."
+      core::log_spaced_checkpoints(10000, m2_config.traces, 10);
+  bench::apply_parallel_env(m2_config.workers, m2_config.shards);
+  std::cout << "M2 campaign: " << m2_config.traces << " traces..."
             << std::flush;
-  const auto m2 = run_cpa_campaign(m2_config);
+  const auto m2 = run_live_campaign(m2_config);
   std::cout << " done\n";
 
-  core::CpaCampaignConfig m1_config = m2_config;
-  m1_config.profile = soc::DeviceProfile::mac_mini_m1();
-  m1_config.trace_count = bench::scaled(350'000);
+  core::LiveCampaignConfig m1_config = m2_config;
+  m1_config.source.profile = soc::DeviceProfile::mac_mini_m1();
+  m1_config.traces = bench::scaled(350'000);
   m1_config.checkpoints =
-      core::log_spaced_checkpoints(10000, m1_config.trace_count, 8);
+      core::log_spaced_checkpoints(10000, m1_config.traces, 8);
   m1_config.seed = bench::bench_seed() + 1;
-  std::cout << "M1 campaign: " << m1_config.trace_count << " traces..."
+  std::cout << "M1 campaign: " << m1_config.traces << " traces..."
             << std::flush;
-  const auto m1 = run_cpa_campaign(m1_config);
+  const auto m1 = run_live_campaign(m1_config);
   std::cout << " done\n\n";
 
   const auto& m2_curves = m2.cpa[0].curves;

@@ -16,30 +16,30 @@ int main() {
                                                  power::PowerModel::rd10_hw,
                                                  power::PowerModel::rd10_hd};
 
-  core::CpaCampaignConfig kernel_config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::kernel_module(),
-      .trace_count = bench::scaled(1'000'000),
-      .models = models,
+  core::LiveCampaignConfig kernel_config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::kernel_module()},
+      .protocol = core::CampaignProtocol::random_stream,
+      .traces = bench::scaled(1'000'000),
       .keys = {smc::FourCc("PHPC")},
-      .checkpoints = {},
+      .models = models,
       .seed = bench::bench_seed(),
   };
   kernel_config.checkpoints =
-      core::log_spaced_checkpoints(10000, kernel_config.trace_count, 10);
-  bench::apply_parallel_env(kernel_config);
-  std::cout << "kernel campaign: " << kernel_config.trace_count
+      core::log_spaced_checkpoints(10000, kernel_config.traces, 10);
+  bench::apply_parallel_env(kernel_config.workers, kernel_config.shards);
+  std::cout << "kernel campaign: " << kernel_config.traces
             << " traces..." << std::flush;
-  const auto kernel = run_cpa_campaign(kernel_config);
+  const auto kernel = run_live_campaign(kernel_config);
   std::cout << " done\n";
 
   // User-space Rd0-HW as the comparison baseline for the 2x statement.
-  core::CpaCampaignConfig user_config = kernel_config;
-  user_config.victim = victim::VictimModel::user_space();
+  core::LiveCampaignConfig user_config = kernel_config;
+  user_config.source.victim = victim::VictimModel::user_space();
   user_config.models = {power::PowerModel::rd0_hw};
-  std::cout << "user baseline: " << user_config.trace_count << " traces..."
+  std::cout << "user baseline: " << user_config.traces << " traces..."
             << std::flush;
-  const auto user = run_cpa_campaign(user_config);
+  const auto user = run_live_campaign(user_config);
   std::cout << " done\n\n";
 
   std::vector<core::GeCurveSeries> series;

@@ -40,31 +40,29 @@ int main() {
   table.set_align(0, util::Align::left);
 
   for (const Row& row : rows) {
-    core::TvlaCampaignConfig tvla_config{
-        .profile = profile,
-        .victim = victim::VictimModel::user_space(),
-        .traces_per_set = tvla_sets,
-        .include_pcpu = false,
-        .mitigation = row.policy,
+    core::LiveCampaignConfig tvla_config{
+        .source = {.profile = profile,
+                   .victim = victim::VictimModel::user_space(),
+                   .mitigation = row.policy},
+        .traces = tvla_sets,
         .seed = bench::bench_seed(),
     };
-    bench::apply_parallel_env(tvla_config);
-    const auto tvla = run_tvla_campaign(tvla_config);
+    bench::apply_parallel_env(tvla_config.workers, tvla_config.shards);
+    const auto tvla = run_live_campaign(tvla_config);
     const double t = std::abs(tvla.find_tvla("PHPC")->matrix.score(
         core::PlaintextClass::all_zeros, core::PlaintextClass::all_ones));
 
-    core::CpaCampaignConfig cpa_config{
-        .profile = profile,
-        .victim = victim::VictimModel::user_space(),
-        .trace_count = cpa_traces,
-        .models = {power::PowerModel::rd0_hw},
+    core::LiveCampaignConfig cpa_config{
+        .source = {.profile = profile,
+                   .victim = victim::VictimModel::user_space(),
+                   .mitigation = row.policy},
+        .protocol = core::CampaignProtocol::random_stream,
+        .traces = cpa_traces,
         .keys = {smc::FourCc("PHPC")},
-        .checkpoints = {},
-        .mitigation = row.policy,
         .seed = bench::bench_seed(),
     };
-    bench::apply_parallel_env(cpa_config);
-    const auto cpa = run_cpa_campaign(cpa_config);
+    bench::apply_parallel_env(cpa_config.workers, cpa_config.shards);
+    const auto cpa = run_live_campaign(cpa_config);
     const auto& final = cpa.cpa[0].final_results[0];
 
     util::Xoshiro256 key_rng(1);

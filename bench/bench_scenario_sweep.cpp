@@ -38,7 +38,7 @@ int main() {
   scenario::ScenarioRunConfig config;
   config.traces_per_set = per_set;
   config.seed = seed;
-  bench::apply_parallel_env(config);
+  bench::apply_parallel_env(config.workers, config.shards);
 
   struct Row {
     std::string name;

@@ -73,7 +73,7 @@ int main() {
   scenario::ScenarioRunConfig scenario_config;
   scenario_config.traces_per_set = bench::scaled(400) / 2;
   scenario_config.seed = bench::bench_seed();
-  bench::apply_parallel_env(scenario_config);
+  bench::apply_parallel_env(scenario_config.workers, scenario_config.shards);
   const scenario::ScenarioRunResult scenario_result =
       scenario::run_scenario("dvfs-frequency", {}, scenario_config);
   const double scenario_t = scenario_result.max_cross_class_t();

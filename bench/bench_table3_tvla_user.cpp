@@ -11,17 +11,16 @@ int main() {
   bench::banner("Table 3",
                 "TVLA between plaintext classes, user-space AES victim, M2");
 
-  core::TvlaCampaignConfig config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .traces_per_set = bench::scaled(5000),  // 2 sets -> 10k per class
-      .include_pcpu = false,
+  core::LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .traces = bench::scaled(5000),  // 2 sets -> 10k per class
       .seed = bench::bench_seed(),
   };
-  bench::apply_parallel_env(config);
-  std::cout << "traces per (class, collection): " << config.traces_per_set
+  bench::apply_parallel_env(config.workers, config.shards);
+  std::cout << "traces per (class, collection): " << config.traces
             << "  (paper: 10k per class)\n\n";
-  const auto result = run_tvla_campaign(config);
+  const auto result = run_live_campaign(config);
 
   core::tvla_table("measured t-scores", result.tvla).render(std::cout);
   std::cout << "\n";

@@ -17,33 +17,31 @@ int main() {
   const std::size_t m2_traces = bench::scaled(1'000'000);
   const std::size_t m1_traces = bench::scaled(350'000);
 
-  core::CpaCampaignConfig m2_config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .trace_count = m2_traces,
-      .models = {power::PowerModel::rd0_hw},
+  core::LiveCampaignConfig m2_config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = core::CampaignProtocol::random_stream,
+      .traces = m2_traces,
       .keys = {smc::FourCc("PHPC"), smc::FourCc("PDTR"), smc::FourCc("PMVC"),
                smc::FourCc("PSTR")},
-      .checkpoints = {},
       .seed = bench::bench_seed(),
   };
-  bench::apply_parallel_env(m2_config);
+  bench::apply_parallel_env(m2_config.workers, m2_config.shards);
   std::cout << "collecting " << m2_traces << " M2 traces..." << std::flush;
-  const auto m2 = run_cpa_campaign(m2_config);
+  const auto m2 = run_live_campaign(m2_config);
   std::cout << " done\n";
 
-  core::CpaCampaignConfig m1_config{
-      .profile = soc::DeviceProfile::mac_mini_m1(),
-      .victim = victim::VictimModel::user_space(),
-      .trace_count = m1_traces,
-      .models = {power::PowerModel::rd0_hw},
+  core::LiveCampaignConfig m1_config{
+      .source = {.profile = soc::DeviceProfile::mac_mini_m1(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = core::CampaignProtocol::random_stream,
+      .traces = m1_traces,
       .keys = {smc::FourCc("PHPC")},
-      .checkpoints = {},
       .seed = bench::bench_seed() + 1,
   };
-  bench::apply_parallel_env(m1_config);
+  bench::apply_parallel_env(m1_config.workers, m1_config.shards);
   std::cout << "collecting " << m1_traces << " M1 traces..." << std::flush;
-  const auto m1 = run_cpa_campaign(m1_config);
+  const auto m1 = run_live_campaign(m1_config);
   std::cout << " done\n\n";
 
   std::vector<core::RankColumn> columns;

@@ -15,15 +15,15 @@ int main() {
                 "null channels: IOReport PCPU energy and throttled timing");
 
   // Column 1: PCPU channel TVLA (user-space victim).
-  core::TvlaCampaignConfig pcpu_config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .traces_per_set = bench::scaled(5000),
-      .include_pcpu = true,
+  core::LiveCampaignConfig pcpu_config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space(),
+                 .include_pcpu = true},
+      .traces = bench::scaled(5000),
       .seed = bench::bench_seed() + 6,
   };
-  bench::apply_parallel_env(pcpu_config);
-  const auto pcpu_result = run_tvla_campaign(pcpu_config);
+  bench::apply_parallel_env(pcpu_config.workers, pcpu_config.shards);
+  const auto pcpu_result = run_live_campaign(pcpu_config);
   const auto* pcpu = pcpu_result.find_tvla("PCPU");
 
   // Column 2: execution-time TVLA under lowpowermode throttling.

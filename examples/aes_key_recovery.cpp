@@ -29,11 +29,11 @@ int main(int argc, char** argv) {
             << "attack : known-plaintext CPA, Rd0-HW model, " << traces
             << " traces, " << workers << " worker(s)\n\n";
 
-  core::CpaCampaignConfig config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .trace_count = traces,
-      .models = {power::PowerModel::rd0_hw},
+  core::LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = core::CampaignProtocol::random_stream,
+      .traces = traces,
       .keys = {smc::FourCc("PHPC")},
       .checkpoints = core::log_spaced_checkpoints(traces / 32, traces, 6),
       .seed = 2024,
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
       // worker count reproduces the same numbers.
       .shards = 8,
   };
-  const auto result = run_cpa_campaign(config);
+  const auto result = run_live_campaign(config);
   const auto& key_result = *result.find_cpa(smc::FourCc("PHPC"));
   const auto& final = key_result.final_results[0];
 

@@ -25,14 +25,13 @@ int main(int argc, char** argv) {
       << "attack : same unprivileged CPA as the user-space case\n\n";
 
   // Step 1: confirm the channel still leaks for the kernel victim (TVLA).
-  core::TvlaCampaignConfig tvla_config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::kernel_module(),
-      .traces_per_set = 4000,
-      .include_pcpu = false,
+  core::LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::kernel_module()},
+      .traces = 4000,
       .seed = 99,
   };
-  const auto tvla = run_tvla_campaign(tvla_config);
+  const auto tvla = run_live_campaign(config);
   std::cout << "TVLA (kernel victim): PHPC t(0s' vs 1s) = "
             << util::fixed(tvla.find_tvla("PHPC")->matrix.score(
                                core::PlaintextClass::all_zeros,
@@ -47,19 +46,14 @@ int main(int argc, char** argv) {
 
   // Step 2: extract key material, comparing convergence against the
   // user-space victim at the same trace budget.
-  core::CpaCampaignConfig config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::kernel_module(),
-      .trace_count = traces,
-      .models = {power::PowerModel::rd0_hw},
-      .keys = {smc::FourCc("PHPC")},
-      .checkpoints = {},
-      .seed = 100,
-  };
-  const auto kernel = run_cpa_campaign(config);
+  config.protocol = core::CampaignProtocol::random_stream;
+  config.traces = traces;
+  config.keys = {smc::FourCc("PHPC")};
+  config.seed = 100;
+  const auto kernel = run_live_campaign(config);
 
-  config.victim = victim::VictimModel::user_space();
-  const auto user = run_cpa_campaign(config);
+  config.source.victim = victim::VictimModel::user_space();
+  const auto user = run_live_campaign(config);
 
   util::TextTable table;
   table.header({"victim", "GE bits", "mean rank", "rank-1 bytes",

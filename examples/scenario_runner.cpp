@@ -9,11 +9,14 @@
 //
 // `run` executes the scenario through core::run_sink_campaign: TVLA over
 // every channel the scenario reports, plus CPA/GE when its analysis spec
-// binds the AES leakage models. Results are a pure function of
-// (scenario, params, per-set, seed, shards) — --workers only changes
-// wall-clock. --record tees the acquisition to a PSTR store (forces
-// workers=1, shards=1: one writer, one deterministic stream) so a live
-// scenario run can later be replayed through psc_busctl as a dataset.
+// binds the AES leakage models. A run is the served scenario job for the
+// same spec (bus::run_scenario_job), so it prints what `psc_busctl submit
+// scenario` returns: results are a pure function of (scenario, params,
+// per-set, seed, shards), an unset --shards auto-sizes from the per-set
+// count alone, and --workers only changes wall-clock. --record tees the
+// acquisition to a PSTR store (forces workers=1, shards=1: one writer,
+// one deterministic stream) so a live scenario run can later be replayed
+// through psc_busctl as a dataset.
 #include <cstdlib>
 #include <iostream>
 #include <optional>
@@ -21,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "bus/scenario_jobs.h"
 #include "core/report.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
@@ -88,8 +92,10 @@ int cmd_describe(const std::string& name) {
 }
 
 int cmd_run(const std::string& name, int argc, char** argv, int from) {
-  std::vector<std::pair<std::string, std::string>> params;
-  scenario::ScenarioRunConfig config;
+  bus::ScenarioJobSpec spec;
+  spec.scenario = name;
+  std::size_t workers = 1;
+  std::string record_path;
   for (int i = from; i < argc; ++i) {
     const std::string arg = argv[i];
     if (i + 1 >= argc) {
@@ -103,29 +109,34 @@ int cmd_run(const std::string& name, int argc, char** argv, int from) {
         std::cerr << "--param wants key=value, got: " << value << "\n";
         return 2;
       }
-      params.emplace_back(value.substr(0, eq), value.substr(eq + 1));
+      spec.params.emplace_back(value.substr(0, eq), value.substr(eq + 1));
     } else if (arg == "--per-set") {
-      config.traces_per_set = parse_u64(value);
+      spec.traces_per_set = parse_u64(value);
     } else if (arg == "--seed") {
-      config.seed = parse_u64(value);
+      spec.seed = parse_u64(value);
     } else if (arg == "--workers") {
-      config.workers = parse_u64(value);
+      workers = parse_u64(value);
     } else if (arg == "--shards") {
-      config.shards = parse_u64(value);
+      spec.shards = static_cast<std::uint32_t>(parse_u64(value));
     } else if (arg == "--record") {
-      config.record_path = value;
+      record_path = value;
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
       return 2;
     }
   }
-  if (!config.record_path.empty()) {
-    config.workers = 1;
-    config.shards = 1;
-  }
 
-  const scenario::ScenarioRunResult result =
-      scenario::run_scenario(name, params, config);
+  scenario::ScenarioRunResult result;
+  if (record_path.empty()) {
+    result = bus::run_scenario_job(spec, {}, workers);
+  } else {
+    scenario::ScenarioRunConfig config;
+    config.traces_per_set = spec.traces_per_set;
+    config.seed = spec.seed;
+    config.shards = 1;
+    config.record_path = record_path;
+    result = scenario::run_scenario(name, spec.params, config);
+  }
   std::cout << "scenario '" << result.scenario << "': "
             << result.traces_per_set << " traces per set, secret "
             << util::to_hex(result.secret) << "\n";
@@ -150,8 +161,8 @@ int cmd_run(const std::string& name, int argc, char** argv, int from) {
   }
   std::cout << "max cross-class |t| over leakage channels: "
             << result.max_cross_class_t() << "\n";
-  if (!config.record_path.empty()) {
-    std::cout << "recorded acquisition to " << config.record_path << "\n";
+  if (!record_path.empty()) {
+    std::cout << "recorded acquisition to " << record_path << "\n";
   }
   return 0;
 }

@@ -13,8 +13,9 @@
 // Both conversions are value-exact: CSV cells use shortest-round-trip
 // float formatting and PSTR stores raw IEEE-754 doubles, so
 // csv -> pstr -> csv and pstr -> csv -> pstr reproduce the same bits.
-// pstr2csv streams chunk by chunk, so converting a file larger than RAM
-// is fine; csv2pstr currently loads the CSV through core::TraceSet.
+// pstr2csv streams batch by batch through core::TraceCsvWriter, so
+// converting a file larger than RAM is fine; csv2pstr currently loads
+// the CSV through core::TraceSet.
 //
 // compact rewrites any readable store as a version-2 file with the
 // delta_bitpack codec requested on every channel (chunks that do not
@@ -27,6 +28,7 @@
 #include <iomanip>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,8 +36,6 @@
 #include "store/dataset_summary.h"
 #include "store/file_trace_source.h"
 #include "store/trace_file_writer.h"
-#include "util/csv.h"
-#include "util/hex.h"
 
 namespace {
 
@@ -91,37 +91,32 @@ int cmd_csv2pstr(const std::string& in_path, const std::string& out_path,
   return 0;
 }
 
+// Streams every row `source` has left as trace CSV, one bounded batch at
+// a time: resident memory stays one batch, whatever the file size.
+void write_csv(psc::store::FileTraceSource& source, std::ostream& out,
+               std::optional<std::size_t> first_row) {
+  using namespace psc;
+  core::TraceCsvWriter csv(out, source.keys(), first_row);
+  core::TraceBatch batch;
+  batch.reset_channels(source.keys().size());
+  while (source.remaining().value() > 0) {
+    batch.resize(std::min<std::size_t>(4096, source.remaining().value()));
+    source.collect_batch(batch);
+    csv.write(batch);
+  }
+}
+
 int cmd_pstr2csv(const std::string& in_path, const std::string& out_path) {
   using namespace psc;
-  store::TraceFileReader reader(in_path);
+  store::FileTraceSource source(in_path);
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "cannot open " << out_path << "\n";
     return 1;
   }
-  util::CsvWriter csv(out);
-  std::vector<std::string> header = {"plaintext", "ciphertext"};
-  for (const auto& key : reader.channels()) {
-    header.push_back(key.str());
-  }
-  csv.row(header);
-  // Chunk-by-chunk streaming: resident memory is one chunk, whatever the
-  // file size.
-  for (std::size_t i = 0; i < reader.chunk_count(); ++i) {
-    const store::ChunkView view = reader.chunk(i);
-    for (std::size_t r = 0; r < view.rows(); ++r) {
-      auto row = csv.start_row();
-      row.cell(util::to_hex(view.plaintexts()[r]));
-      row.cell(util::to_hex(view.ciphertexts()[r]));
-      for (std::size_t c = 0; c < view.channels(); ++c) {
-        row.cell(util::format_double_exact(view.column(c)[r]));
-      }
-      row.done();
-    }
-  }
-  std::cout << "wrote " << reader.trace_count() << " traces ("
-            << reader.channels().size() << " channels) -> " << out_path
-            << "\n";
+  write_csv(source, out, std::nullopt);
+  std::cout << "wrote " << source.reader().trace_count() << " traces ("
+            << source.keys().size() << " channels) -> " << out_path << "\n";
   return 0;
 }
 
@@ -196,29 +191,7 @@ int cmd_verify(const std::string& path) {
 int cmd_cat(const std::string& path, std::size_t begin, std::size_t count) {
   using namespace psc;
   store::FileTraceSource source(path, begin, count);
-  util::CsvWriter csv(std::cout);
-  std::vector<std::string> header = {"row", "plaintext", "ciphertext"};
-  for (const auto& key : source.keys()) {
-    header.push_back(key.str());
-  }
-  csv.row(header);
-  core::TraceBatch batch;
-  batch.reset_channels(source.keys().size());
-  std::size_t row_index = begin;
-  while (source.remaining().value() > 0) {
-    batch.resize(std::min<std::size_t>(4096, source.remaining().value()));
-    source.collect_batch(batch);
-    for (std::size_t r = 0; r < batch.size(); ++r) {
-      auto row = csv.start_row();
-      row.cell(std::to_string(row_index++));
-      row.cell(util::to_hex(batch.plaintexts()[r]));
-      row.cell(util::to_hex(batch.ciphertexts()[r]));
-      for (std::size_t c = 0; c < batch.channels(); ++c) {
-        row.cell(util::format_double_exact(batch.column(c)[r]));
-      }
-      row.done();
-    }
-  }
+  write_csv(source, std::cout, begin);
   return 0;
 }
 

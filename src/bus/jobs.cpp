@@ -67,13 +67,6 @@ CpaJobResult run_cpa_job(std::shared_ptr<const store::SharedMapping> dataset,
   // A throwaway reader resolves the dataset's shape; each shard builds
   // its own reader over the same shared bytes.
   store::TraceFileReader probe(dataset);
-  const auto& channels = probe.channels();
-  const util::FourCc wanted(spec.channel);
-  const auto it = std::find(channels.begin(), channels.end(), wanted);
-  if (it == channels.end()) {
-    throw std::invalid_argument("run_cpa_job: dataset has no channel " +
-                                wanted.str());
-  }
   if (spec.trace_count > probe.trace_count()) {
     throw std::invalid_argument(
         "run_cpa_job: trace_count exceeds the recorded traces");
@@ -91,8 +84,8 @@ CpaJobResult run_cpa_job(std::shared_ptr<const store::SharedMapping> dataset,
   core::SinkCampaignConfig config =
       replay_campaign(dataset, probe, 1, 0, shards, progress, exec);
   config.protocol = core::CampaignProtocol::random_stream;
-  config.trace_count = total;
-  config.cpa_columns = {static_cast<std::size_t>(it - channels.begin())};
+  config.traces = total;
+  config.cpa_keys = {util::FourCc(spec.channel)};
   config.models = spec.models;
   config.secret = spec.known_key;
   core::SinkCampaignResult campaign = core::run_sink_campaign(config);
@@ -135,7 +128,7 @@ TvlaJobResult run_tvla_job(std::shared_ptr<const store::SharedMapping> dataset,
   // Positional labels (see jobs.h): set k starts at row k * block.
   core::SinkCampaignConfig config =
       replay_campaign(dataset, probe, 6, block, shards, progress, exec);
-  config.traces_per_set = per_set;
+  config.traces = per_set;
   core::SinkCampaignResult campaign = core::run_sink_campaign(config);
 
   TvlaJobResult result;

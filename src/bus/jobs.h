@@ -28,8 +28,9 @@
 // TVLA replay labeling: a PSTR file carries no (class, collection)
 // labels, so TVLA-over-file assumes the dataset was recorded in TVLA
 // protocol order — six equal consecutive sets, unprimed collections of
-// (all-0s, all-1s, random) then the primed three, exactly the order
-// run_tvla_campaign acquires. Set k of N/6 rows is labeled
+// (all-0s, all-1s, random) then the primed three, exactly the order the
+// campaign loop's tvla_sets protocol acquires (scenario_runner --record
+// writes it). Set k of N/6 rows is labeled
 // (class k % 3, primed = k >= 3), and shard s replays its slice of the
 // first traces_per_set rows of every set.
 #pragma once

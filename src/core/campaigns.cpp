@@ -31,34 +31,6 @@ std::vector<std::size_t> normalize_checkpoints(std::vector<std::size_t> cps,
   return cps;
 }
 
-// Column indices of the attacked SMC keys within `channels`; when `keys`
-// is empty, defaults to every channel except the PHPS estimate (and the
-// IOReport PCPU pseudo-channel).
-std::vector<std::size_t> attack_columns(
-    const std::vector<util::FourCc>& channels,
-    const std::vector<smc::FourCc>& keys, const char* who) {
-  std::vector<smc::FourCc> attack_keys = keys;
-  if (attack_keys.empty()) {
-    for (const smc::FourCc key : channels) {
-      if (key != smc::FourCc("PHPS") && key != smc::FourCc("PCPU")) {
-        attack_keys.push_back(key);
-      }
-    }
-  }
-  std::vector<std::size_t> columns;
-  columns.reserve(attack_keys.size());
-  for (const smc::FourCc key : attack_keys) {
-    const auto it = std::find(channels.begin(), channels.end(), key);
-    if (it == channels.end()) {
-      throw std::invalid_argument(std::string(who) +
-                                  ": key not provided by this device: " +
-                                  key.str());
-    }
-    columns.push_back(static_cast<std::size_t>(it - channels.begin()));
-  }
-  return columns;
-}
-
 // Cumulative cross-shard progress counter feeding a CampaignProgressFn;
 // null hook = no-op, so the acquisition loop calls add() unconditionally.
 // Lives on the campaign's stack and is captured by reference in shard
@@ -81,16 +53,6 @@ class ProgressMeter {
   std::atomic<std::size_t> consumed_{0};
 };
 
-// The `workers` / `shards` pair of the live campaign configs: shards = 0
-// sizes the shard count to the `total` traces acquired (see ShardPlan),
-// and `workers` units run at a time.
-void run_on_workers(SinkCampaignConfig& config, std::size_t workers,
-                    std::size_t shards, std::size_t total) {
-  config.shards = ShardPlan{.workers = workers, .shards = shards}
-                      .resolved_shards_for(total);
-  config.exec.shard_budget = [workers] { return workers; };
-}
-
 // The entry of `entries` whose `field` equals `value`, or null.
 template <typename T, typename V>
 const T* find_by(const std::vector<T>& entries, V T::*field, const V& value) {
@@ -99,72 +61,36 @@ const T* find_by(const std::vector<T>& entries, V T::*field, const V& value) {
   return it == entries.end() ? nullptr : &*it;
 }
 
-// The campaign loop over the simulated device: each shard calibrates its
-// own LiveTraceSource on its own RNG stream.
-SinkCampaignConfig live_campaign(const LiveSourceConfig& source_config) {
-  SinkCampaignConfig config;
-  config.channels = LiveTraceSource::channel_names(source_config);
-  config.make_source = [source_config](const ShardSource& shard) {
-    return std::make_unique<LiveTraceSource>(source_config, shard.secret,
-                                             shard.seed);
-  };
-  return config;
-}
-
 }  // namespace
 
-SinkCampaignResult run_tvla_campaign(const TvlaCampaignConfig& config) {
-  SinkCampaignConfig generic = live_campaign({
-      .profile = config.profile,
-      .victim = config.victim,
-      .mitigation = config.mitigation,
-      .include_pcpu = config.include_pcpu,
+SinkCampaignResult run_live_campaign(const LiveCampaignConfig& config) {
+  if (config.protocol == CampaignProtocol::random_stream &&
+      config.keys.empty()) {
+    throw std::invalid_argument(
+        "run_live_campaign: a random stream needs keys to attack");
+  }
+  const LiveSourceConfig& source = config.source;
+  const std::size_t total =
+      config.protocol == CampaignProtocol::tvla_sets ? 6 * config.traces
+                                                     : config.traces;
+  return run_sink_campaign({
+      .channels = LiveTraceSource::channel_names(source),
+      .make_source =
+          [source](const ShardSource& shard) {
+            return std::make_unique<LiveTraceSource>(source, shard.secret,
+                                                     shard.seed);
+          },
+      .protocol = config.protocol,
+      .traces = config.traces,
+      .cpa_keys = config.keys,
+      .models = config.models,
+      .checkpoints = config.checkpoints,
+      .seed = config.seed,
+      .shards = ShardPlan{.workers = config.workers, .shards = config.shards}
+                    .resolved_shards_for(total),
+      .exec = {.shard_budget = [workers = config.workers] { return workers; }},
+      .progress = config.progress,
   });
-  generic.traces_per_set = config.traces_per_set;
-  generic.seed = config.seed;
-  generic.progress = config.progress;
-  run_on_workers(generic, config.workers, config.shards,
-                 6 * config.traces_per_set);
-  return run_sink_campaign(generic);
-}
-
-SinkCampaignResult run_cpa_campaign(const CpaCampaignConfig& config) {
-  SinkCampaignConfig generic = live_campaign({
-      .profile = config.profile,
-      .victim = config.victim,
-      .mitigation = config.mitigation,
-      .include_pcpu = false,
-  });
-  generic.protocol = CampaignProtocol::random_stream;
-  generic.trace_count = config.trace_count;
-  generic.cpa_columns =
-      attack_columns(generic.channels, config.keys, "run_cpa_campaign");
-  generic.models = config.models;
-  generic.checkpoints = config.checkpoints;
-  generic.seed = config.seed;
-  generic.progress = config.progress;
-  run_on_workers(generic, config.workers, config.shards, config.trace_count);
-  return run_sink_campaign(generic);
-}
-
-SinkCampaignResult run_combined_campaign(
-    const CombinedCampaignConfig& config) {
-  SinkCampaignConfig generic = live_campaign({
-      .profile = config.profile,
-      .victim = config.victim,
-      .mitigation = config.mitigation,
-      .include_pcpu = config.include_pcpu,
-  });
-  generic.traces_per_set = config.traces_per_set;
-  generic.cpa_columns =
-      attack_columns(generic.channels, config.keys, "run_combined_campaign");
-  generic.models = config.models;
-  generic.checkpoints = config.checkpoints;
-  generic.seed = config.seed;
-  generic.progress = config.progress;
-  run_on_workers(generic, config.workers, config.shards,
-                 6 * config.traces_per_set);
-  return run_sink_campaign(generic);
 }
 
 const TvlaChannelResult* SinkCampaignResult::find_tvla(
@@ -187,11 +113,18 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
   if (config.shards == 0) {
     throw std::invalid_argument("run_sink_campaign: zero shards");
   }
-  for (const std::size_t column : config.cpa_columns) {
-    if (column >= config.channels.size()) {
-      throw std::invalid_argument(
-          "run_sink_campaign: cpa column out of range");
+  // The column of each attacked key, resolved once per campaign.
+  std::vector<std::size_t> key_columns;
+  key_columns.reserve(config.cpa_keys.size());
+  for (const util::FourCc key : config.cpa_keys) {
+    const auto it =
+        std::find(config.channels.begin(), config.channels.end(), key);
+    if (it == config.channels.end()) {
+      throw std::invalid_argument("run_sink_campaign: no channel " +
+                                  key.str() + " to attack");
     }
+    key_columns.push_back(
+        static_cast<std::size_t>(it - config.channels.begin()));
   }
 
   util::Xoshiro256 rng(config.seed);
@@ -214,17 +147,16 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
   } else {
     segments.push_back(BatchLabel::unlabeled());
   }
-  const std::size_t per_segment =
-      tvla ? config.traces_per_set : config.trace_count;
+  const std::size_t per_segment = config.traces;
 
   SinkCampaignResult result;
   result.secret = secret;
   result.round_keys = aes::Aes128::expand_key(secret);
   result.traces_per_set = tvla ? per_segment : 0;
   result.cpa_trace_count = tvla ? 2 * per_segment : per_segment;
-  result.cpa.resize(config.cpa_columns.size());
-  for (std::size_t k = 0; k < config.cpa_columns.size(); ++k) {
-    result.cpa[k].key = channels[config.cpa_columns[k]];
+  result.cpa.resize(config.cpa_keys.size());
+  for (std::size_t k = 0; k < config.cpa_keys.size(); ++k) {
+    result.cpa[k].key = config.cpa_keys[k];
   }
 
   const std::vector<std::size_t> checkpoints =
@@ -277,8 +209,8 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
     if (tvla) {
       multi.add(&out.tvla.emplace(channels.size()));
     }
-    out.cpa.reserve(config.cpa_columns.size());
-    for (const std::size_t column : config.cpa_columns) {
+    out.cpa.reserve(key_columns.size());
+    for (const std::size_t column : key_columns) {
       multi.add(&out.cpa.emplace_back(config.models, column, targets));
     }
     if (config.extra_sink) {
@@ -315,11 +247,11 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
   // Shard-order merge as each unit drains: the same sequence of merges a
   // post-pass over every shard would make, with at most a window of
   // shards alive. merged_cpa[k * n_checkpoints + ci] folds the ci-th GE
-  // snapshot of attacked column k.
+  // snapshot of attacked key k.
   const std::size_t n_checkpoints = checkpoints.size();
   TvlaSink merged_tvla(tvla ? channels.size() : 0);
   std::vector<std::optional<CpaEngine>> merged_cpa(
-      config.cpa_columns.size() * n_checkpoints);
+      key_columns.size() * n_checkpoints);
   const auto merge_shard = [&](std::size_t s) {
     ShardSinks& shard = *slots[s];
     if (tvla) {

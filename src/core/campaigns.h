@@ -44,52 +44,9 @@ namespace psc::core {
 using CampaignProgressFn =
     std::function<void(std::size_t consumed, std::size_t total)>;
 
-// ---------- TVLA campaigns (Tables 3 and 5; Table 6 first column) ----------
-
-struct TvlaCampaignConfig {
-  soc::DeviceProfile profile;
-  victim::VictimModel victim = victim::VictimModel::user_space();
-  // Traces per (class, collection): two collections per class, so the
-  // paper's 10k per class corresponds to 5000 here.
-  std::size_t traces_per_set = 5000;
-  // Also assess the IOReport "PCPU" channel (Table 6, first column).
-  bool include_pcpu = false;
-  // Firmware countermeasure applied to the SMC channel (section 5).
-  smc::MitigationPolicy mitigation = smc::MitigationPolicy::none();
-  std::uint64_t seed = 1;
-  // Sharded execution (see core/parallel.h): workers = thread count,
-  // shards = partial-state count (0 = one per worker; 1 = sequential).
-  std::size_t workers = 1;
-  std::size_t shards = 0;
-  CampaignProgressFn progress{};  // see CampaignProgressFn above
-};
-
 struct TvlaChannelResult {
   std::string channel;  // SMC key name or "PCPU"
   TvlaMatrix matrix;
-};
-
-// ---------- CPA campaigns (Table 4; Figures 1a and 1b) ----------
-
-struct CpaCampaignConfig {
-  soc::DeviceProfile profile;
-  victim::VictimModel victim = victim::VictimModel::user_space();
-  std::size_t trace_count = 1'000'000;
-  std::vector<power::PowerModel> models = {power::PowerModel::rd0_hw};
-  // SMC keys to attack; empty = every workload-dependent key except PHPS
-  // (the estimate channel carries no signal, as Table 3 establishes).
-  std::vector<smc::FourCc> keys;
-  // Trace counts at which to snapshot GE (ascending; the final count is
-  // always evaluated).
-  std::vector<std::size_t> checkpoints;
-  // Firmware countermeasure applied to the SMC channel (section 5).
-  smc::MitigationPolicy mitigation = smc::MitigationPolicy::none();
-  std::uint64_t seed = 1;
-  // Sharded execution (see core/parallel.h): workers = thread count,
-  // shards = partial-state count (0 = one per worker; 1 = sequential).
-  std::size_t workers = 1;
-  std::size_t shards = 0;
-  CampaignProgressFn progress{};  // see CampaignProgressFn above
 };
 
 struct GeCurvePoint {
@@ -101,40 +58,10 @@ struct GeCurvePoint {
 
 struct CpaKeyResult {
   smc::FourCc key;
-  // Final analysis per model, aligned with CpaCampaignConfig::models.
+  // Final analysis per model, aligned with the campaign's models.
   std::vector<ModelResult> final_results;
   // GE trajectory per model, aligned the same way.
   std::vector<std::vector<GeCurvePoint>> curves;
-};
-
-// ---------- combined campaign (one acquisition, every analysis) ----------
-//
-// Runs the TVLA collection protocol once — six labeled (class, collection)
-// sets — and fans every batch out to TVLA, CPA and guessing-entropy sinks
-// at the same time. The two random-plaintext collections double as the
-// CPA trace stream, so one trace budget yields Table 3's matrices and
-// Table 4's rankings together. At equal (seed, shards, victim, device,
-// mitigation, traces_per_set, include_pcpu), the TVLA half is
-// bit-identical to run_tvla_campaign.
-
-struct CombinedCampaignConfig {
-  soc::DeviceProfile profile;
-  victim::VictimModel victim = victim::VictimModel::user_space();
-  // Traces per (class, collection); the CPA stream sees 2x this.
-  std::size_t traces_per_set = 5000;
-  bool include_pcpu = false;
-  std::vector<power::PowerModel> models = {power::PowerModel::rd0_hw};
-  // SMC keys to attack with CPA; empty = every workload-dependent key
-  // except PHPS (and PCPU when included).
-  std::vector<smc::FourCc> keys;
-  // CPA trace counts at which to snapshot GE (ascending, over the random
-  // stream of 2 * traces_per_set; the final count is always evaluated).
-  std::vector<std::size_t> checkpoints;
-  smc::MitigationPolicy mitigation = smc::MitigationPolicy::none();
-  std::uint64_t seed = 1;
-  std::size_t workers = 1;
-  std::size_t shards = 0;
-  CampaignProgressFn progress{};  // see CampaignProgressFn above
 };
 
 // ---------- the campaign loop ----------
@@ -152,21 +79,21 @@ struct CombinedCampaignConfig {
 // The budget splits into `shards` shards. Shard s acquires its
 // shard_size slice of every protocol segment, in protocol order, from its
 // own source and RNG stream, feeding a TvlaSink on every channel (TVLA
-// sets only) plus one GeCheckpointSink per attacked column. Shard units
+// sets only) plus one GeCheckpointSink per attacked key. Shard units
 // run on core::run_ordered_window and their sinks merge strictly in shard
 // order as each unit drains, so results are a pure function of (seed,
 // shards, source) and shards = 1 reproduces the sequential loop. The GE
 // post-pass then runs on a second window under the same budget, one
-// analyze unit per (attacked column, checkpoint, model). The live
-// campaigns below — and the scenario runner and bus jobs — fill in a
-// source factory and call this loop.
+// analyze unit per (attacked key, checkpoint, model). The live campaign
+// below — and the scenario runner and bus jobs — fill in a source
+// factory and call this loop.
 
 enum class CampaignProtocol {
-  // Six labeled (class, collection) sets of traces_per_set traces:
+  // Six labeled (class, collection) sets of `traces` traces each:
   // unprimed (all-0s, all-1s, random), then primed. CPA sinks see the two
-  // random collections, 2 * traces_per_set traces.
+  // random collections, 2 * traces traces.
   tvla_sets,
-  // One unlabeled random-plaintext stream of trace_count traces.
+  // One unlabeled random-plaintext stream of `traces` traces.
   random_stream,
 };
 
@@ -190,13 +117,13 @@ struct ShardExecution {
   // before each unit is issued (values < 1 count as 1, which runs the
   // unit inline). Null: every unit runs inline on the calling thread,
   // touching no pool state.
-  std::function<std::size_t()> shard_budget;
+  std::function<std::size_t()> shard_budget{};
   // Observer of (shard count, units running): called once with
   // running = 0 as the campaign starts, then as each shard unit starts
   // and finishes — concurrently from pool threads under a budget.
   // Analysis units are not reported.
   std::function<void(std::size_t shards, std::size_t running)>
-      on_shard_activity;
+      on_shard_activity{};
 };
 
 struct SinkCampaignConfig {
@@ -204,13 +131,14 @@ struct SinkCampaignConfig {
   std::vector<util::FourCc> channels;
   SinkSourceFactory make_source;
   CampaignProtocol protocol = CampaignProtocol::tvla_sets;
-  // tvla_sets: traces per (class, collection).
-  std::size_t traces_per_set = 5000;
-  // random_stream: the stream length.
-  std::size_t trace_count = 0;
-  // Channel columns to attack with CPA/GE; empty = TVLA only. The secret
-  // is interpreted as an AES-128 key for ranking (the CpaEngine's model).
-  std::vector<std::size_t> cpa_columns;
+  // tvla_sets: traces per (class, collection); random_stream: the stream
+  // length.
+  std::size_t traces = 5000;
+  // Channels to attack with CPA/GE; empty = TVLA only. Each must be one
+  // of `channels` (the campaign throws std::invalid_argument naming any
+  // that is not). The secret is interpreted as an AES-128 key for
+  // ranking (the CpaEngine's model).
+  std::vector<util::FourCc> cpa_keys;
   std::vector<power::PowerModel> models = {power::PowerModel::rd0_hw};
   // GE snapshot trace counts over the CPA stream (the final count is
   // always evaluated).
@@ -218,7 +146,7 @@ struct SinkCampaignConfig {
   std::uint64_t seed = 1;
   // The key CPA ranks against; unset = drawn from the seed (the victim
   // key of a live campaign). Replay campaigns pass the recorded key.
-  std::optional<aes::Block> secret;
+  std::optional<aes::Block> secret{};
   // Result-determining; at least 1.
   std::size_t shards = 1;
   ShardExecution exec;
@@ -236,7 +164,7 @@ struct SinkCampaignResult {
   std::size_t traces_per_set = 0;   // 0 for a random stream
   std::size_t cpa_trace_count = 0;  // traces the CPA sinks saw
   std::vector<TvlaChannelResult> tvla;  // TVLA sets: one per channel
-  std::vector<CpaKeyResult> cpa;        // one per attacked column
+  std::vector<CpaKeyResult> cpa;        // one per attacked key
 
   // The entry for `channel` / `key`, or null.
   const TvlaChannelResult* find_tvla(const std::string& channel) const noexcept;
@@ -247,16 +175,40 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config);
 
 // ---------- live campaigns over the simulated device ----------
 //
-// Each shard calibrates its own LiveTraceSource. `workers` units run at a
-// time, and shards = 0 sizes the shard count to the traces acquired
-// (ShardPlan::resolved_shards_for).
+// The paper's TVLA tables (3, 5, and Table 6's PCPU column) run the
+// tvla_sets protocol with no keys; its CPA table and GE figures (Table 4,
+// Fig. 1) run random_stream over the attacked keys. tvla_sets with keys
+// does both from one acquisition: the two random-plaintext collections
+// double as the CPA stream, and the TVLA half is bit-identical to the
+// same campaign without keys.
+struct LiveCampaignConfig {
+  // The simulated device, victim, firmware countermeasure (section 5) and
+  // whether the IOReport PCPU channel is reported too.
+  LiveSourceConfig source;
+  CampaignProtocol protocol = CampaignProtocol::tvla_sets;
+  // tvla_sets: traces per (class, collection) — two collections per
+  // class, so the paper's 10k per class is 5000 here. random_stream: the
+  // stream length.
+  std::size_t traces = 5000;
+  // SMC keys to attack with CPA/GE; empty = TVLA only, which random_stream
+  // rejects.
+  std::vector<smc::FourCc> keys{};
+  std::vector<power::PowerModel> models = {power::PowerModel::rd0_hw};
+  // Trace counts at which to snapshot GE over the CPA stream (the final
+  // count is always evaluated).
+  std::vector<std::size_t> checkpoints{};
+  std::uint64_t seed = 1;
+  // Sharded execution (see core/parallel.h): `workers` units run at a
+  // time; shards = 0 sizes the shard count to the traces acquired
+  // (ShardPlan::resolved_shards_for), 1 is sequential.
+  std::size_t workers = 1;
+  std::size_t shards = 0;
+  CampaignProgressFn progress{};  // see CampaignProgressFn above
+};
 
-// TVLA sets: one `tvla` matrix per channel; `cpa` is empty.
-SinkCampaignResult run_tvla_campaign(const TvlaCampaignConfig& config);
-// One random stream: one `cpa` entry per attacked key; `tvla` is empty.
-SinkCampaignResult run_cpa_campaign(const CpaCampaignConfig& config);
-// TVLA sets whose two random collections also feed CPA: both halves.
-SinkCampaignResult run_combined_campaign(const CombinedCampaignConfig& config);
+// Each shard calibrates its own LiveTraceSource. Returns one `tvla`
+// matrix per channel for tvla_sets and one `cpa` entry per key.
+SinkCampaignResult run_live_campaign(const LiveCampaignConfig& config);
 
 // Log-spaced checkpoint schedule from `first` to `last` (inclusive).
 std::vector<std::size_t> log_spaced_checkpoints(std::size_t first,

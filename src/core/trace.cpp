@@ -34,23 +34,34 @@ std::span<const double> TraceSet::column(std::size_t key_idx) const {
   return batch_.column(key_idx);
 }
 
-void TraceSet::save_csv(std::ostream& out) const {
-  util::CsvWriter csv(out);
-  std::vector<std::string> header = {"plaintext", "ciphertext"};
-  for (const auto& key : keys_) {
+TraceCsvWriter::TraceCsvWriter(std::ostream& out,
+                               const std::vector<util::FourCc>& keys,
+                               std::optional<std::size_t> first_row)
+    : csv_(out), next_row_(first_row) {
+  std::vector<std::string> header;
+  if (next_row_) {
+    header.push_back("row");
+  }
+  header.push_back("plaintext");
+  header.push_back("ciphertext");
+  for (const util::FourCc key : keys) {
     header.push_back(key.str());
   }
-  csv.row(header);
-  const auto pts = batch_.plaintexts();
-  const auto cts = batch_.ciphertexts();
-  for (std::size_t i = 0; i < batch_.size(); ++i) {
-    auto row = csv.start_row();
+  csv_.row(header);
+}
+
+void TraceCsvWriter::write(const TraceBatch& batch) {
+  const auto pts = batch.plaintexts();
+  const auto cts = batch.ciphertexts();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    auto row = csv_.start_row();
+    if (next_row_) {
+      row.cell(std::to_string((*next_row_)++));
+    }
     row.cell(util::to_hex(pts[i]));
     row.cell(util::to_hex(cts[i]));
-    for (std::size_t c = 0; c < keys_.size(); ++c) {
-      // Shortest-round-trip formatting: a reloaded capture feeds the
-      // analysis engines bit-identical values.
-      row.cell(util::format_double_exact(batch_.column(c)[i]));
+    for (std::size_t c = 0; c < batch.channels(); ++c) {
+      row.cell(util::format_double_exact(batch.column(c)[i]));
     }
     row.done();
   }

@@ -6,8 +6,9 @@
 // (one contiguous array per field, one contiguous value column per
 // channel), so replay and offline analysis ingest whole columns without
 // gathering. TraceRecord and the per-record add() path remain as thin
-// conveniences over the batch core. CSV round-tripping uses
-// shortest-round-trip float formatting so captures replay bit-identically.
+// conveniences over the batch core. CSV round-tripping (TraceCsvWriter,
+// TraceSet::load_csv) uses shortest-round-trip float formatting so
+// captures replay bit-identically.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +20,7 @@
 
 #include "aes/aes128.h"
 #include "core/trace_batch.h"
+#include "util/csv.h"
 #include "util/fourcc.h"
 
 namespace psc::core {
@@ -63,14 +65,31 @@ class TraceSet {
   // valid until the set is modified or destroyed.
   std::span<const double> column(std::size_t key_idx) const;
 
-  // CSV persistence: header "plaintext,ciphertext,<KEY>..." with hex
-  // blocks and decimal values.
-  void save_csv(std::ostream& out) const;
+  // Reads the CSV a TraceCsvWriter without a row column writes.
   static TraceSet load_csv(std::istream& in);
 
  private:
   std::vector<util::FourCc> keys_;
   TraceBatch batch_;
+};
+
+// The trace CSV format, streamed batch by batch: header
+// "plaintext,ciphertext,<KEY>..." then one row per trace with hex blocks
+// and shortest-round-trip decimal values, so a reloaded capture feeds the
+// analysis engines bit-identical values. With `first_row` set, a leading
+// "row" column numbers the rows from it.
+class TraceCsvWriter {
+ public:
+  // Writes the header; `out` must outlive the writer.
+  TraceCsvWriter(std::ostream& out, const std::vector<util::FourCc>& keys,
+                 std::optional<std::size_t> first_row = std::nullopt);
+
+  // Appends every row of `batch`.
+  void write(const TraceBatch& batch);
+
+ private:
+  util::CsvWriter csv_;
+  std::optional<std::size_t> next_row_;
 };
 
 }  // namespace psc::core

@@ -1,9 +1,9 @@
 // The paper's own scenarios, ported onto the registry: an AES-128 victim
 // (user-space process or kernel module) observed through the simulated
 // device's SMC power keys. make_source builds the same LiveTraceSource
-// that run_tvla_campaign / run_combined_campaign build, with the same
-// per-shard seeding — so a registry run is bit-identical to those live
-// campaigns (asserted in tests/scenario/scenario_runner_test.cpp).
+// that core::run_live_campaign builds, with the same per-shard seeding —
+// so a registry run is bit-identical to the live campaign over the
+// analysis spec's keys (asserted in tests/scenario/scenario_runner_test.cpp).
 
 #include <memory>
 #include <stdexcept>
@@ -68,9 +68,9 @@ class AesPowerScenario final : public Scenario {
     AnalysisSpec spec;
     spec.default_traces_per_set = 2000;
     spec.cpa = true;
-    // The live campaigns' default attack set: every workload-dependent
-    // key except the PHPS estimate (no signal, Table 3) and the IOReport
-    // PCPU pseudo-channel. These are also the channels TVLA flags.
+    // The default attack set: every workload-dependent key except the
+    // PHPS estimate (no signal, Table 3) and the IOReport PCPU
+    // pseudo-channel. These are also the channels TVLA flags.
     for (const util::FourCc key : channels(params)) {
       if (key != util::FourCc("PHPS") && key != util::FourCc("PCPU")) {
         spec.cpa_keys.push_back(key);

@@ -7,7 +7,6 @@
 // input-independent line set, which must drive every cross-class |t|
 // under the 4.5 threshold (asserted in tests and the scenario bench).
 
-#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -26,8 +25,9 @@ std::vector<util::FourCc> line_channels(std::size_t lines) {
   std::vector<util::FourCc> channels;
   channels.reserve(lines);
   for (std::size_t l = 0; l < lines; ++l) {
-    char name[5];
-    std::snprintf(name, sizeof(name), "LN%02zu", l);
+    // "LN" and two decimal digits: lines are bounded to 1..64.
+    const char name[] = {'L', 'N', static_cast<char>('0' + l / 10),
+                         static_cast<char>('0' + l % 10), '\0'};
     channels.push_back(*util::FourCc::parse(name));
   }
   return channels;

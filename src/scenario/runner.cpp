@@ -52,26 +52,18 @@ ScenarioRunResult run_scenario(const Scenario& scenario,
   generic.make_source = [&scenario, &params](const core::ShardSource& shard) {
     return scenario.make_source(params, shard.secret, shard.seed);
   };
-  generic.traces_per_set = config.traces_per_set != 0
-                               ? config.traces_per_set
-                               : analysis.default_traces_per_set;
+  generic.traces = config.traces_per_set != 0
+                       ? config.traces_per_set
+                       : analysis.default_traces_per_set;
   if (analysis.cpa) {
-    for (const util::FourCc key : analysis.cpa_keys) {
-      const auto it = std::find(channels.begin(), channels.end(), key);
-      if (it == channels.end()) {
-        throw std::invalid_argument("run_scenario: cpa key " + key.str() +
-                                    " is not one of the scenario's channels");
-      }
-      generic.cpa_columns.push_back(
-          static_cast<std::size_t>(it - channels.begin()));
-    }
+    generic.cpa_keys = analysis.cpa_keys;
     generic.models = analysis.models;
     generic.checkpoints = config.checkpoints;
   }
   generic.seed = config.seed;
   generic.shards =
       core::ShardPlan{.workers = config.workers, .shards = config.shards}
-          .resolved_shards_for(6 * generic.traces_per_set);
+          .resolved_shards_for(6 * generic.traces);
   generic.exec = config.exec;
   if (!generic.exec.shard_budget) {
     generic.exec.shard_budget = [workers = config.workers] { return workers; };

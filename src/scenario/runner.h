@@ -1,9 +1,10 @@
 // Executes a registered scenario through the generic sink campaign
 // (core::run_sink_campaign): TVLA over every channel, plus CPA/GE when
-// the scenario's analysis spec binds the AES leakage models. Results are
-// a pure function of (scenario, params, traces_per_set, seed, shards) —
-// any worker count is bit-identical — which is what lets the bus daemon
-// serve scenario jobs that psc_busctl can re-verify locally.
+// the scenario's analysis spec binds the AES leakage models over its
+// cpa_keys. Results are a pure function of (scenario, params,
+// traces_per_set, seed, shards) — any worker count is bit-identical at a
+// given shard count — which is what lets the bus daemon serve scenario
+// jobs that psc_busctl can re-verify locally.
 #pragma once
 
 #include <cstdint>
@@ -20,21 +21,24 @@ struct ScenarioRunConfig {
   // Traces per (class, collection); 0 = the scenario's analysis default.
   std::size_t traces_per_set = 0;
   // GE checkpoints over the CPA stream (ignored for TVLA-only scenarios).
-  std::vector<std::size_t> checkpoints;
+  std::vector<std::size_t> checkpoints{};
   std::uint64_t seed = 1;
   // Execution only: `workers` shard units run at a time, unless
   // exec.shard_budget is set (a served job's fair cap, re-read before
   // each unit).
   std::size_t workers = 1;
   // Result-determining; 0 = one per worker, sized to the workload
-  // (core::ShardPlan::resolved_shards_for).
+  // (core::ShardPlan::resolved_shards_for), so an unset count ties the
+  // result to `workers`. Served jobs and scenario_runner resolve 0 with
+  // bus::resolved_scenario_shards instead, which reads the trace budget
+  // alone.
   std::size_t shards = 0;
-  core::ShardExecution exec;
+  core::ShardExecution exec{};
   core::CampaignProgressFn progress{};
   // Tee the acquisition to a PSTR trace store (store::RecordingSink).
   // Recording requires shards == 1 and workers == 1: one writer, one
   // deterministic stream. Empty = no recording.
-  std::string record_path;
+  std::string record_path{};
 };
 
 struct ScenarioRunResult {

@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/parallel.h"
 #include "util/env.h"
 
 namespace psc::store {
@@ -127,21 +126,6 @@ void FileTraceSource::collect_batch(core::TraceBatch& batch) {
   }
   batch.clear();
   append_rows(n, batch);
-}
-
-std::pair<std::size_t, std::size_t> shard_row_range(
-    const TraceFileReader& reader, std::size_t shards, std::size_t s) {
-  const std::size_t chunks = reader.chunk_count();
-  const std::size_t first = core::shard_begin(chunks, shards, s);
-  const std::size_t count = core::shard_size(chunks, shards, s);
-  if (count == 0) {
-    return {reader.trace_count(), 0};
-  }
-  const std::size_t row_begin = reader.chunk_row_begin(first);
-  const std::size_t last = first + count - 1;
-  const std::size_t row_end =
-      reader.chunk_row_begin(last) + reader.chunk_rows(last);
-  return {row_begin, row_end - row_begin};
 }
 
 }  // namespace psc::store

@@ -10,9 +10,8 @@
 // Sharded replay: each shard of a campaign (core::run_sink_campaign)
 // replays its own row ranges of the same file — its slice of every
 // recorded TVLA set, or its slice of one random-plaintext stream (the bus
-// replay jobs), or a chunk-aligned range from shard_row_range(), which
-// partitions the chunk list with core::shard_size so no two shards decode
-// the same chunk. Each shard constructs its own FileTraceSource (and thus
+// replay jobs), each cut with core::shard_begin / core::shard_size. Each
+// shard constructs its own FileTraceSource (and thus
 // its own reader; readers are single-threaded, while the file's bytes
 // are shared: through the OS page cache, or through one
 // store::SharedMapping handed to every shard's reader, as the bus replay
@@ -116,12 +115,5 @@ class FileTraceSource final : public core::TraceSource {
   ChunkView view_;
   bool have_view_ = false;
 };
-
-// The chunk-aligned (row_begin, row_count) range shard `s` of `shards`
-// owns: chunks are partitioned contiguously with core::shard_size, so
-// the ranges are disjoint, cover every trace, and keep whole chunks on
-// one shard (each worker decodes and CRC-checks its chunks exactly once).
-std::pair<std::size_t, std::size_t> shard_row_range(
-    const TraceFileReader& reader, std::size_t shards, std::size_t s);
 
 }  // namespace psc::store

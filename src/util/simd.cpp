@@ -139,18 +139,20 @@ __attribute__((target("avx512f"))) void histogram16_avx512(
   for (std::size_t t = 0; t < n; ++t) {
     const __m128i bytes = _mm_loadu_si128(
         reinterpret_cast<const __m128i*>(blocks + t * 16));
-    const __m512i idx =
-        _mm512_add_epi32(_mm512_cvtepu8_epi32(bytes), lane_base);
-    // Masked gathers with an explicit zero source: the unmasked forms
-    // leave GCC's pass-through operand formally uninitialized and trip
-    // -Wmaybe-uninitialized.
+    // Full-mask maskz forms of the widen and extract intrinsics, and masked
+    // gathers with an explicit zero source: the unmasked forms leave GCC's
+    // pass-through operand formally uninitialized and trip
+    // -Wmaybe-uninitialized. With every mask bit set, each computes the
+    // same lanes as its unmasked form.
+    const __m512i idx = _mm512_add_epi32(
+        _mm512_maskz_cvtepu8_epi32(0xffff, bytes), lane_base);
     const __m512i c = _mm512_mask_i32gather_epi32(
         _mm512_setzero_si512(), 0xffff, idx, count, 4);
     _mm512_i32scatter_epi32(count, idx, _mm512_add_epi32(c, one), 4);
 
     const __m512d v = _mm512_set1_pd(values[t]);
-    const __m256i idx_lo = _mm512_castsi512_si256(idx);
-    const __m256i idx_hi = _mm512_extracti64x4_epi64(idx, 1);
+    const __m256i idx_lo = _mm512_maskz_extracti64x4_epi64(0xff, idx, 0);
+    const __m256i idx_hi = _mm512_maskz_extracti64x4_epi64(0xff, idx, 1);
     const __m512d s_lo = _mm512_mask_i32gather_pd(
         _mm512_setzero_pd(), 0xff, idx_lo, sum, 8);
     const __m512d s_hi = _mm512_mask_i32gather_pd(

@@ -194,6 +194,19 @@ TEST(ScenarioProtocol, ResolvedShardsArePureAndBounded) {
   }
 }
 
+// An unset shard count resolves from the per-set budget alone, so an
+// auto-sized job spanning several shards is bit-identical at any worker
+// count — what scenario_runner relies on when --shards is unset.
+TEST(ScenarioProtocol, AutoShardedJobIsWorkerInvariant) {
+  ScenarioJobSpec spec;
+  spec.scenario = "sqmul-timing";
+  spec.traces_per_set = 3000;
+  spec.seed = 5;
+  ASSERT_GT(resolved_scenario_shards(spec, spec.traces_per_set), 1u);
+  expect_scenario_bit_identical(run_scenario_job(spec, {}, 4),
+                                run_scenario_job(spec, {}, 1));
+}
+
 // -------------------------------------------------------------- daemon
 
 TEST_F(ScenarioBusTest, ScenariosListingMatchesBuiltInRegistry) {

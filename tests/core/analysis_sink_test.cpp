@@ -151,31 +151,25 @@ TEST(GeCheckpointSink, SnapshotsAtExactTargets) {
 // Hand-rolled sequential TVLA campaign exactly as the pre-batch pipeline
 // ran it: one collect() per trace, one add() per channel value.
 TEST(CampaignEquivalence, TvlaMatchesPerRecordLoop) {
-  TvlaCampaignConfig config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .traces_per_set = 700,
-      .include_pcpu = true,
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space(),
+                 .include_pcpu = true},
+      .traces = 700,
       .seed = 21,
   };
-  const auto campaign = run_tvla_campaign(config);
+  const auto campaign = run_live_campaign(config);
 
   util::Xoshiro256 rng(config.seed);
   aes::Block victim_key;
   rng.fill_bytes(victim_key);
   ASSERT_EQ(victim_key, campaign.secret);
-  const LiveSourceConfig source_config{
-      .profile = config.profile,
-      .victim = config.victim,
-      .mitigation = config.mitigation,
-      .include_pcpu = config.include_pcpu,
-  };
-  LiveTraceSource source(source_config, victim_key, rng());
+  LiveTraceSource source(config.source, victim_key, rng());
   const auto& channels = source.keys();
   std::vector<TvlaAccumulator> accumulators(channels.size());
   for (const bool primed : {false, true}) {
     for (const PlaintextClass cls : all_plaintext_classes) {
-      for (std::size_t t = 0; t < config.traces_per_set; ++t) {
+      for (std::size_t t = 0; t < config.traces; ++t) {
         const aes::Block pt = class_plaintext(cls, rng);
         const TraceRecord record = source.collect(pt);
         for (std::size_t c = 0; c < channels.size(); ++c) {
@@ -201,25 +195,22 @@ TEST(CampaignEquivalence, TvlaMatchesPerRecordLoop) {
 // Hand-rolled sequential CPA campaign (single shard) with per-trace
 // feeding and checkpoint snapshots — the original pipeline's semantics.
 TEST(CampaignEquivalence, CpaMatchesPerRecordLoop) {
-  CpaCampaignConfig config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .trace_count = 3000,
-      .models = {power::PowerModel::rd0_hw},
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = CampaignProtocol::random_stream,
+      .traces = 3000,
       .keys = {smc::FourCc("PHPC")},
+      .models = {power::PowerModel::rd0_hw},
       .checkpoints = {1000},
       .seed = 22,
   };
-  const auto campaign = run_cpa_campaign(config);
+  const auto campaign = run_live_campaign(config);
 
   util::Xoshiro256 rng(config.seed);
   aes::Block victim_key;
   rng.fill_bytes(victim_key);
-  LiveTraceSource source({.profile = config.profile,
-                          .victim = config.victim,
-                          .mitigation = config.mitigation,
-                          .include_pcpu = false},
-                         victim_key, rng());
+  LiveTraceSource source(config.source, victim_key, rng());
   const std::size_t column = static_cast<std::size_t>(
       std::find(source.keys().begin(), source.keys().end(),
                 util::FourCc("PHPC")) -
@@ -230,13 +221,13 @@ TEST(CampaignEquivalence, CpaMatchesPerRecordLoop) {
   CpaEngine engine(config.models);
   std::vector<GeCurvePoint> curve;
   aes::Block pt;
-  for (std::size_t t = 0; t < config.trace_count; ++t) {
+  for (std::size_t t = 0; t < config.traces; ++t) {
     rng.fill_bytes(pt);
     const TraceRecord record = source.collect(pt);
     engine.add_trace(record.plaintext, record.ciphertext,
                      record.values[column]);
     if (engine.trace_count() == 1000 ||
-        engine.trace_count() == config.trace_count) {
+        engine.trace_count() == config.traces) {
       const ModelResult res =
           engine.analyze(power::PowerModel::rd0_hw, round_keys);
       curve.push_back(
@@ -257,18 +248,18 @@ TEST(CampaignEquivalence, CpaMatchesPerRecordLoop) {
 
 // Sharded CPA equals per-shard per-record loops merged in shard order.
 TEST(CampaignEquivalence, ShardedCpaMatchesMergedPerRecordShards) {
-  CpaCampaignConfig config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .trace_count = 3000,
-      .models = {power::PowerModel::rd0_hw},
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = CampaignProtocol::random_stream,
+      .traces = 3000,
       .keys = {smc::FourCc("PHPC")},
-      .checkpoints = {},
+      .models = {power::PowerModel::rd0_hw},
       .seed = 23,
       .workers = 3,
       .shards = 3,
   };
-  const auto campaign = run_cpa_campaign(config);
+  const auto campaign = run_live_campaign(config);
 
   util::Xoshiro256 rng(config.seed);
   aes::Block victim_key;
@@ -279,18 +270,14 @@ TEST(CampaignEquivalence, ShardedCpaMatchesMergedPerRecordShards) {
   bool first = true;
   for (std::size_t s = 0; s < 3; ++s) {
     util::Xoshiro256 shard_rng = rng.split(s);
-    LiveTraceSource source({.profile = config.profile,
-                            .victim = config.victim,
-                            .mitigation = config.mitigation,
-                            .include_pcpu = false},
-                           victim_key, shard_rng());
+    LiveTraceSource source(config.source, victim_key, shard_rng());
     const std::size_t column = static_cast<std::size_t>(
         std::find(source.keys().begin(), source.keys().end(),
                   util::FourCc("PHPC")) -
         source.keys().begin());
     CpaEngine shard_engine(config.models);
     aes::Block pt;
-    for (std::size_t t = 0; t < shard_size(config.trace_count, 3, s); ++t) {
+    for (std::size_t t = 0; t < shard_size(config.traces, 3, s); ++t) {
       shard_rng.fill_bytes(pt);
       const TraceRecord record = source.collect(pt);
       shard_engine.add_trace(record.plaintext, record.ciphertext,
@@ -321,20 +308,20 @@ TEST(CampaignEquivalence, ShardedCpaMatchesMergedPerRecordShards) {
 
 class CombinedCampaignTest : public ::testing::Test {
  protected:
-  CombinedCampaignConfig config_{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .traces_per_set = 900,
-      .include_pcpu = true,
-      .models = {power::PowerModel::rd0_hw},
+  LiveCampaignConfig config_{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space(),
+                 .include_pcpu = true},
+      .traces = 900,
       .keys = {smc::FourCc("PHPC")},
+      .models = {power::PowerModel::rd0_hw},
       .checkpoints = {600},
       .seed = 31,
   };
 };
 
 TEST_F(CombinedCampaignTest, OneAcquisitionFeedsAllSinks) {
-  const auto result = run_combined_campaign(config_);
+  const auto result = run_live_campaign(config_);
   EXPECT_EQ(result.traces_per_set, 900u);
   EXPECT_EQ(result.cpa_trace_count, 1800u);
   // TVLA half: all channels reported, PHPC leaks, PCPU does not.
@@ -358,27 +345,20 @@ TEST_F(CombinedCampaignTest, OneAcquisitionFeedsAllSinks) {
   ASSERT_EQ(cpa->final_results.size(), 1u);
 }
 
-// The combined campaign's TVLA half is bit-identical to the dedicated
-// TVLA campaign at equal (seed, shards): same acquisition schedule, same
-// accumulator arithmetic — the CPA sinks ride along for free.
+// The combined campaign's TVLA half is bit-identical to the same
+// campaign without keys at equal (seed, shards): same acquisition
+// schedule, same accumulator arithmetic — the CPA sinks ride along for
+// free.
 TEST_F(CombinedCampaignTest, TvlaHalfBitIdenticalToTvlaCampaign) {
   for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-    CombinedCampaignConfig combined_config = config_;
+    LiveCampaignConfig combined_config = config_;
     combined_config.shards = shards;
     combined_config.workers = 2;
-    const auto combined = run_combined_campaign(combined_config);
+    const auto combined = run_live_campaign(combined_config);
 
-    const TvlaCampaignConfig tvla_config{
-        .profile = config_.profile,
-        .victim = config_.victim,
-        .traces_per_set = config_.traces_per_set,
-        .include_pcpu = config_.include_pcpu,
-        .mitigation = config_.mitigation,
-        .seed = config_.seed,
-        .workers = 2,
-        .shards = shards,
-    };
-    const auto dedicated = run_tvla_campaign(tvla_config);
+    LiveCampaignConfig tvla_config = combined_config;
+    tvla_config.keys.clear();
+    const auto dedicated = run_live_campaign(tvla_config);
 
     ASSERT_EQ(combined.tvla.size(), dedicated.tvla.size());
     for (std::size_t c = 0; c < combined.tvla.size(); ++c) {
@@ -396,9 +376,9 @@ TEST_F(CombinedCampaignTest, TvlaHalfBitIdenticalToTvlaCampaign) {
 TEST_F(CombinedCampaignTest, WorkerCountInvariant) {
   config_.shards = 4;
   config_.workers = 1;
-  const auto a = run_combined_campaign(config_);
+  const auto a = run_live_campaign(config_);
   config_.workers = 4;
-  const auto b = run_combined_campaign(config_);
+  const auto b = run_live_campaign(config_);
   ASSERT_EQ(a.cpa[0].final_results[0].ge_bits,
             b.cpa[0].final_results[0].ge_bits);
   EXPECT_EQ(a.cpa[0].final_results[0].true_ranks,
@@ -412,9 +392,9 @@ TEST_F(CombinedCampaignTest, WorkerCountInvariant) {
 }
 
 TEST_F(CombinedCampaignTest, GeCurveUsesOnlyRandomPlaintextTraces) {
-  const auto result = run_combined_campaign(config_);
+  const auto result = run_live_campaign(config_);
   // The final CPA engine saw exactly the two random collections.
-  EXPECT_EQ(result.cpa[0].curves[0].back().traces, 2 * config_.traces_per_set);
+  EXPECT_EQ(result.cpa[0].curves[0].back().traces, 2 * config_.traces);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/guessing_entropy.h"
+#include "scenario/registry.h"
 
 namespace psc::core {
 namespace {
@@ -26,17 +27,17 @@ TEST(Checkpoints, DegenerateInputs) {
 
 class TvlaCampaignTest : public ::testing::Test {
  protected:
-  TvlaCampaignConfig config_{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .traces_per_set = 2000,
-      .include_pcpu = true,
+  LiveCampaignConfig config_{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space(),
+                 .include_pcpu = true},
+      .traces = 2000,
       .seed = 11,
   };
 };
 
 TEST_F(TvlaCampaignTest, ChannelsReported) {
-  const auto result = run_tvla_campaign(config_);
+  const auto result = run_live_campaign(config_);
   // M2: PHPC PDTR PHPS PMVC PSTR + PCPU.
   EXPECT_EQ(result.tvla.size(), 6u);
   EXPECT_NE(result.find_tvla("PHPC"), nullptr);
@@ -46,7 +47,7 @@ TEST_F(TvlaCampaignTest, ChannelsReported) {
 }
 
 TEST_F(TvlaCampaignTest, PhpcLeaksPhpsDoesNot) {
-  const auto result = run_tvla_campaign(config_);
+  const auto result = run_live_campaign(config_);
   const auto* phpc = result.find_tvla("PHPC");
   const auto* phps = result.find_tvla("PHPS");
   const auto* pcpu = result.find_tvla("PCPU");
@@ -63,7 +64,7 @@ TEST_F(TvlaCampaignTest, PhpcLeaksPhpsDoesNot) {
 }
 
 TEST_F(TvlaCampaignTest, SameClassPairsIndistinguishable) {
-  const auto result = run_tvla_campaign(config_);
+  const auto result = run_live_campaign(config_);
   for (const auto& channel : result.tvla) {
     for (const PlaintextClass cls : all_plaintext_classes) {
       EXPECT_LT(std::abs(channel.matrix.score(cls, cls)),
@@ -74,8 +75,8 @@ TEST_F(TvlaCampaignTest, SameClassPairsIndistinguishable) {
 }
 
 TEST_F(TvlaCampaignTest, DeterministicForSeed) {
-  const auto a = run_tvla_campaign(config_);
-  const auto b = run_tvla_campaign(config_);
+  const auto a = run_live_campaign(config_);
+  const auto b = run_live_campaign(config_);
   EXPECT_EQ(a.secret, b.secret);
   for (std::size_t c = 0; c < a.tvla.size(); ++c) {
     EXPECT_DOUBLE_EQ(
@@ -87,9 +88,9 @@ TEST_F(TvlaCampaignTest, DeterministicForSeed) {
 }
 
 TEST_F(TvlaCampaignTest, KernelVictimAlsoLeaks) {
-  config_.victim = victim::VictimModel::kernel_module();
+  config_.source.victim = victim::VictimModel::kernel_module();
   config_.seed = 12;
-  const auto result = run_tvla_campaign(config_);
+  const auto result = run_live_campaign(config_);
   const auto* phpc = result.find_tvla("PHPC");
   ASSERT_NE(phpc, nullptr);
   EXPECT_GE(std::abs(phpc->matrix.score(PlaintextClass::all_zeros,
@@ -99,11 +100,11 @@ TEST_F(TvlaCampaignTest, KernelVictimAlsoLeaks) {
 
 class CpaCampaignTest : public ::testing::Test {
  protected:
-  CpaCampaignConfig config_{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .trace_count = 40000,
-      .models = {power::PowerModel::rd0_hw},
+  LiveCampaignConfig config_{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = CampaignProtocol::random_stream,
+      .traces = 40000,
       .keys = {smc::FourCc("PHPC")},
       .checkpoints = {10000, 40000},
       .seed = 13,
@@ -111,7 +112,7 @@ class CpaCampaignTest : public ::testing::Test {
 };
 
 TEST_F(CpaCampaignTest, StructureOfResult) {
-  const auto result = run_cpa_campaign(config_);
+  const auto result = run_live_campaign(config_);
   EXPECT_EQ(result.cpa_trace_count, 40000u);
   ASSERT_EQ(result.cpa.size(), 1u);
   EXPECT_EQ(result.cpa[0].key, smc::FourCc("PHPC"));
@@ -126,30 +127,52 @@ TEST_F(CpaCampaignTest, StructureOfResult) {
 }
 
 TEST_F(CpaCampaignTest, GeDecreasesWithTraces) {
-  const auto result = run_cpa_campaign(config_);
+  const auto result = run_live_campaign(config_);
   const auto& curve = result.cpa[0].curves[0];
   EXPECT_GT(curve[0].ge_bits, curve[1].ge_bits);
   // Even at 40k traces we must be visibly below the random reference.
   EXPECT_LT(curve[1].ge_bits, random_guess_ge_bits() - 5.0);
 }
 
+// The default attack set lives in the aes-power scenario's analysis
+// spec: every M2 power key but the PHPS estimate, and never the PCPU
+// pseudo-channel. A live campaign attacks exactly the keys it is given.
 TEST_F(CpaCampaignTest, DefaultKeysExcludePhps) {
-  config_.keys.clear();
-  config_.trace_count = 5000;
+  const auto aes_power =
+      scenario::ScenarioRegistry::built_in().find("aes-power-user");
+  ASSERT_NE(aes_power, nullptr);
+  config_.keys =
+      aes_power->analysis(aes_power->parse_params({{"pcpu", "1"}})).cpa_keys;
+  EXPECT_EQ(config_.keys,
+            (std::vector<smc::FourCc>{smc::FourCc("PHPC"), smc::FourCc("PDTR"),
+                                      smc::FourCc("PMVC"),
+                                      smc::FourCc("PSTR")}));
+  config_.traces = 5000;
   config_.checkpoints.clear();
-  const auto result = run_cpa_campaign(config_);
-  EXPECT_EQ(result.cpa.size(), 4u);  // PHPC PDTR PMVC PSTR
+  const auto result = run_live_campaign(config_);
+  EXPECT_EQ(result.cpa.size(), 4u);
   EXPECT_EQ(result.find_cpa(smc::FourCc("PHPS")), nullptr);
 }
 
 TEST_F(CpaCampaignTest, UnknownKeyRejected) {
   config_.keys = {smc::FourCc("ZZZZ")};
-  EXPECT_THROW(run_cpa_campaign(config_), std::invalid_argument);
+  try {
+    run_live_campaign(config_);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ZZZZ"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(CpaCampaignTest, RandomStreamWithoutKeysRejected) {
+  config_.keys.clear();
+  EXPECT_THROW(run_live_campaign(config_), std::invalid_argument);
 }
 
 TEST_F(CpaCampaignTest, FinalCheckpointImplicit) {
   config_.checkpoints = {10000};  // not including the final count
-  const auto result = run_cpa_campaign(config_);
+  const auto result = run_live_campaign(config_);
   const auto& curve = result.cpa[0].curves[0];
   ASSERT_EQ(curve.size(), 2u);
   EXPECT_EQ(curve.back().traces, 40000u);
@@ -160,19 +183,19 @@ TEST_F(CpaCampaignTest, KernelVictimConvergesSlower) {
   // kernel/user gap, so aggregate over four seeds and two checkpoints.
   // All campaigns are deterministic per seed, so this comparison is
   // stable.
-  config_.trace_count = 400000;
+  config_.traces = 400000;
   config_.checkpoints = {200000};
   double user_ge = 0.0;
   double kernel_ge = 0.0;
   for (const std::uint64_t seed : {14u, 15u, 16u, 17u}) {
     config_.seed = seed;
-    config_.victim = victim::VictimModel::user_space();
-    const auto user = run_cpa_campaign(config_);
+    config_.source.victim = victim::VictimModel::user_space();
+    const auto user = run_live_campaign(config_);
     for (const auto& p : user.cpa[0].curves[0]) {
       user_ge += p.ge_bits;
     }
-    config_.victim = victim::VictimModel::kernel_module();
-    const auto kernel = run_cpa_campaign(config_);
+    config_.source.victim = victim::VictimModel::kernel_module();
+    const auto kernel = run_live_campaign(config_);
     for (const auto& p : kernel.cpa[0].curves[0]) {
       kernel_ge += p.ge_bits;
     }
@@ -181,10 +204,10 @@ TEST_F(CpaCampaignTest, KernelVictimConvergesSlower) {
 }
 
 TEST_F(CpaCampaignTest, M1DeviceRuns) {
-  config_.profile = soc::DeviceProfile::mac_mini_m1();
-  config_.trace_count = 20000;
+  config_.source.profile = soc::DeviceProfile::mac_mini_m1();
+  config_.traces = 20000;
   config_.checkpoints.clear();
-  const auto result = run_cpa_campaign(config_);
+  const auto result = run_live_campaign(config_);
   ASSERT_EQ(result.cpa.size(), 1u);
   EXPECT_GT(result.cpa[0].final_results[0].ge_bits, 0.0);
 }

@@ -88,14 +88,14 @@ void expect_digest(const Fnv1a& actual, std::uint64_t expected,
       << what << ": actual digest " << hex(actual.value());
 }
 
-core::CombinedCampaignConfig combined_config(std::size_t workers) {
+core::LiveCampaignConfig combined_config(std::size_t workers) {
   return {
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .traces_per_set = 1000,
-      .include_pcpu = true,
-      .models = {power::PowerModel::rd0_hw},
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space(),
+                 .include_pcpu = true},
+      .traces = 1000,
       .keys = {smc::FourCc("PHPC"), smc::FourCc("PSTR")},
+      .models = {power::PowerModel::rd0_hw},
       .checkpoints = {500, 1000},
       .seed = 2024,
       .workers = workers,
@@ -107,7 +107,7 @@ TEST(GoldenDigest, CombinedCampaignAtFourShards) {
   constexpr std::uint64_t golden = 0x868a7f51e7c69b44ULL;
   for (const std::size_t workers : {1u, 4u}) {
     const core::SinkCampaignResult r =
-        core::run_combined_campaign(combined_config(workers));
+        core::run_live_campaign(combined_config(workers));
     Fnv1a digest;
     digest.add(r.tvla);
     digest.add(r.cpa);
@@ -118,12 +118,13 @@ TEST(GoldenDigest, CombinedCampaignAtFourShards) {
 
 TEST(GoldenDigest, CpaCampaignWithThreeCheckpoints) {
   constexpr std::uint64_t golden = 0x92c4c1f63d56351bULL;
-  const core::SinkCampaignResult r = core::run_cpa_campaign({
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .trace_count = 12000,
-      .models = {power::PowerModel::rd0_hw, power::PowerModel::rd10_hw},
+  const core::SinkCampaignResult r = core::run_live_campaign({
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = core::CampaignProtocol::random_stream,
+      .traces = 12000,
       .keys = {smc::FourCc("PHPC")},
+      .models = {power::PowerModel::rd0_hw, power::PowerModel::rd10_hw},
       .checkpoints = {2000, 5000, 9000},
       .seed = 77,
       .workers = 3,
@@ -140,13 +141,14 @@ TEST(GoldenDigest, CpaCampaignWithThreeCheckpoints) {
 TEST(GoldenDigest, CpaCampaignAllFourModels) {
   constexpr std::uint64_t golden = 0x8d52f21db1cd38d8ULL;
   for (const std::size_t workers : {1u, 4u}) {
-    const core::SinkCampaignResult r = core::run_cpa_campaign({
-        .profile = soc::DeviceProfile::macbook_air_m2(),
-        .victim = victim::VictimModel::user_space(),
-        .trace_count = 6000,
+    const core::SinkCampaignResult r = core::run_live_campaign({
+        .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                   .victim = victim::VictimModel::user_space()},
+        .protocol = core::CampaignProtocol::random_stream,
+        .traces = 6000,
+        .keys = {smc::FourCc("PHPC")},
         .models = {power::all_power_models.begin(),
                    power::all_power_models.end()},
-        .keys = {smc::FourCc("PHPC")},
         .checkpoints = {1500, 3500},
         .seed = 91,
         .workers = workers,

@@ -42,12 +42,14 @@ TEST(Integration, Table2KeyTriageEndToEnd) {
 TEST(Integration, TvlaLeakageHierarchy) {
   // Reduced-scale Table 3: PHPC perfectly data-dependent, weaker channels
   // leak, estimate channels do not.
-  TvlaCampaignConfig config{.profile = soc::DeviceProfile::macbook_air_m2(),
-                            .victim = victim::VictimModel::user_space(),
-                            .traces_per_set = 5000,
-                            .include_pcpu = true,
-                            .seed = 32};
-  const auto result = run_tvla_campaign(config);
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space(),
+                 .include_pcpu = true},
+      .traces = 5000,
+      .seed = 32,
+  };
+  const auto result = run_live_campaign(config);
   ASSERT_NE(result.find_tvla("PHPC"), nullptr);
   EXPECT_TRUE(result.find_tvla("PHPC")->matrix.perfectly_data_dependent());
   EXPECT_TRUE(result.find_tvla("PHPS")->matrix.no_data_dependence());
@@ -61,14 +63,16 @@ TEST(Integration, TvlaLeakageHierarchy) {
 TEST(Integration, CpaRecoversKeyMaterialFromPhpc) {
   // Reduced-scale Table 4 / Fig 1a: at 150k traces the attack is clearly
   // under way — GE far below random and several bytes at/near rank 1.
-  CpaCampaignConfig config{.profile = soc::DeviceProfile::macbook_air_m2(),
-                           .victim = victim::VictimModel::user_space(),
-                           .trace_count = 150000,
-                           .models = {power::PowerModel::rd0_hw},
-                           .keys = {smc::FourCc("PHPC")},
-                           .checkpoints = {},
-                           .seed = 33};
-  const auto result = run_cpa_campaign(config);
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = CampaignProtocol::random_stream,
+      .traces = 150000,
+      .keys = {smc::FourCc("PHPC")},
+      .models = {power::PowerModel::rd0_hw},
+      .seed = 33,
+  };
+  const auto result = run_live_campaign(config);
   const auto& final = result.cpa[0].final_results[0];
   EXPECT_LT(final.ge_bits, random_guess_ge_bits() - 30.0);
   EXPECT_GE(final.near_recovered_bytes, 3);
@@ -76,16 +80,17 @@ TEST(Integration, CpaRecoversKeyMaterialFromPhpc) {
 
 TEST(Integration, PowerModelHierarchyOnPhpc) {
   // Fig 1a shape: Rd0-HW converges best; Rd10-HD does not converge.
-  CpaCampaignConfig config{.profile = soc::DeviceProfile::macbook_air_m2(),
-                           .victim = victim::VictimModel::user_space(),
-                           .trace_count = 200000,
-                           .models = {power::PowerModel::rd0_hw,
-                                      power::PowerModel::rd10_hw,
-                                      power::PowerModel::rd10_hd},
-                           .keys = {smc::FourCc("PHPC")},
-                           .checkpoints = {},
-                           .seed = 34};
-  const auto result = run_cpa_campaign(config);
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = CampaignProtocol::random_stream,
+      .traces = 200000,
+      .keys = {smc::FourCc("PHPC")},
+      .models = {power::PowerModel::rd0_hw, power::PowerModel::rd10_hw,
+                 power::PowerModel::rd10_hd},
+      .seed = 34,
+  };
+  const auto result = run_live_campaign(config);
   const auto& finals = result.cpa[0].final_results;
   const double rd0 = finals[0].ge_bits;
   const double rd10hd = finals[2].ge_bits;
@@ -95,14 +100,16 @@ TEST(Integration, PowerModelHierarchyOnPhpc) {
 
 TEST(Integration, PstrSurvivesCpa) {
   // Table 4's PSTR column: TVLA-visible but CPA-resistant.
-  CpaCampaignConfig config{.profile = soc::DeviceProfile::macbook_air_m2(),
-                           .victim = victim::VictimModel::user_space(),
-                           .trace_count = 150000,
-                           .models = {power::PowerModel::rd0_hw},
-                           .keys = {smc::FourCc("PSTR")},
-                           .checkpoints = {},
-                           .seed = 35};
-  const auto result = run_cpa_campaign(config);
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = CampaignProtocol::random_stream,
+      .traces = 150000,
+      .keys = {smc::FourCc("PSTR")},
+      .models = {power::PowerModel::rd0_hw},
+      .seed = 35,
+  };
+  const auto result = run_live_campaign(config);
   EXPECT_GT(result.cpa[0].final_results[0].ge_bits,
             random_guess_ge_bits() - 25.0);
   EXPECT_EQ(result.cpa[0].final_results[0].recovered_bytes, 0);

@@ -10,32 +10,31 @@ namespace psc::core {
 namespace {
 
 TEST(MitigatedCampaigns, FilteringKillsTvlaLeakage) {
-  TvlaCampaignConfig config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .traces_per_set = 3000,
-      .include_pcpu = false,
-      .mitigation = smc::MitigationPolicy::rapl_style_filtering(),
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space(),
+                 .mitigation = smc::MitigationPolicy::rapl_style_filtering()},
+      .traces = 3000,
       .seed = 71,
   };
-  const auto result = run_tvla_campaign(config);
+  const auto result = run_live_campaign(config);
   for (const auto& channel : result.tvla) {
     EXPECT_TRUE(channel.matrix.no_data_dependence()) << channel.channel;
   }
 }
 
 TEST(MitigatedCampaigns, FilteringKillsCpaRecovery) {
-  CpaCampaignConfig config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .trace_count = 120000,
-      .models = {power::PowerModel::rd0_hw},
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space(),
+                 .mitigation = smc::MitigationPolicy::rapl_style_filtering()},
+      .protocol = CampaignProtocol::random_stream,
+      .traces = 120000,
       .keys = {smc::FourCc("PHPC")},
-      .checkpoints = {},
-      .mitigation = smc::MitigationPolicy::rapl_style_filtering(),
+      .models = {power::PowerModel::rd0_hw},
       .seed = 72,
   };
-  const auto result = run_cpa_campaign(config);
+  const auto result = run_live_campaign(config);
   EXPECT_GT(result.cpa[0].final_results[0].ge_bits,
             random_guess_ge_bits() - 20.0);
   EXPECT_EQ(result.cpa[0].final_results[0].recovered_bytes, 0);
@@ -61,15 +60,14 @@ TEST(MitigatedCampaigns, SlowerUpdatesRaiseAttackCost) {
 TEST(MitigatedCampaigns, UnmitigatedBaselineStillLeaks) {
   // Guard: the mitigation tests above must fail because of the policy,
   // not because the baseline broke.
-  TvlaCampaignConfig config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .traces_per_set = 3000,
-      .include_pcpu = false,
-      .mitigation = smc::MitigationPolicy::none(),
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space(),
+                 .mitigation = smc::MitigationPolicy::none()},
+      .traces = 3000,
       .seed = 71,
   };
-  const auto result = run_tvla_campaign(config);
+  const auto result = run_live_campaign(config);
   EXPECT_FALSE(result.find_tvla("PHPC")->matrix.no_data_dependence());
 }
 

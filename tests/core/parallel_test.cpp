@@ -260,18 +260,18 @@ TEST(WorkerPool, ReserveGrowsThePoolUpFront) {
 // cumulatively across shards, and observing progress does not change the
 // campaign's result.
 TEST(CampaignProgress, CountsEveryTraceAndLeavesResultsUntouched) {
-  CpaCampaignConfig config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .trace_count = 4000,
-      .models = {power::PowerModel::rd0_hw},
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = CampaignProtocol::random_stream,
+      .traces = 4000,
       .keys = {smc::FourCc("PHPC")},
-      .checkpoints = {},
+      .models = {power::PowerModel::rd0_hw},
       .seed = 17,
       .workers = 2,
       .shards = 2,
   };
-  const auto plain = run_cpa_campaign(config);
+  const auto plain = run_live_campaign(config);
 
   std::atomic<std::size_t> high_water{0};
   std::atomic<std::size_t> calls{0};
@@ -286,10 +286,10 @@ TEST(CampaignProgress, CountsEveryTraceAndLeavesResultsUntouched) {
     calls.fetch_add(1, std::memory_order_relaxed);
     reported_total.store(total, std::memory_order_relaxed);
   };
-  const auto observed = run_cpa_campaign(config);
+  const auto observed = run_live_campaign(config);
 
-  EXPECT_EQ(high_water.load(), config.trace_count);
-  EXPECT_EQ(reported_total.load(), config.trace_count);
+  EXPECT_EQ(high_water.load(), config.traces);
+  EXPECT_EQ(reported_total.load(), config.traces);
   EXPECT_GE(calls.load(), 2u);  // at least one call per shard
   ASSERT_EQ(observed.cpa.size(), plain.cpa.size());
   EXPECT_EQ(observed.cpa[0].final_results[0].true_ranks,
@@ -378,20 +378,21 @@ TEST(OrderedWindow, AsyncJobsInterleaveWithAMap) {
 // the worker count is pure execution detail — recovered key bytes,
 // true-rank vectors, correlations and GE curves are bit-identical.
 TEST(ParallelCpaCampaign, WorkerCountDoesNotChangeResults) {
-  CpaCampaignConfig config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .trace_count = 24000,
-      .models = {power::PowerModel::rd0_hw},
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = CampaignProtocol::random_stream,
+      .traces = 24000,
       .keys = {smc::FourCc("PHPC")},
+      .models = {power::PowerModel::rd0_hw},
       .checkpoints = {8000},
       .seed = 91,
       .workers = 1,
       .shards = 4,
   };
-  const auto serial = run_cpa_campaign(config);
+  const auto serial = run_live_campaign(config);
   config.workers = 4;
-  const auto parallel = run_cpa_campaign(config);
+  const auto parallel = run_live_campaign(config);
 
   EXPECT_EQ(serial.secret, parallel.secret);
   ASSERT_EQ(serial.cpa.size(), parallel.cpa.size());
@@ -418,18 +419,18 @@ TEST(ParallelCpaCampaign, WorkerCountDoesNotChangeResults) {
 }
 
 TEST(ParallelTvlaCampaign, WorkerCountDoesNotChangeResults) {
-  TvlaCampaignConfig config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .traces_per_set = 1500,
-      .include_pcpu = true,
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space(),
+                 .include_pcpu = true},
+      .traces = 1500,
       .seed = 92,
       .workers = 1,
       .shards = 3,
   };
-  const auto serial = run_tvla_campaign(config);
+  const auto serial = run_live_campaign(config);
   config.workers = 3;
-  const auto parallel = run_tvla_campaign(config);
+  const auto parallel = run_live_campaign(config);
 
   ASSERT_EQ(serial.tvla.size(), parallel.tvla.size());
   for (std::size_t c = 0; c < serial.tvla.size(); ++c) {
@@ -448,18 +449,19 @@ TEST(ParallelTvlaCampaign, WorkerCountDoesNotChangeResults) {
 // statistical outcome: a sharded campaign still extracts the key material
 // a sequential campaign does.
 TEST(ParallelCpaCampaign, ShardedCampaignStillConverges) {
-  CpaCampaignConfig config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .trace_count = 40000,
-      .models = {power::PowerModel::rd0_hw},
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = CampaignProtocol::random_stream,
+      .traces = 40000,
       .keys = {smc::FourCc("PHPC")},
+      .models = {power::PowerModel::rd0_hw},
       .checkpoints = {10000},
       .seed = 13,
       .workers = 2,
       .shards = 8,
   };
-  const auto result = run_cpa_campaign(config);
+  const auto result = run_live_campaign(config);
   const auto& curve = result.cpa[0].curves[0];
   ASSERT_EQ(curve.size(), 2u);
   EXPECT_GT(curve[0].ge_bits, curve[1].ge_bits);
@@ -467,16 +469,16 @@ TEST(ParallelCpaCampaign, ShardedCampaignStillConverges) {
 }
 
 TEST(ParallelTvlaCampaign, ShardedCampaignStillDetectsLeakage) {
-  TvlaCampaignConfig config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .traces_per_set = 2000,
-      .include_pcpu = true,
+  LiveCampaignConfig config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space(),
+                 .include_pcpu = true},
+      .traces = 2000,
       .seed = 11,
       .workers = 2,
       .shards = 4,
   };
-  const auto result = run_tvla_campaign(config);
+  const auto result = run_live_campaign(config);
   const auto* phpc = result.find_tvla("PHPC");
   const auto* phps = result.find_tvla("PHPS");
   const auto* pcpu = result.find_tvla("PCPU");
@@ -494,21 +496,21 @@ TEST(ParallelTvlaCampaign, ShardedCampaignStillDetectsLeakage) {
 // single-shard pipeline, i.e. exactly the pre-sharding campaign behaviour
 // covered by campaigns_test.
 TEST(ParallelCpaCampaign, DefaultPlanIsSingleShard) {
-  CpaCampaignConfig explicit_config{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .trace_count = 6000,
-      .models = {power::PowerModel::rd0_hw},
+  LiveCampaignConfig explicit_config{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .protocol = CampaignProtocol::random_stream,
+      .traces = 6000,
       .keys = {smc::FourCc("PHPC")},
-      .checkpoints = {},
+      .models = {power::PowerModel::rd0_hw},
       .seed = 93,
       .workers = 1,
       .shards = 1,
   };
-  CpaCampaignConfig default_config = explicit_config;
+  LiveCampaignConfig default_config = explicit_config;
   default_config.shards = 0;
-  const auto a = run_cpa_campaign(explicit_config);
-  const auto b = run_cpa_campaign(default_config);
+  const auto a = run_live_campaign(explicit_config);
+  const auto b = run_live_campaign(default_config);
   EXPECT_EQ(a.cpa[0].final_results[0].true_ranks,
             b.cpa[0].final_results[0].true_ranks);
   for (std::size_t i = 0; i < 16; ++i) {

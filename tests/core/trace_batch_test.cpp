@@ -225,7 +225,7 @@ TEST(TraceBatch, CsvRoundTripOfBatchIsExact) {
   set.append(batch);
 
   std::stringstream csv;
-  set.save_csv(csv);
+  TraceCsvWriter(csv, set.keys()).write(set.batch());
   const TraceSet reloaded = TraceSet::load_csv(csv);
 
   const TraceBatch& a = set.batch();

@@ -109,7 +109,7 @@ TEST(TraceSet, CsvReplayMatchesLiveAnalysisBitForBit) {
   TraceSet captured(capture_source.keys());
   captured.append(capture);
   std::stringstream csv;
-  captured.save_csv(csv);
+  TraceCsvWriter(csv, captured.keys()).write(captured.batch());
   const TraceSet reloaded = TraceSet::load_csv(csv);
   ASSERT_EQ(reloaded.size(), n_traces);
 
@@ -267,7 +267,7 @@ TEST(TraceSet, CsvRoundTripIsBitExact) {
   set.append(batch);
 
   std::stringstream csv;
-  set.save_csv(csv);
+  TraceCsvWriter(csv, set.keys()).write(set.batch());
   const TraceSet reloaded = TraceSet::load_csv(csv);
   ASSERT_EQ(reloaded.size(), set.size());
   EXPECT_EQ(reloaded.keys(), set.keys());

@@ -89,7 +89,7 @@ TEST(TraceSet, CsvRoundTrip) {
     set.add(make_record(rng, 2));
   }
   std::stringstream buffer;
-  set.save_csv(buffer);
+  TraceCsvWriter(buffer, set.keys()).write(set.batch());
   const TraceSet loaded = TraceSet::load_csv(buffer);
   ASSERT_EQ(loaded.size(), set.size());
   ASSERT_EQ(loaded.keys(), set.keys());
@@ -100,6 +100,27 @@ TEST(TraceSet, CsvRoundTrip) {
       EXPECT_NEAR(loaded[i].values[v], set[i].values[v], 1e-9);
     }
   }
+}
+
+// With a first row, the writer prepends a "row" column numbering the
+// rows across every batch it writes.
+TEST(TraceCsvWriter, RowColumnCountsAcrossBatches) {
+  TraceSet set({util::FourCc("PHPC")});
+  TraceRecord r;
+  r.plaintext.fill(0x01);
+  r.ciphertext.fill(0xab);
+  r.values = {0.5};
+  set.add(r);
+  std::stringstream out;
+  TraceCsvWriter csv(out, set.keys(), 7);
+  csv.write(set.batch());
+  csv.write(set.batch());
+  EXPECT_EQ(out.str(),
+            "row,plaintext,ciphertext,PHPC\n"
+            "7,01010101010101010101010101010101,"
+            "abababababababababababababababab,0.5\n"
+            "8,01010101010101010101010101010101,"
+            "abababababababababababababababab,0.5\n");
 }
 
 TEST(TraceSet, LoadRejectsGarbage) {

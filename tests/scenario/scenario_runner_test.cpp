@@ -1,6 +1,7 @@
-// Scenario runner: the legacy AES-power scenarios must run through the
-// registry bit-identical to the pre-registry campaign entry points, and
-// every scenario result must be a pure function of (seed, shards).
+// Scenario runner: the AES-power scenarios must run through the registry
+// bit-identical to the live campaign (core::run_live_campaign) over the
+// scenario's own attack keys, and every scenario result must be a pure
+// function of (seed, shards).
 
 #include <gtest/gtest.h>
 
@@ -27,19 +28,19 @@ void expect_matrices_identical(const core::TvlaMatrix& a,
   }
 }
 
-TEST(ScenarioRunner, AesPowerUserTvlaBitIdenticalToLegacyCampaign) {
+TEST(ScenarioRunner, AesPowerUserTvlaBitIdenticalToLiveCampaign) {
   constexpr std::size_t kPerSet = 400;
   constexpr std::uint64_t kSeed = 7;
 
-  core::TvlaCampaignConfig legacy{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::user_space(),
-      .traces_per_set = kPerSet,
+  const core::LiveCampaignConfig live{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::user_space()},
+      .traces = kPerSet,
       .seed = kSeed,
       .workers = 2,
       .shards = 3,
   };
-  const core::SinkCampaignResult expected = core::run_tvla_campaign(legacy);
+  const core::SinkCampaignResult expected = core::run_live_campaign(live);
 
   const ScenarioRunResult got = run_scenario(
       "aes-power-user", {},
@@ -55,22 +56,24 @@ TEST(ScenarioRunner, AesPowerUserTvlaBitIdenticalToLegacyCampaign) {
   }
 }
 
-TEST(ScenarioRunner, AesPowerKernelCombinedBitIdenticalToLegacyCampaign) {
+TEST(ScenarioRunner, AesPowerKernelCombinedBitIdenticalToLiveCampaign) {
   constexpr std::size_t kPerSet = 300;
   constexpr std::uint64_t kSeed = 11;
   const std::vector<std::size_t> checkpoints = {200, 600};
+  const auto kernel = ScenarioRegistry::built_in().find("aes-power-kernel");
+  ASSERT_NE(kernel, nullptr);
 
-  core::CombinedCampaignConfig legacy{
-      .profile = soc::DeviceProfile::macbook_air_m2(),
-      .victim = victim::VictimModel::kernel_module(),
-      .traces_per_set = kPerSet,
+  const core::LiveCampaignConfig live{
+      .source = {.profile = soc::DeviceProfile::macbook_air_m2(),
+                 .victim = victim::VictimModel::kernel_module()},
+      .traces = kPerSet,
+      .keys = kernel->analysis(kernel->parse_params({})).cpa_keys,
       .checkpoints = checkpoints,
       .seed = kSeed,
       .workers = 2,
       .shards = 2,
   };
-  const core::SinkCampaignResult expected =
-      core::run_combined_campaign(legacy);
+  const core::SinkCampaignResult expected = core::run_live_campaign(live);
 
   const ScenarioRunResult got =
       run_scenario("aes-power-kernel", {},
@@ -89,6 +92,7 @@ TEST(ScenarioRunner, AesPowerKernelCombinedBitIdenticalToLegacyCampaign) {
   }
 
   ASSERT_EQ(got.cpa.size(), expected.cpa.size());
+  ASSERT_EQ(got.cpa.size(), 4u);  // PHPC PDTR PMVC PSTR
   for (std::size_t k = 0; k < got.cpa.size(); ++k) {
     EXPECT_EQ(got.cpa[k].key, expected.cpa[k].key);
     ASSERT_EQ(got.cpa[k].final_results.size(),

@@ -134,31 +134,19 @@ TEST(FileTraceSource, ShardedReplayMatchesSequentialReplay) {
                                       unused_rng);
   }
 
-  // Shard-range properties: disjoint, covering, chunk-aligned.
+  // Parallel replay: each unit owns its own reader over its slice of the
+  // rows, partitioned with core::shard_begin / shard_size as the bus
+  // replay jobs partition them (slices may start mid-chunk).
   const std::size_t shards = 4;
-  {
-    TraceFileReader probe(path);
-    std::size_t next = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      const auto [begin, count] = shard_row_range(probe, shards, s);
-      EXPECT_EQ(begin, next);
-      if (count > 0) {
-        EXPECT_EQ(begin % 64, 0u);  // whole chunks per shard
-      }
-      next = begin + count;
-    }
-    EXPECT_EQ(next, probe.trace_count());
-  }
-
-  // Parallel replay: each unit owns its own reader over its range.
+  const std::size_t rows = TraceFileReader(path).trace_count();
   std::vector<std::optional<core::CpaEngine>> engines(shards);
   core::CpaEngine merged(models);
   core::run_ordered_window(
       shards, [] { return std::size_t{4}; },
       [&](std::size_t s) {
-        auto reader = std::make_unique<TraceFileReader>(path);
-        const auto [begin, count] = shard_row_range(*reader, shards, s);
-        FileTraceSource replay(std::move(reader), begin, count);
+        FileTraceSource replay(std::make_unique<TraceFileReader>(path),
+                               core::shard_begin(rows, shards, s),
+                               core::shard_size(rows, shards, s));
         util::Xoshiro256 unused_rng(0);
         engines[s] = core::accumulate_cpa(replay, synth.keys()[0], models, 0,
                                           unused_rng);

@@ -538,7 +538,7 @@ TEST(PstrV2, CompactedLiveRecordingReplaysBitIdenticalThroughTvlaAndCpa) {
     return std::make_unique<core::LiveTraceSource>(live_config, shard.secret,
                                                    shard.seed);
   };
-  campaign.traces_per_set = per_set;
+  campaign.traces = per_set;
   campaign.seed = 53;
   campaign.shards = 1;  // one writer sees the stream in protocol order
   core::SinkCampaignResult live;
