@@ -6,7 +6,6 @@
 //   ./aes_key_recovery [traces] [workers]   (default 300000 traces, 1
 //                                            worker; workers > 1 runs the
 //                                            sharded pipeline)
-#include <cstdlib>
 #include <iostream>
 
 #include "core/campaigns.h"
@@ -16,13 +15,15 @@
 #include "util/hex.h"
 #include "util/table.h"
 
+#include "cli_args.h"
+
 int main(int argc, char** argv) {
   using namespace psc;
 
   const std::size_t traces =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 300'000;
+      cli::positional_u64(argc, argv, 1, "traces", 300'000);
   const std::size_t workers =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1;
+      cli::positional_u64(argc, argv, 2, "workers", 1);
 
   std::cout << "victim : user-space AES-128 service, 3 P-core threads, M2\n"
             << "channel: PHPC (P-cluster power, read as unprivileged user)\n"

@@ -5,7 +5,6 @@
 // across the user/kernel boundary, just with lower SNR.
 //
 //   ./kernel_attack [traces]            (default 300000)
-#include <cstdlib>
 #include <iostream>
 
 #include "core/campaigns.h"
@@ -13,11 +12,13 @@
 #include "util/hex.h"
 #include "util/table.h"
 
+#include "cli_args.h"
+
 int main(int argc, char** argv) {
   using namespace psc;
 
   const std::size_t traces =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 300'000;
+      cli::positional_u64(argc, argv, 1, "traces", 300'000);
 
   std::cout
       << "victim : AES-128 kernel module (duty-cycled service threads +\n"

@@ -10,7 +10,6 @@
 //   ./multi_sink_analysis [traces_per_set]
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/analysis_sink.h"
@@ -18,11 +17,13 @@
 #include "core/trace_source.h"
 #include "util/hex.h"
 
+#include "cli_args.h"
+
 int main(int argc, char** argv) {
   using namespace psc;
 
   const std::size_t per_set =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 20'000;
+      cli::positional_u64(argc, argv, 1, "traces_per_set", 20'000);
 
   util::Xoshiro256 rng(7);
   aes::Block victim_key;

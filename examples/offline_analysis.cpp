@@ -13,7 +13,6 @@
 //
 //   ./offline_analysis [traces] [path.pstr]
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -24,11 +23,13 @@
 #include "store/trace_file_writer.h"
 #include "util/hex.h"
 
+#include "cli_args.h"
+
 int main(int argc, char** argv) {
   using namespace psc;
 
   const std::size_t traces =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100'000;
+      cli::positional_u64(argc, argv, 1, "traces", 100'000);
   const std::string path = argc > 2 ? argv[2] : "/tmp/psc_traces.pstr";
   const std::vector<power::PowerModel> models = {power::PowerModel::rd0_hw};
 

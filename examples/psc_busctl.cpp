@@ -33,15 +33,12 @@
 // counters plus the per-job shard-scheduler rows. A malformed command
 // line, including a count or job id that is not a decimal integer in
 // range, exits 2 before anything is sent.
-#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "aes/aes128.h"
@@ -54,9 +51,14 @@
 #include "util/hex.h"
 #include "util/table.h"
 
+#include "cli_args.h"
+
 namespace {
 
 using namespace psc;
+using cli::parse_u32;
+using cli::parse_u64;
+using cli::UsageError;
 
 int usage() {
   std::cerr
@@ -134,32 +136,6 @@ std::string require_socket(const Args& args) {
     throw std::invalid_argument("--socket is required");
   }
   return *socket;
-}
-
-// A malformed command line: main prints the message and exits 2, as
-// usage() does.
-struct UsageError : std::invalid_argument {
-  using std::invalid_argument::invalid_argument;
-};
-
-// A decimal count or id, all of `s` and at most `max`; anything else
-// (empty, a sign, non-digits, trailing characters, out of range) is a
-// UsageError naming `what`.
-std::uint64_t parse_u64(const std::string& what, const std::string& s,
-                        std::uint64_t max =
-                            std::numeric_limits<std::uint64_t>::max()) {
-  std::uint64_t value = 0;
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc{} || end != s.data() + s.size() || value > max) {
-    throw UsageError(what + " wants an integer in [0, " + std::to_string(max) +
-                     "], got '" + s + "'");
-  }
-  return value;
-}
-
-std::uint32_t parse_u32(const std::string& what, const std::string& s) {
-  return static_cast<std::uint32_t>(
-      parse_u64(what, s, std::numeric_limits<std::uint32_t>::max()));
 }
 
 power::PowerModel parse_model(const std::string& name) {

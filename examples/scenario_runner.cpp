@@ -17,7 +17,8 @@
 // acquisition to a PSTR store (forces workers=1, shards=1: one writer,
 // one deterministic stream) so a live scenario run can later be replayed
 // through psc_busctl as a dataset.
-#include <cstdlib>
+// --per-set, --seed, --workers and --shards take decimal integers only;
+// anything else (`abc`, `-1`, `12x`) is a usage error (exit 2).
 #include <iostream>
 #include <optional>
 #include <string>
@@ -31,6 +32,8 @@
 #include "util/hex.h"
 #include "util/table.h"
 
+#include "cli_args.h"
+
 namespace {
 
 using namespace psc;
@@ -43,10 +46,6 @@ int usage() {
                "                  [--per-set N] [--seed N] [--workers N]\n"
                "                  [--shards N] [--record out.pstr]\n";
   return 2;
-}
-
-std::uint64_t parse_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 10);
 }
 
 void print_info(const scenario::ScenarioInfo& info) {
@@ -111,13 +110,13 @@ int cmd_run(const std::string& name, int argc, char** argv, int from) {
       }
       spec.params.emplace_back(value.substr(0, eq), value.substr(eq + 1));
     } else if (arg == "--per-set") {
-      spec.traces_per_set = parse_u64(value);
+      spec.traces_per_set = cli::parse_u64(arg, value);
     } else if (arg == "--seed") {
-      spec.seed = parse_u64(value);
+      spec.seed = cli::parse_u64(arg, value);
     } else if (arg == "--workers") {
-      workers = parse_u64(value);
+      workers = cli::parse_u64(arg, value);
     } else if (arg == "--shards") {
-      spec.shards = static_cast<std::uint32_t>(parse_u64(value));
+      spec.shards = cli::parse_u32(arg, value);
     } else if (arg == "--record") {
       record_path = value;
     } else {
@@ -184,6 +183,9 @@ int main(int argc, char** argv) {
     if (verb == "run" && argc >= 3) {
       return cmd_run(argv[2], argc, argv, 3);
     }
+  } catch (const cli::UsageError& e) {
+    std::cerr << "usage error: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -22,8 +22,8 @@
 // compress stay identity — the output always round-trips bit-exactly);
 // verify walks every chunk, CRC-checking and decoding it, and exits
 // non-zero on the first corruption; cat streams a trace range to stdout
-// in the pstr2csv format. All three stream out-of-core.
-#include <cstdlib>
+// in the pstr2csv format. All three stream out-of-core. A chunk size,
+// begin or count that is not a decimal integer is a usage error (exit 2).
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -36,6 +36,8 @@
 #include "store/dataset_summary.h"
 #include "store/file_trace_source.h"
 #include "store/trace_file_writer.h"
+
+#include "cli_args.h"
 
 namespace {
 
@@ -208,7 +210,7 @@ int main(int argc, char** argv) {
     }
     if (command == "csv2pstr" && (argc == 4 || argc == 5)) {
       const std::size_t chunk_rows =
-          argc == 5 ? std::strtoull(argv[4], nullptr, 10) : 4096;
+          argc == 5 ? psc::cli::parse_u64("chunk_rows", argv[4]) : 4096;
       return cmd_csv2pstr(argv[2], argv[3], chunk_rows);
     }
     if (command == "pstr2csv" && argc == 4) {
@@ -216,7 +218,7 @@ int main(int argc, char** argv) {
     }
     if (command == "compact" && (argc == 4 || argc == 5)) {
       const std::size_t chunk_rows =
-          argc == 5 ? std::strtoull(argv[4], nullptr, 10) : 0;
+          argc == 5 ? psc::cli::parse_u64("chunk_rows", argv[4]) : 0;
       return cmd_compact(argv[2], argv[3], chunk_rows);
     }
     if (command == "verify" && argc == 3) {
@@ -224,12 +226,15 @@ int main(int argc, char** argv) {
     }
     if (command == "cat" && argc >= 3 && argc <= 5) {
       const std::size_t begin =
-          argc >= 4 ? std::strtoull(argv[3], nullptr, 10) : 0;
+          argc >= 4 ? psc::cli::parse_u64("begin", argv[3]) : 0;
       const std::size_t count =
-          argc == 5 ? std::strtoull(argv[4], nullptr, 10)
+          argc == 5 ? psc::cli::parse_u64("count", argv[4])
                     : std::numeric_limits<std::size_t>::max();
       return cmd_cat(argv[2], begin, count);
     }
+  } catch (const psc::cli::UsageError& e) {
+    std::cerr << "usage error: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -88,7 +88,6 @@ void TraceFileReader::validate_structure() {
   }
   parse_header(data_, header_bytes_);
   parse_footer_and_index();
-  crc_checked_.assign(index_.size(), 0);
 }
 
 void TraceFileReader::parse_header(const std::byte* data, std::size_t size) {
@@ -355,7 +354,8 @@ ChunkView TraceFileReader::read_chunk_into(std::size_t i, ChunkBuffer& buf) {
   buf.cached.reset();
   // v1 chunks, and v2 chunks whose columns are all identity, hold the
   // decoded payload verbatim after the header (and directory): serve them
-  // zero-copy, CRC-checking the mapped bytes once.
+  // zero-copy, CRC-checking the mapped bytes on every read, as decoded
+  // chunks are checked on every decode.
   const std::byte* payload = data_ + entry.offset + chunk_header_bytes;
   bool verbatim = true;
   if (version_ >= format_version_v2) {
@@ -365,13 +365,10 @@ ChunkView TraceFileReader::read_chunk_into(std::size_t i, ChunkBuffer& buf) {
     check_chunk_header(i);
   }
   if (verbatim) {
-    if (!crc_checked_[i]) {
-      const std::size_t payload_size =
-          chunk_bytes(entry.rows, channels_.size()) - chunk_header_bytes;
-      if (util::crc32(payload, payload_size) != entry.crc32) {
-        fail("chunk " + std::to_string(i) + " payload CRC mismatch");
-      }
-      crc_checked_[i] = 1;
+    const std::size_t payload_size =
+        chunk_bytes(entry.rows, channels_.size()) - chunk_header_bytes;
+    if (util::crc32(payload, payload_size) != entry.crc32) {
+      fail("chunk " + std::to_string(i) + " payload CRC mismatch");
     }
     return make_view(payload, entry);
   }

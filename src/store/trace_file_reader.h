@@ -13,7 +13,7 @@
 // Every structural failure is a loud StoreError, never UB or a silent
 // short read: bad magic, unsupported version, truncated file, corrupt
 // footer/index (including a misaligned chunk offset), and per-chunk CRC
-// mismatches (checked on first access of each chunk) all name the file
+// mismatches (checked on every chunk read or decode) all name the file
 // and the violation.
 //
 // Readers are single-threaded; sharded replay gives each shard its own
@@ -78,7 +78,7 @@ class TraceFileReader {
   // Opens `path` as a SharedMapping of its own and reads through it.
   explicit TraceFileReader(const std::string& path);
   // Structurally validates the mapped file (header, footer, chunk index);
-  // chunk payload CRCs are checked lazily on first access. N readers (one
+  // chunk payload CRCs are checked when a chunk is read. N readers (one
   // per job or shard) can share one mapping of the dataset; the reader
   // keeps a reference, so the bytes outlive it.
   explicit TraceFileReader(std::shared_ptr<const SharedMapping> mapping);
@@ -140,7 +140,7 @@ class TraceFileReader {
 
   // The one chunk decoder: checks chunk i's header, serves v1 and
   // all-identity v2 chunks zero-copy from the mapping (CRC checked on
-  // first access), and otherwise fetches the decoded payload from the
+  // every call), and otherwise fetches the decoded payload from the
   // attached cache or decodes it into `buf`. The view stays valid until
   // `buf` is reused, even across later chunk()/read_chunk_into() calls
   // — the contract the double-buffered prefetcher needs. Not
@@ -214,7 +214,6 @@ class TraceFileReader {
   std::uint64_t index_offset_ = 0;  // chunk data ends here
   std::uint64_t trace_count_ = 0;
   std::vector<ChunkIndexEntry> index_;
-  std::vector<std::uint8_t> crc_checked_;
 };
 
 }  // namespace psc::store

@@ -62,7 +62,9 @@ Metadata device_metadata(const std::string& device_name,
 
 class TraceFileWriter {
  public:
-  // Creates/truncates `path` and writes the header. Throws StoreError
+  // Creates `path` and writes the header. An existing regular file at
+  // `path` is unlinked first, so readers that still map it keep its old
+  // bytes; a symlink is written through to its target. Throws StoreError
   // (std::runtime_error) if the file cannot be created or the config is
   // invalid (no channels, zero chunk capacity).
   TraceFileWriter(const std::string& path, TraceFileWriterConfig config);

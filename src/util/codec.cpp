@@ -93,6 +93,45 @@ bool extract_grid(const double* values, std::size_t n, double step, bool f32,
   return true;
 }
 
+// delta_bitpack_encode's working memory, kept per thread and reused, so
+// encoding a chunk column allocates nothing once the buffers have grown
+// to the column size.
+struct EncodeScratch {
+  // Open-addressed set of the column's bit patterns (linear probing,
+  // power-of-two size, at most half full). A NaN pattern marks an empty
+  // slot: the encoder rejects non-finite columns before it gets here.
+  std::vector<std::uint64_t> slots;
+  std::vector<double> distinct;  // the set's members, in first-seen order
+  std::vector<std::int64_t> ks;  // grid indices of the column
+};
+
+thread_local EncodeScratch encode_scratch;
+
+constexpr std::uint64_t empty_slot = ~std::uint64_t{0};
+
+// Fills scratch.distinct with the distinct bit patterns of values[0..n),
+// n > 0; +0.0 and -0.0 are distinct patterns.
+void collect_distinct(const double* values, std::size_t n,
+                      EncodeScratch& scratch) {
+  const unsigned bits = static_cast<unsigned>(std::bit_width(2 * n - 1));
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  scratch.slots.assign(mask + 1, empty_slot);
+  scratch.distinct.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto key = std::bit_cast<std::uint64_t>(values[i]);
+    // Fibonacci hashing: the top bits of key * 2^64/phi.
+    std::size_t slot = static_cast<std::size_t>(
+        (key * 0x9e3779b97f4a7c15ULL) >> (64 - bits));
+    while (scratch.slots[slot] != empty_slot && scratch.slots[slot] != key) {
+      slot = (slot + 1) & mask;
+    }
+    if (scratch.slots[slot] == empty_slot) {
+      scratch.slots[slot] = key;
+      scratch.distinct.push_back(values[i]);
+    }
+  }
+}
+
 std::uint64_t zigzag(std::int64_t d) noexcept {
   return (static_cast<std::uint64_t>(d) << 1) ^
          static_cast<std::uint64_t>(d >> 63);
@@ -118,35 +157,37 @@ bool delta_bitpack_encode(const double* values, std::size_t n,
   // within an ulp of a small multiple of the true step; snapping it to
   // 1-3 significant decimal digits reproduces the quantizer's literal.
   // Wrong guesses are harmless — extract_grid bit-verifies every value.
+  // Only the distinct values are sorted: duplicates add nothing but zero
+  // gaps, so min_gap and min_abs equal those of the whole sorted column.
+  EncodeScratch& scratch = encode_scratch;
+  collect_distinct(values, n, scratch);
+  std::vector<double>& sorted = scratch.distinct;
+  std::sort(sorted.begin(), sorted.end());
   double candidates[4];
   std::size_t n_candidates = 0;
-  double min_abs = std::fabs(values[0]);
-  {
-    std::vector<double> sorted(values, values + n);
-    std::sort(sorted.begin(), sorted.end());
-    double min_gap = 0.0;
-    for (std::size_t i = 1; i < n; ++i) {
-      const double gap = sorted[i] - sorted[i - 1];
-      if (gap > 0.0 && (min_gap == 0.0 || gap < min_gap)) {
-        min_gap = gap;
-      }
-      min_abs = std::min(min_abs, std::fabs(sorted[i]));
+  double min_gap = 0.0;
+  double min_abs = std::fabs(sorted[0]);
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    const double gap = sorted[i] - sorted[i - 1];
+    if (gap > 0.0 && (min_gap == 0.0 || gap < min_gap)) {
+      min_gap = gap;
     }
-    if (min_gap > 0.0) {
-      candidates[n_candidates++] = snap_decimal(min_gap, 1);
-      candidates[n_candidates++] = snap_decimal(min_gap, 2);
-      candidates[n_candidates++] = snap_decimal(min_gap, 3);
-      candidates[n_candidates++] = min_gap;
-    } else {
-      // All values equal: the value itself is its own grid (k = 1), or
-      // any step at all when the column is exactly zero.
-      candidates[n_candidates++] = min_abs > 0.0 ? min_abs : 1.0;
-    }
+    min_abs = std::min(min_abs, std::fabs(sorted[i]));
+  }
+  if (min_gap > 0.0) {
+    candidates[n_candidates++] = snap_decimal(min_gap, 1);
+    candidates[n_candidates++] = snap_decimal(min_gap, 2);
+    candidates[n_candidates++] = snap_decimal(min_gap, 3);
+    candidates[n_candidates++] = min_gap;
+  } else {
+    // All values equal: the value itself is its own grid (k = 1), or
+    // any step at all when the column is exactly zero.
+    candidates[n_candidates++] = min_abs > 0.0 ? min_abs : 1.0;
   }
 
   // Prefer the plain grid (cheaper decode); fall back to the
   // float32-truncated grid recorded sensor columns actually live on.
-  std::vector<std::int64_t> ks;
+  std::vector<std::int64_t>& ks = scratch.ks;
   bool have_grid = false;
   bool f32 = false;
   for (const bool try_f32 : {false, true}) {

@@ -6,10 +6,10 @@
 // histogram. This header exposes those inner loops as free-function
 // kernels with two dispatch modes: `scalar`, the portable reference
 // bodies, and `native`, which runs per kernel the one vector body that
-// measured fastest for the running CPU. The acquisition bodies outside
-// this file follow the same switch: the AES-NI round trace
-// (aes/aes128.cpp) and the POPCNT leakage sums (power/leakage_model.cpp)
-// run unless the active mode is `scalar`.
+// measured fastest for the running CPU. The bodies outside this file
+// follow the same switch: the AES-NI round trace (aes/aes128.cpp), the
+// POPCNT leakage sums (power/leakage_model.cpp) and the PCLMULQDQ CRC-32
+// (util/crc32.cpp) run unless the active mode is `scalar`.
 //
 // Bit-exactness contract
 // ----------------------
@@ -73,8 +73,9 @@
 #include <vector>
 
 // Defined when this build compiles the x86-64 bodies: GCC or Clang on
-// x86-64, and not a PSC_FORCE_SCALAR build. The AES-NI and POPCNT bodies
-// outside this module are compiled under the same condition.
+// x86-64, and not a PSC_FORCE_SCALAR build. The AES-NI, POPCNT and
+// PCLMULQDQ bodies outside this module are compiled under the same
+// condition.
 #if !defined(PSC_SIMD_FORCE_SCALAR) && defined(__x86_64__) && \
     defined(__GNUC__)
 #define PSC_SIMD_X86 1

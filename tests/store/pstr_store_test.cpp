@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,55 @@ TEST(PstrStore, MappedReaderServesZeroCopyChunks) {
     ASSERT_EQ(view.plaintexts()[i], data.plaintexts()[64 + i]);
     ASSERT_EQ(view.column(1)[i], data.column(1)[64 + i]);
   }
+}
+
+TEST(PstrStore, RewritingAPathLeavesOpenReadersOnTheOldBytes) {
+  const std::string path = temp_path("rewrite.pstr");
+  util::Xoshiro256 rng(5);
+  const core::TraceBatch first = random_batch(rng, 96, 2);
+  const core::TraceBatch second = random_batch(rng, 40, 2);
+  {
+    TraceFileWriter writer(path,
+                           {.channels = two_channels, .chunk_capacity = 64});
+    writer.append(first);
+  }
+  TraceFileReader old_reader(path);
+
+  // The rewrite unlinks the old file instead of truncating it under the
+  // open mapping, so the old reader still sees every byte, CRCs included.
+  {
+    TraceFileWriter writer(path,
+                           {.channels = two_channels, .chunk_capacity = 64});
+    writer.append(second);
+  }
+  core::TraceBatch loaded(2);
+  old_reader.read_rows(0, old_reader.trace_count(), loaded);
+  expect_batches_identical(loaded, first);
+
+  TraceFileReader new_reader(path);
+  loaded.clear();
+  new_reader.read_rows(0, new_reader.trace_count(), loaded);
+  expect_batches_identical(loaded, second);
+}
+
+TEST(PstrStore, WritingThroughASymlinkReplacesItsTarget) {
+  namespace fs = std::filesystem;
+  const std::string target = temp_path("symlink_target.pstr");
+  const std::string link = temp_path("symlink.pstr");
+  util::Xoshiro256 rng(6);
+  const core::TraceBatch data = random_batch(rng, 30, 2);
+  { TraceFileWriter writer(target, {.channels = two_channels}); }
+  fs::remove(link);
+  fs::create_symlink(target, link);
+  {
+    TraceFileWriter writer(link, {.channels = two_channels});
+    writer.append(data);
+  }
+  EXPECT_TRUE(fs::is_symlink(link));
+  TraceFileReader reader(target);
+  core::TraceBatch loaded(2);
+  reader.read_rows(0, reader.trace_count(), loaded);
+  expect_batches_identical(loaded, data);
 }
 
 TEST(PstrStore, WriterRejectsMisuse) {

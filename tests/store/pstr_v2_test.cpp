@@ -242,6 +242,39 @@ TEST(PstrV2, CompressionEngagesAndShrinksChannelColumns) {
   }
 }
 
+std::uint64_t fnv1a(const std::vector<char>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(PstrV2, CompactedFileBytesMatchRecordedDigest) {
+  // Absolute anchor on the writer's output: the whole file (chunk
+  // directories, delta_bitpack blocks, payload CRCs, index and footer)
+  // of two small fixed stores, pinned by size and FNV-1a digest. Round
+  // trips alone would pass an encoder that picked a different step. A
+  // mismatch prints the actual values.
+  const std::vector<char> capture =
+      slurp(write_v2_file("v2_pinned.pstr", quantized_batch(3)));
+  EXPECT_EQ(capture.size(), 22424u);
+  EXPECT_EQ(fnv1a(capture), 0x6f0723db6f5e57b3ULL);
+
+  const core::TraceBatch rails = sensor_rails_batch(4096 + 100, 4, 29);
+  const std::string path = temp_path("v2_pinned_rails.pstr");
+  TraceFileWriter writer(
+      path, {.channels = rail_names(rails.channels()),
+             .chunk_capacity = 4096,
+             .channel_codecs = uniform_channel_codecs(
+                 rails.channels(), ColumnCodec::delta_bitpack)});
+  writer.append(rails);
+  writer.finalize();
+  const std::vector<char> sensor = slurp(path);
+  EXPECT_EQ(sensor.size(), 160112u);
+  EXPECT_EQ(fnv1a(sensor), 0xcd6420a0e9655f34ULL);
+}
+
 TEST(PstrV2, UnquantizedDataFallsBackToIdentityAndRoundTrips) {
   util::Xoshiro256 rng(7);
   core::TraceBatch batch(n_channels);

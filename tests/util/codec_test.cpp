@@ -192,5 +192,65 @@ TEST(DeltaBitpack, CompressesTypicalSensorColumnHard) {
   EXPECT_LT(enc.size() * 4, values.size() * sizeof(double));
 }
 
+// FNV-1a of the encoded bytes, or 0 when the encoder refuses the column.
+std::uint64_t encoding_digest(const double* values, std::size_t n) {
+  std::vector<std::byte> enc;
+  if (!delta_bitpack_encode(values, n, enc)) {
+    return 0;
+  }
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::byte b : enc) {
+    h = (h ^ static_cast<std::uint64_t>(b)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t encoding_digest(const std::vector<double>& values) {
+  return encoding_digest(values.data(), values.size());
+}
+
+TEST(DeltaBitpack, EncodedBytesMatchRecordedDigests) {
+  // Absolute anchors: the encoder's step choice, grid flag and packing
+  // are pinned byte for byte, not only through a round trip (an encoder
+  // that picked another valid step would still round-trip). A mismatch
+  // prints the actual digest.
+  const auto grid = quantized_walk(7, 4096, 1e-3, 4.2, 0.25);
+  EXPECT_EQ(encoding_digest(grid), 0x491b9dd7e1ac2372ULL) << "quantized grid";
+  EXPECT_EQ(encoding_digest(grid.data(), 100), 0xaee22a54a691de91ULL)
+      << "100-value prefix";
+  EXPECT_EQ(encoding_digest(grid.data(), 1), 0u) << "n = 1 does not pay";
+  EXPECT_EQ(encoding_digest(grid.data(), 2), 0u) << "n = 2 does not pay";
+  EXPECT_EQ(encoding_digest(
+                quantized_walk(11, 4096, 1e-6, 3.2, 500e-6, /*f32=*/true)),
+            0x8b50e37a751573a0ULL)
+      << "float32-truncated grid";
+
+  // Mixed sign around zero, +0.0 included (k = 0 reconstructs it).
+  util::Xoshiro256 rng(37);
+  std::vector<double> mixed(4096);
+  for (double& v : mixed) {
+    v = static_cast<double>(static_cast<std::int64_t>(rng.uniform_u64(41)) -
+                            20) *
+        0.01;
+  }
+  EXPECT_EQ(encoding_digest(mixed), 0x041083504c33ff0dULL)
+      << "mixed sign with +0.0";
+  // -0.0 next to +0.0: distinct bit patterns, no gap between them, and
+  // no k * step reconstructs -0.0, so the column is refused.
+  for (std::size_t i = 0; i < mixed.size(); i += 3) {
+    if (mixed[i] == 0.0) {
+      mixed[i] = -0.0;
+    }
+  }
+  EXPECT_EQ(encoding_digest(mixed), 0u) << "mixed sign with +0.0 and -0.0";
+
+  EXPECT_EQ(encoding_digest(std::vector<double>(500, 3.25)),
+            0x8ee26194596f272dULL)
+      << "constant column";
+  EXPECT_EQ(encoding_digest(std::vector<double>(500, 0.0)),
+            0x1a34ff627bbee0e7ULL)
+      << "zero column";
+}
+
 }  // namespace
 }  // namespace psc::util
