@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "util/codec.h"
 #include "util/crc32.h"
@@ -53,21 +54,6 @@ std::vector<std::byte> render_header(const TraceFileWriterConfig& config,
   return header;
 }
 
-// The staging batch's columns laid out back to back — the v1 chunk
-// payload, and the decoded form a v2 chunk's CRC covers.
-void serialize_payload(const psc::core::TraceBatch& staging,
-                       std::byte* payload) {
-  const std::size_t rows = staging.size();
-  const std::size_t channels = staging.channels();
-  std::memcpy(payload, staging.plaintexts().data(), rows * block_bytes);
-  std::memcpy(payload + rows * block_bytes, staging.ciphertexts().data(),
-              rows * block_bytes);
-  std::byte* columns = payload + 2 * rows * block_bytes;
-  for (std::size_t c = 0; c < channels; ++c) {
-    std::memcpy(columns + c * rows * 8, staging.column(c).data(), rows * 8);
-  }
-}
-
 }  // namespace
 
 Metadata device_metadata(const std::string& device_name,
@@ -88,6 +74,10 @@ TraceFileWriter::TraceFileWriter(const std::string& path,
   }
   if (config_.chunk_capacity == 0) {
     throw StoreError("TraceFileWriter: chunk capacity must be positive");
+  }
+  if (config_.chunk_capacity > std::numeric_limits<std::uint32_t>::max()) {
+    // The header and every chunk store row counts as u32.
+    throw StoreError("TraceFileWriter: chunk capacity exceeds 2^32 - 1");
   }
   if (!config_.channel_codecs.empty() &&
       config_.channel_codecs.size() != config_.channels.size()) {
@@ -174,90 +164,73 @@ void TraceFileWriter::flush_chunk() {
     return;
   }
   const std::size_t channels = staging_.channels();
-
-  if (!v2_) {
-    scratch_.resize(chunk_bytes(rows, channels));
-    std::byte* payload = scratch_.data() + chunk_header_bytes;
-    serialize_payload(staging_, payload);
-    const std::size_t payload_size = scratch_.size() - chunk_header_bytes;
-    const std::uint32_t crc = util::crc32(payload, payload_size);
-
-    std::memcpy(scratch_.data(), chunk_magic, 4);
-    put_u32(scratch_.data() + 4, static_cast<std::uint32_t>(rows));
-    put_u32(scratch_.data() + 8, crc);
-    put_u32(scratch_.data() + 12, 0);  // reserved
-
-    index_.push_back({.offset = file_offset_,
-                      .row_begin = rows_flushed_,
-                      .rows = static_cast<std::uint32_t>(rows),
-                      .crc32 = crc});
-    write_bytes(scratch_.data(), scratch_.size());
-    rows_flushed_ += rows;
-    staging_.clear();
-    return;
-  }
-
-  // v2: CRC the decoded payload first (codec-independent), then encode
-  // each channel column, falling back to identity per chunk when the
-  // codec cannot represent the data bit-exactly or would not shrink it.
-  const std::size_t payload_size =
-      chunk_bytes(rows, channels) - chunk_header_bytes;
-  payload_scratch_.resize(payload_size);
-  serialize_payload(staging_, payload_scratch_.data());
-  const std::uint32_t crc =
-      util::crc32(payload_scratch_.data(), payload_size);
-
   const std::size_t columns = chunk_column_count(channels);
-  const std::size_t dir_bytes = columns * column_entry_bytes;
-  std::vector<ColumnCodec> codecs(columns, ColumnCodec::identity);
-  std::vector<std::size_t> stored(columns);
-  stored[0] = stored[1] = rows * block_bytes;
-  std::size_t blocks_bytes = pad8(stored[0]) + pad8(stored[1]);
-  for (std::size_t c = 0; c < channels; ++c) {
-    const std::size_t raw = rows * sizeof(double);
-    stored[2 + c] = raw;
-    if (config_.channel_codecs[c] == ColumnCodec::delta_bitpack &&
-        util::delta_bitpack_encode(staging_.column(c).data(), rows,
-                                   enc_cols_[c])) {
-      codecs[2 + c] = ColumnCodec::delta_bitpack;
-      stored[2 + c] = enc_cols_[c].size();
+  const auto raw_col = [&](std::size_t col) -> const std::byte* {
+    if (col < 2) {
+      return reinterpret_cast<const std::byte*>(
+          (col == 0 ? staging_.plaintexts() : staging_.ciphertexts()).data());
     }
-    channel_raw_bytes_ += raw;
-    channel_stored_bytes_ += stored[2 + c];
-    blocks_bytes += pad8(stored[2 + c]);
+    return reinterpret_cast<const std::byte*>(staging_.column(col - 2).data());
+  };
+  const auto raw_size = [&](std::size_t col) {
+    return col < 2 ? rows * block_bytes : rows * sizeof(double);
+  };
+
+  // The CRC covers the decoded payload, the staged columns back to back
+  // (codec-independent). v1 stores every column verbatim with no
+  // directory; v2 encodes each channel column, falling back to identity
+  // per chunk when the codec cannot represent the data bit-exactly or
+  // would not shrink it. Raw column sizes are multiples of 8, so padding
+  // never moves a v1 column.
+  util::Crc32 crc;
+  codecs_.assign(columns, ColumnCodec::identity);
+  stored_.resize(columns);
+  std::size_t blocks_bytes = 0;
+  for (std::size_t col = 0; col < columns; ++col) {
+    stored_[col] = raw_size(col);
+    crc.update(raw_col(col), stored_[col]);
+    if (v2_ && col >= 2) {
+      const std::size_t c = col - 2;
+      channel_raw_bytes_ += stored_[col];
+      if (config_.channel_codecs[c] == ColumnCodec::delta_bitpack &&
+          util::delta_bitpack_encode(staging_.column(c).data(), rows,
+                                     enc_cols_[c])) {
+        codecs_[col] = ColumnCodec::delta_bitpack;
+        stored_[col] = enc_cols_[c].size();
+      }
+      channel_stored_bytes_ += stored_[col];
+    }
+    blocks_bytes += pad8(stored_[col]);
   }
 
+  const std::size_t dir_bytes = v2_ ? columns * column_entry_bytes : 0;
   scratch_.assign(chunk_header_bytes + dir_bytes + blocks_bytes,
                   std::byte{0});
   std::memcpy(scratch_.data(), chunk_magic, 4);
   put_u32(scratch_.data() + 4, static_cast<std::uint32_t>(rows));
-  put_u32(scratch_.data() + 8, crc);
+  put_u32(scratch_.data() + 8, crc.value());
   put_u32(scratch_.data() + 12, 0);  // reserved
 
   std::byte* dir = scratch_.data() + chunk_header_bytes;
   std::byte* block = dir + dir_bytes;
-  const std::byte* raw_col = payload_scratch_.data();
   for (std::size_t col = 0; col < columns; ++col) {
-    const std::size_t raw =
-        col < 2 ? rows * block_bytes : rows * sizeof(double);
-    std::byte* e = dir + col * column_entry_bytes;
-    put_u32(e, static_cast<std::uint32_t>(codecs[col]));
-    put_u32(e + 4, 0);  // reserved
-    put_u64(e + 8, raw);
-    put_u64(e + 16, stored[col]);
-    if (codecs[col] == ColumnCodec::identity) {
-      std::memcpy(block, raw_col, raw);
-    } else {
-      std::memcpy(block, enc_cols_[col - 2].data(), stored[col]);
+    const bool identity = codecs_[col] == ColumnCodec::identity;
+    if (v2_) {
+      std::byte* e = dir + col * column_entry_bytes;
+      put_u32(e, static_cast<std::uint32_t>(codecs_[col]));
+      put_u32(e + 4, 0);  // reserved
+      put_u64(e + 8, raw_size(col));
+      put_u64(e + 16, stored_[col]);
     }
-    block += pad8(stored[col]);
-    raw_col += raw;
+    std::memcpy(block, identity ? raw_col(col) : enc_cols_[col - 2].data(),
+                stored_[col]);
+    block += pad8(stored_[col]);
   }
 
   index_.push_back({.offset = file_offset_,
                     .row_begin = rows_flushed_,
                     .rows = static_cast<std::uint32_t>(rows),
-                    .crc32 = crc});
+                    .crc32 = crc.value()});
   write_bytes(scratch_.data(), scratch_.size());
   rows_flushed_ += rows;
   staging_.clear();

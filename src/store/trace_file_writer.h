@@ -66,7 +66,8 @@ class TraceFileWriter {
   // `path` is unlinked first, so readers that still map it keep its old
   // bytes; a symlink is written through to its target. Throws StoreError
   // (std::runtime_error) if the file cannot be created or the config is
-  // invalid (no channels, zero chunk capacity).
+  // invalid (no channels, a chunk capacity of zero or above 2^32 - 1);
+  // an invalid config leaves `path` untouched.
   TraceFileWriter(const std::string& path, TraceFileWriterConfig config);
   ~TraceFileWriter();  // finalizes, swallowing errors; prefer finalize()
 
@@ -116,8 +117,9 @@ class TraceFileWriter {
   std::ofstream out_;
   core::TraceBatch staging_;
   std::vector<std::byte> scratch_;  // chunk serialization buffer, reused
-  std::vector<std::byte> payload_scratch_;        // decoded payload (v2)
   std::vector<std::vector<std::byte>> enc_cols_;  // per-channel encodings
+  std::vector<ColumnCodec> codecs_;  // per-column codec of the chunk (v2)
+  std::vector<std::size_t> stored_;  // per-column stored bytes (v2)
   std::uint64_t channel_raw_bytes_ = 0;
   std::uint64_t channel_stored_bytes_ = 0;
   std::vector<ChunkIndexEntry> index_;

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <utility>
 
 #include "util/simd.h"
 
@@ -59,6 +61,16 @@ double reconstruct(std::int64_t k, double step, bool f32) noexcept {
   return f32 ? static_cast<double>(static_cast<float>(v)) : v;
 }
 
+// llround(q) for |q| < 2^53: truncation is exact there, and so is the
+// remainder q - t, so adjusting by it rounds half away from zero. The
+// adjustment is arithmetic, not a branch: the remainder's sign and size
+// are random from value to value, and a branch on them mispredicts.
+std::int64_t round_half_away(double q) noexcept {
+  const auto k = static_cast<std::int64_t>(q);
+  const double rem = q - static_cast<double>(k);
+  return k + (rem >= 0.5) - (rem <= -0.5);
+}
+
 // True when every value is exactly reconstruct(k, step, f32) for an
 // integer k within the exact range; fills ks on success.
 bool extract_grid(const double* values, std::size_t n, double step, bool f32,
@@ -72,7 +84,7 @@ bool extract_grid(const double* values, std::size_t n, double step, bool f32,
     if (!(std::fabs(q) < max_grid_index)) {  // also rejects NaN
       return false;
     }
-    const std::int64_t k = std::llround(q);
+    const std::int64_t k = round_half_away(q);
     // Float truncation can shift a value across the rounding midpoint of
     // its own grid cell (f32 ulp > step/2 for large values), so the true
     // k may sit one off the quotient; bit-verify the neighbors too.
@@ -97,26 +109,36 @@ bool extract_grid(const double* values, std::size_t n, double step, bool f32,
 // encoding a chunk column allocates nothing once the buffers have grown
 // to the column size.
 struct EncodeScratch {
-  // Open-addressed set of the column's bit patterns (linear probing,
-  // power-of-two size, at most half full). A NaN pattern marks an empty
-  // slot: the encoder rejects non-finite columns before it gets here.
+  // Open-addressed map from the column's bit patterns to their distinct
+  // ids (linear probing, power-of-two size, at most half full). A NaN
+  // pattern marks an empty slot: the encoder rejects non-finite columns
+  // before it gets here.
   std::vector<std::uint64_t> slots;
-  std::vector<double> distinct;  // the set's members, in first-seen order
-  std::vector<std::int64_t> ks;  // grid indices of the column
+  std::vector<std::uint32_t> slot_ids;
+  std::vector<double> distinct;  // the map's members, in first-seen order
+  std::vector<std::uint32_t> ids;  // distinct id of each column value
+  std::vector<std::uint64_t> keys;  // radix sort buffers
+  std::vector<std::uint64_t> keys_tmp;
+  std::vector<std::int64_t> kd;  // grid index of each distinct value
+  std::vector<std::uint64_t> zs;  // zigzagged deltas, zs[i] for i >= 1
 };
 
 thread_local EncodeScratch encode_scratch;
 
 constexpr std::uint64_t empty_slot = ~std::uint64_t{0};
+constexpr std::uint64_t sign_bit = std::uint64_t{1} << 63;
 
 // Fills scratch.distinct with the distinct bit patterns of values[0..n),
-// n > 0; +0.0 and -0.0 are distinct patterns.
+// n > 0, and scratch.ids with each value's index into it; +0.0 and -0.0
+// are distinct patterns.
 void collect_distinct(const double* values, std::size_t n,
                       EncodeScratch& scratch) {
   const unsigned bits = static_cast<unsigned>(std::bit_width(2 * n - 1));
   const std::size_t mask = (std::size_t{1} << bits) - 1;
   scratch.slots.assign(mask + 1, empty_slot);
+  scratch.slot_ids.resize(mask + 1);
   scratch.distinct.clear();
+  scratch.ids.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto key = std::bit_cast<std::uint64_t>(values[i]);
     // Fibonacci hashing: the top bits of key * 2^64/phi.
@@ -127,9 +149,60 @@ void collect_distinct(const double* values, std::size_t n,
     }
     if (scratch.slots[slot] == empty_slot) {
       scratch.slots[slot] = key;
+      scratch.slot_ids[slot] =
+          static_cast<std::uint32_t>(scratch.distinct.size());
       scratch.distinct.push_back(values[i]);
     }
+    scratch.ids[i] = scratch.slot_ids[slot];
   }
+}
+
+// Order-preserving integer image of a finite double: flipping every bit
+// of a negative value and the sign bit of a positive one makes unsigned
+// key order value order, with -0.0 just below +0.0.
+std::uint64_t sort_key(double v) noexcept {
+  const auto b = std::bit_cast<std::uint64_t>(v);
+  return b ^ (static_cast<std::uint64_t>(static_cast<std::int64_t>(b) >> 63) |
+              sign_bit);
+}
+double from_sort_key(std::uint64_t key) noexcept {
+  return std::bit_cast<double>((key & sign_bit) != 0 ? key ^ sign_bit : ~key);
+}
+
+// The sort keys of scratch.distinct, ascending: an LSD radix sort by
+// bytes that skips every byte position all keys share. Returns the
+// buffer holding the result.
+const std::uint64_t* sort_distinct(EncodeScratch& scratch) {
+  const std::size_t m = scratch.distinct.size();
+  scratch.keys.resize(m);
+  scratch.keys_tmp.resize(m);
+  std::uint64_t* src = scratch.keys.data();
+  std::uint64_t* dst = scratch.keys_tmp.data();
+  std::uint64_t differ = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    src[i] = sort_key(scratch.distinct[i]);
+    differ |= src[i] ^ src[0];
+  }
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((differ >> shift) & 0xff) == 0) {
+      continue;
+    }
+    std::uint32_t start[256] = {};
+    for (std::size_t i = 0; i < m; ++i) {
+      ++start[(src[i] >> shift) & 0xff];
+    }
+    std::uint32_t sum = 0;
+    for (std::uint32_t& s : start) {
+      const std::uint32_t count = s;
+      s = sum;
+      sum += count;
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      dst[start[(src[i] >> shift) & 0xff]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  return src;
 }
 
 std::uint64_t zigzag(std::int64_t d) noexcept {
@@ -140,12 +213,36 @@ std::int64_t unzigzag(std::uint64_t z) noexcept {
   return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
 }
 
+// Packs zs[0..count) at `width` bits each (1..56), LSB first, into
+// ceil(count * width / 8) bytes at `out`: whole 64-bit words leave a
+// register accumulator as they fill, then the tail bytes.
+void pack_bits(const std::uint64_t* zs, std::size_t count, unsigned width,
+               std::byte* out) noexcept {
+  std::uint64_t acc = 0;
+  unsigned fill = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    acc |= zs[i] << fill;
+    fill += width;
+    if (fill >= 64) {
+      put_u64le(out, acc);
+      out += 8;
+      fill -= 64;
+      // The bits of zs[i] that did not fit; fill < width, so the shift
+      // is in 1..56 and drops exactly the bits already stored.
+      acc = zs[i] >> (width - fill);
+    }
+  }
+  for (unsigned b = 0; b < fill; b += 8) {
+    *out++ = static_cast<std::byte>((acc >> b) & 0xff);
+  }
+}
+
 }  // namespace
 
 bool delta_bitpack_encode(const double* values, std::size_t n,
                           std::vector<std::byte>& out) {
-  if (n == 0) {
-    return false;  // nothing to shrink
+  if (n == 0 || n > std::numeric_limits<std::uint32_t>::max()) {
+    return false;  // nothing to shrink, or more than the u32 count holds
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (!std::isfinite(values[i])) {
@@ -158,21 +255,25 @@ bool delta_bitpack_encode(const double* values, std::size_t n,
   // 1-3 significant decimal digits reproduces the quantizer's literal.
   // Wrong guesses are harmless — extract_grid bit-verifies every value.
   // Only the distinct values are sorted: duplicates add nothing but zero
-  // gaps, so min_gap and min_abs equal those of the whole sorted column.
+  // gaps, so min_gap and min_abs equal those of the whole sorted column
+  // (and so does -0.0 sorting below +0.0: their gap is zero either way).
   EncodeScratch& scratch = encode_scratch;
   collect_distinct(values, n, scratch);
-  std::vector<double>& sorted = scratch.distinct;
-  std::sort(sorted.begin(), sorted.end());
+  const std::size_t m = scratch.distinct.size();
+  const std::uint64_t* sorted = sort_distinct(scratch);
   double candidates[4];
   std::size_t n_candidates = 0;
   double min_gap = 0.0;
-  double min_abs = std::fabs(sorted[0]);
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    const double gap = sorted[i] - sorted[i - 1];
+  double prev = from_sort_key(sorted[0]);
+  double min_abs = std::fabs(prev);
+  for (std::size_t i = 1; i < m; ++i) {
+    const double v = from_sort_key(sorted[i]);
+    const double gap = v - prev;
     if (gap > 0.0 && (min_gap == 0.0 || gap < min_gap)) {
       min_gap = gap;
     }
-    min_abs = std::min(min_abs, std::fabs(sorted[i]));
+    min_abs = std::min(min_abs, std::fabs(v));
+    prev = v;
   }
   if (min_gap > 0.0) {
     candidates[n_candidates++] = snap_decimal(min_gap, 1);
@@ -187,12 +288,16 @@ bool delta_bitpack_encode(const double* values, std::size_t n,
 
   // Prefer the plain grid (cheaper decode); fall back to the
   // float32-truncated grid recorded sensor columns actually live on.
-  std::vector<std::int64_t>& ks = scratch.ks;
+  // Only the distinct values are gridded: a value's k depends on its
+  // bits alone, and the column is on a grid exactly when each of its
+  // distinct values is.
+  std::vector<std::int64_t>& kd = scratch.kd;
   bool have_grid = false;
   bool f32 = false;
   for (const bool try_f32 : {false, true}) {
     for (std::size_t c = 0; c < n_candidates && !have_grid; ++c) {
-      have_grid = extract_grid(values, n, candidates[c], try_f32, ks);
+      have_grid =
+          extract_grid(scratch.distinct.data(), m, candidates[c], try_f32, kd);
       if (have_grid) {
         // Remember which candidate matched by leaving it in slot 0.
         candidates[0] = candidates[c];
@@ -208,14 +313,19 @@ bool delta_bitpack_encode(const double* values, std::size_t n,
   }
   const double step = candidates[0];
 
-  unsigned width = 0;
+  const std::uint32_t* ids = scratch.ids.data();
+  scratch.zs.resize(n);
+  std::uint64_t* zs = scratch.zs.data();
+  std::uint64_t any = 0;
+  const std::int64_t k0 = kd[ids[0]];
+  std::int64_t k_prev = k0;
   for (std::size_t i = 1; i < n; ++i) {
-    const std::uint64_t z = zigzag(ks[i] - ks[i - 1]);
-    if (z != 0) {
-      width = std::max(
-          width, static_cast<unsigned>(64 - std::countl_zero(z)));
-    }
+    const std::int64_t k = kd[ids[i]];
+    zs[i] = zigzag(k - k_prev);
+    any |= zs[i];
+    k_prev = k;
   }
+  const auto width = static_cast<unsigned>(std::bit_width(any));
   if (width > delta_bitpack_max_width) {
     return false;
   }
@@ -224,28 +334,13 @@ bool delta_bitpack_encode(const double* values, std::size_t n,
     return false;  // compression would not pay
   }
 
-  out.assign(encoded, std::byte{0});
+  out.resize(encoded);
   put_u32le(out.data(), static_cast<std::uint32_t>(n));
   put_u32le(out.data() + 4, width | (f32 ? delta_bitpack_f32_flag : 0u));
   put_u64le(out.data() + 8, std::bit_cast<std::uint64_t>(step));
-  put_u64le(out.data() + 16, static_cast<std::uint64_t>(ks[0]));
+  put_u64le(out.data() + 16, static_cast<std::uint64_t>(k0));
   if (width > 0) {
-    std::byte* packed = out.data() + delta_bitpack_header_bytes;
-    std::size_t bit = 0;
-    for (std::size_t i = 1; i < n; ++i, bit += width) {
-      std::uint64_t z = zigzag(ks[i] - ks[i - 1]);
-      std::size_t b = bit >> 3;
-      unsigned used = static_cast<unsigned>(bit & 7);
-      unsigned left = width;
-      while (left > 0) {
-        packed[b] |= static_cast<std::byte>((z << used) & 0xff);
-        const unsigned consumed = 8 - used;
-        z >>= consumed;
-        left -= std::min(left, consumed);
-        used = 0;
-        ++b;
-      }
-    }
+    pack_bits(zs + 1, n - 1, width, out.data() + delta_bitpack_header_bytes);
   }
   return true;
 }

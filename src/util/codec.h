@@ -27,6 +27,22 @@
 // layer additionally CRCs the *decoded* bytes, so a bit flip inside a
 // compressed payload surfaces as a loud StoreError either way.
 //
+// The encoder works in six steps, all in one portable function whose
+// working memory is per-thread scratch sized to the column:
+//   1. distinct ids: an open-addressed hash map gives each distinct bit
+//      pattern an id, and records the id of every value;
+//   2. sort: an LSD radix sort of the distinct values' order-preserving
+//      integer keys, passing only over the key bytes that differ;
+//   3. step candidates: the smallest gap between adjacent sorted values,
+//      snapped to 1, 2 and 3 significant decimal digits, and unsnapped;
+//   4. grid: each distinct value (not each row) is mapped to its k and
+//      bit-verified — a value's k depends on its bits alone, so the
+//      column is on the grid exactly when its distinct values are;
+//   5. deltas: row i's k is the k of its distinct id; the width is the
+//      bit width of the OR of all zigzagged deltas;
+//   6. packing: fields gather in a 64-bit register and leave it as
+//      little-endian 8-byte words, then the tail bytes.
+//
 // The packed little-endian bit stream is unpacked through the
 // runtime-dispatched util::simd::unpack_bits kernel (AVX2 gathers on
 // x86), which is why widths are capped at 56 bits: every field then

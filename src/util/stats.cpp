@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <vector>
 
 namespace psc::util {
@@ -53,13 +52,6 @@ double RunningStats::variance() const noexcept {
   return m2_ / static_cast<double>(count_ - 1);
 }
 
-double RunningStats::population_variance() const noexcept {
-  if (count_ == 0) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_);
-}
-
 double RunningStats::stddev() const noexcept {
   return std::sqrt(variance());
 }
@@ -102,74 +94,6 @@ WelchResult welch_t_test(std::span<const double> a,
     sb.add(x);
   }
   return welch_t_test(sa, sb);
-}
-
-double pearson(std::span<const double> x, std::span<const double> y) noexcept {
-  OnlineCorrelation acc;
-  const std::size_t n = std::min(x.size(), y.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    acc.add(x[i], y[i]);
-  }
-  return acc.correlation();
-}
-
-void OnlineCorrelation::add(double x, double y) noexcept {
-  ++n_;
-  sum_x_ += x;
-  sum_y_ += y;
-  sum_xx_ += x * x;
-  sum_yy_ += y * y;
-  sum_xy_ += x * y;
-}
-
-void OnlineCorrelation::add_batch(std::span<const double> xs,
-                                  std::span<const double> ys) {
-  if (xs.size() != ys.size()) {
-    throw std::invalid_argument(
-        "OnlineCorrelation::add_batch: span length mismatch");
-  }
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    add(xs[i], ys[i]);
-  }
-}
-
-void OnlineCorrelation::merge(const OnlineCorrelation& other) noexcept {
-  n_ += other.n_;
-  sum_x_ += other.sum_x_;
-  sum_y_ += other.sum_y_;
-  sum_xx_ += other.sum_xx_;
-  sum_yy_ += other.sum_yy_;
-  sum_xy_ += other.sum_xy_;
-}
-
-double OnlineCorrelation::correlation() const noexcept {
-  if (n_ < 2) {
-    return 0.0;
-  }
-  const double n = static_cast<double>(n_);
-  const double cov = sum_xy_ - sum_x_ * sum_y_ / n;
-  const double var_x = sum_xx_ - sum_x_ * sum_x_ / n;
-  const double var_y = sum_yy_ - sum_y_ * sum_y_ / n;
-  if (var_x <= 0.0 || var_y <= 0.0) {
-    return 0.0;
-  }
-  return cov / std::sqrt(var_x * var_y);
-}
-
-double OnlineCorrelation::mean_x() const noexcept {
-  return n_ == 0 ? 0.0 : sum_x_ / static_cast<double>(n_);
-}
-
-double OnlineCorrelation::mean_y() const noexcept {
-  return n_ == 0 ? 0.0 : sum_y_ / static_cast<double>(n_);
-}
-
-double OnlineCorrelation::covariance() const noexcept {
-  if (n_ < 2) {
-    return 0.0;
-  }
-  const double n = static_cast<double>(n_);
-  return (sum_xy_ - sum_x_ * sum_y_ / n) / (n - 1.0);
 }
 
 double mean(std::span<const double> xs) noexcept {

@@ -1,6 +1,6 @@
-// Statistics primitives used by the leakage-assessment (TVLA) and key
-// extraction (CPA) engines: numerically stable running moments, Welch's
-// t-test, and Pearson correlation in both batch and online form.
+// Statistics primitives: numerically stable running moments, Welch's
+// t-test (the leakage-assessment TVLA engine's statistic) and span
+// helpers.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +27,6 @@ class RunningStats {
   double mean() const noexcept { return mean_; }
   // Unbiased sample variance (divides by n-1); 0 when count < 2.
   double variance() const noexcept;
-  // Population variance (divides by n); 0 when empty.
-  double population_variance() const noexcept;
   double stddev() const noexcept;
   // Smallest / largest sample; undefined (0) when empty.
   double min() const noexcept { return min_; }
@@ -75,37 +73,6 @@ WelchResult welch_t_test(std::span<const double> a,
 // TVLA threshold from Goodwill et al.: |t| >= 4.5 indicates the two trace
 // sets are distinguishable with confidence > 99.999%.
 inline constexpr double tvla_threshold = 4.5;
-
-// Pearson correlation coefficient of two equal-length sample spans.
-// Returns 0 for degenerate inputs (fewer than 2 samples or zero variance).
-double pearson(std::span<const double> x, std::span<const double> y) noexcept;
-
-// Streaming accumulator for the Pearson correlation of paired observations.
-// Keeps only sums, so millions of pairs cost O(1) memory.
-class OnlineCorrelation {
- public:
-  void add(double x, double y) noexcept;
-  // Adds a batch of paired observations; throws std::invalid_argument
-  // unless the spans have equal length.
-  void add_batch(std::span<const double> xs, std::span<const double> ys);
-  void merge(const OnlineCorrelation& other) noexcept;
-
-  std::size_t count() const noexcept { return n_; }
-  // Correlation of the pairs seen so far; 0 for degenerate input.
-  double correlation() const noexcept;
-  double mean_x() const noexcept;
-  double mean_y() const noexcept;
-  // Sample covariance (n-1 denominator); 0 when count < 2.
-  double covariance() const noexcept;
-
- private:
-  std::size_t n_ = 0;
-  double sum_x_ = 0.0;
-  double sum_y_ = 0.0;
-  double sum_xx_ = 0.0;
-  double sum_yy_ = 0.0;
-  double sum_xy_ = 0.0;
-};
 
 // Mean of a span; 0 when empty.
 double mean(std::span<const double> xs) noexcept;

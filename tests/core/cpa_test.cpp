@@ -11,10 +11,33 @@
 
 #include "util/rng.h"
 #include "util/simd.h"
-#include "util/stats.h"
 
 namespace psc::core {
 namespace {
+
+// Pearson correlation of paired samples, computed directly (two passes):
+// the brute-force reference. 0 when either side has no variance.
+double direct_correlation(const std::vector<double>& x,
+                          const std::vector<double>& y) {
+  const double n = static_cast<double>(x.size());
+  double mean_x = 0.0;
+  double mean_y = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    mean_x += x[i];
+    mean_y += y[i];
+  }
+  mean_x /= n;
+  mean_y /= n;
+  double sxy = 0.0;
+  double sxx = 0.0;
+  double syy = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    sxy += (x[i] - mean_x) * (y[i] - mean_y);
+    sxx += (x[i] - mean_x) * (x[i] - mean_x);
+    syy += (y[i] - mean_y) * (y[i] - mean_y);
+  }
+  return sxx > 0.0 && syy > 0.0 ? sxy / std::sqrt(sxx * syy) : 0.0;
+}
 
 aes::Block random_block(util::Xoshiro256& rng) {
   aes::Block b;
@@ -149,17 +172,16 @@ TEST_P(CpaHistogramEquivalence, MatchesDirectCorrelation) {
   for (const std::size_t byte_index : {std::size_t{0}, std::size_t{7}}) {
     const ByteRanking fast = engine.analyze_byte(model, byte_index);
     for (int g = 0; g < 256; g += 13) {
-      util::OnlineCorrelation direct;
+      std::vector<double> predicted(n_traces);
       for (int t = 0; t < n_traces; ++t) {
-        direct.add(
+        predicted[static_cast<std::size_t>(t)] =
             static_cast<double>(power::predict(
                 model, pts[static_cast<std::size_t>(t)],
                 cts[static_cast<std::size_t>(t)], byte_index,
-                static_cast<std::uint8_t>(g))),
-            values[static_cast<std::size_t>(t)]);
+                static_cast<std::uint8_t>(g)));
       }
       EXPECT_NEAR(fast.correlation[static_cast<std::size_t>(g)],
-                  direct.correlation(), 1e-9)
+                  direct_correlation(predicted, values), 1e-9)
           << power::power_model_name(model) << " byte " << byte_index
           << " guess " << g;
     }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -235,6 +237,25 @@ TEST(PstrStore, WriterRejectsMisuse) {
   writer.finalize();  // idempotent
   util::Xoshiro256 rng(7);
   EXPECT_THROW(writer.append(random_batch(rng, 1, 2)), StoreError);
+}
+
+TEST(PstrStore, OversizedChunkCapacityLeavesThePathUntouched) {
+  // Row counts are stored as u32, so a capacity of 2^32 is refused before
+  // the writer unlinks or creates anything at `path` (and before it
+  // reserves a chunk of staging memory).
+  const std::string path = temp_path("oversized_capacity.pstr");
+  const std::string bytes = "not a trace store";
+  {
+    std::ofstream existing(path, std::ios::binary | std::ios::trunc);
+    existing << bytes;
+  }
+  EXPECT_THROW(TraceFileWriter(path, {.channels = two_channels,
+                                      .chunk_capacity = std::size_t{1} << 32}),
+               StoreError);
+  std::ifstream kept(path, std::ios::binary);
+  const std::string read((std::istreambuf_iterator<char>(kept)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(read, bytes);
 }
 
 }  // namespace

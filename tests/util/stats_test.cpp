@@ -35,7 +35,6 @@ TEST(RunningStats, KnownMoments) {
   }
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.population_variance(), 4.0);
   EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
@@ -76,33 +75,6 @@ TEST(RunningStats, AddBatchEqualsLoopExactly) {
   EXPECT_DOUBLE_EQ(batched.variance(), looped.variance());
   EXPECT_DOUBLE_EQ(batched.min(), looped.min());
   EXPECT_DOUBLE_EQ(batched.max(), looped.max());
-}
-
-TEST(OnlineCorrelation, AddBatchEqualsLoopExactly) {
-  Xoshiro256 rng(23);
-  std::vector<double> xs(500);
-  std::vector<double> ys(500);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = rng.uniform01();
-    ys[i] = 0.5 * xs[i] + rng.gaussian(0.0, 0.1);
-  }
-  OnlineCorrelation looped;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    looped.add(xs[i], ys[i]);
-  }
-  OnlineCorrelation batched;
-  batched.add_batch(xs, ys);
-  EXPECT_EQ(batched.count(), looped.count());
-  EXPECT_DOUBLE_EQ(batched.correlation(), looped.correlation());
-  EXPECT_DOUBLE_EQ(batched.covariance(), looped.covariance());
-}
-
-TEST(OnlineCorrelation, AddBatchRejectsLengthMismatch) {
-  OnlineCorrelation acc;
-  const std::vector<double> xs = {1.0, 2.0};
-  const std::vector<double> ys = {1.0};
-  EXPECT_THROW(acc.add_batch(xs, ys), std::invalid_argument);
-  EXPECT_EQ(acc.count(), 0u);
 }
 
 TEST(RunningStats, MergeWithEmpty) {
@@ -182,80 +154,6 @@ TEST(WelchTTest, NullHypothesisStaysBelowThreshold) {
     b.add(rng.gaussian(1.0, 2.0));
   }
   EXPECT_LT(std::abs(welch_t_test(a, b).t), tvla_threshold);
-}
-
-TEST(Pearson, PerfectPositive) {
-  const std::vector<double> x = {1, 2, 3, 4, 5};
-  const std::vector<double> y = {2, 4, 6, 8, 10};
-  EXPECT_NEAR(pearson(x, y), 1.0, 1e-12);
-}
-
-TEST(Pearson, PerfectNegative) {
-  const std::vector<double> x = {1, 2, 3, 4, 5};
-  const std::vector<double> y = {10, 8, 6, 4, 2};
-  EXPECT_NEAR(pearson(x, y), -1.0, 1e-12);
-}
-
-TEST(Pearson, InvariantToAffineTransform) {
-  Xoshiro256 rng(24);
-  std::vector<double> x(500);
-  std::vector<double> y(500);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = rng.gaussian();
-    y[i] = 0.3 * x[i] + rng.gaussian();
-  }
-  const double base = pearson(x, y);
-  std::vector<double> y_scaled(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    y_scaled[i] = 100.0 + 42.0 * y[i];
-  }
-  EXPECT_NEAR(pearson(x, y_scaled), base, 1e-9);
-}
-
-TEST(Pearson, DegenerateReturnsZero) {
-  const std::vector<double> x = {1, 1, 1, 1};
-  const std::vector<double> y = {1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(pearson(x, y), 0.0);
-  const std::vector<double> empty;
-  EXPECT_DOUBLE_EQ(pearson(empty, empty), 0.0);
-}
-
-TEST(OnlineCorrelation, MatchesBatchPearson) {
-  Xoshiro256 rng(25);
-  std::vector<double> x(2000);
-  std::vector<double> y(2000);
-  OnlineCorrelation acc;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = rng.gaussian(3.0, 2.0);
-    y[i] = 0.5 * x[i] + rng.gaussian(0.0, 1.5);
-    acc.add(x[i], y[i]);
-  }
-  EXPECT_NEAR(acc.correlation(), pearson(x, y), 1e-9);
-}
-
-TEST(OnlineCorrelation, MergeMatchesSequential) {
-  Xoshiro256 rng(26);
-  OnlineCorrelation whole;
-  OnlineCorrelation left;
-  OnlineCorrelation right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform01();
-    const double y = x * x + rng.gaussian(0.0, 0.1);
-    whole.add(x, y);
-    (i % 2 == 0 ? left : right).add(x, y);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.correlation(), whole.correlation(), 1e-12);
-  EXPECT_NEAR(left.covariance(), whole.covariance(), 1e-12);
-}
-
-TEST(OnlineCorrelation, MeansTracked) {
-  OnlineCorrelation acc;
-  acc.add(1.0, 10.0);
-  acc.add(3.0, 30.0);
-  EXPECT_DOUBLE_EQ(acc.mean_x(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.mean_y(), 20.0);
 }
 
 TEST(SpanHelpers, MeanVariancePercentile) {
