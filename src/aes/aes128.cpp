@@ -98,6 +98,71 @@ bool use_aesni() noexcept {
   return cpu_has_aesni &&
          util::simd::active_backend() != util::simd::Backend::scalar;
 }
+
+__attribute__((target("popcnt,sse4.1"))) inline std::uint8_t bit_count(
+    __m128i v) noexcept {
+  return static_cast<std::uint8_t>(
+      _mm_popcnt_u64(static_cast<std::uint64_t>(_mm_cvtsi128_si64(v))) +
+      _mm_popcnt_u64(static_cast<std::uint64_t>(_mm_extract_epi64(v, 1))));
+}
+
+// `lanes` blocks starting at trace t, interleaved round by round so the
+// AESENC latencies overlap.
+template <std::size_t lanes>
+__attribute__((target("aes,popcnt,sse4.1"))) inline void count_lanes_aesni(
+    const std::array<Block, num_rounds + 1>& round_keys, const Block* pts,
+    Block* cts, RoundCounts& counts, std::size_t t) noexcept {
+  auto& bits = counts.bits;
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i key0 = load_block(round_keys[0]);
+  __m128i state[lanes];
+  __m128i round9[lanes];
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const __m128i pt = load_block(pts[t + l]);
+    bits[RoundCounts::plaintext][t + l] = bit_count(pt);
+    state[l] = _mm_xor_si128(pt, key0);
+    bits[RoundCounts::ark(0)][t + l] = bit_count(state[l]);
+  }
+  for (std::size_t round = 1; round <= num_rounds; ++round) {
+    const __m128i key = load_block(round_keys[round]);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      bits[RoundCounts::sbox(round - 1)][t + l] =
+          bit_count(_mm_aesenclast_si128(state[l], zero));
+      if (round < num_rounds) {
+        state[l] = _mm_aesenc_si128(state[l], key);
+      } else {
+        round9[l] = state[l];
+        state[l] = _mm_aesenclast_si128(state[l], key);
+      }
+      bits[RoundCounts::ark(round)][t + l] = bit_count(state[l]);
+    }
+  }
+  for (std::size_t l = 0; l < lanes; ++l) {
+    bits[RoundCounts::last_round_hd][t + l] =
+        bit_count(_mm_xor_si128(round9[l], state[l]));
+    store_block(cts[t + l], state[l]);
+  }
+}
+
+__attribute__((target("aes,popcnt,sse4.1"))) void count_round_states_aesni(
+    const std::array<Block, num_rounds + 1>& round_keys, const Block* pts,
+    Block* cts, std::size_t n, RoundCounts& counts) noexcept {
+  std::size_t t = 0;
+  for (; t + 4 <= n; t += 4) {
+    count_lanes_aesni<4>(round_keys, pts, cts, counts, t);
+  }
+  for (; t < n; ++t) {
+    count_lanes_aesni<1>(round_keys, pts, cts, counts, t);
+  }
+}
+
+// The counting body runs under the same switch, on CPUs that also have
+// POPCNT and SSE4.1 (for the upper-word extract).
+bool use_aesni_popcnt() noexcept {
+  static const bool cpu_has_popcnt = __builtin_cpu_supports("popcnt") != 0 &&
+                                     __builtin_cpu_supports("sse4.1") != 0;
+  return cpu_has_popcnt && use_aesni();
+}
 #endif  // PSC_SIMD_X86
 
 }  // namespace
@@ -211,6 +276,38 @@ Block Aes128::encrypt_trace(const Block& plaintext,
   add_round_key(state, round_keys_[num_rounds]);
   trace.post_add_round_key[num_rounds] = state;
   return state;
+}
+
+void Aes128::count_round_states(std::span<const Block> plaintexts,
+                                std::span<Block> ciphertexts,
+                                RoundCounts& counts) const noexcept {
+  const std::size_t n = plaintexts.size();
+#if defined(PSC_SIMD_X86)
+  if (use_aesni_popcnt()) {
+    count_round_states_aesni(round_keys_, plaintexts.data(),
+                             ciphertexts.data(), n, counts);
+    return;
+  }
+#endif
+  auto& bits = counts.bits;
+  RoundTrace trace;
+  for (std::size_t t = 0; t < n; ++t) {
+    ciphertexts[t] = encrypt_trace(plaintexts[t], trace);
+    for (std::size_t r = 0; r <= num_rounds; ++r) {
+      bits[RoundCounts::ark(r)][t] = static_cast<std::uint8_t>(
+          hamming_weight(trace.post_add_round_key[r]));
+    }
+    for (std::size_t r = 0; r < num_rounds; ++r) {
+      bits[RoundCounts::sbox(r)][t] =
+          static_cast<std::uint8_t>(hamming_weight(trace.post_sub_bytes[r]));
+    }
+    bits[RoundCounts::plaintext][t] =
+        static_cast<std::uint8_t>(hamming_weight(plaintexts[t]));
+    bits[RoundCounts::last_round_hd][t] =
+        static_cast<std::uint8_t>(hamming_distance(
+            trace.post_add_round_key[num_rounds - 1],
+            trace.post_add_round_key[num_rounds]));
+  }
 }
 
 }  // namespace psc::aes

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 
 namespace psc::aes {
 
@@ -27,6 +28,29 @@ inline constexpr int num_rounds = 10;
 struct RoundTrace {
   std::array<Block, num_rounds + 1> post_add_round_key{};
   std::array<Block, num_rounds> post_sub_bytes{};
+};
+
+// Bit counts of the round states of up to `capacity` encryptions, the
+// inputs of every leakage sum. Stored term-major, bits[term][trace], so
+// that the sums run one vector lane per trace; 64 traces keep a whole
+// block of the simulated device's scratch in L1 (measured as fast as 256
+// and lighter on a campaign's peak RSS). The terms of trace t:
+//   bits[ark(r)][t]         HW(post_add_round_key[r]), r = 0..10
+//   bits[sbox(r)][t]        HW(post_sub_bytes[r]), r = 0..9
+//   bits[plaintext][t]      HW(plaintext)
+//   bits[last_round_hd][t]  HD(post_add_round_key[9], post_add_round_key[10])
+// Every count is at most 128, so a byte holds it.
+struct RoundCounts {
+  static constexpr std::size_t capacity = 64;
+  static constexpr std::size_t terms = 2 * num_rounds + 3;
+  static constexpr std::size_t ark(std::size_t r) noexcept { return r; }
+  static constexpr std::size_t sbox(std::size_t r) noexcept {
+    return num_rounds + 1 + r;
+  }
+  static constexpr std::size_t plaintext = 2 * num_rounds + 1;
+  static constexpr std::size_t last_round_hd = 2 * num_rounds + 2;
+
+  alignas(32) std::array<std::array<std::uint8_t, capacity>, terms> bits;
 };
 
 // AES-128 block cipher with a fixed key.
@@ -51,6 +75,22 @@ class Aes128 {
   // traces; tests/aes/aes128_test.cpp pins each to FIPS-197 appendix B
   // and to each other.
   Block encrypt_trace(const Block& plaintext, RoundTrace& trace) const noexcept;
+
+  // Encrypts plaintexts[t] into ciphertexts[t] for every t <
+  // plaintexts.size() (at most RoundCounts::capacity; the spans have equal
+  // size) and writes the bit counts of the states encrypt_trace would
+  // record into `counts`, without recording the states.
+  //
+  // Dispatch: on x86-64, when the CPU has AES-NI, POPCNT and SSE4.1 and
+  // util::simd::active_backend() is not `scalar`, four blocks run
+  // interleaved through AESENC and are counted with POPCNT straight from
+  // the registers. HW(post_sub_bytes) is the count of AESENCLAST(s, 0),
+  // because ShiftRows only moves bytes. Otherwise each block runs through
+  // encrypt_trace and the portable popcount. Counts are integers, so both
+  // bodies write the same bytes.
+  void count_round_states(std::span<const Block> plaintexts,
+                          std::span<Block> ciphertexts,
+                          RoundCounts& counts) const noexcept;
 
   // Round keys rk[0..10]; rk[0] is the master key.
   const std::array<Block, num_rounds + 1>& round_keys() const noexcept {

@@ -55,7 +55,7 @@ LiveTraceSource::LiveTraceSource(const LiveSourceConfig& config,
               config.mitigation),
       keys_(source_.keys()),
       include_pcpu_(config.include_pcpu),
-      scratch_(source_.keys().size()) {
+      columns_(source_.keys().size()) {
   if (include_pcpu_) {
     keys_.push_back(util::FourCc("PCPU"));
   }
@@ -74,20 +74,12 @@ std::vector<util::FourCc> LiveTraceSource::channel_names(
 
 void LiveTraceSource::collect_batch(TraceBatch& batch) {
   check_channels(*this, batch, "LiveTraceSource::collect_batch");
-  const auto pts = batch.plaintexts();
-  const auto cts = batch.ciphertexts();
-  const std::size_t smc_n = source_.keys().size();
-  const std::span<double> scratch(scratch_.data(), smc_n);
-  for (std::size_t t = 0; t < batch.size(); ++t) {
-    std::uint64_t pcpu_mj = 0;
-    source_.collect_into(pts[t], cts[t], scratch, pcpu_mj);
-    for (std::size_t c = 0; c < smc_n; ++c) {
-      batch.column(c)[t] = scratch_[c];
-    }
-    if (include_pcpu_) {
-      batch.column(smc_n)[t] = static_cast<double>(pcpu_mj);
-    }
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c] = batch.column(c);
   }
+  source_.collect_batch(
+      batch.plaintexts(), batch.ciphertexts(), columns_,
+      include_pcpu_ ? batch.column(columns_.size()) : std::span<double>{});
 }
 
 // ---------- SyntheticTraceSource ----------

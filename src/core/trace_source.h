@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "aes/aes128.h"
@@ -114,8 +115,10 @@ class LiveTraceSource final : public TraceSource {
   const std::vector<util::FourCc>& keys() const noexcept override {
     return keys_;
   }
-  // Columnar fill through FastTraceSource::collect_into — no per-trace
-  // allocation.
+  // One FastTraceSource::collect_batch call per batch, straight into the
+  // batch's columns (PCPU included): the device fills whole columns in
+  // blocks of up to aes::RoundCounts::capacity (64) traces, in scratch it
+  // keeps, with no allocation per call.
   void collect_batch(TraceBatch& batch) override;
   double window_s() const noexcept override { return source_.window_s(); }
 
@@ -126,7 +129,7 @@ class LiveTraceSource final : public TraceSource {
   victim::FastTraceSource source_;
   std::vector<util::FourCc> keys_;
   bool include_pcpu_;
-  std::vector<double> scratch_;  // one row of SMC values, reused
+  std::vector<std::span<double>> columns_;  // the batch's SMC columns, reused
 };
 
 // ---------- synthetic leakage ----------

@@ -1,6 +1,12 @@
 #include "power/leakage_model.h"
 
+#include <cstring>
+
 #include "util/simd.h"
+
+#if defined(PSC_SIMD_X86)
+#include <immintrin.h>
+#endif
 
 namespace psc::power {
 
@@ -66,9 +72,35 @@ bool use_popcnt() noexcept {
   return cpu_has_popcnt &&
          util::simd::active_backend() != util::simd::Backend::scalar;
 }
+
+// Four byte counts of one term row as doubles.
+__attribute__((target("avx2"))) inline __m256d load_counts(
+    const std::uint8_t* row) noexcept {
+  std::int32_t packed;
+  std::memcpy(&packed, row, sizeof packed);
+  return _mm256_cvtepi32_pd(_mm_cvtepu8_epi32(_mm_cvtsi32_si128(packed)));
+}
 #endif  // PSC_SIMD_X86
 
 }  // namespace
+
+LeakageEvaluator::LeakageEvaluator(LeakageConfig config) noexcept
+    : config_(config), expected_energy_(config_.expected_energy()) {
+  // The nonzero terms of weighted_bits_of, in its order.
+  const auto add = [this](std::size_t count, double weight) {
+    if (weight != 0.0) {
+      terms_[term_count_++] = {count, weight};
+    }
+  };
+  for (std::size_t r = 0; r <= aes::num_rounds; ++r) {
+    add(aes::RoundCounts::ark(r), config_.ark_hw_weight[r]);
+  }
+  for (std::size_t r = 0; r < aes::num_rounds; ++r) {
+    add(aes::RoundCounts::sbox(r), config_.sbox_hw_weight[r]);
+  }
+  add(aes::RoundCounts::plaintext, config_.plaintext_load_weight);
+  add(aes::RoundCounts::last_round_hd, config_.last_round_hd_weight);
+}
 
 LeakageConfig LeakageConfig::apple_silicon_default() {
   LeakageConfig cfg;
@@ -166,6 +198,88 @@ double LeakageEvaluator::bus_energy_deviation(
     const aes::Block& plaintext, const aes::Block& ciphertext) const noexcept {
   return bus_energy(plaintext, ciphertext) -
          config_.bus_joules_per_bit * 128.0;
+}
+
+namespace {
+
+// Traces [begin, end) of LeakageEvaluator::energy_deviations, one at a
+// time: the portable body, and the tail of the vector body.
+void energy_deviations_scalar(const aes::RoundCounts& counts,
+                              std::span<const LeakageTerm> terms,
+                              const LeakageConfig& config,
+                              double expected_energy, std::size_t begin,
+                              std::size_t end, double* core,
+                              double* bus) noexcept {
+  const auto& bits = counts.bits;
+  const double bus_expected = config.bus_joules_per_bit * 128.0;
+  for (std::size_t t = begin; t < end; ++t) {
+    double weighted_bits = 0.0;
+    for (const LeakageTerm& term : terms) {
+      weighted_bits += term.weight * bits[term.count][t];
+    }
+    core[t] = weighted_bits * config.leak_joules_per_bit - expected_energy;
+    const int bus_bits = bits[aes::RoundCounts::plaintext][t] +
+                         bits[aes::RoundCounts::ark(aes::num_rounds)][t];
+    const double bus_energy = config.bus_joules_per_bit == 0.0
+                                  ? 0.0
+                                  : config.bus_joules_per_bit * bus_bits;
+    bus[t] = bus_energy - bus_expected;
+  }
+}
+
+#if defined(PSC_SIMD_X86)
+// One lane per trace, each lane through the scalar body's operations.
+// Returns how many traces it did.
+__attribute__((target("avx2"))) std::size_t energy_deviations_avx2(
+    const aes::RoundCounts& counts, std::span<const LeakageTerm> terms,
+    const LeakageConfig& config, double expected_energy, std::size_t n,
+    double* core, double* bus) noexcept {
+  const auto& bits = counts.bits;
+  const __m256d joules_per_bit = _mm256_set1_pd(config.leak_joules_per_bit);
+  const __m256d expected = _mm256_set1_pd(expected_energy);
+  const __m256d bus_joules_per_bit =
+      _mm256_set1_pd(config.bus_joules_per_bit);
+  const __m256d bus_expected =
+      _mm256_set1_pd(config.bus_joules_per_bit * 128.0);
+  const bool bus_off = config.bus_joules_per_bit == 0.0;
+  std::size_t t = 0;
+  for (; t + 4 <= n; t += 4) {
+    __m256d weighted_bits = _mm256_setzero_pd();
+    for (const LeakageTerm& term : terms) {
+      weighted_bits = _mm256_add_pd(
+          weighted_bits, _mm256_mul_pd(_mm256_set1_pd(term.weight),
+                                       load_counts(&bits[term.count][t])));
+    }
+    _mm256_storeu_pd(core + t,
+                     _mm256_sub_pd(_mm256_mul_pd(weighted_bits, joules_per_bit),
+                                   expected));
+    const __m256d bus_bits = _mm256_add_pd(
+        load_counts(&bits[aes::RoundCounts::plaintext][t]),
+        load_counts(&bits[aes::RoundCounts::ark(aes::num_rounds)][t]));
+    const __m256d bus_energy = bus_off
+                                   ? _mm256_setzero_pd()
+                                   : _mm256_mul_pd(bus_joules_per_bit, bus_bits);
+    _mm256_storeu_pd(bus + t, _mm256_sub_pd(bus_energy, bus_expected));
+  }
+  return t;
+}
+#endif  // PSC_SIMD_X86
+
+}  // namespace
+
+void LeakageEvaluator::energy_deviations(const aes::RoundCounts& counts,
+                                         std::span<double> core,
+                                         std::span<double> bus) const noexcept {
+  const std::span<const LeakageTerm> terms(terms_.data(), term_count_);
+  std::size_t done = 0;
+#if defined(PSC_SIMD_X86)
+  if (util::simd::avx2_active()) {
+    done = energy_deviations_avx2(counts, terms, config_, expected_energy_,
+                                  core.size(), core.data(), bus.data());
+  }
+#endif
+  energy_deviations_scalar(counts, terms, config_, expected_energy_, done,
+                           core.size(), core.data(), bus.data());
 }
 
 }  // namespace psc::power

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
+#include <span>
 
 #include "aes/aes128.h"
 
@@ -62,12 +64,17 @@ struct LeakageConfig {
   double max_energy() const noexcept;
 };
 
+// One nonzero-weight term of the weighted bit count.
+struct LeakageTerm {
+  std::size_t count = 0;  // row of aes::RoundCounts::bits
+  double weight = 0.0;
+};
+
 // Evaluates the per-encryption data-dependent energy from a captured
 // round trace.
 class LeakageEvaluator {
  public:
-  explicit LeakageEvaluator(LeakageConfig config) noexcept
-      : config_(config), expected_energy_(config_.expected_energy()) {}
+  explicit LeakageEvaluator(LeakageConfig config) noexcept;
 
   // Joules of data-dependent energy dissipated by one encryption whose
   // intermediate states are `trace` and whose input block was `plaintext`.
@@ -96,11 +103,25 @@ class LeakageEvaluator {
   double bus_energy_deviation(const aes::Block& plaintext,
                               const aes::Block& ciphertext) const noexcept;
 
+  // Batch form of energy_deviation and bus_energy_deviation over the
+  // first core.size() encryptions counted in `counts` (bus.size() ==
+  // core.size()): core[t] and bus[t] are, bit for bit, what the per-block
+  // calls return for encryption t. Each weighted sum starts from 0.0 and
+  // adds w * count over the nonzero weights in the per-block order: the
+  // 11 AddRoundKey states, the 10 SubBytes states, the plaintext, the
+  // last-round distance. On x86-64 with AVX2, unless
+  // util::simd::active_backend() is `scalar`, one vector lane carries one
+  // trace through the same additions; otherwise a scalar loop does.
+  void energy_deviations(const aes::RoundCounts& counts, std::span<double> core,
+                         std::span<double> bus) const noexcept;
+
   const LeakageConfig& config() const noexcept { return config_; }
 
  private:
   LeakageConfig config_;
   double expected_energy_;  // config_.expected_energy(), computed once
+  std::array<LeakageTerm, aes::RoundCounts::terms> terms_{};
+  std::size_t term_count_ = 0;
 };
 
 }  // namespace psc::power

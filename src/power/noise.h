@@ -3,6 +3,8 @@
 // and ADC quantization.
 #pragma once
 
+#include <span>
+
 #include "util/rng.h"
 
 namespace psc::power {
@@ -38,6 +40,13 @@ class Quantizer {
   double step() const noexcept { return step_; }
 
   double apply(double value) const noexcept;
+
+  // apply() on every element of `values`, in place, bit for bit. On
+  // x86-64 with AVX2, unless util::simd::active_backend() is `scalar`,
+  // four lanes at a time with an exact vector round half away from zero;
+  // otherwise with std::round. The simulated device quantizes each
+  // sensor column with it.
+  void apply(std::span<double> values) const noexcept;
 
  private:
   double step_;

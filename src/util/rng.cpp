@@ -1,6 +1,13 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "util/simd.h"
+
+#if defined(PSC_SIMD_X86)
+#include <immintrin.h>
+#endif
 
 namespace psc::util {
 
@@ -8,6 +15,80 @@ namespace {
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
+}
+
+// One Xoshiro256** step. Shared by operator() and fill_gaussian, which
+// runs it on a local copy of the state so the words stay in registers.
+inline std::uint64_t xoshiro_next(std::array<std::uint64_t, 4>& s) noexcept {
+  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+
+  return result;
+}
+
+// Uniform double in [0, 1) from one raw output (53 bits).
+inline double unit_interval(std::uint64_t x) noexcept {
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
+// Uniform double in [lo, hi) from one raw output.
+inline double uniform_from(std::uint64_t x, double lo, double hi) noexcept {
+  return lo + (hi - lo) * unit_interval(x);
+}
+
+// The polar method's last step for `pairs` accepted candidates: factor
+// f = sqrt(-2 ln s / s), deviates u*f then v*f, interleaved into `out`.
+void polar_finish_scalar(const double* u, const double* v, const double* s,
+                         const double* log_s, std::size_t pairs,
+                         double* out) noexcept {
+  for (std::size_t k = 0; k < pairs; ++k) {
+    const double factor = std::sqrt(-2.0 * log_s[k] / s[k]);
+    out[2 * k] = u[k] * factor;
+    out[2 * k + 1] = v[k] * factor;
+  }
+}
+
+#if defined(PSC_SIMD_X86)
+// Four pairs per step: the same multiply, divide, square root and
+// multiplies as the scalar body, each correctly rounded per lane. Returns
+// how many pairs it did.
+__attribute__((target("avx2"))) std::size_t polar_finish_avx2(
+    const double* u, const double* v, const double* s, const double* log_s,
+    std::size_t pairs, double* out) noexcept {
+  const __m256d minus_two = _mm256_set1_pd(-2.0);
+  std::size_t k = 0;
+  for (; k + 4 <= pairs; k += 4) {
+    const __m256d factor = _mm256_sqrt_pd(
+        _mm256_div_pd(_mm256_mul_pd(minus_two, _mm256_loadu_pd(log_s + k)),
+                      _mm256_loadu_pd(s + k)));
+    const __m256d du = _mm256_mul_pd(_mm256_loadu_pd(u + k), factor);
+    const __m256d dv = _mm256_mul_pd(_mm256_loadu_pd(v + k), factor);
+    const __m256d lo = _mm256_unpacklo_pd(du, dv);  // u0 v0 u2 v2
+    const __m256d hi = _mm256_unpackhi_pd(du, dv);  // u1 v1 u3 v3
+    _mm256_storeu_pd(out + 2 * k, _mm256_permute2f128_pd(lo, hi, 0x20));
+    _mm256_storeu_pd(out + 2 * k + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
+  }
+  return k;
+}
+#endif  // PSC_SIMD_X86
+
+void polar_finish(const double* u, const double* v, const double* s,
+                  const double* log_s, std::size_t pairs,
+                  double* out) noexcept {
+  std::size_t k = 0;
+#if defined(PSC_SIMD_X86)
+  if (util::simd::avx2_active()) {
+    k = polar_finish_avx2(u, v, s, log_s, pairs, out);
+  }
+#endif
+  polar_finish_scalar(u + k, v + k, s + k, log_s + k, pairs - k, out + 2 * k);
 }
 
 }  // namespace
@@ -20,25 +101,15 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
 }
 
 Xoshiro256::result_type Xoshiro256::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-
-  return result;
+  return xoshiro_next(state_);
 }
 
 double Xoshiro256::uniform01() noexcept {
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  return unit_interval((*this)());
 }
 
 double Xoshiro256::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform01();
+  return uniform_from((*this)(), lo, hi);
 }
 
 std::uint64_t Xoshiro256::uniform_u64(std::uint64_t bound) noexcept {
@@ -78,6 +149,54 @@ double Xoshiro256::gaussian() noexcept {
 
 double Xoshiro256::gaussian(double mean, double sigma) noexcept {
   return mean + sigma * gaussian();
+}
+
+void Xoshiro256::fill_gaussian(std::span<double> out) noexcept {
+  double* dst = out.data();
+  std::size_t left = out.size();
+  if (left > 0 && has_cached_gaussian_) {
+    has_cached_gaussian_ = false;
+    *dst++ = cached_gaussian_;
+    --left;
+  }
+  // Accepted pairs per block: small enough to stay on the stack.
+  constexpr std::size_t block = 64;
+  std::array<double, block> u;
+  std::array<double, block> v;
+  std::array<double, block> s;
+  std::array<double, block> log_s;
+  std::array<std::uint64_t, 4> state = state_;
+  while (left > 0) {
+    const std::size_t pairs = std::min(block, (left + 1) / 2);
+    // The candidate is always written and kept only when accepted, the
+    // rejection test of gaussian() without a branch.
+    for (std::size_t k = 0; k < pairs;) {
+      const double cu = uniform_from(xoshiro_next(state), -1.0, 1.0);
+      const double cv = uniform_from(xoshiro_next(state), -1.0, 1.0);
+      const double cs = cu * cu + cv * cv;
+      u[k] = cu;
+      v[k] = cv;
+      s[k] = cs;
+      k += static_cast<std::size_t>(!((cs >= 1.0) | (cs == 0.0)));
+    }
+    for (std::size_t k = 0; k < pairs; ++k) {
+      log_s[k] = std::log(s[k]);
+    }
+    const std::size_t full = std::min(pairs, left / 2);
+    polar_finish(u.data(), v.data(), s.data(), log_s.data(), full, dst);
+    if (full < pairs) {
+      // One deviate wanted from the last pair: the other is cached, as
+      // gaussian() leaves it.
+      const double factor = std::sqrt(-2.0 * log_s[full] / s[full]);
+      dst[2 * full] = u[full] * factor;
+      cached_gaussian_ = v[full] * factor;
+      has_cached_gaussian_ = true;
+    }
+    const std::size_t written = std::min(2 * pairs, left);
+    dst += written;
+    left -= written;
+  }
+  state_ = state;
 }
 
 void Xoshiro256::fill_bytes(std::span<std::uint8_t> out) noexcept {

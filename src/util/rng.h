@@ -72,6 +72,15 @@ class Xoshiro256 {
   // Normal deviate with the given mean and standard deviation.
   double gaussian(double mean, double sigma) noexcept;
 
+  // Fills `out` with standard normal deviates: the same values, and the
+  // same generator state afterwards (cached second deviate included), as
+  // out.size() calls of gaussian(). Polar candidates are drawn
+  // branch-free (always written, kept only when accepted), each accepted
+  // pair makes one std::log call, and the square root, divide and
+  // multiplies run four pairs per AVX2 instruction unless the active
+  // util::simd mode is `scalar`. Both bodies round identically.
+  void fill_gaussian(std::span<double> out) noexcept;
+
   // Fills `out` with independent uniform bytes.
   void fill_bytes(std::span<std::uint8_t> out) noexcept;
 

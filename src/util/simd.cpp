@@ -335,6 +335,15 @@ void reset_backend() noexcept {
   g_table.store(nullptr, std::memory_order_release);
 }
 
+bool avx2_active() noexcept {
+#if defined(PSC_SIMD_X86)
+  static const bool cpu_has_avx2 = __builtin_cpu_supports("avx2") != 0;
+  return cpu_has_avx2 && active_backend() == Backend::native;
+#else
+  return false;
+#endif
+}
+
 void accumulate_moments(const double* x, std::size_t n, std::uint64_t g0,
                         MomentStripes& m) noexcept {
   // Scalar head until the stream index hits a stripe-0 boundary, so every

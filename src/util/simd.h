@@ -7,9 +7,14 @@
 // kernels with two dispatch modes: `scalar`, the portable reference
 // bodies, and `native`, which runs per kernel the one vector body that
 // measured fastest for the running CPU. The bodies outside this file
-// follow the same switch: the AES-NI round trace (aes/aes128.cpp), the
-// POPCNT leakage sums (power/leakage_model.cpp) and the PCLMULQDQ CRC-32
-// (util/crc32.cpp) run unless the active mode is `scalar`.
+// follow the same switch: the AES-NI round trace and the AES-NI + POPCNT
+// round-state counts (aes/aes128.cpp), the POPCNT leakage sums and the
+// AVX2 batch energy pass (power/leakage_model.cpp), the AVX2 quantizer
+// (power/noise.cpp), the AVX2 polar-method finish
+// of Xoshiro256::fill_gaussian (util/rng.cpp), the AVX2 sensor column
+// pass of the simulated device (victim/fast_trace.cpp) and the PCLMULQDQ
+// CRC-32 (util/crc32.cpp) run unless the active mode is `scalar`, each
+// where the CPU has its ISA. Each gives its portable body's bits.
 //
 // Bit-exactness contract
 // ----------------------
@@ -107,6 +112,11 @@ void force_backend(Backend backend);
 
 // Drops any override and re-resolves from PSC_SIMD.
 void reset_backend() noexcept;
+
+// True when the active mode is `native` and the CPU has AVX2: the switch
+// of the AVX2 bodies outside this module (the batch energy pass, the
+// quantizer, the Gaussian finish and the sensor column pass).
+bool avx2_active() noexcept;
 
 // ---------------------------------------------------------------------------
 // Striped moment accumulation.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 namespace psc::util {
 
@@ -75,59 +74,6 @@ WelchResult welch_t_test(const MomentSummary& a,
       va * va / (na - 1.0) + vb * vb / (nb - 1.0);
   r.dof = denom > 0.0 ? pooled * pooled / denom : na + nb - 2.0;
   return r;
-}
-
-WelchResult welch_t_test(const RunningStats& a,
-                         const RunningStats& b) noexcept {
-  return welch_t_test(MomentSummary{a.count(), a.mean(), a.variance()},
-                      MomentSummary{b.count(), b.mean(), b.variance()});
-}
-
-WelchResult welch_t_test(std::span<const double> a,
-                         std::span<const double> b) noexcept {
-  RunningStats sa;
-  RunningStats sb;
-  for (const double x : a) {
-    sa.add(x);
-  }
-  for (const double x : b) {
-    sb.add(x);
-  }
-  return welch_t_test(sa, sb);
-}
-
-double mean(std::span<const double> xs) noexcept {
-  if (xs.empty()) {
-    return 0.0;
-  }
-  double acc = 0.0;
-  for (const double x : xs) {
-    acc += x;
-  }
-  return acc / static_cast<double>(xs.size());
-}
-
-double variance(std::span<const double> xs) noexcept {
-  RunningStats s;
-  for (const double x : xs) {
-    s.add(x);
-  }
-  return s.variance();
-}
-
-double percentile(std::span<const double> xs, double p) {
-  if (xs.empty()) {
-    return 0.0;
-  }
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double clamped = std::clamp(p, 0.0, 100.0);
-  const double pos =
-      clamped / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 }  // namespace psc::util

@@ -1,6 +1,5 @@
-// Statistics primitives: numerically stable running moments, Welch's
-// t-test (the leakage-assessment TVLA engine's statistic) and span
-// helpers.
+// Statistics primitives: numerically stable running moments and Welch's
+// t-test (the leakage-assessment TVLA engine's statistic).
 #pragma once
 
 #include <cstddef>
@@ -61,27 +60,8 @@ struct MomentSummary {
 WelchResult welch_t_test(const MomentSummary& a,
                          const MomentSummary& b) noexcept;
 
-// Welch's unequal-variance t-test between two sample sets summarized by
-// their running statistics. Returns t = 0 when either set has fewer than
-// two samples or both variances are zero.
-WelchResult welch_t_test(const RunningStats& a, const RunningStats& b) noexcept;
-
-// Convenience overload over raw sample spans.
-WelchResult welch_t_test(std::span<const double> a,
-                         std::span<const double> b) noexcept;
-
 // TVLA threshold from Goodwill et al.: |t| >= 4.5 indicates the two trace
 // sets are distinguishable with confidence > 99.999%.
 inline constexpr double tvla_threshold = 4.5;
-
-// Mean of a span; 0 when empty.
-double mean(std::span<const double> xs) noexcept;
-
-// Unbiased sample variance of a span; 0 when size < 2.
-double variance(std::span<const double> xs) noexcept;
-
-// Linear-interpolated percentile (p in [0,100]) of a span. The span is
-// copied and sorted internally; 0 when empty.
-double percentile(std::span<const double> xs, double p);
 
 }  // namespace psc::util

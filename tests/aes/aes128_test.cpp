@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -162,6 +163,51 @@ TEST(Aes128, DispatchedTraceEqualsPortableBody) {
               0)
         << "pair " << i;
   }
+}
+
+// count_round_states writes, in both SIMD modes and for every block size
+// up to the capacity (vector groups of four and the tail), the ciphertexts
+// of encrypt and the bit counts of encrypt_trace's states.
+TEST(Aes128, CountedRoundStatesMatchTrace) {
+  namespace simd = util::simd;
+  util::Xoshiro256 rng(198);
+  Block key;
+  rng.fill_bytes(key);
+  const Aes128 cipher(key);
+  std::vector<Block> pts(RoundCounts::capacity);
+  for (Block& pt : pts) {
+    rng.fill_bytes(pt);
+  }
+  auto counts = std::make_unique<RoundCounts>();
+  for (const simd::Backend backend : simd::supported_backends()) {
+    simd::force_backend(backend);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{3}, std::size_t{4},
+                                std::size_t{7}, RoundCounts::capacity}) {
+      std::vector<Block> cts(n);
+      cipher.count_round_states({pts.data(), n}, cts, *counts);
+      for (std::size_t t = 0; t < n; ++t) {
+        RoundTrace trace;
+        ASSERT_EQ(cts[t], cipher.encrypt_trace(pts[t], trace));
+        const auto& bits = counts->bits;
+        for (std::size_t r = 0; r <= num_rounds; ++r) {
+          ASSERT_EQ(bits[RoundCounts::ark(r)][t],
+                    hamming_weight(trace.post_add_round_key[r]))
+              << simd::backend_name(backend) << ": n " << n << ", trace "
+              << t << ", round " << r;
+        }
+        for (std::size_t r = 0; r < num_rounds; ++r) {
+          ASSERT_EQ(bits[RoundCounts::sbox(r)][t],
+                    hamming_weight(trace.post_sub_bytes[r]));
+        }
+        ASSERT_EQ(bits[RoundCounts::plaintext][t], hamming_weight(pts[t]));
+        ASSERT_EQ(bits[RoundCounts::last_round_hd][t],
+                  hamming_distance(trace.post_add_round_key[num_rounds - 1],
+                                   trace.post_add_round_key[num_rounds]));
+      }
+    }
+  }
+  simd::reset_backend();
 }
 
 TEST(Aes128, LastRoundStructure) {

@@ -2,17 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/guessing_entropy.h"
 #include "scenario/registry.h"
 #include "store/file_trace_source.h"
 #include "store/trace_file_writer.h"
+#include "util/simd.h"
 
 namespace psc::core {
 namespace {
@@ -48,28 +52,126 @@ TEST(LiveTraceSource, ChannelNamesMatchConstructedSource) {
   EXPECT_EQ(names.size(), source.keys().size() + 1);
 }
 
-TEST(LiveTraceSource, MatchesUnderlyingFastTraceSource) {
-  util::Xoshiro256 rng(3);
-  const aes::Block key = random_block(rng);
-
-  LiveTraceSource wrapped(m2_user_config(), key, 7);
-  victim::FastTraceSource direct(soc::DeviceProfile::macbook_air_m2(), key,
-                                 victim::VictimModel::user_space(), 7);
-
-  std::vector<double> smc_values(direct.keys().size());
-  for (int t = 0; t < 20; ++t) {
-    const aes::Block pt = random_block(rng);
-    const TraceRecord record = wrapped.collect(pt);
-    aes::Block ciphertext;
-    std::uint64_t pcpu_mj = 0;
-    direct.collect_into(pt, ciphertext, smc_values, pcpu_mj);
-    EXPECT_EQ(record.plaintext, pt);
-    EXPECT_EQ(record.ciphertext, ciphertext);
-    ASSERT_EQ(record.values.size(), smc_values.size());
-    for (std::size_t k = 0; k < record.values.size(); ++k) {
-      ASSERT_DOUBLE_EQ(record.values[k], smc_values[k]);
+// Absolute anchor for the simulated device: the ciphertexts and every
+// column (PCPU included) of a fixed campaign, hashed by bit pattern
+// (FNV-1a), for m1/m2 x user/kernel victim x unmitigated/RAPL-style
+// channel. Each case also runs through batch splits of 1, 7, 1023, 1024,
+// 1025 and a mixed sequence: the kernel victim draws an odd number of
+// Gaussians per trace, so the splits cross the generator's cached second
+// deviate at batch boundaries. A mismatch prints the actual digest; after
+// an intentional change to the device numbers, copy it into the table.
+class Fnv1a {
+ public:
+  void add_bytes(const std::uint8_t* p, std::size_t n) noexcept {
+    for (std::size_t i = 0; i < n; ++i) {
+      hash_ ^= p[i];
+      hash_ *= 0x100000001b3ULL;
     }
   }
+  void add(double v) noexcept {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    std::uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+    }
+    add_bytes(bytes, 8);
+  }
+  std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+struct DeviceAnchor {
+  const char* name;
+  soc::DeviceProfile (*profile)();
+  victim::VictimModel (*victim)();
+  smc::MitigationPolicy (*mitigation)();
+  std::uint64_t digest;
+};
+
+// Rows per case: more than two of the largest split, so every split
+// crosses at least two batch boundaries.
+constexpr std::size_t anchor_rows = 2500;
+
+// Collects anchor_rows traces in batches of the sizes `split` lists
+// (cycled) and hashes every ciphertext byte, then every column.
+std::uint64_t device_digest(const DeviceAnchor& c,
+                            const std::vector<std::size_t>& split) {
+  util::Xoshiro256 key_rng(2024);
+  const aes::Block key = random_block(key_rng);
+  const LiveSourceConfig config{.profile = c.profile(),
+                                .victim = c.victim(),
+                                .mitigation = c.mitigation(),
+                                .include_pcpu = true};
+  LiveTraceSource source(config, key, 99);
+  util::Xoshiro256 pt_rng(100);
+  TraceBatch all(source.keys().size());
+  TraceBatch batch(source.keys().size());
+  for (std::size_t done = 0, i = 0; done < anchor_rows; ++i) {
+    const std::size_t n =
+        std::min(split[i % split.size()], anchor_rows - done);
+    collect_random_batch(source, n, pt_rng, batch);
+    all.append(batch);
+    done += n;
+  }
+  Fnv1a digest;
+  for (const aes::Block& ct : all.ciphertexts()) {
+    digest.add_bytes(ct.data(), ct.size());
+  }
+  for (std::size_t col = 0; col < all.channels(); ++col) {
+    for (const double v : all.column(col)) {
+      digest.add(v);
+    }
+  }
+  return digest.value();
+}
+
+TEST(LiveTraceSource, DeviceDigestsPinnedAtEveryBatchSplit) {
+  const std::vector<DeviceAnchor> cases = {
+      {"m1 user", soc::DeviceProfile::mac_mini_m1,
+       victim::VictimModel::user_space, smc::MitigationPolicy::none,
+       0x8683366e13c3713bULL},
+      {"m1 kernel", soc::DeviceProfile::mac_mini_m1,
+       victim::VictimModel::kernel_module, smc::MitigationPolicy::none,
+       0x64e9eabf012191caULL},
+      {"m2 user", soc::DeviceProfile::macbook_air_m2,
+       victim::VictimModel::user_space, smc::MitigationPolicy::none,
+       0x8195054b55f182a6ULL},
+      {"m2 kernel", soc::DeviceProfile::macbook_air_m2,
+       victim::VictimModel::kernel_module, smc::MitigationPolicy::none,
+       0xfa57c0a88d7a30dcULL},
+      {"m1 user rapl", soc::DeviceProfile::mac_mini_m1,
+       victim::VictimModel::user_space,
+       smc::MitigationPolicy::rapl_style_filtering, 0x361d5a4ef894fb1aULL},
+      {"m1 kernel rapl", soc::DeviceProfile::mac_mini_m1,
+       victim::VictimModel::kernel_module,
+       smc::MitigationPolicy::rapl_style_filtering, 0x426a3e600c062ff7ULL},
+      {"m2 user rapl", soc::DeviceProfile::macbook_air_m2,
+       victim::VictimModel::user_space,
+       smc::MitigationPolicy::rapl_style_filtering, 0x16f9adf15e2e38d8ULL},
+      {"m2 kernel rapl", soc::DeviceProfile::macbook_air_m2,
+       victim::VictimModel::kernel_module,
+       smc::MitigationPolicy::rapl_style_filtering, 0xc00db30891cc1885ULL},
+  };
+  const std::vector<std::vector<std::size_t>> splits = {
+      {1}, {7}, {1023}, {1024}, {1025}, {3, 1024, 1, 257, 600, 2, 255}};
+  for (const util::simd::Backend backend : util::simd::supported_backends()) {
+    util::simd::force_backend(backend);
+    for (const DeviceAnchor& c : cases) {
+      for (const auto& split : splits) {
+        const std::uint64_t actual = device_digest(c, split);
+        char hex[32];
+        std::snprintf(hex, sizeof hex, "0x%016llxULL",
+                      static_cast<unsigned long long>(actual));
+        EXPECT_EQ(actual, c.digest)
+            << c.name << ", split " << split.front() << " ("
+            << util::simd::backend_name(backend) << "): actual digest "
+            << hex;
+      }
+    }
+  }
+  util::simd::reset_backend();
 }
 
 TEST(LiveTraceSource, PcpuColumnCarriesIoreportEnergy) {

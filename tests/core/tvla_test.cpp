@@ -8,6 +8,11 @@
 namespace psc::core {
 namespace {
 
+// The Welch test's inputs, from running statistics.
+util::MomentSummary summary(const util::RunningStats& s) {
+  return {s.count(), s.mean(), s.variance()};
+}
+
 TEST(PlaintextClasses, Names) {
   EXPECT_EQ(plaintext_class_name(PlaintextClass::all_zeros), "All 0s");
   EXPECT_EQ(plaintext_class_name(PlaintextClass::all_ones), "All 1s");
@@ -59,7 +64,7 @@ TEST(TvlaAccumulator, MatrixMatchesDirectWelch) {
   }
   const TvlaMatrix m = acc.matrix();
   EXPECT_NEAR(m.score(PlaintextClass::all_zeros, PlaintextClass::all_ones),
-              util::welch_t_test(zeros_primed, ones_unprimed).t, 1e-9);
+              util::welch_t_test(summary(zeros_primed), summary(ones_unprimed)).t, 1e-9);
 }
 
 // Satellite: TVLA t-values from every supported SIMD backend match the

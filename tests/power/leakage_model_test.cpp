@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <ios>
+#include <memory>
 #include <vector>
 
 #include "aes/aes128.h"
@@ -251,6 +252,57 @@ TEST(LeakageEvaluator, DispatchedEnergyEqualsPortableBody) {
           << "pair " << i / 2 << (i % 2 == 0 ? " energy" : " bus energy");
     }
   }
+}
+
+// The batch energy pass returns, bit for bit, the per-block deviations, in
+// both SIMD modes: for the default profile, for one with every term
+// weighted, and for one whose only term is the last-round distance (zero
+// weights everywhere else, no bus term).
+TEST(LeakageEvaluator, BatchDeviationsEqualPerBlockCalls) {
+  namespace simd = util::simd;
+  LeakageConfig every_term = LeakageConfig::apple_silicon_default();
+  every_term.last_round_hd_weight = 0.35;
+  for (std::size_t r = 0; r < aes::num_rounds; ++r) {
+    every_term.sbox_hw_weight[r] = 0.05 * static_cast<double>(r + 1);
+  }
+  LeakageConfig hd_only{};
+  hd_only.last_round_hd_weight = 0.75;
+  hd_only.leak_joules_per_bit = 1.0e-15;
+
+  // Vector groups of four and a tail.
+  constexpr std::size_t n = aes::RoundCounts::capacity - 3;
+  util::Xoshiro256 rng(2307);
+  const aes::Aes128 cipher(random_block(rng));
+  std::vector<aes::Block> pts(n);
+  for (aes::Block& pt : pts) {
+    pt = random_block(rng);
+  }
+  auto counts = std::make_unique<aes::RoundCounts>();
+  for (const simd::Backend backend : simd::supported_backends()) {
+    simd::force_backend(backend);
+    for (const LeakageConfig& config :
+         {LeakageConfig::apple_silicon_default(), every_term, hd_only}) {
+      const LeakageEvaluator eval(config);
+      std::vector<aes::Block> cts(n);
+      cipher.count_round_states(pts, cts, *counts);
+      std::vector<double> core(n);
+      std::vector<double> bus(n);
+      eval.energy_deviations(*counts, core, bus);
+      for (std::size_t t = 0; t < n; ++t) {
+        aes::RoundTrace trace;
+        cipher.encrypt_trace(pts[t], trace);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(core[t]),
+                  std::bit_cast<std::uint64_t>(
+                      eval.energy_deviation(pts[t], trace)))
+            << simd::backend_name(backend) << ": trace " << t;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(bus[t]),
+                  std::bit_cast<std::uint64_t>(
+                      eval.bus_energy_deviation(pts[t], cts[t])))
+            << simd::backend_name(backend) << ": trace " << t;
+      }
+    }
+  }
+  simd::reset_backend();
 }
 
 // Property sweep: plaintext classes used by TVLA have distinct energies.

@@ -10,6 +10,26 @@
 namespace psc::util {
 namespace {
 
+// The Welch test's inputs, from running statistics.
+MomentSummary summary(const RunningStats& s) {
+  return {s.count(), s.mean(), s.variance()};
+}
+
+// The Welch test's inputs, from raw samples.
+MomentSummary summary(const std::vector<double>& xs) {
+  RunningStats s;
+  s.add_batch(xs);
+  return summary(s);
+}
+
+WelchResult welch(const std::vector<double>& a, const std::vector<double>& b) {
+  return welch_t_test(summary(a), summary(b));
+}
+
+WelchResult welch(const RunningStats& a, const RunningStats& b) {
+  return welch_t_test(summary(a), summary(b));
+}
+
 TEST(RunningStats, EmptyIsZero) {
   RunningStats s;
   EXPECT_EQ(s.count(), 0u);
@@ -107,7 +127,7 @@ TEST(WelchTTest, HandComputedExample) {
   // t = (3-6)/sqrt(2.5/5 + 10/5) = -3/sqrt(2.5) = -1.8973665961.
   const std::vector<double> a = {1, 2, 3, 4, 5};
   const std::vector<double> b = {2, 4, 6, 8, 10};
-  const WelchResult r = welch_t_test(a, b);
+  const WelchResult r = welch(a, b);
   EXPECT_NEAR(r.t, -1.8973665961, 1e-9);
   // Welch-Satterthwaite dof = 2.5^2 / (0.5^2/4 + 2^2/4) = 6.25/1.0625.
   EXPECT_NEAR(r.dof, 5.8823529412, 1e-9);
@@ -116,20 +136,20 @@ TEST(WelchTTest, HandComputedExample) {
 TEST(WelchTTest, SymmetricSign) {
   const std::vector<double> a = {1, 2, 3, 4, 5};
   const std::vector<double> b = {2, 4, 6, 8, 10};
-  EXPECT_DOUBLE_EQ(welch_t_test(a, b).t, -welch_t_test(b, a).t);
+  EXPECT_DOUBLE_EQ(welch(a, b).t, -welch(b, a).t);
 }
 
 TEST(WelchTTest, IdenticalSetsGiveZero) {
   const std::vector<double> a = {1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(welch_t_test(a, a).t, 0.0);
+  EXPECT_DOUBLE_EQ(welch(a, a).t, 0.0);
 }
 
 TEST(WelchTTest, DegenerateInputsGiveZero) {
   const std::vector<double> one = {1.0};
   const std::vector<double> many = {1, 2, 3};
-  EXPECT_DOUBLE_EQ(welch_t_test(one, many).t, 0.0);
+  EXPECT_DOUBLE_EQ(welch(one, many).t, 0.0);
   const std::vector<double> constant = {5, 5, 5, 5};
-  EXPECT_DOUBLE_EQ(welch_t_test(constant, constant).t, 0.0);
+  EXPECT_DOUBLE_EQ(welch(constant, constant).t, 0.0);
 }
 
 TEST(WelchTTest, DetectsSeparatedDistributions) {
@@ -140,7 +160,7 @@ TEST(WelchTTest, DetectsSeparatedDistributions) {
     a.add(rng.gaussian(0.0, 1.0));
     b.add(rng.gaussian(0.2, 1.0));
   }
-  const WelchResult r = welch_t_test(a, b);
+  const WelchResult r = welch(a, b);
   EXPECT_LT(r.t, -tvla_threshold);
 }
 
@@ -153,19 +173,7 @@ TEST(WelchTTest, NullHypothesisStaysBelowThreshold) {
     a.add(rng.gaussian(1.0, 2.0));
     b.add(rng.gaussian(1.0, 2.0));
   }
-  EXPECT_LT(std::abs(welch_t_test(a, b).t), tvla_threshold);
-}
-
-TEST(SpanHelpers, MeanVariancePercentile) {
-  const std::vector<double> xs = {4.0, 1.0, 3.0, 2.0};
-  EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-  EXPECT_NEAR(variance(xs), 5.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 4.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 2.5);
-  const std::vector<double> empty;
-  EXPECT_DOUBLE_EQ(mean(empty), 0.0);
-  EXPECT_DOUBLE_EQ(percentile(empty, 50), 0.0);
+  EXPECT_LT(std::abs(welch(a, b).t), tvla_threshold);
 }
 
 // Property: Welch t grows like sqrt(n) for a fixed mean separation.
@@ -181,7 +189,7 @@ TEST_P(WelchGrowth, TScalesWithSampleCount) {
     b.add(rng.gaussian(0.5, 1.0));
   }
   const double expected = 0.5 / std::sqrt(2.0 / n);
-  EXPECT_NEAR(std::abs(welch_t_test(a, b).t), expected, 0.35 * expected);
+  EXPECT_NEAR(std::abs(welch(a, b).t), expected, 0.35 * expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(SampleCounts, WelchGrowth,

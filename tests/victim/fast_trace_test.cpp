@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/stats.h"
@@ -25,19 +26,28 @@ std::size_t key_index(const FastTraceSource& source, const char (&name)[5]) {
   return static_cast<std::size_t>(it - keys.begin());
 }
 
-// One trace's outputs, filled through collect_into.
+// One trace's outputs, collected as a one-row batch.
 struct Sample {
   aes::Block ciphertext{};
   std::vector<double> smc_values;  // aligned with keys()
-  std::uint64_t pcpu_mj = 0;
+  double pcpu_mj = 0.0;
 };
 
 Sample collect(FastTraceSource& source, const aes::Block& plaintext) {
   Sample sample;
   sample.smc_values.resize(source.keys().size());
-  source.collect_into(plaintext, sample.ciphertext, sample.smc_values,
-                      sample.pcpu_mj);
+  std::vector<std::span<double>> columns;
+  for (double& value : sample.smc_values) {
+    columns.emplace_back(&value, 1);
+  }
+  source.collect_batch({&plaintext, 1}, {&sample.ciphertext, 1}, columns,
+                       {&sample.pcpu_mj, 1});
   return sample;
+}
+
+// The Welch test's inputs, from running statistics.
+util::MomentSummary summary(const util::RunningStats& s) {
+  return {s.count(), s.mean(), s.variance()};
 }
 
 class FastTraceTest : public ::testing::Test {
@@ -121,7 +131,7 @@ TEST_F(FastTraceTest, PhpsShowsNoPlaintextDependence) {
     s0.add(collect(source, zeros).smc_values[phps]);
     s1.add(collect(source, ones).smc_values[phps]);
   }
-  const auto t = util::welch_t_test(s0, s1);
+  const auto t = util::welch_t_test(summary(s0), summary(s1));
   EXPECT_LT(std::abs(t.t), util::tvla_threshold);
 }
 
@@ -137,7 +147,7 @@ TEST_F(FastTraceTest, PhpcDistinguishesPlaintextClasses) {
     s0.add(collect(source, zeros).smc_values[phpc]);
     s1.add(collect(source, ones).smc_values[phpc]);
   }
-  const auto t = util::welch_t_test(s0, s1);
+  const auto t = util::welch_t_test(summary(s0), summary(s1));
   EXPECT_GT(std::abs(t.t), util::tvla_threshold);
 }
 
@@ -149,10 +159,10 @@ TEST_F(FastTraceTest, PcpuIndependentOfPlaintext) {
   util::RunningStats s0;
   util::RunningStats s1;
   for (int i = 0; i < 3000; ++i) {
-    s0.add(static_cast<double>(collect(source, zeros).pcpu_mj));
-    s1.add(static_cast<double>(collect(source, ones).pcpu_mj));
+    s0.add(collect(source, zeros).pcpu_mj);
+    s1.add(collect(source, ones).pcpu_mj);
   }
-  const auto t = util::welch_t_test(s0, s1);
+  const auto t = util::welch_t_test(summary(s0), summary(s1));
   EXPECT_LT(std::abs(t.t), util::tvla_threshold);
 }
 
