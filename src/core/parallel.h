@@ -86,8 +86,8 @@ struct ShardPlan {
 
 // Process-wide persistent worker pool (see "Shard executor" above).
 // run_ordered_window is the intended interface; the pool is public for
-// the store prefetcher's side jobs and for tests and benches that assert
-// on reuse.
+// the store's side jobs (the replay prefetcher's decodes, the writer's
+// encode-ahead) and for tests and benches that assert on reuse.
 class WorkerPool {
   struct AsyncJob;  // private; defined in parallel.cpp
 
@@ -109,9 +109,9 @@ class WorkerPool {
   };
 
   // Enqueues one job for any idle pool thread: a shard unit of an
-  // ordered window, or the async leg of a double-buffered
-  // producer/consumer (the store prefetcher decodes chunk N+1 here while
-  // the caller ingests chunk N). fn must not throw; it runs exactly once,
+  // ordered window, or the async leg of a store pipeline (the replay
+  // prefetcher decodes chunk N+1 here while the caller ingests chunk N;
+  // the writer encodes full chunks here while the caller fills the next). fn must not throw; it runs exactly once,
   // on a pool thread or inline in finish().
   AsyncTicket post(std::function<void()> fn);
 

@@ -1,47 +1,14 @@
 #include "util/stats.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace psc::util {
 
 void RunningStats::add(double x) noexcept {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++count_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
-}
-
-void RunningStats::add_batch(std::span<const double> xs) noexcept {
-  for (const double x : xs) {
-    add(x);
-  }
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStats::variance() const noexcept {

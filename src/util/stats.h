@@ -3,23 +3,14 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 namespace psc::util {
 
-// Numerically stable running mean/variance (Welford's algorithm) with
-// support for merging partial results (Chan et al.), min/max tracking.
+// Numerically stable running mean/variance (Welford's algorithm).
 class RunningStats {
  public:
   // Adds one observation.
   void add(double x) noexcept;
-
-  // Adds a batch of observations; equivalent to adding each in order.
-  void add_batch(std::span<const double> xs) noexcept;
-
-  // Merges another accumulator into this one, as if all of its samples had
-  // been added here.
-  void merge(const RunningStats& other) noexcept;
 
   std::size_t count() const noexcept { return count_; }
   // Mean of the samples seen so far; 0 when empty.
@@ -27,16 +18,11 @@ class RunningStats {
   // Unbiased sample variance (divides by n-1); 0 when count < 2.
   double variance() const noexcept;
   double stddev() const noexcept;
-  // Smallest / largest sample; undefined (0) when empty.
-  double min() const noexcept { return min_; }
-  double max() const noexcept { return max_; }
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 // Result of a Welch two-sample t-test.

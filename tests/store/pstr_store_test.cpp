@@ -10,8 +10,10 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <system_error>
 #include <vector>
 
+#include "core/parallel.h"
 #include "store/trace_file_writer.h"
 #include "util/rng.h"
 
@@ -256,6 +258,98 @@ TEST(PstrStore, OversizedChunkCapacityLeavesThePathUntouched) {
   const std::string read((std::istreambuf_iterator<char>(kept)),
                          std::istreambuf_iterator<char>());
   EXPECT_EQ(read, bytes);
+}
+
+// Every row of the store at `path`.
+core::TraceBatch read_all(const std::string& path) {
+  TraceFileReader reader(path);
+  core::TraceBatch loaded(reader.channels().size());
+  reader.read_rows(0, reader.trace_count(), loaded);
+  return loaded;
+}
+
+TEST(PstrStore, WriteErrorOnAFullDeviceIsLoudAndSticky) {
+  // /dev/full accepts open() and fails every write with ENOSPC. With
+  // many chunks the failure surfaces at the append() that drains one;
+  // with a single buffered chunk only at finalize()'s close. Either way
+  // the writer throws, does not hang, and stays failed: a retried
+  // finalize() and a later append() throw too. Chunks still in flight
+  // when append() throws are waited out by the destructor.
+  std::error_code ec;
+  if (!std::filesystem::exists("/dev/full", ec)) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  util::Xoshiro256 rng(9);
+  for (const std::size_t rows : {std::size_t{64 * 12 + 5}, std::size_t{5}}) {
+    SCOPED_TRACE(rows);
+    const core::TraceBatch data = random_batch(rng, rows, 2);
+    TraceFileWriter writer("/dev/full",
+                           {.channels = two_channels, .chunk_capacity = 64});
+    bool threw = false;
+    try {
+      writer.append(data);
+      writer.finalize();
+    } catch (const StoreError&) {
+      threw = true;
+    }
+    EXPECT_TRUE(threw);
+    EXPECT_THROW(writer.finalize(), StoreError);
+    EXPECT_THROW(writer.append(data), StoreError);
+  }
+}
+
+TEST(PstrStore, WriterDestroyedWithChunksInFlightFinalizesThem) {
+  // No finalize(): the destructor drains every chunk still encoding on
+  // the pool, in order, and writes a complete store. Under ASan this
+  // also checks that no posted job outlives the writer's buffers.
+  const std::string path = temp_path("destroyed_in_flight.pstr");
+  util::Xoshiro256 rng(10);
+  const core::TraceBatch data = random_batch(rng, 64 * 9 + 3, 2);
+  {
+    TraceFileWriter writer(
+        path, {.channels = two_channels,
+               .chunk_capacity = 64,
+               .channel_codecs = uniform_channel_codecs(
+                   2, ColumnCodec::delta_bitpack)});
+    writer.append(data);
+  }
+  TraceFileReader reader(path);
+  EXPECT_EQ(reader.chunk_count(), 10u);
+  expect_batches_identical(read_all(path), data);
+}
+
+TEST(PstrStore, WritersInsidePoolJobsDoNotDeadlock) {
+  // Each unit of an ordered window writes its own many-chunk store from
+  // a pool thread, as a RecordingSink in a campaign shard does. Chunks
+  // no free pool thread claims are encoded inline by the drain, so every
+  // unit completes even with all pool threads busy.
+  constexpr std::size_t units = 6;
+  util::Xoshiro256 rng(11);
+  std::vector<core::TraceBatch> data;
+  for (std::size_t u = 0; u < units; ++u) {
+    data.push_back(random_batch(rng, 32 * 11 + u, 2));
+  }
+  const auto path_of = [](std::size_t u) {
+    return temp_path("pool_unit_" + std::to_string(u) + ".pstr");
+  };
+  core::run_ordered_window(
+      units, [] { return std::size_t{4}; },
+      [&](std::size_t u) {
+        TraceFileWriter writer(path_of(u), {.channels = two_channels,
+                                            .chunk_capacity = 32});
+        for (std::size_t begin = 0; begin < data[u].size(); begin += 50) {
+          core::TraceBatch piece(2);
+          piece.append(data[u], begin,
+                       std::min<std::size_t>(50, data[u].size() - begin));
+          writer.append(piece);
+        }
+        writer.finalize();
+      },
+      [](std::size_t) {});
+  for (std::size_t u = 0; u < units; ++u) {
+    SCOPED_TRACE(u);
+    expect_batches_identical(read_all(path_of(u)), data[u]);
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "store/trace_file_reader.h"
 #include "store/trace_file_writer.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace psc::store {
 namespace {
@@ -273,6 +275,126 @@ TEST(PstrV2, CompactedFileBytesMatchRecordedDigest) {
   const std::vector<char> sensor = slurp(path);
   EXPECT_EQ(sensor.size(), 160112u);
   EXPECT_EQ(fnv1a(sensor), 0xcd6420a0e9655f34ULL);
+}
+
+// Rows whose chunks of `chunk` rows alternate between a quantized
+// float32 sensor walk (even chunks: delta_bitpack accepts them) and
+// off-grid Gaussians (odd chunks: the codec refuses and the chunk stores
+// identity).
+core::TraceBatch alternating_grid_batch(std::size_t n_rows,
+                                        std::size_t chunk,
+                                        std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  core::TraceBatch batch(n_channels);
+  batch.resize(n_rows);
+  for (auto& pt : batch.plaintexts()) {
+    rng.fill_bytes(pt);
+  }
+  for (auto& ct : batch.ciphertexts()) {
+    rng.fill_bytes(ct);
+  }
+  const double steps[n_channels] = {1e-6, 1e-3, 0.01};
+  for (std::size_t c = 0; c < n_channels; ++c) {
+    double level = 4.0;
+    const std::span<double> column = batch.column(c);
+    for (std::size_t i = 0; i < n_rows; ++i) {
+      if ((i / chunk) % 2 == 1) {
+        column[i] = rng.gaussian(0.0, 1.0);
+        level = 4.0;  // each grid chunk walks from the same level
+        continue;
+      }
+      // 5 steps per row keeps the walk well above zero: a -0.0 would
+      // send the chunk to identity.
+      level += rng.gaussian(0.0, 5 * steps[c]);
+      column[i] = static_cast<double>(
+          static_cast<float>(std::round(level / steps[c]) * steps[c]));
+    }
+  }
+  return batch;
+}
+
+// Writes `data` through one writer in appends of 1, 7, 4095, 4097 rows
+// and then the rest (each clamped to what is left), so chunk boundaries
+// fall inside, at the edge of and across appended batches. Returns the
+// file's bytes.
+std::vector<char> write_in_uneven_appends(const std::string& name,
+                                          const core::TraceBatch& data,
+                                          std::size_t chunk_capacity,
+                                          bool v2) {
+  const std::string path = temp_path(name);
+  TraceFileWriter writer(
+      path, {.channels = rail_names(data.channels()),
+             .chunk_capacity = chunk_capacity,
+             .channel_codecs =
+                 v2 ? uniform_channel_codecs(data.channels(),
+                                             ColumnCodec::delta_bitpack)
+                    : std::vector<ColumnCodec>{}});
+  core::TraceBatch piece(data.channels());
+  std::size_t begin = 0;
+  for (const std::size_t size :
+       {std::size_t{1}, std::size_t{7}, std::size_t{4095}, std::size_t{4097},
+        data.size()}) {
+    const std::size_t count = std::min(size, data.size() - begin);
+    piece.clear();
+    piece.append(data, begin, count);
+    writer.append(piece);
+    begin += count;
+  }
+  EXPECT_EQ(begin, data.size());
+  writer.finalize();
+  return slurp(path);
+}
+
+TEST(PstrV2, MultiChunkWriterOutputMatchesRecordedDigest) {
+  // Absolute anchor on stores of many more chunks than the writer keeps
+  // in flight: 12 full chunks of 1024 rows plus a partial one of 300,
+  // codec-accepted chunks alternating with identity fallbacks, written
+  // as v2 and as v1, and a store of one row per chunk. Each file is
+  // pinned by size and FNV-1a digest on every SIMD mode; a mismatch
+  // prints the actual values.
+  constexpr std::size_t chunk = 1024;
+  const core::TraceBatch data = alternating_grid_batch(12 * chunk + 300,
+                                                       chunk, 31);
+  const core::TraceBatch single_rows = quantized_batch(37);
+  core::TraceBatch fifty(n_channels);
+  fifty.append(single_rows, 0, 50);
+
+  for (const util::simd::Backend backend : util::simd::supported_backends()) {
+    util::simd::force_backend(backend);
+    SCOPED_TRACE(std::string(util::simd::backend_name(backend)));
+
+    const std::vector<char> v2 =
+        write_in_uneven_appends("v2_pinned_multi.pstr", data, chunk, true);
+    EXPECT_EQ(v2.size(), 566544u);
+    EXPECT_EQ(fnv1a(v2), 0xcb5461dc6270437dULL);
+    TraceFileReader reader(temp_path("v2_pinned_multi.pstr"));
+    ASSERT_EQ(reader.chunk_count(), 13u);
+    EXPECT_EQ(reader.chunk_rows(12), 300u);
+    for (const TraceFileReader::ColumnStats& col : reader.column_stats()) {
+      // The seven even chunks, the partial last one included.
+      EXPECT_EQ(col.chunks_coded,
+                col.name == "plaintext" || col.name == "ciphertext" ? 0u
+                                                                    : 7u)
+          << col.name;
+    }
+    core::TraceBatch loaded(n_channels);
+    reader.read_rows(0, reader.trace_count(), loaded);
+    expect_batches_bit_identical(loaded, data);
+
+    const std::vector<char> v1 =
+        write_in_uneven_appends("v1_pinned_multi.pstr", data, chunk, false);
+    EXPECT_EQ(v1.size(), 705552u);
+    EXPECT_EQ(fnv1a(v1), 0xfd6755c102d5be36ULL);
+
+    const std::vector<char> single =
+        write_in_uneven_appends("v2_pinned_single.pstr", fifty, 1, true);
+    EXPECT_EQ(single.size(), 10904u);
+    EXPECT_EQ(fnv1a(single), 0x9e18579aee2f2765ULL);
+    EXPECT_EQ(TraceFileReader(temp_path("v2_pinned_single.pstr"))
+                  .chunk_count(),
+              50u);
+  }
+  util::simd::reset_backend();
 }
 
 TEST(PstrV2, UnquantizedDataFallsBackToIdentityAndRoundTrips) {
