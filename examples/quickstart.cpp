@@ -85,7 +85,7 @@ int main() {
             << (matrix.perfectly_data_dependent() ? "yes - this is the "
                                                     "paper's side channel"
                                                   : "no")
-            << "\n\nNext: run examples/aes_key_recovery to turn this "
-               "leakage into key bytes.\n";
+            << "\n\nNext: run `scenario_runner run aes-power-user` to turn "
+               "this leakage into key bytes.\n";
   return 0;
 }

@@ -181,39 +181,6 @@ bool CpaEngine::has_model(power::PowerModel model) const noexcept {
   return std::find(models_.begin(), models_.end(), model) != models_.end();
 }
 
-void CpaEngine::add_trace(const aes::Block& plaintext,
-                          const aes::Block& ciphertext,
-                          double value) noexcept {
-  // Stripe by the global trace index (n_ before this trace) so per-trace
-  // and batch feeding build identical moment state.
-  util::simd::accumulate_moments(&value, 1, n_, moments_);
-  ++n_;
-  if (need_pt_hist_) {
-    for (std::size_t i = 0; i < 16; ++i) {
-      const std::size_t bin = i * 256 + plaintext[i];
-      ++pt_count_[bin];
-      pt_sum_[bin] += value;
-    }
-  }
-  if (need_ct_hist_) {
-    for (std::size_t i = 0; i < 16; ++i) {
-      const std::size_t bin = i * 256 + ciphertext[i];
-      ++ct_count_[bin];
-      ct_sum_[bin] += value;
-    }
-  }
-  if (need_pair_hist_) {
-    for (std::size_t i = 0; i < 16; ++i) {
-      const std::size_t bin =
-          i * 65536 +
-          static_cast<std::size_t>(ciphertext[i]) * 256 +
-          ciphertext[aes::shift_rows_source(i)];
-      ++pair_count_[bin];
-      pair_sum_[bin] += value;
-    }
-  }
-}
-
 void CpaEngine::add_trace_batch(std::span<const aes::Block> plaintexts,
                                 std::span<const aes::Block> ciphertexts,
                                 std::span<const double> values) {

@@ -62,18 +62,14 @@ class CpaEngine {
     return models_;
   }
 
-  // Feeds one trace: known plaintext/ciphertext and the measured channel
-  // value.
-  void add_trace(const aes::Block& plaintext, const aes::Block& ciphertext,
-                 double value) noexcept;
-
-  // Feeds a batch of traces in column form; throws std::invalid_argument
-  // unless the spans have equal length. The inner loops run on the
+  // Feeds a batch of traces in column form: known plaintexts/ciphertexts
+  // and the measured channel values; throws std::invalid_argument unless
+  // the spans have equal length. The inner loops run on the
   // runtime-dispatched kernels of util/simd.h, but every accumulator word
-  // receives the same values in the same order as an add_trace loop —
-  // and as the other SIMD mode — so batch and loop feeding produce
-  // bit-identical state (see simd.h for the striping/disjoint-bin
-  // construction that guarantees it).
+  // receives the same values in the same order however the stream is cut
+  // into batches — and in either SIMD mode — so one n-row batch and n
+  // one-row batches produce bit-identical state (see simd.h for the
+  // striping/disjoint-bin construction that guarantees it).
   void add_trace_batch(std::span<const aes::Block> plaintexts,
                        std::span<const aes::Block> ciphertexts,
                        std::span<const double> values);

@@ -171,7 +171,8 @@ class SyntheticTraceSource final : public TraceSource {
 // Acquire-and-accumulate CPA over any source: feeds `count` traces
 // (0 = everything remaining, for finite sources) into a CpaEngine
 // attacking channel `key`. Runs on the batched path; feeding order and
-// arithmetic match a hand-rolled collect()/add_trace loop bit-for-bit.
+// arithmetic match a hand-rolled collect() loop of one-row batches
+// bit-for-bit.
 CpaEngine accumulate_cpa(TraceSource& source, util::FourCc key,
                          const std::vector<power::PowerModel>& models,
                          std::size_t count, util::Xoshiro256& rng);

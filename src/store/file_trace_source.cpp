@@ -4,25 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/env.h"
-
 namespace psc::store {
-
-namespace {
-
-bool resolve_prefetch(PrefetchMode mode) {
-  switch (mode) {
-    case PrefetchMode::on:
-      return true;
-    case PrefetchMode::off:
-      return false;
-    case PrefetchMode::automatic:
-      break;
-  }
-  return util::env_flag("PSC_STORE_PREFETCH", true);
-}
-
-}  // namespace
 
 FileTraceSource::FileTraceSource(const std::string& path,
                                  const FileSourceOptions& options)
@@ -50,7 +32,7 @@ FileTraceSource::FileTraceSource(std::unique_ptr<TraceFileReader> reader,
                                  const FileSourceOptions& options)
     : reader_(std::move(reader)),
       ranges_(std::move(ranges)),
-      prefetch_(resolve_prefetch(options.prefetch)) {
+      prefetch_(options.prefetch == PrefetchMode::on) {
   if (!reader_) {
     throw std::invalid_argument("FileTraceSource: null reader");
   }

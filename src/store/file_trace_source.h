@@ -39,18 +39,16 @@
 
 namespace psc::store {
 
-// Whether replay decodes ahead asynchronously. `automatic` is on unless
-// the PSC_STORE_PREFETCH env knob is set falsy (PSC_STORE_PREFETCH=0
-// turns every automatic source into the serial decode path — the A/B
-// switch the benches and equivalence tests use).
+// Whether replay decodes ahead asynchronously. `off` is the serial
+// decode path, the reference the prefetch equivalence tests compare
+// against.
 enum class PrefetchMode {
-  automatic,
   on,
   off,
 };
 
 struct FileSourceOptions {
-  PrefetchMode prefetch = PrefetchMode::automatic;
+  PrefetchMode prefetch = PrefetchMode::on;
 };
 
 class FileTraceSource final : public core::TraceSource {

@@ -47,17 +47,4 @@ std::string env_string(const std::string& name, const std::string& fallback) {
   return raw;
 }
 
-double env_double(const std::string& name, double fallback) {
-  const char* raw = lookup(name);
-  if (raw == nullptr || *raw == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const double parsed = std::strtod(raw, &end);
-  if (end == raw || *end != '\0') {
-    return fallback;
-  }
-  return parsed;
-}
-
 }  // namespace psc::util

@@ -17,6 +17,12 @@
 namespace psc::core {
 namespace {
 
+// One trace through the batch path, as a one-row batch.
+void add_one(CpaEngine& engine, const aes::Block& pt, const aes::Block& ct,
+             double value) {
+  engine.add_trace_batch({&pt, 1}, {&ct, 1}, {&value, 1});
+}
+
 TraceBatch random_batch(util::Xoshiro256& rng, std::size_t n,
                         std::size_t channels) {
   TraceBatch batch(channels);
@@ -224,8 +230,7 @@ TEST(CampaignEquivalence, CpaMatchesPerRecordLoop) {
   for (std::size_t t = 0; t < config.traces; ++t) {
     rng.fill_bytes(pt);
     const TraceRecord record = source.collect(pt);
-    engine.add_trace(record.plaintext, record.ciphertext,
-                     record.values[column]);
+    add_one(engine, record.plaintext, record.ciphertext, record.values[column]);
     if (engine.trace_count() == 1000 ||
         engine.trace_count() == config.traces) {
       const ModelResult res =
@@ -280,8 +285,8 @@ TEST(CampaignEquivalence, ShardedCpaMatchesMergedPerRecordShards) {
     for (std::size_t t = 0; t < shard_size(config.traces, 3, s); ++t) {
       shard_rng.fill_bytes(pt);
       const TraceRecord record = source.collect(pt);
-      shard_engine.add_trace(record.plaintext, record.ciphertext,
-                             record.values[column]);
+      add_one(shard_engine, record.plaintext, record.ciphertext,
+              record.values[column]);
     }
     if (first) {
       merged = shard_engine.snapshot();

@@ -45,6 +45,12 @@ aes::Block random_block(util::Xoshiro256& rng) {
   return b;
 }
 
+// One trace through the batch path, as a one-row batch.
+void add_one(CpaEngine& engine, const aes::Block& pt, const aes::Block& ct,
+             double value) {
+  engine.add_trace_batch({&pt, 1}, {&ct, 1}, {&value, 1});
+}
+
 TEST(CpaEngine, RejectsEmptyModelList) {
   EXPECT_THROW(CpaEngine({}), std::invalid_argument);
 }
@@ -59,7 +65,7 @@ TEST(CpaEngine, TraceCountTracked) {
   CpaEngine engine({power::PowerModel::rd0_hw});
   util::Xoshiro256 rng(1);
   for (int i = 0; i < 5; ++i) {
-    engine.add_trace(random_block(rng), random_block(rng), 1.0);
+    add_one(engine, random_block(rng), random_block(rng), 1.0);
   }
   EXPECT_EQ(engine.trace_count(), 5u);
 }
@@ -107,7 +113,7 @@ TEST_P(CpaModelRecovery, RecoversAllBytesNoiseless) {
         leak = aes::hamming_weight(trace.post_sub_bytes[0]);
         break;
     }
-    engine.add_trace(pt, ct, leak);
+    add_one(engine, pt, ct, leak);
   }
 
   const ModelResult result = engine.analyze(model, cipher.round_keys());
@@ -131,7 +137,7 @@ TEST(CpaEngine, RecoversUnderModerateNoise) {
     const aes::Block ct = cipher.encrypt_trace(pt, trace);
     const double leak = aes::hamming_weight(trace.post_add_round_key[0]) +
                         rng.gaussian(0.0, 40.0);
-    engine.add_trace(pt, ct, leak);
+    add_one(engine, pt, ct, leak);
   }
   const ModelResult result =
       engine.analyze(power::PowerModel::rd0_hw, cipher.round_keys());
@@ -164,9 +170,9 @@ TEST_P(CpaHistogramEquivalence, MatchesDirectCorrelation) {
     values[static_cast<std::size_t>(t)] =
         aes::hamming_weight(trace.post_add_round_key[0]) +
         rng.gaussian(0.0, 5.0);
-    engine.add_trace(pts[static_cast<std::size_t>(t)],
-                     cts[static_cast<std::size_t>(t)],
-                     values[static_cast<std::size_t>(t)]);
+    add_one(engine, pts[static_cast<std::size_t>(t)],
+            cts[static_cast<std::size_t>(t)],
+            values[static_cast<std::size_t>(t)]);
   }
 
   for (const std::size_t byte_index : {std::size_t{0}, std::size_t{7}}) {
@@ -201,8 +207,7 @@ TEST(CpaEngine, Round10KeyInversion) {
   for (int t = 0; t < 8000; ++t) {
     const aes::Block pt = random_block(rng);
     const aes::Block ct = cipher.encrypt_trace(pt, trace);
-    engine.add_trace(pt, ct,
-                     aes::hamming_weight(trace.post_add_round_key[9]));
+    add_one(engine, pt, ct, aes::hamming_weight(trace.post_add_round_key[9]));
   }
   const ModelResult result =
       engine.analyze(power::PowerModel::rd10_hw, cipher.round_keys());
@@ -217,7 +222,7 @@ TEST(CpaEngine, NoSignalMeansNoRecovery) {
   CpaEngine engine({power::PowerModel::rd0_hw});
   for (int t = 0; t < 20000; ++t) {
     const aes::Block pt = random_block(rng);
-    engine.add_trace(pt, cipher.encrypt(pt), rng.gaussian(0.0, 1.0));
+    add_one(engine, pt, cipher.encrypt(pt), rng.gaussian(0.0, 1.0));
   }
   const ModelResult result =
       engine.analyze(power::PowerModel::rd0_hw, cipher.round_keys());
@@ -251,8 +256,8 @@ TEST_P(CpaMergeEquivalence, ShardsMergeToMonolithicResult) {
     const aes::Block ct = cipher.encrypt_trace(pt, trace);
     const double leak = aes::hamming_weight(trace.post_add_round_key[0]) +
                         rng.gaussian(0.0, 3.0);
-    monolithic.add_trace(pt, ct, leak);
-    shards[t % n_shards].add_trace(pt, ct, leak);
+    add_one(monolithic, pt, ct, leak);
+    add_one(shards[t % n_shards], pt, ct, leak);
   }
 
   CpaEngine merged = shards[0].snapshot();
@@ -547,7 +552,7 @@ TEST(CpaEngine, BatchFeedEqualsLoopFeedBitForBit) {
 
   CpaEngine looped({power::PowerModel::rd0_hw});
   for (std::size_t t = 0; t < n_traces; ++t) {
-    looped.add_trace(pts[t], cts[t], values[t]);
+    add_one(looped, pts[t], cts[t], values[t]);
   }
   CpaEngine batched({power::PowerModel::rd0_hw});
   batched.add_trace_batch(pts, cts, values);
@@ -630,7 +635,7 @@ TEST(CpaEngine, MergeIntoEmptyEngineEqualsCopy) {
   CpaEngine fed({power::PowerModel::rd0_hw});
   for (int t = 0; t < 500; ++t) {
     const aes::Block pt = random_block(rng);
-    fed.add_trace(pt, cipher.encrypt(pt), rng.gaussian(0.0, 1.0));
+    add_one(fed, pt, cipher.encrypt(pt), rng.gaussian(0.0, 1.0));
   }
   CpaEngine empty({power::PowerModel::rd0_hw});
   empty.merge(fed);

@@ -116,9 +116,10 @@ TEST(TraceBatchPool, RecyclesCapacityAcrossLeases) {
   }
 }
 
-// The tentpole property: feeding a CpaEngine whole columns is
-// bit-identical to feeding it one trace at a time, for every histogram
-// family (plaintext, ciphertext, and ciphertext-pair models).
+// Feeding a CpaEngine one n-row batch is bit-identical to feeding it n
+// one-row batches (the accumulators stripe by global trace index), for
+// every histogram family (plaintext, ciphertext, and ciphertext-pair
+// models).
 TEST(TraceBatch, CpaBatchFeedingBitIdenticalToPerTrace) {
   util::Xoshiro256 rng(3);
   const std::vector<power::PowerModel> models = {
@@ -131,8 +132,9 @@ TEST(TraceBatch, CpaBatchFeedingBitIdenticalToPerTrace) {
 
   CpaEngine looped(models);
   for (std::size_t t = 0; t < batch.size(); ++t) {
-    looped.add_trace(batch.plaintexts()[t], batch.ciphertexts()[t],
-                     batch.column(1)[t]);
+    looped.add_trace_batch(batch.plaintexts().subspan(t, 1),
+                           batch.ciphertexts().subspan(t, 1),
+                           batch.column(1).subspan(t, 1));
   }
 
   ASSERT_EQ(batched.trace_count(), looped.trace_count());

@@ -58,15 +58,5 @@ TEST_F(EnvTest, SizeUnsetUsesFallback) {
   EXPECT_EQ(env_size("PSC_TEST_VAR", 42), 42u);
 }
 
-TEST_F(EnvTest, DoubleParses) {
-  set("2.5");
-  EXPECT_DOUBLE_EQ(env_double("PSC_TEST_VAR", 1.0), 2.5);
-}
-
-TEST_F(EnvTest, DoubleRejectsGarbage) {
-  set("2.5x");
-  EXPECT_DOUBLE_EQ(env_double("PSC_TEST_VAR", 1.0), 1.0);
-}
-
 }  // namespace
 }  // namespace psc::util
