@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <iostream>
 
+#include "core/trace_batch.h"
 #include "core/trace_source.h"
 #include "core/tvla.h"
 #include "util/table.h"
@@ -60,15 +61,21 @@ int main() {
                                          smc::FourCc("PHPC")) -
                                source.keys().begin());
 
+  //    Each (class, collection) set is one batch: stage its plaintexts,
+  //    let the source fill the ciphertext and channel columns, and feed
+  //    the PHPC column to the accumulator.
   core::TvlaAccumulator tvla;
   util::Xoshiro256 rng(3);
-  constexpr int traces_per_set = 3000;
+  constexpr std::size_t traces_per_set = 3000;
+  core::TraceBatch batch(source.keys().size());
+  batch.resize(traces_per_set);
   for (const bool primed : {false, true}) {
     for (const auto cls : core::all_plaintext_classes) {
-      for (int i = 0; i < traces_per_set; ++i) {
-        const aes::Block pt = core::class_plaintext(cls, rng);
-        tvla.add(cls, primed, source.collect(pt).values[phpc]);
+      for (aes::Block& pt : batch.plaintexts()) {
+        pt = core::class_plaintext(cls, rng);
       }
+      source.collect_batch(batch);
+      tvla.add_batch(cls, primed, batch.column(phpc));
     }
   }
 

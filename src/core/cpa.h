@@ -29,9 +29,12 @@ struct ByteRanking {
   std::array<double, 256> correlation{};
 
   // 1-based rank of `candidate` by descending correlation (the paper's
-  // metric: rank 1 = recovered).
+  // metric: rank 1 = recovered). A NaN correlation ranks last (256), and
+  // NaN correlations of other guesses rank below every number.
   int rank_of(std::uint8_t candidate) const noexcept;
 
+  // The first guess with the largest correlation, skipping NaN (guess 0
+  // when every correlation is NaN).
   std::uint8_t best_guess() const noexcept;
 };
 
@@ -95,24 +98,35 @@ class CpaEngine {
 
   std::size_t trace_count() const noexcept { return n_; }
 
-  // Trace count up to which the single-byte models' integer sums stay
-  // exact: the transform's int64 partials grow as 2^22 per trace.
+  // Trace count up to which every model's integer sums stay exact: the
+  // single-byte transform's int64 partials grow as 2^22 per trace, and
+  // Rd10-HD's sums modulo 2^64 stay below 2^62 up to here.
   static constexpr std::uint64_t max_exact_traces = std::uint64_t{1} << 40;
 
   // Correlations for every guess at one byte position under one model,
   // computed from the current accumulator state, equal bit for bit to a
   // loop that, per guess, sums m * count, m * m * count and m * sum over
-  // the non-empty bins in ascending order with m from power::predict_*.
-  //  * rd0_hw, rd10_hw and rd1_sbox_hw predict f(v ^ g) for known byte v
-  //    under guess g. Their sum_m and sum_mm are exact int64 XOR
-  //    convolutions of the count histogram with f and f^2 (one 256-point
-  //    Walsh-Hadamard transform each), converted to double once; sum_mt
-  //    runs eight guesses per pass over a once-built transposed
-  //    prediction table, each lane adding its bins in ascending order.
-  //  * rd10_hd takes InvSBox(ct_i ^ g) once per pair-histogram row and
-  //    reads a 256-entry byte-weight table at that value ^ ct_src.
-  // Throws std::overflow_error for a single-byte model beyond
-  // max_exact_traces. Safe to call concurrently on one engine.
+  // the non-empty bins in ascending order with m from power::predict_*,
+  // and then takes cov / sqrt(var_m * var_t), or 0 where either variance
+  // is <= 0 (a NaN variance gives NaN).
+  //  * sum_m and sum_mm are exact integers, converted to double once. For
+  //    rd0_hw, rd10_hw and rd1_sbox_hw, which predict f(v ^ g) for known
+  //    byte v under guess g, they are XOR convolutions of the count
+  //    histogram with f and f^2 (256-point Walsh-Hadamard transforms).
+  //    For rd10_hd they are XOR convolutions over the pair-histogram rows
+  //    of each row's weight <= 2 Walsh coefficients.
+  //  * sum_mt keeps one multiply-then-add chain per guess, each adding its
+  //    bins in ascending order, and runs a block of guesses per pass over
+  //    once-built transposed tables. The native body on an AVX-512 CPU
+  //    runs 64 guesses per pass in eight zmm chains (for rd10_hd, per
+  //    pair-histogram row, 64 consecutive last-round input bytes) and
+  //    finishes the correlations eight per vector; its Walsh-Hadamard
+  //    transforms run in zmm registers. The portable body
+  //    (PSC_SIMD=scalar, PSC_FORCE_SCALAR builds, other CPUs) runs eight
+  //    guesses per pass for the single-byte models and one guess per pass
+  //    over the pair bins for rd10_hd, with a scalar finish.
+  // Throws std::overflow_error beyond max_exact_traces. Safe to call
+  // concurrently on one engine.
   ByteRanking analyze_byte(power::PowerModel model,
                            std::size_t byte_index) const;
 

@@ -1,10 +1,11 @@
 // The paper experiments' printed reports at quick scale:
-//  * worker invariance: every experiment except the rd10_hd-heavy ones
-//    (fig1a, fig1b, ablation_leakage_models: 5-10 s each even at quick
-//    scale) prints the same bytes at 1 and 4 workers;
-//  * absolute anchors: the size and FNV-1a digest of five reports are
+//  * worker invariance: every experiment prints the same bytes at 1 and
+//    4 workers;
+//  * absolute anchors: the size and FNV-1a digest of eight reports are
 //    pinned, so a change that shifts any printed number fails here even
-//    when both worker counts agree with each other.
+//    when both worker counts agree with each other. They include the
+//    three rd10_hd experiments (fig1a, fig1b, ablation_leakage_models),
+//    which pin Rd10-HD analysis across the whole pipeline.
 //
 // After an intentional change to the numbers, copy the actual size and
 // digest from the failure output into kAnchors.
@@ -77,18 +78,16 @@ TEST(PaperExperiments, QuickScaleFloorsAtOneTrace) {
 
 TEST(PaperExperiments, ReportsAreWorkerInvariant) {
   for (const Experiment& experiment : experiments()) {
-    if (experiment.id == "fig1a" || experiment.id == "fig1b" ||
-        experiment.id == "ablation_leakage_models") {
-      continue;
-    }
     EXPECT_EQ(report(experiment.id, 1), report(experiment.id, 4))
         << experiment.id;
   }
 }
 
 TEST(PaperExperiments, QuickReportsMatchPinnedDigests) {
-  // Recorded from the per-experiment bench binaries this library
-  // replaced, at quick scale, seed 42 and 8 shards.
+  // Recorded at quick scale, seed 42 and 8 shards: the first five from
+  // the per-experiment bench binaries this library replaced, the
+  // rd10_hd reports from the per-guess Rd10-HD loop the wide analysis
+  // replaced.
   const struct {
     const char* id;
     std::size_t size;
@@ -97,7 +96,10 @@ TEST(PaperExperiments, QuickReportsMatchPinnedDigests) {
       {"table3", 3884, 0xf37f4ebcfb9a8176ull},
       {"table4", 1978, 0xa778621e5bb57fe6ull},
       {"table6", 3194, 0x9f0762f8bd0723f3ull},
+      {"fig1a", 3349, 0x3c013949ca57a0e9ull},
+      {"fig1b", 3104, 0x249630d6636b0194ull},
       {"section4", 2787, 0xbb72b1bae84eecbaull},
+      {"ablation_leakage_models", 1163, 0xc38ecc7db39650ffull},
       {"scenario_sweep", 1741, 0x9fa545e042ff8621ull},
   };
   for (const auto& anchor : kAnchors) {
