@@ -4,119 +4,98 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "aes/sbox.h"
 #include "core/guessing_entropy.h"
-
-#if defined(PSC_SIMD_X86)
-#include <immintrin.h>
-#endif
 
 namespace psc::core {
 
 namespace {
 
-// Pearson correlation from accumulated sums.
-double correlation_from_sums(double n, double sum_m, double sum_mm,
-                             double sum_mt, double sum_t,
-                             double sum_tt) noexcept {
-  const double cov = n * sum_mt - sum_m * sum_t;
-  const double var_m = n * sum_mm - sum_m * sum_m;
-  const double var_t = n * sum_tt - sum_t * sum_t;
-  if (var_m <= 0.0 || var_t <= 0.0) {
-    return 0.0;
+// Vec<T, W>: W lanes of T as one GCC/Clang vector. The analysis below is
+// written once over these and instantiated at W = 2 (SSE2 on x86-64, NEON
+// on AArch64), 4 (AVX2) and 8 (AVX-512F); the compiler lowers each
+// operation to the widest registers its instance may use. Lane arithmetic
+// is elementwise IEEE multiply, add, divide and sqrt, each correctly
+// rounded and never fused (-ffp-contract=off), and integer add, subtract
+// and multiply modulo 2^64, so every lane computes exactly what a scalar
+// loop would, at every W. Explicit specializations: GCC ignores
+// vector_size on a type that depends on a template parameter.
+template <typename T, std::size_t W>
+struct VecType;
+#define PSC_CPA_VEC(T, W)                                              \
+  template <>                                                          \
+  struct VecType<T, W> {                                               \
+    using type = T __attribute__((vector_size(W * sizeof(T))));        \
   }
-  return cov / std::sqrt(var_m * var_t);
-}
+PSC_CPA_VEC(double, 2);
+PSC_CPA_VEC(double, 4);
+PSC_CPA_VEC(double, 8);
+PSC_CPA_VEC(std::int64_t, 2);
+PSC_CPA_VEC(std::int64_t, 4);
+PSC_CPA_VEC(std::int64_t, 8);
+PSC_CPA_VEC(std::uint64_t, 2);
+PSC_CPA_VEC(std::uint64_t, 4);
+PSC_CPA_VEC(std::uint64_t, 8);
+#undef PSC_CPA_VEC
+template <typename T, std::size_t W>
+using Vec = typename VecType<T, W>::type;
+
+// The body's functions are always inlined, so each instance's wrapper
+// compiles all of it under the wrapper's target ISA.
+#define PSC_CPA_INLINE [[gnu::always_inline]] inline
 
 // A 256-point integer vector in Walsh-Hadamard (XOR-convolution) space.
 using Spectrum = std::array<std::int64_t, 256>;
 
+// A 256-point vector of integers modulo 2^64.
+using RingSpectrum = std::array<std::uint64_t, 256>;
+
 // In-place unnormalized Walsh-Hadamard transform. Applying it twice
 // multiplies by 256, and it turns XOR convolution into a pointwise
 // product: WHT(a * b) = WHT(a) . WHT(b), where (a * b)[g] is
-// sum_v a[v] b[v ^ g]. On uint64 it runs modulo 2^64.
-template <typename T>
-void walsh_hadamard(std::array<T, 256>& a) noexcept {
-  for (std::size_t h = 1; h < a.size(); h <<= 1) {
-    for (std::size_t i = 0; i < a.size(); i += 2 * h) {
+// sum_v a[v] b[v ^ g]. On uint64 it runs modulo 2^64, and at every W it
+// gives the same values: only the order of the integer stages differs.
+// The log2 W stages inside a vector pair lane j with lane j ^ h by a
+// shuffle and keep x + y in the low lane and x - y in the high one; the
+// others run between whole vectors.
+template <std::size_t W, typename T>
+PSC_CPA_INLINE void walsh_hadamard(std::array<T, 256>& a) noexcept {
+  using V = Vec<T, W>;
+  using Mask = Vec<std::int64_t, W>;
+  constexpr std::size_t n = 256 / W;
+  V v[n];
+  std::memcpy(v, a.data(), sizeof v);
+  for (std::size_t h = 1; h < W; h <<= 1) {
+    Mask partner;
+    Mask pick;
+    for (std::size_t j = 0; j < W; ++j) {
+      partner[j] = static_cast<std::int64_t>(j ^ h);
+      pick[j] = static_cast<std::int64_t>((j & h) != 0 ? W + j : j);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const V t = __builtin_shuffle(v[i], partner);
+      v[i] = __builtin_shuffle(v[i] + t, t - v[i], pick);
+    }
+  }
+  for (std::size_t h = 1; h < n; h <<= 1) {
+    for (std::size_t i = 0; i < n; i += 2 * h) {
       for (std::size_t j = i; j < i + h; ++j) {
-        const T x = a[j];
-        const T y = a[j + h];
-        a[j] = x + y;
-        a[j + h] = x - y;
+        const V x = v[j];
+        v[j] = x + v[j + h];
+        v[j + h] = x - v[j + h];
       }
     }
   }
+  std::memcpy(a.data(), v, sizeof v);
 }
 
-#if defined(PSC_SIMD_X86)
-// walsh_hadamard of 256 64-bit integers on AVX-512, all 32 zmm registers
-// of them at once: the three in-register stages by lane permutes, the
-// five others between registers. Integer add and subtract in another
-// stage order, so every value is the portable body's (modulo 2^64 for
-// uint64, exactly for the bounded int64 uses). The full-mask maskz
-// permutes keep GCC from seeing an uninitialized pass-through operand.
-template <typename T>
-__attribute__((target("avx512f"))) void wide_walsh_hadamard(
-    std::array<T, 256>& a) noexcept {
-  static_assert(sizeof(T) == 8);
-  __m512i* p = reinterpret_cast<__m512i*>(a.data());
-  __m512i v[32];
-#pragma GCC unroll 32
-  for (std::size_t i = 0; i < 32; ++i) {
-    v[i] = _mm512_loadu_si512(p + i);
-    __m512i t = _mm512_maskz_permutex_epi64(0xff, v[i], 0xb1);  // j ^ 1
-    v[i] = _mm512_mask_blend_epi64(0xaa, _mm512_add_epi64(v[i], t),
-                                   _mm512_sub_epi64(t, v[i]));
-    t = _mm512_maskz_permutex_epi64(0xff, v[i], 0x4e);  // j ^ 2
-    v[i] = _mm512_mask_blend_epi64(0xcc, _mm512_add_epi64(v[i], t),
-                                   _mm512_sub_epi64(t, v[i]));
-    t = _mm512_maskz_shuffle_i64x2(0xff, v[i], v[i], 0x4e);  // j ^ 4
-    v[i] = _mm512_mask_blend_epi64(0xf0, _mm512_add_epi64(v[i], t),
-                                   _mm512_sub_epi64(t, v[i]));
-  }
-#pragma GCC unroll 5
-  for (std::size_t h = 1; h < 32; h <<= 1) {
-#pragma GCC unroll 32
-    for (std::size_t j = 0; j < 32; ++j) {
-      if ((j & h) == 0) {
-        const __m512i x = v[j];
-        v[j] = _mm512_add_epi64(x, v[j + h]);
-        v[j + h] = _mm512_sub_epi64(x, v[j + h]);
-      }
-    }
-  }
-#pragma GCC unroll 32
-  for (std::size_t i = 0; i < 32; ++i) {
-    _mm512_storeu_si512(p + i, v[i]);
-  }
-}
-#endif  // PSC_SIMD_X86
-
-// walsh_hadamard on the AVX-512 body when `wide`.
-template <typename T>
-void walsh_hadamard(std::array<T, 256>& a, bool wide) noexcept {
-#if defined(PSC_SIMD_X86)
-  if (wide) {
-    wide_walsh_hadamard(a);
-    return;
-  }
-#endif
-  (void)wide;
-  walsh_hadamard(a);
-}
-
-// Guesses scored per pass over a byte position's bins by the portable
-// body: eight independent sum_mt chains, one per lane.
+// Guesses per row group of the transposed prediction tables.
 constexpr std::size_t guess_block = 8;
-
-// Two guess lanes as one GCC/Clang vector (SSE2 on x86-64, NEON on
-// AArch64). Lane arithmetic is elementwise IEEE multiply and add, two
-// roundings under -ffp-contract=off, so each lane computes exactly what a
-// scalar chain would.
-using LanePair = double __attribute__((vector_size(16)));
 
 // Tables of a model whose prediction for known byte v under lane x is
 // f(v ^ x), built once per process on first use from f(x) = Predictor(x,
@@ -127,8 +106,8 @@ struct SingleByteTables {
   // histogram are XOR convolutions of the counts with these.
   Spectrum m_spectrum{};
   Spectrum mm_spectrum{};
-  // The prediction table transposed so that a guess block's eight lanes
-  // are contiguous doubles. With x = v ^ g0 for a block starting at
+  // The prediction table transposed so that a group of eight guesses'
+  // lanes are contiguous doubles. With x = v ^ g0 for a group starting at
   // g0 (a multiple of 8), lane j predicts f(x ^ j), and x ^ j keeps the
   // high five bits of x: lanes[x & 7][(x & ~7) + j] = f(x ^ j). Eight
   // 256-entry rows (16 KB) thus cover all 256 x 256 (v, g) pairs, and
@@ -146,8 +125,8 @@ const SingleByteTables& single_byte_tables() {
       t.m_spectrum[x] = f[x];
       t.mm_spectrum[x] = f[x] * f[x];
     }
-    walsh_hadamard(t.m_spectrum);
-    walsh_hadamard(t.mm_spectrum);
+    walsh_hadamard<2>(t.m_spectrum);
+    walsh_hadamard<2>(t.mm_spectrum);
     for (std::size_t b = 0; b < guess_block; ++b) {
       for (std::size_t x = 0; x < 256; ++x) {
         t.lanes[b][x] =
@@ -164,52 +143,20 @@ int byte_weight(std::uint8_t x, std::uint8_t g) noexcept {
   return aes::hamming_weight(static_cast<std::uint8_t>(x ^ g));
 }
 
-// 256 times sum_v counts[v] f(v ^ x) into sum_m[x], and likewise with f^2
-// into sum_mm[x]: exact int64 XOR convolutions. Every partial stays at or
-// below 256 * N * 2^14 for N counted traces (|WHT(c)| <= N,
-// |WHT(f^2)| <= 256 * 64), which max_exact_traces (2^40) keeps below
-// 2^62.
-void xor_convolve(const std::uint32_t* counts, const SingleByteTables& t,
-                  bool wide, Spectrum& sum_m, Spectrum& sum_mm) noexcept {
-  for (std::size_t v = 0; v < 256; ++v) {
-    sum_m[v] = counts[v];
+// The tables of a single-byte model.
+const SingleByteTables& tables_of(power::PowerModel model) {
+  switch (model) {
+    case power::PowerModel::rd0_hw:
+      return single_byte_tables<power::predict_rd0_hw>();
+    case power::PowerModel::rd1_sbox_hw:
+      return single_byte_tables<power::predict_rd1_sbox_hw>();
+    case power::PowerModel::rd10_hw:
+      return single_byte_tables<power::predict_rd10_hw>();
+    case power::PowerModel::rd10_hd:
+      break;  // pair_sums
   }
-  walsh_hadamard(sum_m, wide);
-  for (std::size_t k = 0; k < 256; ++k) {
-    sum_mm[k] = sum_m[k] * t.mm_spectrum[k];
-    sum_m[k] *= t.m_spectrum[k];
-  }
-  walsh_hadamard(sum_m, wide);
-  walsh_hadamard(sum_mm, wide);
+  throw std::invalid_argument("CpaEngine: not a single-byte model");
 }
-
-// sum_mt of guesses g0 .. g0 + 7 (g0 a multiple of 8): each lane adds
-// m * sum over the bins in ascending v, exactly the per-guess loop's
-// order, with the eight lanes in four independent vector chains.
-// Kept out of line: inlined into analyze_byte, GCC spills two of the
-// four accumulators to the stack.
-[[gnu::noinline]] std::array<double, guess_block> block_sum_mt(
-    const SingleByteTables& tables, const double* hist_sum,
-    std::size_t g0) noexcept {
-  LanePair a0 = {};
-  LanePair a1 = {};
-  LanePair a2 = {};
-  LanePair a3 = {};
-  for (std::size_t v = 0; v < 256; ++v) {
-    const std::size_t x = v ^ g0;
-    const LanePair* m = reinterpret_cast<const LanePair*>(
-        &tables.lanes[x & (guess_block - 1)][x & ~(guess_block - 1)]);
-    const LanePair s = {hist_sum[v], hist_sum[v]};
-    a0 += m[0] * s;
-    a1 += m[1] * s;
-    a2 += m[2] * s;
-    a3 += m[3] * s;
-  }
-  return {a0[0], a0[1], a1[0], a1[1], a2[0], a2[1], a3[0], a3[1]};
-}
-
-// A 256-point vector of integers modulo 2^64.
-using RingSpectrum = std::array<std::uint64_t, 256>;
 
 // Rd10-HD's exact sum_m and sum_mm as XOR convolutions over the 256
 // pair-histogram rows. Row ct_i with counts c (over ct_src) gives guess
@@ -257,7 +204,7 @@ const PairSpectra& pair_spectra() {
                      ? 1
                      : ~std::uint64_t{0};
       }
-      walsh_hadamard(phi);
+      walsh_hadamard<2>(phi);
       for (std::size_t u = 0; u < 256; ++u) {
         p.mm[i][u] =
             static_cast<std::uint64_t>(weights.mm_spectrum[k]) * phi[u];
@@ -272,149 +219,93 @@ const PairSpectra& pair_spectra() {
   return spectra;
 }
 
-// The three correlation sums of all 256 guesses at one byte position,
-// laid out for the vector finish.
+// The three correlation sums of all 256 guesses at one byte position.
 struct GuessSums {
   alignas(64) std::array<double, 256> m{};
   alignas(64) std::array<double, 256> mm{};
   alignas(64) std::array<double, 256> mt{};
 };
 
-#if defined(PSC_SIMD_X86)
-// Guesses scored per pass by the AVX-512 body: eight zmm chains of eight.
-constexpr std::size_t wide_block = 64;
-
-// The AVX-512 bodies run unless dispatch is pinned to the portable ones
-// (PSC_SIMD=scalar or util::simd::force_backend(Backend::scalar)).
-bool use_avx512() noexcept {
-  static const bool cpu_has_avx512 = __builtin_cpu_supports("avx512f") != 0;
-  return cpu_has_avx512 &&
-         util::simd::active_backend() != util::simd::Backend::scalar;
-}
-
 // acc[j] += f(v ^ g0 ^ j) * hist_sum[v] for v = 0 .. 255 in ascending
-// order and the 64 lanes j of the block at g0 (a multiple of 64), each
-// lane a separate multiply-then-add chain, as block_sum_mt's. Lane
-// 8b + j of x = v ^ g0 predicts f(y ^ j) with y = x ^ 8b, which the lanes
-// table holds at lanes[x & 7][(y & ~7) + j], and y & ~7 is
-// (x & ~63) + ((x & 56) ^ 8b): one aligned load per sub-block.
-__attribute__((target("avx512f"))) void wide_block_sum_mt(
-    const SingleByteTables& tables, const double* hist_sum, std::size_t g0,
-    double* acc) noexcept {
-  __m512d a[8];
-#pragma GCC unroll 8
-  for (std::size_t b = 0; b < 8; ++b) {
-    a[b] = _mm512_load_pd(acc + 8 * b);
-  }
+// order and the 8W lanes j of the block at g0 (a multiple of 8W), each
+// lane a separate multiply-then-add chain: the per-guess loop's order.
+// Vector k holds lanes Wk .. Wk + W - 1, which lie in the eight-guess
+// group b = Wk / 8 at offset Wk % 8. Group b of x = v ^ g0 predicts
+// f(y ^ j) with y = x ^ 8b, which the lanes table holds at
+// lanes[x & 7][(y & ~7) + j], and y & ~7 is
+// (x & ~(8W - 1)) + ((x & (8W - 8)) ^ 8b): one aligned load per vector.
+// Empty bins are not skipped: their sum is +0.0, m >= 0 makes every such
+// term +0.0, and a chain that starts at +0.0 never becomes -0.0, so the
+// extra terms leave every lane unchanged.
+template <std::size_t W>
+PSC_CPA_INLINE void block_sum_mt(const SingleByteTables& tables,
+                                 const double* hist_sum, std::size_t g0,
+                                 double* acc) noexcept {
+  using V = Vec<double, W>;
+  constexpr std::size_t block = guess_block * W;
+  V a[8];
+  std::memcpy(a, acc, sizeof a);
   // v = high + mid + low runs in ascending order; with mid unrolled,
-  // every sub-block offset is a constant.
-  for (std::size_t high = 0; high < 256; high += 64) {
-    const std::size_t x_high = high ^ g0;  // x & ~63
+  // every load offset is a constant.
+  for (std::size_t high = 0; high < 256; high += block) {
+    const std::size_t x_high = high ^ g0;  // x & ~(8W - 1)
 #pragma GCC unroll 8
-    for (std::size_t mid = 0; mid < 64; mid += 8) {  // x & 56
+    for (std::size_t mid = 0; mid < block; mid += 8) {  // x & (8W - 8)
 #pragma GCC unroll 1
       for (std::size_t low = 0; low < 8; ++low) {  // x & 7
         const double* row = &tables.lanes[low][x_high];
-        const __m512d s = _mm512_set1_pd(hist_sum[high + mid + low]);
+        const double s = hist_sum[high + mid + low];
 #pragma GCC unroll 8
-        for (std::size_t b = 0; b < 8; ++b) {
-          a[b] = _mm512_add_pd(
-              a[b], _mm512_mul_pd(_mm512_load_pd(row + (mid ^ (8 * b))), s));
+        for (std::size_t k = 0; k < 8; ++k) {
+          const std::size_t b = W * k / 8;
+          a[k] += *reinterpret_cast<const V*>(row + (mid ^ (8 * b)) +
+                                              W * k % 8) *
+                  s;
         }
       }
     }
   }
-#pragma GCC unroll 8
-  for (std::size_t b = 0; b < 8; ++b) {
-    _mm512_store_pd(acc + 8 * b, a[b]);
-  }
+  std::memcpy(acc, a, sizeof a);
 }
-
-// correlation_from_sums for all 256 guesses, eight per vector, with the
-// same operations in the same order. `var_m <= 0.0` is an ordered
-// compare, so a NaN variance yields NaN here as in the scalar finish.
-__attribute__((target("avx512f"))) void wide_finish(
-    double n, double sum_t, double sum_tt, const GuessSums& sums,
-    std::array<double, 256>& out) noexcept {
-  const double var_t = n * sum_tt - sum_t * sum_t;
-  const __m512d vn = _mm512_set1_pd(n);
-  const __m512d vt = _mm512_set1_pd(sum_t);
-  const __m512d vvar_t = _mm512_set1_pd(var_t);
-  const __m512d zero = _mm512_setzero_pd();
-  const __mmask8 t_flat = var_t <= 0.0 ? 0xff : 0x00;
-  for (std::size_t g = 0; g < 256; g += 8) {
-    const __m512d m = _mm512_load_pd(&sums.m[g]);
-    const __m512d mm = _mm512_load_pd(&sums.mm[g]);
-    const __m512d mt = _mm512_load_pd(&sums.mt[g]);
-    const __m512d cov =
-        _mm512_sub_pd(_mm512_mul_pd(vn, mt), _mm512_mul_pd(m, vt));
-    const __m512d var_m =
-        _mm512_sub_pd(_mm512_mul_pd(vn, mm), _mm512_mul_pd(m, m));
-    // The full-mask maskz form: the unmasked _mm512_sqrt_pd leaves GCC's
-    // pass-through operand formally uninitialized (-Wuninitialized).
-    const __m512d r = _mm512_div_pd(
-        cov, _mm512_maskz_sqrt_pd(0xff, _mm512_mul_pd(var_m, vvar_t)));
-    const __mmask8 flat =
-        _mm512_cmp_pd_mask(var_m, zero, _CMP_LE_OQ) | t_flat;
-    _mm512_storeu_pd(&out[g], _mm512_mask_blend_pd(flat, r, zero));
-  }
-}
-#endif  // PSC_SIMD_X86
 
 // sum_m, sum_mm and sum_mt of every guess for a single-byte model over
 // one position's 256-bin histogram.
-void single_byte_sums(power::PowerModel model, const std::uint32_t* hist_count,
-                      const double* hist_sum, bool wide, GuessSums& sums) {
-  const SingleByteTables* tables = nullptr;
-  switch (model) {
-    case power::PowerModel::rd0_hw:
-      tables = &single_byte_tables<power::predict_rd0_hw>();
-      break;
-    case power::PowerModel::rd1_sbox_hw:
-      tables = &single_byte_tables<power::predict_rd1_sbox_hw>();
-      break;
-    case power::PowerModel::rd10_hw:
-      tables = &single_byte_tables<power::predict_rd10_hw>();
-      break;
-    case power::PowerModel::rd10_hd:
-      break;  // pair_sums
-  }
-
-  // sum_m[g] = sum_v c[v] f(v ^ g) and sum_mm[g] likewise with f^2. The
-  // results stay below 2^53, so each converts to the double a per-bin
-  // loop would sum.
+template <std::size_t W>
+PSC_CPA_INLINE void single_byte_sums(const SingleByteTables& tables,
+                                     const std::uint32_t* hist_count,
+                                     const double* hist_sum,
+                                     GuessSums& sums) {
+  // 256 times sum_m[g] = sum_v c[v] f(v ^ g), and likewise sum_mm with
+  // f^2: exact int64 XOR convolutions. Every partial stays at or below
+  // 256 * N * 2^14 for N counted traces (|WHT(c)| <= N,
+  // |WHT(f^2)| <= 256 * 64), which max_exact_traces (2^40) keeps below
+  // 2^62, and the results below 2^53, so each converts to the double a
+  // per-bin loop would sum.
   Spectrum sum_m;
   Spectrum sum_mm;
-  xor_convolve(hist_count, *tables, wide, sum_m, sum_mm);
+  for (std::size_t v = 0; v < 256; ++v) {
+    sum_m[v] = hist_count[v];
+  }
+  walsh_hadamard<W>(sum_m);
+  for (std::size_t k = 0; k < 256; ++k) {
+    sum_mm[k] = sum_m[k] * tables.mm_spectrum[k];
+    sum_m[k] *= tables.m_spectrum[k];
+  }
+  walsh_hadamard<W>(sum_m);
+  walsh_hadamard<W>(sum_mm);
   for (std::size_t g = 0; g < 256; ++g) {
     sums.m[g] = static_cast<double>(sum_m[g] / 256);
     sums.mm[g] = static_cast<double>(sum_mm[g] / 256);
   }
-
-  // sum_mt a block of guesses per pass. Each lane adds m * sum over the
-  // bins in ascending v, exactly the per-guess loop's order. Empty bins
-  // are not skipped: their sum is +0.0, m >= 0 makes every such term
-  // +0.0, and a sum that starts at +0.0 never becomes -0.0, so the extra
-  // terms leave every lane unchanged.
-#if defined(PSC_SIMD_X86)
-  if (wide) {
-    for (std::size_t g0 = 0; g0 < 256; g0 += wide_block) {
-      wide_block_sum_mt(*tables, hist_sum, g0, &sums.mt[g0]);
-    }
-    return;
-  }
-#endif
-  (void)wide;
-  for (std::size_t g0 = 0; g0 < 256; g0 += guess_block) {
-    const std::array<double, guess_block> block =
-        block_sum_mt(*tables, hist_sum, g0);
-    std::copy(block.begin(), block.end(), sums.mt.begin() + g0);
+  for (std::size_t g0 = 0; g0 < 256; g0 += guess_block * W) {
+    block_sum_mt<W>(tables, hist_sum, g0, &sums.mt[g0]);
   }
 }
 
 // The same for Rd10-HD over one position's 65536-bin pair histogram.
-void pair_sums(const std::uint32_t* counts, const double* bin_sums, bool wide,
-               GuessSums& sums) {
+template <std::size_t W>
+PSC_CPA_INLINE void pair_sums(const std::uint32_t* counts,
+                              const double* bin_sums, GuessSums& sums) {
   // HW(lri ^ ct_src) is f(ct_src ^ lri) with f the Hamming weight, so a
   // pair-histogram row is a single-byte histogram whose lane is lri.
   const SingleByteTables& weights = single_byte_tables<byte_weight>();
@@ -433,7 +324,7 @@ void pair_sums(const std::uint32_t* counts, const double* bin_sums, bool wide,
     }
     RingSpectrum c;
     std::copy(row, row + 256, c.begin());
-    walsh_hadamard(c, wide);
+    walsh_hadamard<W>(c);
     for (std::size_t i = 0; i < PairSpectra::terms; ++i) {
       rows[i][ct_i] = c[spectra.index[i]];
     }
@@ -441,7 +332,7 @@ void pair_sums(const std::uint32_t* counts, const double* bin_sums, bool wide,
   RingSpectrum sum_m{};
   RingSpectrum sum_mm{};
   for (std::size_t i = 0; i < PairSpectra::terms; ++i) {
-    walsh_hadamard(rows[i], wide);
+    walsh_hadamard<W>(rows[i]);
     for (std::size_t k = 0; k < 256; ++k) {
       sum_mm[k] += rows[i][k] * spectra.mm[i][k];
     }
@@ -451,58 +342,113 @@ void pair_sums(const std::uint32_t* counts, const double* bin_sums, bool wide,
       }
     }
   }
-  walsh_hadamard(sum_m, wide);
-  walsh_hadamard(sum_mm, wide);
+  walsh_hadamard<W>(sum_m);
+  walsh_hadamard<W>(sum_mm);
   for (std::size_t g = 0; g < 256; ++g) {
     sums.m[g] = static_cast<double>(sum_m[g] >> 16);
     sums.mm[g] = static_cast<double>(sum_mm[g] >> 16);
   }
 
-#if defined(PSC_SIMD_X86)
-  if (wide) {
-    // Per row, a block of 64 consecutive lri values runs as one wide
-    // pass over that row's bins; lane lri belongs to guess
-    // SBox(lri) ^ ct_i, whose chain is gathered in and scattered back.
-    // Rows run in ascending ct_i and bins in ascending ct_src, the
-    // per-guess loop's order. Empty bins (and rows) add +0.0 terms, as
-    // in single_byte_sums, so they need no skip.
-    alignas(64) std::array<double, wide_block> chains;
-    for (std::size_t ct_i = 0; ct_i < 256; ++ct_i) {
-      if (!row_used[ct_i]) {
-        continue;
+  // Per row, a block of 8W consecutive lri values runs as one
+  // block_sum_mt pass over that row's bins; lane lri belongs to guess
+  // SBox(lri) ^ ct_i, whose chain is gathered in and scattered back.
+  // Rows run in ascending ct_i and bins in ascending ct_src, so every
+  // guess adds its bins in ascending pair order. Empty rows add only +0.0
+  // terms (see block_sum_mt) and are skipped.
+  constexpr std::size_t block = guess_block * W;
+  alignas(64) std::array<double, block> chains;
+  for (std::size_t ct_i = 0; ct_i < 256; ++ct_i) {
+    if (!row_used[ct_i]) {
+      continue;
+    }
+    for (std::size_t l0 = 0; l0 < 256; l0 += block) {
+      for (std::size_t j = 0; j < block; ++j) {
+        chains[j] = sums.mt[aes::sbox[l0 + j] ^ ct_i];
       }
-      for (std::size_t l0 = 0; l0 < 256; l0 += wide_block) {
-        for (std::size_t j = 0; j < wide_block; ++j) {
-          chains[j] = sums.mt[aes::sbox[l0 + j] ^ ct_i];
-        }
-        wide_block_sum_mt(weights, bin_sums + ct_i * 256, l0,
-                          chains.data());
-        for (std::size_t j = 0; j < wide_block; ++j) {
-          sums.mt[aes::sbox[l0 + j] ^ ct_i] = chains[j];
-        }
+      block_sum_mt<W>(weights, bin_sums + ct_i * 256, l0, chains.data());
+      for (std::size_t j = 0; j < block; ++j) {
+        sums.mt[aes::sbox[l0 + j] ^ ct_i] = chains[j];
       }
     }
-    return;
-  }
-#endif
-  (void)wide;
-  const std::array<double, 256>& weight = weights.lanes[0];
-  for (std::size_t g = 0; g < 256; ++g) {
-    double sum_mt = 0.0;
-    for (std::size_t ct_i = 0; ct_i < 256; ++ct_i) {
-      const std::size_t row = ct_i * 256;
-      // The last-round input byte is fixed for the whole row.
-      const std::uint8_t lri = aes::inv_sbox[ct_i ^ g];
-      for (std::size_t ct_src = 0; ct_src < 256; ++ct_src) {
-        if (counts[row + ct_src] == 0) {
-          continue;
-        }
-        sum_mt += weight[lri ^ ct_src] * bin_sums[row + ct_src];
-      }
-    }
-    sums.mt[g] = sum_mt;
   }
 }
+
+// Pearson correlation cov / sqrt(var_m * var_t) of every guess, W per
+// vector, or 0 where either variance is <= 0. The compares are ordered,
+// so a NaN variance gives NaN, as a scalar `if (var <= 0)` would.
+template <std::size_t W>
+PSC_CPA_INLINE void finish(double n, double sum_t, double sum_tt,
+                           const GuessSums& sums,
+                           std::array<double, 256>& out) noexcept {
+  using V = Vec<double, W>;
+  const double var_t = n * sum_tt - sum_t * sum_t;
+  if (var_t <= 0.0) {
+    out.fill(0.0);
+    return;
+  }
+  for (std::size_t g = 0; g < 256; g += W) {
+    const V m = *reinterpret_cast<const V*>(&sums.m[g]);
+    const V mm = *reinterpret_cast<const V*>(&sums.mm[g]);
+    const V mt = *reinterpret_cast<const V*>(&sums.mt[g]);
+    const V cov = n * mt - m * sum_t;
+    const V var_m = n * mm - m * m;
+    V root = var_m * var_t;
+    // Per lane: GCC has no vector sqrt for a generic vector, and under
+    // -fmath-errno it keeps the loop scalar.
+    for (std::size_t j = 0; j < W; ++j) {
+      root[j] = std::sqrt(root[j]);
+    }
+    const V r = cov / root;
+    const V zero = {};
+    const V c = var_m <= 0.0 ? zero : r;
+    std::memcpy(&out[g], &c, sizeof c);
+  }
+}
+
+// One byte position's histogram and the channel's moments.
+struct ByteInput {
+  power::PowerModel model;
+  const std::uint32_t* counts;
+  const double* sums;
+  double n;
+  double sum_t;
+  double sum_tt;
+};
+
+// The analysis of one byte position at W lanes.
+template <std::size_t W>
+PSC_CPA_INLINE void analyze(const ByteInput& in, ByteRanking& out) {
+  GuessSums sums;
+  if (in.model == power::PowerModel::rd10_hd) {
+    pair_sums<W>(in.counts, in.sums, sums);
+  } else {
+    single_byte_sums<W>(tables_of(in.model), in.counts, in.sums, sums);
+  }
+  finish<W>(in.n, in.sum_t, in.sum_tt, sums, out.correlation);
+}
+
+// The instances, one per ISA. The baseline runs under PSC_SIMD=scalar,
+// in PSC_FORCE_SCALAR builds and on every CPU; `native` runs the widest
+// the CPU has.
+void analyze_x2(const ByteInput& in, ByteRanking& out) { analyze<2>(in, out); }
+#if defined(PSC_SIMD_X86)
+__attribute__((target("avx2"))) void analyze_x4(const ByteInput& in,
+                                                ByteRanking& out) {
+  analyze<4>(in, out);
+}
+__attribute__((target("avx512f"))) void analyze_x8(const ByteInput& in,
+                                                   ByteRanking& out) {
+  analyze<8>(in, out);
+}
+#endif
+
+// detail::analysis_widths(), taken once; `native` runs the last.
+const std::vector<std::size_t>& cpu_widths() {
+  static const std::vector<std::size_t> widths = detail::analysis_widths();
+  return widths;
+}
+
+#undef PSC_CPA_INLINE
 
 }  // namespace
 
@@ -638,49 +584,11 @@ void CpaEngine::merge(const CpaEngine& other) {
 
 ByteRanking CpaEngine::analyze_byte(power::PowerModel model,
                                     std::size_t byte_index) const {
-  if (!has_model(model)) {
-    throw std::invalid_argument("CpaEngine: model not configured");
-  }
-  ByteRanking out;
-  if (n_ < 2) {
-    return out;
-  }
-  if (n_ > max_exact_traces) {
-    throw std::overflow_error(
-        "CpaEngine::analyze_byte: trace count beyond the exact-sum bound");
-  }
-  const double n = static_cast<double>(n_);
-  const double sum_t = util::simd::reduce_stripes(moments_.sum);
-  const double sum_tt = util::simd::reduce_stripes(moments_.sumsq);
-#if defined(PSC_SIMD_X86)
-  const bool wide = use_avx512();
-#else
-  constexpr bool wide = false;
-#endif
-
-  GuessSums sums;
-  if (model == power::PowerModel::rd10_hd) {
-    pair_sums(&pair_count_[byte_index * 65536],
-              &pair_sum_[byte_index * 65536], wide, sums);
-  } else if (power::power_model_inputs(model).uses_plaintext) {
-    single_byte_sums(model, &pt_count_[byte_index * 256],
-                     &pt_sum_[byte_index * 256], wide, sums);
-  } else {
-    single_byte_sums(model, &ct_count_[byte_index * 256],
-                     &ct_sum_[byte_index * 256], wide, sums);
-  }
-
-#if defined(PSC_SIMD_X86)
-  if (wide) {
-    wide_finish(n, sum_t, sum_tt, sums, out.correlation);
-    return out;
-  }
-#endif
-  for (std::size_t g = 0; g < 256; ++g) {
-    out.correlation[g] = correlation_from_sums(
-        n, sums.m[g], sums.mm[g], sums.mt[g], sum_t, sum_tt);
-  }
-  return out;
+  return detail::analyze_byte_at_width(
+      *this, model, byte_index,
+      util::simd::active_backend() == util::simd::Backend::scalar
+          ? 2
+          : cpu_widths().back());
 }
 
 ModelResult CpaEngine::analyze(
@@ -711,5 +619,73 @@ ModelResult CpaEngine::analyze(
           : aes::Aes128::master_key_from_round10(result.best_round_key);
   return result;
 }
+
+namespace detail {
+
+std::vector<std::size_t> analysis_widths() {
+  std::vector<std::size_t> widths = {2};
+#if defined(PSC_SIMD_X86)
+  if (__builtin_cpu_supports("avx2")) {
+    widths.push_back(4);
+  }
+  if (__builtin_cpu_supports("avx512f")) {
+    widths.push_back(8);
+  }
+#endif
+  return widths;
+}
+
+ByteRanking analyze_byte_at_width(const CpaEngine& engine,
+                                  power::PowerModel model,
+                                  std::size_t byte_index, std::size_t width) {
+  const std::vector<std::size_t>& widths = cpu_widths();
+  if (std::find(widths.begin(), widths.end(), width) == widths.end()) {
+    throw std::invalid_argument("CpaEngine: no analysis instance of width " +
+                                std::to_string(width));
+  }
+  if (!engine.has_model(model)) {
+    throw std::invalid_argument("CpaEngine: model not configured");
+  }
+  ByteRanking out;
+  if (engine.n_ < 2) {
+    return out;
+  }
+  if (engine.n_ > CpaEngine::max_exact_traces) {
+    throw std::overflow_error(
+        "CpaEngine::analyze_byte: trace count beyond the exact-sum bound");
+  }
+  ByteInput in{model,
+               nullptr,
+               nullptr,
+               static_cast<double>(engine.n_),
+               util::simd::reduce_stripes(engine.moments_.sum),
+               util::simd::reduce_stripes(engine.moments_.sumsq)};
+  if (model == power::PowerModel::rd10_hd) {
+    in.counts = &engine.pair_count_[byte_index * 65536];
+    in.sums = &engine.pair_sum_[byte_index * 65536];
+  } else if (power::power_model_inputs(model).uses_plaintext) {
+    in.counts = &engine.pt_count_[byte_index * 256];
+    in.sums = &engine.pt_sum_[byte_index * 256];
+  } else {
+    in.counts = &engine.ct_count_[byte_index * 256];
+    in.sums = &engine.ct_sum_[byte_index * 256];
+  }
+  switch (width) {
+#if defined(PSC_SIMD_X86)
+    case 8:
+      analyze_x8(in, out);
+      break;
+    case 4:
+      analyze_x4(in, out);
+      break;
+#endif
+    default:
+      analyze_x2(in, out);
+      break;
+  }
+  return out;
+}
+
+}  // namespace detail
 
 }  // namespace psc::core

@@ -55,6 +55,26 @@ struct ModelResult {
   int near_recovered_bytes = 0;
 };
 
+class CpaEngine;
+
+namespace detail {
+
+// Test seam for the analysis instances behind CpaEngine::analyze_byte: its
+// one body is compiled at vector widths of 2 doubles (the baseline ISA:
+// SSE2 on x86-64, NEON on AArch64), 4 (AVX2) and 8 (AVX-512F).
+// analysis_widths() lists the widths this binary can run on this CPU, in
+// ascending order: 2, then 4 and 8 where the CPU has the ISA (x86-64 only,
+// and not in a PSC_FORCE_SCALAR build).
+std::vector<std::size_t> analysis_widths();
+
+// analyze_byte on the instance of `width` doubles; throws
+// std::invalid_argument unless `width` is in analysis_widths().
+ByteRanking analyze_byte_at_width(const CpaEngine& engine,
+                                  power::PowerModel model,
+                                  std::size_t byte_index, std::size_t width);
+
+}  // namespace detail
+
 class CpaEngine {
  public:
   // `models` determines which histograms are maintained; including
@@ -116,15 +136,16 @@ class CpaEngine {
   //    For rd10_hd they are XOR convolutions over the pair-histogram rows
   //    of each row's weight <= 2 Walsh coefficients.
   //  * sum_mt keeps one multiply-then-add chain per guess, each adding its
-  //    bins in ascending order, and runs a block of guesses per pass over
-  //    once-built transposed tables. The native body on an AVX-512 CPU
-  //    runs 64 guesses per pass in eight zmm chains (for rd10_hd, per
-  //    pair-histogram row, 64 consecutive last-round input bytes) and
-  //    finishes the correlations eight per vector; its Walsh-Hadamard
-  //    transforms run in zmm registers. The portable body
-  //    (PSC_SIMD=scalar, PSC_FORCE_SCALAR builds, other CPUs) runs eight
-  //    guesses per pass for the single-byte models and one guess per pass
-  //    over the pair bins for rd10_hd, with a scalar finish.
+  //    bins in ascending order, and runs 8W guesses per pass over
+  //    once-built transposed tables in eight W-lane vector chains (for
+  //    rd10_hd, per pair-histogram row, 8W consecutive last-round input
+  //    bytes whose guesses' chains are gathered through the S-box), and the
+  //    correlations finish W per vector.
+  // One source body, over GCC/Clang vector types, runs every step at W
+  // lanes; it is compiled once per ISA (see detail::analysis_widths). The
+  // `native` mode runs the widest instance the CPU has: W = 8 on AVX-512F,
+  // 4 on AVX2, else 2. PSC_SIMD=scalar and PSC_FORCE_SCALAR builds run
+  // W = 2. Every instance gives the same bits.
   // Throws std::overflow_error beyond max_exact_traces. Safe to call
   // concurrently on one engine.
   ByteRanking analyze_byte(power::PowerModel model,
@@ -136,6 +157,11 @@ class CpaEngine {
                           true_round_keys) const;
 
  private:
+  friend ByteRanking detail::analyze_byte_at_width(const CpaEngine&,
+                                                   power::PowerModel,
+                                                   std::size_t,
+                                                   std::size_t);
+
   bool has_model(power::PowerModel model) const noexcept;
 
   std::vector<power::PowerModel> models_;

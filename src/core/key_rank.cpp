@@ -62,12 +62,22 @@ KeyRankEstimate estimate_key_rank(
     }
     true_bin_sum += bin_of(bytes[i].correlation[true_key[i]]);
 
+    // At most 256 of the bins are occupied, and only those enter the
+    // convolution: a zero bin would add acc[a] * 0.0 = +0.0 to a
+    // non-negative sum, which leaves it unchanged, so every sum is the
+    // same as over all bins.
+    std::vector<std::size_t> occupied;
+    for (std::size_t b = 0; b < bins; ++b) {
+      if (hist[b] != 0.0) {
+        occupied.push_back(b);
+      }
+    }
     std::vector<double> next(acc.size() + bins - 1, 0.0);
     for (std::size_t a = 0; a < acc.size(); ++a) {
       if (acc[a] == 0.0) {
         continue;
       }
-      for (std::size_t b = 0; b < bins; ++b) {
+      for (const std::size_t b : occupied) {
         next[a + b] += acc[a] * hist[b];
       }
     }

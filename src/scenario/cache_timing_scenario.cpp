@@ -7,6 +7,7 @@
 // input-independent line set, which must drive every cross-class |t|
 // under the 4.5 threshold (asserted in tests and the scenario bench).
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -86,6 +87,7 @@ class CacheTimingScenario final : public Scenario {
   }
 
   std::vector<util::FourCc> channels(const ParamSet& params) const override {
+    (void)bounded_iterations(params);
     return line_channels(bounded_lines(params));
   }
 
@@ -102,7 +104,7 @@ class CacheTimingScenario final : public Scenario {
       std::uint64_t seed) const override {
     victim::ProbeArrayConfig config;
     config.lines = bounded_lines(params);
-    config.iterations = static_cast<int>(params.get_size("iterations"));
+    config.iterations = bounded_iterations(params);
     config.slc_pressure = params.get_double("slc_pressure");
     config.noise_ns = params.get_double("noise_ns");
     config.secret_dependent = params.get_flag("leak");
@@ -118,6 +120,18 @@ class CacheTimingScenario final : public Scenario {
           "scenario param 'lines': must be in 1..64");
     }
     return lines;
+  }
+
+  int bounded_iterations(const ParamSet& params) const {
+    const std::size_t iterations = params.get_size("iterations");
+    if (iterations == 0 ||
+        iterations > static_cast<std::size_t>(
+                         std::numeric_limits<int>::max())) {
+      throw std::invalid_argument(
+          "scenario param 'iterations': must be in 1.." +
+          std::to_string(std::numeric_limits<int>::max()));
+    }
+    return static_cast<int>(iterations);
   }
 };
 

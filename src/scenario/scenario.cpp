@@ -1,6 +1,7 @@
 #include "scenario/scenario.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -64,13 +65,13 @@ const std::string& ParamSet::get(const std::string& name) const {
 
 std::size_t ParamSet::get_size(const std::string& name) const {
   const std::string& raw = get(name);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
-  if (raw.empty() || end != raw.c_str() + raw.size() || errno == ERANGE) {
+  std::size_t v = 0;
+  const auto [end, ec] =
+      std::from_chars(raw.data(), raw.data() + raw.size(), v);
+  if (ec != std::errc{} || end != raw.data() + raw.size()) {
     bad_param(name, "expected a non-negative integer, got '" + raw + "'");
   }
-  return static_cast<std::size_t>(v);
+  return v;
 }
 
 double ParamSet::get_double(const std::string& name) const {

@@ -67,6 +67,8 @@ class ParamSet {
   // Typed accessors; throw std::invalid_argument on unknown key or
   // unconvertible value.
   const std::string& get(const std::string& name) const;
+  // Decimal digits only (no sign, no blanks) of a value that fits
+  // std::size_t.
   std::size_t get_size(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;  // "0"/"1"

@@ -12,12 +12,13 @@
 // AVX2 batch energy pass (power/leakage_model.cpp), the AVX2 quantizer
 // (power/noise.cpp), the AVX2 polar-method finish
 // of Xoshiro256::fill_gaussian (util/rng.cpp), the AVX2 sensor column
-// pass of the simulated device (victim/fast_trace.cpp), the PCLMULQDQ
-// CRC-32 (util/crc32.cpp) and the AVX-512 CPA analysis bodies — the
-// 64-guess sum_mt blocks, the vector correlation finish and the
-// in-register Walsh-Hadamard transform (core/cpa.cpp) — run unless the
-// active mode is `scalar`, each where the CPU has its ISA. Each gives its
-// portable body's bits.
+// pass of the simulated device (victim/fast_trace.cpp) and the PCLMULQDQ
+// CRC-32 (util/crc32.cpp) run unless the active mode is `scalar`, each
+// where the CPU has its ISA. Each gives its portable body's bits. The CPA
+// analysis (core/cpa.cpp) is one generic-vector body instantiated per ISA
+// at 2, 4 (AVX2) and 8 (AVX-512F) doubles per vector: `native` runs the
+// widest instance the CPU has and `scalar` the 2-lane baseline (SSE2 on
+// x86-64, NEON on AArch64), and every instance gives the same bits.
 //
 // Bit-exactness contract
 // ----------------------

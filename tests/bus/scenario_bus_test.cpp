@@ -330,6 +330,23 @@ TEST_F(ScenarioBusTest, MalformedParamsAreTypedErrorsAndConnectionSurvives) {
     EXPECT_EQ(e.code(), ErrorCode::bad_request);
   }
 
+  // So is a value that would wrap: iterations = 2^32 + 4 does not fit the
+  // probe's int, and a negative lines count is no number at all.
+  for (const auto& [key, raw] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"iterations", "4294967300"},
+           {"iterations", "-18446744073709551612"},
+           {"lines", "-18446744073709551615"},
+           {"lines", "+4"}}) {
+    spec.params = {{key, raw}};
+    try {
+      client.submit_scenario(spec);
+      FAIL() << "submit with " << key << "=" << raw << " must throw";
+    } catch (const BusRemoteError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::bad_request) << key << "=" << raw;
+    }
+  }
+
   client.ping();
   spec.params = {{"lines", "4"}};
   spec.traces_per_set = 30;

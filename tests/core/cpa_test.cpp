@@ -452,8 +452,8 @@ void expect_bit_equal(const std::array<double, 256>& want,
 }
 
 // Every model's analyze_byte equals the per-bin predictor loop bit for
-// bit, with the engine fed and analyzed on every supported SIMD backend,
-// on:
+// bit, with the engine fed on every supported SIMD backend and analyzed on
+// every analysis instance the CPU runs (detail::analysis_widths), on:
 //  * a sparse histogram (single-byte bins and most pair bins empty);
 //  * a dense one;
 //  * a channel of negative values, where a bin predicted m = 0 adds
@@ -468,6 +468,7 @@ void expect_bit_equal(const std::array<double, 256>& want,
 TEST(CpaEngine, AnalyzeMatchesPerBinPredictorBitForBit) {
   namespace simd = util::simd;
   const std::vector<simd::Backend> backends = simd::supported_backends();
+  const std::vector<std::size_t> widths = detail::analysis_widths();
   enum class Channel { leakage, one_bin, signed_zeros };
   struct Case {
     std::size_t traces;
@@ -518,17 +519,20 @@ TEST(CpaEngine, AnalyzeMatchesPerBinPredictorBitForBit) {
       CpaEngine engine({power::all_power_models.begin(),
                         power::all_power_models.end()});
       engine.add_trace_batch(pts, cts, values);
-      std::size_t w = 0;
-      for (const power::PowerModel model : power::all_power_models) {
-        for (std::size_t i = 0; i < 16; ++i) {
-          expect_bit_equal(
-              want[w++], engine.analyze_byte(model, i),
-              std::string(power::power_model_name(model)) + ", " +
-                  std::to_string(c.traces) + " traces, offset " +
-                  std::to_string(c.offset) + ", channel " +
-                  std::to_string(static_cast<int>(c.channel)) + ", " +
-                  std::string(simd::backend_name(backend)) + ", byte " +
-                  std::to_string(i));
+      for (const std::size_t width : widths) {
+        std::size_t w = 0;
+        for (const power::PowerModel model : power::all_power_models) {
+          for (std::size_t i = 0; i < 16; ++i) {
+            expect_bit_equal(
+                want[w++],
+                detail::analyze_byte_at_width(engine, model, i, width),
+                std::string(power::power_model_name(model)) + ", " +
+                    std::to_string(c.traces) + " traces, offset " +
+                    std::to_string(c.offset) + ", channel " +
+                    std::to_string(static_cast<int>(c.channel)) + ", " +
+                    std::string(simd::backend_name(backend)) + ", width " +
+                    std::to_string(width) + ", byte " + std::to_string(i));
+          }
         }
       }
     }
@@ -583,11 +587,17 @@ TEST(CpaEngine, AnalyzeMatchesPerBinPredictorBitForBit) {
     for (const power::PowerModel model : single_byte_models) {
       const std::array<double, 256> want = refs[p].correlations(model);
       for (std::size_t b = 0; b < backends.size(); ++b) {
-        expect_bit_equal(want, engines[b].analyze_byte(model, positions[p]),
-                         std::string(power::power_model_name(model)) +
-                             ", bin above 2^24, " +
-                             std::string(simd::backend_name(backends[b])) +
-                             ", byte " + std::to_string(positions[p]));
+        for (const std::size_t width : widths) {
+          expect_bit_equal(
+              want,
+              detail::analyze_byte_at_width(engines[b], model, positions[p],
+                                            width),
+              std::string(power::power_model_name(model)) +
+                  ", bin above 2^24, " +
+                  std::string(simd::backend_name(backends[b])) + ", width " +
+                  std::to_string(width) + ", byte " +
+                  std::to_string(positions[p]));
+        }
       }
     }
   }
@@ -595,8 +605,9 @@ TEST(CpaEngine, AnalyzeMatchesPerBinPredictorBitForBit) {
 
 // Absolute anchor: the FNV-1a digest, per model, of the bit patterns of
 // every analyze_byte correlation (16 positions x 256 guesses, in order)
-// of one seeded 20,000-trace engine, fed and analyzed on every supported
-// SIMD backend. The per-bin test above pins the engine to a reference
+// of one seeded 20,000-trace engine, fed on every supported SIMD backend
+// and analyzed on every analysis instance the CPU runs. The per-bin test
+// above pins the engine to a reference
 // loop; this pins the numbers themselves. After an intentional change to
 // them, copy the actual digest from the failure output.
 TEST(CpaEngine, AnalyzeDigestsArePinned) {
@@ -627,23 +638,29 @@ TEST(CpaEngine, AnalyzeDigestsArePinned) {
     CpaEngine engine({power::all_power_models.begin(),
                       power::all_power_models.end()});
     engine.add_trace_batch(pts, cts, values);
-    for (std::size_t m = 0; m < power::all_power_models.size(); ++m) {
-      const power::PowerModel model = power::all_power_models[m];
-      std::uint64_t hash = 0xcbf29ce484222325ull;
-      for (std::size_t i = 0; i < 16; ++i) {
-        for (const double c : engine.analyze_byte(model, i).correlation) {
-          const auto bits = std::bit_cast<std::uint64_t>(c);
-          for (int b = 0; b < 8; ++b) {
-            hash = (hash ^ ((bits >> (8 * b)) & 0xffu)) * 0x100000001b3ull;
+    for (const std::size_t width : detail::analysis_widths()) {
+      for (std::size_t m = 0; m < power::all_power_models.size(); ++m) {
+        const power::PowerModel model = power::all_power_models[m];
+        std::uint64_t hash = 0xcbf29ce484222325ull;
+        for (std::size_t i = 0; i < 16; ++i) {
+          for (const double c :
+               detail::analyze_byte_at_width(engine, model, i, width)
+                   .correlation) {
+            const auto bits = std::bit_cast<std::uint64_t>(c);
+            for (int b = 0; b < 8; ++b) {
+              hash =
+                  (hash ^ ((bits >> (8 * b)) & 0xffu)) * 0x100000001b3ull;
+            }
           }
         }
+        char actual[32];
+        std::snprintf(actual, sizeof actual, "0x%016llx",
+                      static_cast<unsigned long long>(hash));
+        EXPECT_EQ(hash, want[m])
+            << power::power_model_name(model) << " on "
+            << simd::backend_name(backend) << ", width " << width
+            << ": actual digest " << actual;
       }
-      char actual[32];
-      std::snprintf(actual, sizeof actual, "0x%016llx",
-                    static_cast<unsigned long long>(hash));
-      EXPECT_EQ(hash, want[m])
-          << power::power_model_name(model) << " on "
-          << simd::backend_name(backend) << ": actual digest " << actual;
     }
   }
   simd::reset_backend();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -92,9 +93,35 @@ TEST(ScenarioRegistry, ParamParsingRejectsMalformedInput) {
   EXPECT_THROW(bad.get_size("lines"), std::invalid_argument);
   const ParamSet bad_flag = scenario->parse_params({{"leak", "yes"}});
   EXPECT_THROW(bad_flag.get_flag("leak"), std::invalid_argument);
-  // And out-of-range scenario constraints surface from channels().
+  // Integer params are decimal digits that fit std::size_t: a sign, a
+  // blank or a value past 2^64 - 1 is an error, never a wrapped number.
+  for (const std::string raw :
+       {"-18446744073709551612", "-18446744073709551615", "-1", " 4", "4 ",
+        "+4", "", "18446744073709551616"}) {
+    for (const std::string key : {"iterations", "lines"}) {
+      const ParamSet params = scenario->parse_params({{key, raw}});
+      EXPECT_THROW(params.get_size(key), std::invalid_argument)
+          << key << "='" << raw << "'";
+    }
+  }
+  EXPECT_EQ(scenario->parse_params({{"lines", "18446744073709551615"}})
+                .get_size("lines"),
+            18446744073709551615ull);
+  // And out-of-range scenario constraints surface from channels(), among
+  // them an iterations count that does not fit the probe's int: 2^32 + 4
+  // is an error, not 4 reloads.
   const ParamSet too_many = scenario->parse_params({{"lines", "65"}});
   EXPECT_THROW(scenario->channels(too_many), std::invalid_argument);
+  for (const std::string raw : {"4294967300", "2147483648", "0"}) {
+    const ParamSet params = scenario->parse_params({{"iterations", raw}});
+    EXPECT_THROW(scenario->channels(params), std::invalid_argument) << raw;
+    EXPECT_THROW(scenario->make_source(params, aes::Block{}, 1),
+                 std::invalid_argument)
+        << raw;
+  }
+  const ParamSet int_max =
+      scenario->parse_params({{"iterations", "2147483647"}});
+  EXPECT_NO_THROW(scenario->channels(int_max));
 }
 
 TEST(ScenarioRegistry, ConcurrentListDescribeInstantiate) {
