@@ -14,7 +14,7 @@
 // one chunk at a time, optionally sharded so each shard of a campaign
 // (core/campaigns.h) replays its own row ranges of the same file — and
 // scenario::ProbeTraceSource (scenario/probe.h) adapts a registry
-// scenario's per-observation probe.
+// scenario's batch probe.
 //
 // The native currency is the columnar core::TraceBatch, filled through a
 // stage-then-collect protocol: the caller sizes the batch and writes the

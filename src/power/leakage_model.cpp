@@ -65,14 +65,6 @@ __attribute__((target("popcnt"))) int bus_bits_popcnt(
   return bus_bits_of(plaintext, ciphertext);
 }
 
-// POPCNT runs unless dispatch is pinned to the portable bodies
-// (PSC_SIMD=scalar or util::simd::force_backend(Backend::scalar)).
-bool use_popcnt() noexcept {
-  static const bool cpu_has_popcnt = __builtin_cpu_supports("popcnt") != 0;
-  return cpu_has_popcnt &&
-         util::simd::active_backend() != util::simd::Backend::scalar;
-}
-
 // Four byte counts of one term row as doubles.
 __attribute__((target("avx2"))) inline __m256d load_counts(
     const std::uint8_t* row) noexcept {
@@ -167,7 +159,7 @@ double LeakageConfig::max_energy() const noexcept {
 double LeakageEvaluator::encryption_energy(
     const aes::Block& plaintext, const aes::RoundTrace& trace) const noexcept {
 #if defined(PSC_SIMD_X86)
-  if (use_popcnt()) {
+  if (util::simd::popcnt_active()) {
     return weighted_bits_popcnt(config_, plaintext, trace) *
            config_.leak_joules_per_bit;
   }
@@ -187,7 +179,7 @@ double LeakageEvaluator::bus_energy(
     return 0.0;
   }
 #if defined(PSC_SIMD_X86)
-  if (use_popcnt()) {
+  if (util::simd::popcnt_active()) {
     return config_.bus_joules_per_bit * bus_bits_popcnt(plaintext, ciphertext);
   }
 #endif

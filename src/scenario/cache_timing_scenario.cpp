@@ -7,7 +7,7 @@
 // input-independent line set, which must drive every cross-class |t|
 // under the 4.5 threshold (asserted in tests and the scenario bench).
 
-#include <limits>
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -34,6 +34,35 @@ std::vector<util::FourCc> line_channels(std::size_t lines) {
   return channels;
 }
 
+// Most timed reloads (iterations x lines) one trace may run: bounds the
+// work of a trace, and so of a served job.
+constexpr std::size_t max_reloads_per_trace = 65536;
+// Widest reload jitter (sigma, ns): a millisecond, far above any cache
+// latency, and small enough that no deviate scales it to inf.
+constexpr double max_noise_ns = 1e6;
+
+// Every param converted and checked: channels() runs this too, so a bad
+// value is a typed error before a served job starts.
+victim::ProbeArrayConfig probe_array_config(const ParamSet& params) {
+  victim::ProbeArrayConfig config;
+  config.lines = params.get_size("lines");
+  if (config.lines == 0 || config.lines > 64) {
+    throw std::invalid_argument("scenario param 'lines': must be in 1..64");
+  }
+  const std::size_t iterations = params.get_size("iterations");
+  if (iterations == 0 || iterations > max_reloads_per_trace / config.lines) {
+    throw std::invalid_argument(
+        "scenario param 'iterations': must be positive, with iterations x "
+        "lines at most " +
+        std::to_string(max_reloads_per_trace) + " timed reloads per trace");
+  }
+  config.iterations = static_cast<int>(iterations);
+  config.slc_pressure = params.get_double("slc_pressure", 0.0, 1.0);
+  config.noise_ns = params.get_double("noise_ns", 0.0, max_noise_ns);
+  config.secret_dependent = params.get_flag("leak");
+  return config;
+}
+
 class ProbeArrayProbe final : public ChannelProbe {
  public:
   ProbeArrayProbe(const victim::ProbeArrayConfig& config,
@@ -45,10 +74,12 @@ class ProbeArrayProbe final : public ChannelProbe {
     return keys_;
   }
 
-  void sample(const aes::Block& input, aes::Block& output,
-              std::span<double> values) override {
-    output = input;  // the probe-array victim produces no ciphertext
-    victim_.observe(input, values);
+  void sample(std::span<const aes::Block> inputs,
+              std::span<aes::Block> outputs,
+              std::span<const std::span<double>> columns) override {
+    // The probe-array victim produces no ciphertext.
+    std::copy(inputs.begin(), inputs.end(), outputs.begin());
+    victim_.observe(inputs, columns);
   }
 
   // A flush + trigger + reload round over the whole array is micro-scale
@@ -77,18 +108,18 @@ class CacheTimingScenario final : public Scenario {
   std::vector<ParamSpec> params() const override {
     return {
         {"lines", "16", "probe-array lines (1..64), one channel each"},
-        {"iterations", "4", "timed reloads averaged per line"},
+        {"iterations", "4",
+         "timed reloads averaged per line (iterations x lines <= 65536)"},
         {"slc_pressure", "0",
          "[0,1] probability competing SLC occupancy evicts a touched line "
          "before reload"},
-        {"noise_ns", "12", "reload latency jitter sigma (ns)"},
+        {"noise_ns", "12", "reload latency jitter sigma (ns, 0..1e6)"},
         {"leak", "1", "0 = input-independent line set (channel disabled)"},
     };
   }
 
   std::vector<util::FourCc> channels(const ParamSet& params) const override {
-    (void)bounded_iterations(params);
-    return line_channels(bounded_lines(params));
+    return line_channels(probe_array_config(params).lines);
   }
 
   AnalysisSpec analysis(const ParamSet& params) const override {
@@ -102,36 +133,8 @@ class CacheTimingScenario final : public Scenario {
   std::unique_ptr<core::TraceSource> make_source(
       const ParamSet& params, const aes::Block& secret,
       std::uint64_t seed) const override {
-    victim::ProbeArrayConfig config;
-    config.lines = bounded_lines(params);
-    config.iterations = bounded_iterations(params);
-    config.slc_pressure = params.get_double("slc_pressure");
-    config.noise_ns = params.get_double("noise_ns");
-    config.secret_dependent = params.get_flag("leak");
-    return std::make_unique<ProbeTraceSource>(
-        std::make_unique<ProbeArrayProbe>(config, secret, seed));
-  }
-
- private:
-  std::size_t bounded_lines(const ParamSet& params) const {
-    const std::size_t lines = params.get_size("lines");
-    if (lines == 0 || lines > 64) {
-      throw std::invalid_argument(
-          "scenario param 'lines': must be in 1..64");
-    }
-    return lines;
-  }
-
-  int bounded_iterations(const ParamSet& params) const {
-    const std::size_t iterations = params.get_size("iterations");
-    if (iterations == 0 ||
-        iterations > static_cast<std::size_t>(
-                         std::numeric_limits<int>::max())) {
-      throw std::invalid_argument(
-          "scenario param 'iterations': must be in 1.." +
-          std::to_string(std::numeric_limits<int>::max()));
-    }
-    return static_cast<int>(iterations);
+    return std::make_unique<ProbeTraceSource>(std::make_unique<ProbeArrayProbe>(
+        probe_array_config(params), secret, seed));
   }
 };
 

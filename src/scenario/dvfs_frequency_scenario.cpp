@@ -16,6 +16,7 @@
 // cross-class |t| (asserted in tests and the scenario bench).
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -53,49 +54,62 @@ class DvfsFrequencyProbe final : public ChannelProbe {
   DvfsFrequencyProbe(const DvfsProbeConfig& config, std::uint64_t seed)
       : config_(config),
         rng_(seed),
-        keys_({util::FourCc("FAVG"), util::FourCc("FRES")}) {
+        keys_({util::FourCc("FAVG"), util::FourCc("FRES")}),
+        initial_governor_(config_.profile.governor, config_.profile.p_ladder),
+        residency_(config_.profile.p_ladder) {
+    initial_governor_.set_lowpowermode(config_.lowpower);
     // The frequency the workload's power model is normalized to: the
     // highest state the governor will ever apply in this mode.
-    soc::Governor probe(config_.profile.governor, config_.profile.p_ladder);
-    probe.set_lowpowermode(config_.lowpower);
-    ceiling_state_ = probe.p_state_limit();
-    ceiling_hz_ = config_.profile.p_ladder.frequency_hz(ceiling_state_);
+    ceiling_state_ = initial_governor_.p_state_limit();
+    const soc::DvfsLadder& ladder = config_.profile.p_ladder;
+    const double ceiling_hz = ladder.frequency_hz(ceiling_state_);
+    for (std::size_t s = 0; s <= ceiling_state_; ++s) {
+      frequency_ratio_.push_back(ladder.frequency_hz(s) / ceiling_hz);
+    }
+    // Governor decisions per window, at least one (dvfs_config bounds it).
+    steps_ = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               config_.window_s / config_.profile.governor.decision_period_s));
+    deviates_.resize(steps_ + 2);
   }
 
   const std::vector<util::FourCc>& keys() const noexcept override {
     return keys_;
   }
 
-  void sample(const aes::Block& input, aes::Block& output,
-              std::span<double> values) override {
-    output = input;  // the workload produces no ciphertext
-
-    const double intensity =
-        config_.leak ? aes::hamming_weight(input) / block_bits : 0.5;
-
-    soc::Governor governor(config_.profile.governor,
-                           config_.profile.p_ladder);
-    governor.set_lowpowermode(config_.lowpower);
-    soc::FrequencyResidency residency(config_.profile.p_ladder);
-
+  void sample(std::span<const aes::Block> inputs,
+              std::span<aes::Block> outputs,
+              std::span<const std::span<double>> columns) override {
     const double dt = config_.profile.governor.decision_period_s;
-    const std::size_t steps = std::max<std::size_t>(
-        1, static_cast<std::size_t>(config_.window_s / dt));
-    for (std::size_t step = 0; step < steps; ++step) {
-      const std::size_t applied =
-          std::min(governor.p_state_limit(), ceiling_state_);
-      const double f = config_.profile.p_ladder.frequency_hz(applied);
-      const double power =
-          config_.idle_w + intensity * config_.span_w * (f / ceiling_hz_) +
-          rng_.gaussian(0.0, config_.power_noise_w);
-      governor.update(power, /*temperature_c=*/45.0, dt);
-      residency.add(std::min(governor.p_state_limit(), ceiling_state_), dt);
-    }
+    for (std::size_t t = 0; t < inputs.size(); ++t) {
+      outputs[t] = inputs[t];  // the workload produces no ciphertext
 
-    values[0] = residency.mean_frequency_hz() +
-                rng_.gaussian(0.0, config_.freq_noise_hz);
-    values[1] = residency.fraction_below(ceiling_state_) +
-                rng_.gaussian(0.0, config_.residency_noise);
+      const double intensity =
+          config_.leak ? aes::hamming_weight(inputs[t]) / block_bits : 0.5;
+      // The workload's power above idle at the ceiling frequency.
+      const double active_w = intensity * config_.span_w;
+
+      // One power jitter per decision step, then the two measurement
+      // jitters: the row's draws, in the order a step loop makes them.
+      rng_.fill_gaussian(deviates_);
+      soc::Governor governor = initial_governor_;
+      residency_.reset();
+      for (std::size_t step = 0; step < steps_; ++step) {
+        const std::size_t applied =
+            std::min(governor.p_state_limit(), ceiling_state_);
+        const double power = config_.idle_w +
+                             active_w * frequency_ratio_[applied] +
+                             config_.power_noise_w * deviates_[step];
+        governor.update(power, /*temperature_c=*/45.0, dt);
+        residency_.add(std::min(governor.p_state_limit(), ceiling_state_),
+                       dt);
+      }
+
+      columns[0][t] = residency_.mean_frequency_hz() +
+                      config_.freq_noise_hz * deviates_[steps_];
+      columns[1][t] = residency_.fraction_below(ceiling_state_) +
+                      config_.residency_noise * deviates_[steps_ + 1];
+    }
   }
 
   double window_s() const noexcept override { return config_.window_s; }
@@ -104,8 +118,13 @@ class DvfsFrequencyProbe final : public ChannelProbe {
   DvfsProbeConfig config_;
   util::Xoshiro256 rng_;
   std::vector<util::FourCc> keys_;
+  soc::Governor initial_governor_;  // each trace starts from a copy
+  soc::FrequencyResidency residency_;
   std::size_t ceiling_state_ = 0;
-  double ceiling_hz_ = 0.0;
+  // Per state up to the ceiling: its frequency over the ceiling's.
+  std::vector<double> frequency_ratio_;
+  std::size_t steps_ = 0;
+  std::vector<double> deviates_;  // one trace's Gaussians
 };
 
 soc::DeviceProfile dvfs_profile_for(const std::string& device) {
@@ -117,6 +136,38 @@ soc::DeviceProfile dvfs_profile_for(const std::string& device) {
   }
   throw std::invalid_argument(
       "scenario param 'device': expected m1 or m2, got '" + device + "'");
+}
+
+// Most governor decisions one trace may simulate: bounds the work of a
+// trace, and so of a served job, whatever window_s asks for.
+constexpr std::size_t max_decision_steps = 100000;
+// Widest frequency-estimate jitter (sigma, MHz): far above any cluster
+// clock, and small enough that no deviate scales it to inf.
+constexpr double max_freq_noise_mhz = 1e5;
+
+// Every param converted and checked: channels() runs this too, so a bad
+// value is a typed error before a served job starts.
+DvfsProbeConfig dvfs_config(const ParamSet& params) {
+  DvfsProbeConfig config{
+      .profile = dvfs_profile_for(params.get("device")),
+      .lowpower = params.get_flag("lowpower"),
+      .window_s = params.get_double("window_s"),
+  };
+  const double period_s = config.profile.governor.decision_period_s;
+  if (config.window_s <= 0.0 ||
+      config.window_s / period_s > static_cast<double>(max_decision_steps)) {
+    char limit_s[32];
+    std::snprintf(limit_s, sizeof limit_s, "%g",
+                  static_cast<double>(max_decision_steps) * period_s);
+    throw std::invalid_argument(
+        "scenario param 'window_s': must be positive and at most " +
+        std::string(limit_s) + " s (" + std::to_string(max_decision_steps) +
+        " governor decisions)");
+  }
+  config.freq_noise_hz =
+      params.get_double("freq_noise_mhz", 0.0, max_freq_noise_mhz) * 1e6;
+  config.leak = params.get_flag("leak");
+  return config;
 }
 
 class DvfsFrequencyScenario final : public Scenario {
@@ -138,15 +189,17 @@ class DvfsFrequencyScenario final : public Scenario {
         {"device", "m2", "simulated platform: m1 (Mac Mini) or m2 "
                          "(MacBook Air)"},
         {"lowpower", "1", "run under the lowpowermode 4 W budget (0/1)"},
-        {"window_s", "0.5", "observation window per trace (seconds)"},
+        {"window_s", "0.5",
+         "observation window per trace (seconds, at most 100000 governor "
+         "decisions)"},
         {"freq_noise_mhz", "5",
-         "attacker frequency-estimate jitter sigma (MHz)"},
+         "attacker frequency-estimate jitter sigma (MHz, 0..1e5)"},
         {"leak", "1", "0 = input-independent intensity (channel disabled)"},
     };
   }
 
   std::vector<util::FourCc> channels(const ParamSet& params) const override {
-    (void)params;
+    (void)dvfs_config(params);
     return {util::FourCc("FAVG"), util::FourCc("FRES")};
   }
 
@@ -166,19 +219,8 @@ class DvfsFrequencyScenario final : public Scenario {
     // plays that role, mirroring the paper's unprivileged-observer
     // setup).
     (void)secret;
-    DvfsProbeConfig config{
-        .profile = dvfs_profile_for(params.get("device")),
-        .lowpower = params.get_flag("lowpower"),
-        .window_s = params.get_double("window_s"),
-    };
-    if (config.window_s <= 0.0) {
-      throw std::invalid_argument(
-          "scenario param 'window_s': must be positive");
-    }
-    config.freq_noise_hz = params.get_double("freq_noise_mhz") * 1e6;
-    config.leak = params.get_flag("leak");
     return std::make_unique<ProbeTraceSource>(
-        std::make_unique<DvfsFrequencyProbe>(config, seed));
+        std::make_unique<DvfsFrequencyProbe>(dvfs_config(params), seed));
   }
 };
 

@@ -1,8 +1,8 @@
 #include "scenario/scenario.h"
 
-#include <cerrno>
 #include <charconv>
-#include <cstdlib>
+#include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 namespace psc::scenario {
@@ -76,11 +76,24 @@ std::size_t ParamSet::get_size(const std::string& name) const {
 
 double ParamSet::get_double(const std::string& name) const {
   const std::string& raw = get(name);
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(raw.c_str(), &end);
-  if (raw.empty() || end != raw.c_str() + raw.size() || errno == ERANGE) {
-    bad_param(name, "expected a number, got '" + raw + "'");
+  double v = 0.0;
+  const auto [end, ec] = std::from_chars(raw.data(), raw.data() + raw.size(),
+                                         v, std::chars_format::general);
+  if (ec != std::errc{} || end != raw.data() + raw.size() ||
+      !std::isfinite(v)) {
+    bad_param(name, "expected a finite decimal number, got '" + raw + "'");
+  }
+  return v;
+}
+
+double ParamSet::get_double(const std::string& name, double lo,
+                            double hi) const {
+  const double v = get_double(name);
+  if (v < lo || v > hi) {
+    char range[64];
+    std::snprintf(range, sizeof range, "[%g, %g]", lo, hi);
+    bad_param(name, "must be in " + std::string(range) + ", got '" +
+                        get(name) + "'");
   }
   return v;
 }

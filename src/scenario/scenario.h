@@ -70,7 +70,12 @@ class ParamSet {
   // Decimal digits only (no sign, no blanks) of a value that fits
   // std::size_t.
   std::size_t get_size(const std::string& name) const;
+  // A finite decimal number, fixed or scientific (std::from_chars
+  // general format): no blanks, no '+', no hex, no nan or inf.
   double get_double(const std::string& name) const;
+  // The same, and within [lo, hi]: bounds a physical quantity so that no
+  // accepted value overflows to inf once the probe scales it.
+  double get_double(const std::string& name, double lo, double hi) const;
   bool get_flag(const std::string& name) const;  // "0"/"1"
 
  private:

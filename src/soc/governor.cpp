@@ -1,12 +1,12 @@
 #include "soc/governor.h"
 
-#include <algorithm>
-
 namespace psc::soc {
 
 Governor::Governor(GovernorConfig config, const DvfsLadder& p_ladder)
     : config_(config),
-      p_ladder_(&p_ladder),
+      max_state_(p_ladder.max_state()),
+      lowpower_max_state_(
+          p_ladder.state_at_or_below(config_.lowpower_max_p_freq_hz)),
       p_state_limit_(p_ladder.max_state()) {}
 
 void Governor::set_lowpowermode(bool enabled) noexcept {
@@ -15,69 +15,6 @@ void Governor::set_lowpowermode(bool enabled) noexcept {
   if (!enabled) {
     power_throttling_ = false;
   }
-}
-
-std::size_t Governor::max_allowed_state() const noexcept {
-  if (!lowpowermode_) {
-    return p_ladder_->max_state();
-  }
-  return p_ladder_->state_at_or_below(config_.lowpower_max_p_freq_hz);
-}
-
-void Governor::update(double estimated_power_w, double temperature_c,
-                      double dt_s) noexcept {
-  time_since_decision_s_ += dt_s;
-  if (time_since_decision_s_ < config_.decision_period_s) {
-    return;
-  }
-  time_since_decision_s_ = 0.0;
-
-  const std::size_t ceiling = max_allowed_state();
-
-  // Thermal limit applies in every mode.
-  if (temperature_c >= config_.thermal_limit_c) {
-    thermal_throttling_ = true;
-    if (p_state_limit_ > 0) {
-      --p_state_limit_;
-    }
-    return;
-  }
-  const bool thermal_recovered =
-      temperature_c <
-      config_.thermal_limit_c - config_.thermal_hysteresis_c;
-  if (thermal_throttling_ && !thermal_recovered) {
-    return;  // hold current limit inside the hysteresis band
-  }
-  thermal_throttling_ = false;
-
-  // Power budget applies only in lowpowermode.
-  if (lowpowermode_) {
-    if (estimated_power_w > config_.lowpower_cap_w) {
-      power_throttling_ = true;
-      if (p_state_limit_ > 0) {
-        --p_state_limit_;
-      }
-      return;
-    }
-    if (estimated_power_w <
-        config_.lowpower_cap_w - config_.lowpower_cap_margin_w) {
-      if (p_state_limit_ < ceiling) {
-        ++p_state_limit_;
-      }
-      if (p_state_limit_ >= ceiling) {
-        power_throttling_ = false;
-      }
-      return;
-    }
-    // Inside the margin band: hold (prevents limit cycling).
-    return;
-  }
-
-  // No active limit: relax toward the ceiling.
-  if (p_state_limit_ < ceiling) {
-    ++p_state_limit_;
-  }
-  p_state_limit_ = std::min(p_state_limit_, ceiling);
 }
 
 }  // namespace psc::soc

@@ -14,6 +14,7 @@
 // why throttling carries no data dependence (Table 6, right column).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "soc/dvfs.h"
@@ -39,7 +40,8 @@ class Governor {
 
   // Feeds one simulation step; acts only every decision_period_s.
   // `estimated_power_w` is the utilization-model package power (PHPS),
-  // `temperature_c` the die temperature.
+  // `temperature_c` the die temperature. Inline: the DVFS-frequency
+  // scenario runs one decision per step of every trace.
   void update(double estimated_power_w, double temperature_c,
               double dt_s) noexcept;
 
@@ -55,15 +57,76 @@ class Governor {
   const GovernorConfig& config() const noexcept { return config_; }
 
  private:
-  std::size_t max_allowed_state() const noexcept;
+  // The highest state the current mode allows.
+  std::size_t max_allowed_state() const noexcept {
+    return lowpowermode_ ? lowpower_max_state_ : max_state_;
+  }
 
   GovernorConfig config_;
-  const DvfsLadder* p_ladder_;
+  // Both ceilings, resolved from the ladder once at construction.
+  std::size_t max_state_;
+  std::size_t lowpower_max_state_;
   bool lowpowermode_ = false;
   std::size_t p_state_limit_;
   bool thermal_throttling_ = false;
   bool power_throttling_ = false;
   double time_since_decision_s_ = 0.0;
 };
+
+inline void Governor::update(double estimated_power_w, double temperature_c,
+                             double dt_s) noexcept {
+  time_since_decision_s_ += dt_s;
+  if (time_since_decision_s_ < config_.decision_period_s) {
+    return;
+  }
+  time_since_decision_s_ = 0.0;
+
+  const std::size_t ceiling = max_allowed_state();
+
+  // Thermal limit applies in every mode.
+  if (temperature_c >= config_.thermal_limit_c) {
+    thermal_throttling_ = true;
+    if (p_state_limit_ > 0) {
+      --p_state_limit_;
+    }
+    return;
+  }
+  const bool thermal_recovered =
+      temperature_c <
+      config_.thermal_limit_c - config_.thermal_hysteresis_c;
+  if (thermal_throttling_ && !thermal_recovered) {
+    return;  // hold current limit inside the hysteresis band
+  }
+  thermal_throttling_ = false;
+
+  // Power budget applies only in lowpowermode.
+  if (lowpowermode_) {
+    if (estimated_power_w > config_.lowpower_cap_w) {
+      power_throttling_ = true;
+      if (p_state_limit_ > 0) {
+        --p_state_limit_;
+      }
+      return;
+    }
+    if (estimated_power_w <
+        config_.lowpower_cap_w - config_.lowpower_cap_margin_w) {
+      if (p_state_limit_ < ceiling) {
+        ++p_state_limit_;
+      }
+      if (p_state_limit_ >= ceiling) {
+        power_throttling_ = false;
+      }
+      return;
+    }
+    // Inside the margin band: hold (prevents limit cycling).
+    return;
+  }
+
+  // No active limit: relax toward the ceiling.
+  if (p_state_limit_ < ceiling) {
+    ++p_state_limit_;
+  }
+  p_state_limit_ = std::min(p_state_limit_, ceiling);
+}
 
 }  // namespace psc::soc

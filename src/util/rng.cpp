@@ -13,36 +13,6 @@ namespace psc::util {
 
 namespace {
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-// One Xoshiro256** step. Shared by operator() and fill_gaussian, which
-// runs it on a local copy of the state so the words stay in registers.
-inline std::uint64_t xoshiro_next(std::array<std::uint64_t, 4>& s) noexcept {
-  const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-  const std::uint64_t t = s[1] << 17;
-
-  s[2] ^= s[0];
-  s[3] ^= s[1];
-  s[1] ^= s[2];
-  s[0] ^= s[3];
-  s[2] ^= t;
-  s[3] = rotl(s[3], 45);
-
-  return result;
-}
-
-// Uniform double in [0, 1) from one raw output (53 bits).
-inline double unit_interval(std::uint64_t x) noexcept {
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
-// Uniform double in [lo, hi) from one raw output.
-inline double uniform_from(std::uint64_t x, double lo, double hi) noexcept {
-  return lo + (hi - lo) * unit_interval(x);
-}
-
 // The polar method's last step for `pairs` accepted candidates: factor
 // f = sqrt(-2 ln s / s), deviates u*f then v*f, interleaved into `out`.
 void polar_finish_scalar(const double* u, const double* v, const double* s,
@@ -100,16 +70,8 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   }
 }
 
-Xoshiro256::result_type Xoshiro256::operator()() noexcept {
-  return xoshiro_next(state_);
-}
-
-double Xoshiro256::uniform01() noexcept {
-  return unit_interval((*this)());
-}
-
 double Xoshiro256::uniform(double lo, double hi) noexcept {
-  return uniform_from((*this)(), lo, hi);
+  return lo + (hi - lo) * uniform01();
 }
 
 std::uint64_t Xoshiro256::uniform_u64(std::uint64_t bound) noexcept {
@@ -128,11 +90,7 @@ std::uint64_t Xoshiro256::uniform_u64(std::uint64_t bound) noexcept {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-double Xoshiro256::gaussian() noexcept {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    return cached_gaussian_;
-  }
+double Xoshiro256::gaussian_pair() noexcept {
   double u = 0.0;
   double v = 0.0;
   double s = 0.0;
@@ -145,10 +103,6 @@ double Xoshiro256::gaussian() noexcept {
   cached_gaussian_ = v * factor;
   has_cached_gaussian_ = true;
   return u * factor;
-}
-
-double Xoshiro256::gaussian(double mean, double sigma) noexcept {
-  return mean + sigma * gaussian();
 }
 
 void Xoshiro256::fill_gaussian(std::span<double> out) noexcept {
@@ -171,8 +125,8 @@ void Xoshiro256::fill_gaussian(std::span<double> out) noexcept {
     // The candidate is always written and kept only when accepted, the
     // rejection test of gaussian() without a branch.
     for (std::size_t k = 0; k < pairs;) {
-      const double cu = uniform_from(xoshiro_next(state), -1.0, 1.0);
-      const double cv = uniform_from(xoshiro_next(state), -1.0, 1.0);
+      const double cu = -1.0 + 2.0 * unit_interval(next(state));
+      const double cv = -1.0 + 2.0 * unit_interval(next(state));
       const double cs = cu * cu + cv * cv;
       u[k] = cu;
       v[k] = cv;

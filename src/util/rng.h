@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstddef>
 #include <limits>
@@ -50,7 +51,7 @@ class Xoshiro256 {
   // seeding procedure from the authors).
   explicit Xoshiro256(std::uint64_t seed) noexcept;
 
-  result_type operator()() noexcept;
+  result_type operator()() noexcept { return next(state_); }
 
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept {
@@ -58,7 +59,7 @@ class Xoshiro256 {
   }
 
   // Uniform double in [0, 1) with 53 bits of precision.
-  double uniform01() noexcept;
+  double uniform01() noexcept { return unit_interval((*this)()); }
 
   // Uniform double in [lo, hi). Requires lo <= hi.
   double uniform(double lo, double hi) noexcept;
@@ -67,10 +68,19 @@ class Xoshiro256 {
   std::uint64_t uniform_u64(std::uint64_t bound) noexcept;
 
   // Standard normal deviate (Marsaglia polar method; one deviate cached).
-  double gaussian() noexcept;
+  // Every other call returns the cached deviate inline.
+  double gaussian() noexcept {
+    if (has_cached_gaussian_) {
+      has_cached_gaussian_ = false;
+      return cached_gaussian_;
+    }
+    return gaussian_pair();
+  }
 
   // Normal deviate with the given mean and standard deviation.
-  double gaussian(double mean, double sigma) noexcept;
+  double gaussian(double mean, double sigma) noexcept {
+    return mean + sigma * gaussian();
+  }
 
   // Fills `out` with standard normal deviates: the same values, and the
   // same generator state afterwards (cached second deviate included), as
@@ -101,6 +111,29 @@ class Xoshiro256 {
   void long_jump() noexcept;
 
  private:
+  // One Xoshiro256** step of `s`. fill_gaussian runs it on a local copy
+  // of the state so the words stay in registers.
+  static std::uint64_t next(std::array<std::uint64_t, 4>& s) noexcept {
+    const std::uint64_t result = std::rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = std::rotl(s[3], 45);
+    return result;
+  }
+
+  // Uniform double in [0, 1) from one raw output (53 bits).
+  static double unit_interval(std::uint64_t x) noexcept {
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
+  }
+
+  // The polar method's draw for an empty cache: returns the first deviate
+  // of a fresh pair and caches the second.
+  double gaussian_pair() noexcept;
+
   std::array<std::uint64_t, 4> state_{};
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;

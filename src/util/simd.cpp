@@ -344,6 +344,15 @@ bool avx2_active() noexcept {
 #endif
 }
 
+bool popcnt_active() noexcept {
+#if defined(PSC_SIMD_X86)
+  static const bool cpu_has_popcnt = __builtin_cpu_supports("popcnt") != 0;
+  return cpu_has_popcnt && active_backend() == Backend::native;
+#else
+  return false;
+#endif
+}
+
 void accumulate_moments(const double* x, std::size_t n, std::uint64_t g0,
                         MomentStripes& m) noexcept {
   // Scalar head until the stream index hits a stripe-0 boundary, so every

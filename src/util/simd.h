@@ -9,10 +9,11 @@
 // measured fastest for the running CPU. The bodies outside this file
 // follow the same switch: the AES-NI round trace and the AES-NI + POPCNT
 // round-state counts (aes/aes128.cpp), the POPCNT leakage sums and the
-// AVX2 batch energy pass (power/leakage_model.cpp), the AVX2 quantizer
-// (power/noise.cpp), the AVX2 polar-method finish
-// of Xoshiro256::fill_gaussian (util/rng.cpp), the AVX2 sensor column
-// pass of the simulated device (victim/fast_trace.cpp) and the PCLMULQDQ
+// AVX2 batch energy pass (power/leakage_model.cpp), the POPCNT
+// square-and-multiply timing body (scenario/sqmul_timing_scenario.cpp),
+// the AVX2 quantizer (power/noise.cpp), the AVX2 polar-method finish of
+// Xoshiro256::fill_gaussian (util/rng.cpp), the AVX2 sensor column pass
+// of the simulated device (victim/fast_trace.cpp) and the PCLMULQDQ
 // CRC-32 (util/crc32.cpp) run unless the active mode is `scalar`, each
 // where the CPU has its ISA. Each gives its portable body's bits. The CPA
 // analysis (core/cpa.cpp) is one generic-vector body instantiated per ISA
@@ -121,6 +122,11 @@ void reset_backend() noexcept;
 // of the AVX2 bodies outside this module (the batch energy pass, the
 // quantizer, the Gaussian finish and the sensor column pass).
 bool avx2_active() noexcept;
+
+// True when the active mode is `native` and the CPU has POPCNT: the
+// switch of the POPCNT leakage sums and the square-and-multiply timing
+// body.
+bool popcnt_active() noexcept;
 
 // ---------------------------------------------------------------------------
 // Striped moment accumulation.

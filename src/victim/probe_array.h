@@ -43,10 +43,12 @@ class ProbeArrayVictim {
 
   std::size_t lines() const noexcept { return config_.lines; }
 
-  // One flush + trigger + reload round: the victim consumes `input`, then
-  // `out[l]` receives the averaged coarse-timer reload latency (ns) of
-  // line l. `out` must hold lines() entries.
-  void observe(const aes::Block& input, std::span<double> out);
+  // One flush + trigger + reload round per input, in row order: the
+  // victim consumes inputs[t], then line_columns[l][t] receives the
+  // averaged coarse-timer reload latency (ns) of line l. `line_columns`
+  // must hold lines() columns of at least inputs.size() entries.
+  void observe(std::span<const aes::Block> inputs,
+               std::span<const std::span<double>> line_columns);
 
  private:
   // Lines the victim touches for `input`, as a bitmask over [0, lines).

@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bus/client.h"
@@ -349,6 +350,47 @@ TEST_F(ScenarioBusTest, MalformedParamsAreTypedErrorsAndConnectionSurvives) {
 
   client.ping();
   spec.params = {{"lines", "4"}};
+  spec.traces_per_set = 30;
+  const std::uint64_t id = client.submit_scenario(spec);
+  ASSERT_NE(id, 0u);
+  EXPECT_EQ(client.watch(id).state, JobState::done);
+}
+
+// A param that would pin a pool worker forever (a NaN or huge dvfs
+// window, 2e9 reloads per line) or poison every value (NaN jitter, or
+// jitter so wide that a deviate scales it to inf) is a typed ERROR frame
+// at SUBMIT, and the connection keeps serving.
+TEST_F(ScenarioBusTest, UnboundedWorkParamsAreTypedErrors) {
+  serve("unbounded");
+  BusClient client(daemon_->socket_path());
+
+  for (const auto& [name, key, raw] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"dvfs-frequency", "window_s", "nan"},
+           {"dvfs-frequency", "window_s", "1e300"},
+           {"cache-timing", "iterations", "2000000000"},
+           {"dvfs-frequency", "freq_noise_mhz", "1e303"},
+           {"cache-timing", "noise_ns", "nan"},
+           {"cache-timing", "noise_ns", "1e308"},
+           {"sqmul-timing", "noise_ns", "nan"}}) {
+    ScenarioJobSpec spec;
+    spec.scenario = name;
+    spec.params = {{key, raw}};
+    spec.traces_per_set = 2;
+    try {
+      client.submit_scenario(spec);
+      FAIL() << "submit of " << name << " " << key << "=" << raw
+             << " must throw";
+    } catch (const BusRemoteError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::bad_request)
+          << name << " " << key << "=" << raw;
+    }
+  }
+
+  client.ping();
+  ScenarioJobSpec spec;
+  spec.scenario = "dvfs-frequency";
+  spec.params = {{"window_s", "0.05"}};
   spec.traces_per_set = 30;
   const std::uint64_t id = client.submit_scenario(spec);
   ASSERT_NE(id, 0u);

@@ -326,15 +326,17 @@ TEST(TraceSource, BatchedCollectMatchesCollectLoop) {
   LiveTraceSource live_b(live, victim_key, 20);
   expect_collect_matches_batch(live_a, live_b, rows, "live with PCPU");
 
-  const auto cache_timing =
-      scenario::ScenarioRegistry::built_in().find("cache-timing");
-  ASSERT_NE(cache_timing, nullptr);
-  const scenario::ParamSet params = cache_timing->parse_params({});
-  const std::unique_ptr<TraceSource> probe_a =
-      cache_timing->make_source(params, victim_key, 20);
-  const std::unique_ptr<TraceSource> probe_b =
-      cache_timing->make_source(params, victim_key, 20);
-  expect_collect_matches_batch(*probe_a, *probe_b, rows, "cache-timing probe");
+  for (const std::string name :
+       {"cache-timing", "dvfs-frequency", "sqmul-timing"}) {
+    const auto scenario = scenario::ScenarioRegistry::built_in().find(name);
+    ASSERT_NE(scenario, nullptr);
+    const scenario::ParamSet params = scenario->parse_params({});
+    const std::unique_ptr<TraceSource> probe_a =
+        scenario->make_source(params, victim_key, 20);
+    const std::unique_ptr<TraceSource> probe_b =
+        scenario->make_source(params, victim_key, 20);
+    expect_collect_matches_batch(*probe_a, *probe_b, rows, name + " probe");
+  }
 
   const std::string path = ::testing::TempDir() + "collect_twins.pstr";
   {

@@ -7,6 +7,8 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "scenario/registry.h"
@@ -109,19 +111,122 @@ TEST(ScenarioRegistry, ParamParsingRejectsMalformedInput) {
             18446744073709551615ull);
   // And out-of-range scenario constraints surface from channels(), among
   // them an iterations count that does not fit the probe's int: 2^32 + 4
-  // is an error, not 4 reloads.
+  // is an error, not 4 reloads. Past int, iterations x lines is bounded
+  // by 65536 timed reloads per trace, so 2e9 iterations is an error, not
+  // a trace that never finishes.
   const ParamSet too_many = scenario->parse_params({{"lines", "65"}});
   EXPECT_THROW(scenario->channels(too_many), std::invalid_argument);
-  for (const std::string raw : {"4294967300", "2147483648", "0"}) {
+  for (const std::string raw :
+       {"4294967300", "2147483648", "2147483647", "2000000000", "4097", "0"}) {
     const ParamSet params = scenario->parse_params({{"iterations", raw}});
     EXPECT_THROW(scenario->channels(params), std::invalid_argument) << raw;
     EXPECT_THROW(scenario->make_source(params, aes::Block{}, 1),
                  std::invalid_argument)
         << raw;
   }
-  const ParamSet int_max =
-      scenario->parse_params({{"iterations", "2147483647"}});
-  EXPECT_NO_THROW(scenario->channels(int_max));
+  // 16 lines x 4096 iterations is the bound itself; 64 x 1025 is past it.
+  EXPECT_NO_THROW(
+      scenario->channels(scenario->parse_params({{"iterations", "4096"}})));
+  EXPECT_THROW(scenario->channels(scenario->parse_params(
+                   {{"lines", "64"}, {"iterations", "1025"}})),
+               std::invalid_argument);
+  EXPECT_NO_THROW(scenario->channels(
+      scenario->parse_params({{"lines", "64"}, {"iterations", "1024"}})));
+}
+
+// Real numbers are finite decimals, as std::from_chars reads them: no
+// leading blank, no '+', no hex (0x10 would be 16 to strtod), no nan or
+// inf, nothing out of double's range.
+TEST(ScenarioRegistry, GetDoubleIsStrict) {
+  const auto scenario = ScenarioRegistry::built_in().find("cache-timing");
+  ASSERT_NE(scenario, nullptr);
+  for (const std::string raw :
+       {" 12", "12 ", "+12", "0x10", "0X10", "nan", "NaN", "-nan", "inf",
+        "-inf", "infinity", "1e400", "-1e400", "", "12ns", "1,5"}) {
+    const ParamSet params = scenario->parse_params({{"noise_ns", raw}});
+    EXPECT_THROW(params.get_double("noise_ns"), std::invalid_argument)
+        << "'" << raw << "'";
+  }
+  const std::vector<std::pair<std::string, double>> good = {
+      {"12", 12.0}, {"-3", -3.0}, {"0.25", 0.25}, {"1e3", 1000.0},
+      {"2.5E-2", 0.025}, {".5", 0.5}};
+  for (const auto& [raw, expected] : good) {
+    const ParamSet params = scenario->parse_params({{"noise_ns", raw}});
+    EXPECT_EQ(params.get_double("noise_ns"), expected) << raw;
+  }
+}
+
+// Params that would make one trace never finish (or make every value
+// NaN or 0), or that the probe rejects, are errors from channels() as
+// well as make_source(): channels() is where a served job's
+// SUBMIT_SCENARIO is validated.
+TEST(ScenarioRegistry, ParamsThatHangOrPoisonATraceAreRejected) {
+  const std::vector<
+      std::pair<std::string, std::vector<std::pair<std::string, std::string>>>>
+      bad = {
+          {"dvfs-frequency", {{"window_s", "nan"}}},
+          {"dvfs-frequency", {{"window_s", "inf"}}},
+          {"dvfs-frequency", {{"window_s", "1e300"}}},
+          {"dvfs-frequency", {{"window_s", "1000.01"}}},
+          {"dvfs-frequency", {{"window_s", "0"}}},
+          {"dvfs-frequency", {{"window_s", "-0.5"}}},
+          {"dvfs-frequency", {{"freq_noise_mhz", "nan"}}},
+          {"dvfs-frequency", {{"freq_noise_mhz", "1e303"}}},
+          {"dvfs-frequency", {{"freq_noise_mhz", "-5"}}},
+          {"cache-timing", {{"iterations", "2000000000"}}},
+          {"cache-timing", {{"noise_ns", "nan"}}},
+          {"cache-timing", {{"noise_ns", "1e308"}}},
+          {"cache-timing", {{"noise_ns", "-12"}}},
+          {"cache-timing", {{"slc_pressure", "nan"}}},
+          {"cache-timing", {{"slc_pressure", "1.5"}}},
+          {"cache-timing", {{"slc_pressure", "-0.1"}}},
+          {"sqmul-timing", {{"noise_ns", "nan"}}},
+          {"sqmul-timing", {{"noise_ns", "1e308"}}},
+          {"sqmul-timing", {{"bit_ns", "inf"}}},
+          {"sqmul-timing", {{"bit_ns", "1e308"}}},
+      };
+  for (const auto& [name, kv] : bad) {
+    const auto scenario = ScenarioRegistry::built_in().find(name);
+    ASSERT_NE(scenario, nullptr);
+    const ParamSet params = scenario->parse_params(kv);
+    const std::string what = name + " " + kv[0].first + "=" + kv[0].second;
+    EXPECT_THROW(scenario->channels(params), std::invalid_argument) << what;
+    EXPECT_THROW(scenario->make_source(params, aes::Block{}, 1),
+                 std::invalid_argument)
+        << what;
+  }
+  // The jitter and cost bounds themselves are accepted, and the error
+  // names the range.
+  for (const auto& [name, key, raw] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"dvfs-frequency", "freq_noise_mhz", "1e5"},
+           {"cache-timing", "noise_ns", "1e6"},
+           {"sqmul-timing", "noise_ns", "1e6"},
+           {"sqmul-timing", "bit_ns", "1e6"}}) {
+    const auto scenario = ScenarioRegistry::built_in().find(name);
+    ASSERT_NE(scenario, nullptr);
+    EXPECT_NO_THROW(scenario->channels(scenario->parse_params({{key, raw}})))
+        << name << " " << key << "=" << raw;
+  }
+  try {
+    const auto cache = ScenarioRegistry::built_in().find("cache-timing");
+    cache->channels(cache->parse_params({{"noise_ns", "1e308"}}));
+    FAIL() << "noise_ns=1e308 must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("[0, 1e+06]"), std::string::npos)
+        << e.what();
+  }
+  // The dvfs bound itself: 1000 s is 100000 decisions of 10 ms.
+  const auto dvfs = ScenarioRegistry::built_in().find("dvfs-frequency");
+  ASSERT_NE(dvfs, nullptr);
+  EXPECT_NO_THROW(dvfs->channels(dvfs->parse_params({{"window_s", "1000"}})));
+  try {
+    dvfs->channels(dvfs->parse_params({{"window_s", "1e300"}}));
+    FAIL() << "window_s=1e300 must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("100000"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ScenarioRegistry, ConcurrentListDescribeInstantiate) {

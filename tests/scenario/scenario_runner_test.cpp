@@ -156,6 +156,25 @@ TEST(ScenarioRunner, UnknownScenarioAndBadParamsThrow) {
       std::invalid_argument);
 }
 
+// A run whose params would never finish a trace (or would read NaN or 0
+// everywhere) throws before the campaign starts, not after hours.
+TEST(ScenarioRunner, ParamsThatHangOrPoisonATraceThrowBeforeRunning) {
+  const ScenarioRunConfig config{.traces_per_set = 1};
+  EXPECT_THROW(run_scenario("dvfs-frequency", {{"window_s", "nan"}}, config),
+               std::invalid_argument);
+  EXPECT_THROW(run_scenario("dvfs-frequency", {{"window_s", "1e300"}}, config),
+               std::invalid_argument);
+  EXPECT_THROW(
+      run_scenario("cache-timing", {{"iterations", "2000000000"}}, config),
+      std::invalid_argument);
+  EXPECT_THROW(run_scenario("cache-timing", {{"noise_ns", "nan"}}, config),
+               std::invalid_argument);
+  EXPECT_THROW(run_scenario("sqmul-timing", {{"noise_ns", "nan"}}, config),
+               std::invalid_argument);
+  EXPECT_THROW(run_scenario("sqmul-timing", {{"bit_ns", "0x10"}}, config),
+               std::invalid_argument);
+}
+
 TEST(ScenarioRunner, RecordsAcquisitionToPstr) {
   const std::string path = ::testing::TempDir() + "scenario_record.pstr";
   std::remove(path.c_str());
