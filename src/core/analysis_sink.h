@@ -9,9 +9,10 @@
 // checkpoints concurrently — one trace budget, all the statistics.
 //
 // Sinks are shard-local: each shard of the campaign loop
-// (core::run_sink_campaign) owns its own sinks, and the loop merges
-// per-sink partial state in shard order (TvlaSink::merge, and the GE
-// snapshots' CpaEngine::merge), exactly like the bare engines.
+// (core::run_sink_campaign) owns its own sinks, and per-sink partial
+// state merges in shard order, exactly like the bare engines: TVLA sinks
+// as each shard drains (TvlaSink::merge), GE checkpoint engines as each
+// shard reaches the checkpoint (CheckpointReduction).
 //
 // Sinks need not compute anything: store::RecordingSink
 // (store/trace_file_writer.h) tees the acquisition stream to a PSTR
@@ -19,7 +20,11 @@
 // file replays (store::FileTraceSource) bit-identically to the live run.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -124,47 +129,130 @@ class TvlaSink final : public AnalysisSink {
   std::vector<TvlaAccumulator> accumulators_;
 };
 
-// CPA accumulation with engine snapshots at ascending trace-count targets
-// — the sharded pipeline's guessing-entropy checkpoints without merge
-// barriers. Each shard runs one GeCheckpointSink per attacked channel with
-// targets shard_size(checkpoint, shards, s); because those per-shard
-// targets sum to exactly the global checkpoint, merging the k-th snapshot
-// of every shard (in shard order) reconstructs bit-for-bit the engine a
-// sequential run would hold at that checkpoint. A batch straddling a
-// target is split so snapshots land exactly on it.
+// Shard-order reduction of GE checkpoint engines, folded as the shards
+// reach each checkpoint rather than after they drain. Checkpoint c's sum
+// holds shards [0, n) of its engines, and shard n folds its engine in as
+// it takes it: shard 0 copies it (or moves it, at its last checkpoint),
+// later shards merge it in place. A shard that arrives before the shards
+// ahead of it parks a copy and merges it itself once they have folded
+// (settle(), which its sink polls on every batch), so a shard that runs
+// ahead pays for its own copy and merge and falls back into shard order.
+// A parked engine whose shard has finished is merged by the shard that
+// fills the gap. Every checkpoint thus merges strictly in shard order —
+// the same merges, in the same order, as a pass over every shard's
+// snapshots after the last one drains, so every sum is bit-identical to
+// that pass. One lock per checkpoint guards only the bookkeeping; copies
+// and merges run outside it, and no shard ever waits for another.
 //
-// Memory: each snapshot is a full accumulator copy, so a campaign holds
-// shards x (targets + 1) engines until the post-pass reduction drains
-// them (release_snapshot). With pair-histogram models (rd10_hd, ~13 MB
-// per engine) keep the checkpoint schedule short or the shard count
-// moderate; single-byte-histogram models cost ~0.1 MB per snapshot.
-class GeCheckpointSink final : public AnalysisSink {
+// When the last shard folds checkpoint c, its sum is final: on_final
+// receives it on that thread, mid-shard, so it must be brief (the
+// campaign loop queues the checkpoint's analysis units).
+class CheckpointReduction {
  public:
-  // `targets` must be ascending; a trailing target equal to the shard's
-  // total trace share yields the final-state snapshot.
-  GeCheckpointSink(std::vector<power::PowerModel> models, std::size_t column,
-                   std::vector<std::size_t> targets);
+  using FinalFn = std::function<void(std::size_t checkpoint, CpaEngine&&)>;
 
-  void consume(const TraceBatch& batch, const BatchLabel& label) override;
+  CheckpointReduction(std::size_t shards, std::size_t checkpoints,
+                      FinalFn on_final);
 
-  // The running engine (state after everything consumed so far).
-  const CpaEngine& engine() const noexcept { return engine_; }
-  // Snapshots taken so far, one per reached target, in target order.
-  const std::vector<CpaEngine>& snapshots() const noexcept {
-    return snapshots_;
-  }
-  // Moves snapshot `i` out (freeing its histograms), for reductions that
-  // drain checkpoints in order instead of holding every copy alive.
-  CpaEngine release_snapshot(std::size_t i) {
-    return std::move(snapshots_.at(i));
+  // Shard `shard` holds `engine` at `checkpoint` and keeps accumulating.
+  // Returns true if the engine merged where it stands; false if a copy
+  // was parked, which the shard then owes a settle() call.
+  bool fold(std::size_t shard, std::size_t checkpoint,
+            const CpaEngine& engine);
+  // The same at the shard's last checkpoint: the engine is taken, never
+  // copied; if it must park, the shard that fills the gap merges it.
+  void fold(std::size_t shard, std::size_t checkpoint, CpaEngine&& engine);
+  // Merges the engine the shard parked at `checkpoint` if every shard
+  // ahead of it has folded, and returns whether it did. With `last` (the
+  // shard is done), an engine that cannot merge yet is left to the shard
+  // that fills the gap.
+  bool settle(std::size_t shard, std::size_t checkpoint, bool last);
+
+  // Most parked copies alive at once (0 whenever shards reach every
+  // checkpoint in shard order, e.g. one at a time).
+  std::size_t parked_peak() const noexcept {
+    return parked_peak_.load(std::memory_order_relaxed);
   }
 
  private:
+  struct Checkpoint {
+    std::mutex mu;
+    std::size_t next = 0;  // shards [0, next) are in `sum`
+    std::optional<CpaEngine> sum;
+    std::vector<std::optional<CpaEngine>> parked;  // by shard
+    std::vector<bool> orphaned;  // parked by a shard that will not settle
+  };
+
+  Checkpoint& at(std::size_t shard, std::size_t checkpoint);
+  bool fold(std::size_t shard, std::size_t checkpoint,
+            const CpaEngine& engine, CpaEngine* owned);
+  void extend(Checkpoint& cp, std::size_t checkpoint);
+  void count_parked(bool parked) noexcept;
+
+  std::size_t shards_;
+  std::vector<Checkpoint> checkpoints_;
+  FinalFn on_final_;
+  std::atomic<std::size_t> parked_{0};
+  std::atomic<std::size_t> parked_peak_{0};
+};
+
+// CPA accumulation that folds its engine into a CheckpointReduction at
+// ascending trace-count targets — the sharded pipeline's guessing-entropy
+// checkpoints without merge barriers. Each shard of a campaign runs one
+// GeCheckpointSink per attacked channel with targets shard_size(
+// checkpoint, shards, s); because those per-shard targets sum to exactly
+// the global checkpoint, the shard-order sum of every shard's engine at
+// target k is bit-for-bit the engine a sequential run would hold at
+// checkpoint k. A batch straddling a target is split so the fold lands
+// exactly on it. At its last target the sink hands its engine over, so
+// a batch with rows beyond the last target throws std::logic_error.
+//
+// Memory: a campaign holds one sum per (key, checkpoint) until that
+// checkpoint is final and analyzed, one running engine per running shard,
+// and the copies parked by shards that ran ahead of their predecessors
+// (SinkCampaignResult::stats.parked_snapshots_peak). With pair-histogram
+// models (rd10_hd, ~13 MB per engine) keep the checkpoint schedule
+// short; single-byte-histogram models cost ~0.1 MB per engine.
+class GeCheckpointSink final : public AnalysisSink {
+ public:
+  // Stand-alone: the sink is a one-shard reduction of its own, and
+  // snapshots() holds its engine at every target reached.
+  GeCheckpointSink(std::vector<power::PowerModel> models, std::size_t column,
+                   std::vector<std::size_t> targets);
+  // Shard `shard` of a campaign: target i folds into checkpoint
+  // `first_checkpoint + i` of `reduction`; snapshots() stays empty.
+  GeCheckpointSink(std::vector<power::PowerModel> models, std::size_t column,
+                   std::vector<std::size_t> targets,
+                   CheckpointReduction& reduction, std::size_t shard,
+                   std::size_t first_checkpoint);
+
+  // The stand-alone reduction reports into this object.
+  GeCheckpointSink(const GeCheckpointSink&) = delete;
+  GeCheckpointSink& operator=(const GeCheckpointSink&) = delete;
+
+  void consume(const TraceBatch& batch, const BatchLabel& label) override;
+
+  // Stand-alone: the engine at each target reached so far, in order.
+  const std::vector<CpaEngine>& snapshots() const noexcept {
+    return snapshots_;
+  }
+
+ private:
+  // Folds the engine at every target it has reached.
+  void fold_reached();
+  // Merges the parked engines whose turn has come.
+  void settle_parked();
+
   CpaEngine engine_;
   std::size_t column_;
   std::vector<std::size_t> targets_;
   std::size_t next_target_ = 0;
   std::vector<CpaEngine> snapshots_;
+  std::vector<std::size_t> parked_;  // checkpoints awaiting settle()
+  std::unique_ptr<CheckpointReduction> own_;  // stand-alone only
+  CheckpointReduction* reduction_;
+  std::size_t shard_ = 0;
+  std::size_t first_ = 0;
 };
 
 }  // namespace psc::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <deque>
 #include <memory>
 #include <optional>
 
@@ -165,9 +166,47 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
   TraceBatchPool pool(channels.size(), acquisition_batch);
   ProgressMeter meter(config.progress, segments.size() * per_segment);
 
+  // GE checkpoints: shards fold their engines into one reduction over
+  // every (attacked key, checkpoint), slot k * n_checkpoints + ci. The
+  // moment a slot is final, its analysis units join the shard window
+  // (`analysis`): unit m analyzes model m into its own curve slot, only
+  // the final checkpoint keeps full ModelResults, and the last model to
+  // finish frees the engine.
+  const std::size_t n_checkpoints = checkpoints.size();
+  const std::size_t n_models = config.models.size();
+  for (CpaKeyResult& out : result.cpa) {
+    out.curves.assign(n_models, std::vector<GeCurvePoint>(n_checkpoints));
+    out.final_results.resize(n_models);
+  }
+  const std::size_t n_slots = key_columns.size() * n_checkpoints;
+  std::vector<std::optional<CpaEngine>> finals(n_slots);
+  std::vector<std::atomic<std::size_t>> models_left(n_slots);
+  const auto analyze = [&](std::size_t slot, std::size_t m) {
+    const std::size_t ci = slot % n_checkpoints;
+    CpaKeyResult& out = result.cpa[slot / n_checkpoints];
+    ModelResult res = finals[slot]->analyze(config.models[m], result.round_keys);
+    out.curves[m][ci] = {checkpoints[ci], res.ge_bits, res.mean_rank,
+                         res.recovered_bytes};
+    if (ci + 1 == n_checkpoints) {
+      out.final_results[m] = std::move(res);
+    }
+    if (models_left[slot].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      finals[slot].reset();
+    }
+  };
+  LateUnits analysis;
+  CheckpointReduction reduction(
+      shards, n_slots, [&](std::size_t slot, CpaEngine&& engine) {
+        finals[slot].emplace(std::move(engine));
+        models_left[slot].store(n_models, std::memory_order_relaxed);
+        for (std::size_t m = 0; m < n_models; ++m) {
+          analysis.push([&analyze, slot, m] { analyze(slot, m); });
+        }
+      });
+
   struct ShardSinks {
     std::optional<TvlaSink> tvla;
-    std::vector<GeCheckpointSink> cpa;
+    std::deque<GeCheckpointSink> cpa;
   };
   std::vector<std::optional<ShardSinks>> slots(shards);
 
@@ -209,9 +248,9 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
     if (tvla) {
       multi.add(&out.tvla.emplace(channels.size()));
     }
-    out.cpa.reserve(key_columns.size());
-    for (const std::size_t column : key_columns) {
-      multi.add(&out.cpa.emplace_back(config.models, column, targets));
+    for (std::size_t k = 0; k < key_columns.size(); ++k) {
+      multi.add(&out.cpa.emplace_back(config.models, key_columns[k], targets,
+                                      reduction, s, k * n_checkpoints));
     }
     if (config.extra_sink) {
       if (AnalysisSink* extra = config.extra_sink(s)) {
@@ -244,29 +283,14 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
     }
   };
 
-  // Shard-order merge as each unit drains: the same sequence of merges a
-  // post-pass over every shard would make, with at most a window of
-  // shards alive. merged_cpa[k * n_checkpoints + ci] folds the ci-th GE
-  // snapshot of attacked key k.
-  const std::size_t n_checkpoints = checkpoints.size();
+  // Shard-order TVLA merge as each unit drains: the same sequence of
+  // merges a post-pass over every shard would make, freeing each shard's
+  // sinks once the shards before it have drained. Their GE engines are
+  // already in `reduction`.
   TvlaSink merged_tvla(tvla ? channels.size() : 0);
-  std::vector<std::optional<CpaEngine>> merged_cpa(
-      key_columns.size() * n_checkpoints);
   const auto merge_shard = [&](std::size_t s) {
-    ShardSinks& shard = *slots[s];
     if (tvla) {
-      merged_tvla.merge(*shard.tvla);
-    }
-    for (std::size_t k = 0; k < shard.cpa.size(); ++k) {
-      for (std::size_t ci = 0; ci < n_checkpoints; ++ci) {
-        CpaEngine snapshot = shard.cpa[k].release_snapshot(ci);
-        std::optional<CpaEngine>& merged = merged_cpa[k * n_checkpoints + ci];
-        if (merged) {
-          merged->merge(snapshot);
-        } else {
-          merged.emplace(std::move(snapshot));
-        }
-      }
+      merged_tvla.merge(*slots[s]->tvla);
     }
     slots[s].reset();
   };
@@ -293,41 +317,13 @@ SinkCampaignResult run_sink_campaign(const SinkCampaignConfig& config) {
         }
         report(running.fetch_sub(1) - 1);
       },
-      merge_shard);
+      merge_shard, &analysis);
 
   for (std::size_t c = 0; c < merged_tvla.channels(); ++c) {
     result.tvla.push_back(
         {channels[c].str(), merged_tvla.accumulator(c).matrix()});
   }
-
-  // The GE post-pass runs on the same window and budget as the shards:
-  // unit u analyzes model u % n_models on merged engine u / n_models into
-  // its own curve slot. Only the final checkpoint keeps full
-  // ModelResults, and each engine is freed once its last model drains.
-  const std::size_t n_models = config.models.size();
-  for (CpaKeyResult& out : result.cpa) {
-    out.curves.assign(n_models, std::vector<GeCurvePoint>(n_checkpoints));
-    out.final_results.resize(n_models);
-  }
-  run_ordered_window(
-      merged_cpa.size() * n_models, budget,
-      [&](std::size_t u) {
-        const std::size_t m = u % n_models;
-        const std::size_t ci = u / n_models % n_checkpoints;
-        CpaKeyResult& out = result.cpa[u / n_models / n_checkpoints];
-        ModelResult res = merged_cpa[u / n_models]->analyze(
-            config.models[m], result.round_keys);
-        out.curves[m][ci] = {checkpoints[ci], res.ge_bits, res.mean_rank,
-                             res.recovered_bytes};
-        if (ci + 1 == n_checkpoints) {
-          out.final_results[m] = std::move(res);
-        }
-      },
-      [&](std::size_t u) {
-        if (u % n_models + 1 == n_models) {
-          merged_cpa[u / n_models].reset();
-        }
-      });
+  result.stats.parked_snapshots_peak = reduction.parked_peak();
   return result;
 }
 

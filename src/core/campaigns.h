@@ -8,8 +8,9 @@
 // (core/parallel.h), each with its own RNG stream and trace source
 // (core/trace_source.h); shards acquire pooled TraceBatches and feed them
 // to AnalysisSinks (core/analysis_sink.h), whose partial state merges in
-// shard order. Guessing-entropy checkpoints are per-shard engine
-// snapshots — no mid-campaign merge barriers. Results are a pure
+// shard order. Guessing-entropy checkpoints fold into a shard-order
+// reduction as each shard reaches them — no mid-campaign merge barriers.
+// Results are a pure
 // function of (seed, shards): any worker count gives bit-identical
 // output, and shards = 1 reproduces the original sequential loop
 // bit-for-bit.
@@ -80,13 +81,16 @@ struct CpaKeyResult {
 // shard_size slice of every protocol segment, in protocol order, from its
 // own source and RNG stream, feeding a TvlaSink on every channel (TVLA
 // sets only) plus one GeCheckpointSink per attacked key. Shard units
-// run on core::run_ordered_window and their sinks merge strictly in shard
-// order as each unit drains, so results are a pure function of (seed,
-// shards, source) and shards = 1 reproduces the sequential loop. The GE
-// post-pass then runs on a second window under the same budget, one
-// analyze unit per (attacked key, checkpoint, model). The live campaign
-// below — and the scenario runner and bus jobs — fill in a source
-// factory and call this loop.
+// run on core::run_ordered_window. Each shard folds its engine into the
+// campaign's CheckpointReduction as it reaches each GE checkpoint, and
+// its TvlaSink merges on the calling thread as the unit drains; both
+// merge strictly in shard order, so results are a pure function of
+// (seed, shards, source) and shards = 1 reproduces the sequential loop.
+// A checkpoint is final once its last shard folds it; its analyze units,
+// one per model, then join the same window under the same budget while
+// later shards still acquire, so only the final checkpoint's analysis
+// waits for the last shard. The live campaign below — and the scenario
+// runner and bus jobs — fill in a source factory and call this loop.
 
 enum class CampaignProtocol {
   // Six labeled (class, collection) sets of `traces` traces each:
@@ -113,10 +117,10 @@ using SinkSourceFactory =
 
 // How shard units execute. Neither hook ever changes a result.
 struct ShardExecution {
-  // Max units in flight — shard units, then GE analysis units — re-read
-  // before each unit is issued (values < 1 count as 1, which runs the
-  // unit inline). Null: every unit runs inline on the calling thread,
-  // touching no pool state.
+  // Max units in flight — shard units, and GE analysis units as their
+  // checkpoints become final — re-read before each unit is issued
+  // (values < 1 count as 1, which runs the unit inline). Null: every unit
+  // runs inline on the calling thread, touching no pool state.
   std::function<std::size_t()> shard_budget{};
   // Observer of (shard count, units running): called once with
   // running = 0 as the campaign starts, then as each shard unit starts
@@ -157,6 +161,15 @@ struct SinkCampaignConfig {
   std::function<AnalysisSink*(std::size_t shard)> extra_sink{};
 };
 
+// How a campaign ran, never what it computed: no digest, comparison or
+// result frame reads these, and they differ from run to run.
+struct CampaignStats {
+  // Most GE engine copies parked at once by shards that reached a
+  // checkpoint before a shard ahead of them (0 when the shards reach
+  // every checkpoint in shard order, as at one worker).
+  std::size_t parked_snapshots_peak = 0;
+};
+
 // What every campaign returns.
 struct SinkCampaignResult {
   aes::Block secret{};  // the victim key CPA ranked against
@@ -165,6 +178,7 @@ struct SinkCampaignResult {
   std::size_t cpa_trace_count = 0;  // traces the CPA sinks saw
   std::vector<TvlaChannelResult> tvla;  // TVLA sets: one per channel
   std::vector<CpaKeyResult> cpa;        // one per attacked key
+  CampaignStats stats;
 
   // The entry for `channel` / `key`, or null.
   const TvlaChannelResult* find_tvla(const std::string& channel) const noexcept;

@@ -1,6 +1,7 @@
 #include "core/parallel.h"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 
 namespace psc::core {
@@ -98,86 +99,212 @@ WorkerPool::AsyncTicket WorkerPool::post(std::function<void()> fn) {
 }
 
 bool WorkerPool::finish(AsyncTicket& ticket) {
-  std::shared_ptr<AsyncJob> job = std::move(ticket.job_);
-  if (job == nullptr) {
+  // Stealing an unclaimed job back is what makes finish() deadlock-free:
+  // a caller that is itself a pool job (a nested window, a prefetching
+  // shard unit) never blocks on a queue no thread can drain.
+  if (!ticket || run_if_unclaimed(ticket)) {
     return false;
   }
+  const std::shared_ptr<AsyncJob> job = std::move(ticket.job_);
   std::unique_lock<std::mutex> lock(mu_);
-  if (job->state == AsyncJob::queued) {
-    // No worker has claimed it: steal it back and run inline. This is
-    // what makes finish() deadlock-free — a caller that is itself a pool
-    // job (a nested window, a prefetching shard unit) never blocks on a
-    // queue no thread can drain.
-    async_jobs_.erase(
-        std::find(async_jobs_.begin(), async_jobs_.end(), job));
-    job->state = AsyncJob::running;
-    lock.unlock();
-    job->fn();
-    lock.lock();
-    job->state = AsyncJob::done;
-    return false;
-  }
   async_cv_.wait(lock, [&] { return job->state == AsyncJob::done; });
   return true;
 }
 
+bool WorkerPool::run_if_unclaimed(AsyncTicket& ticket) {
+  if (ticket.job_ == nullptr) {
+    return false;
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  const std::shared_ptr<AsyncJob>& job = ticket.job_;
+  if (job->state != AsyncJob::queued) {
+    return false;
+  }
+  async_jobs_.erase(std::find(async_jobs_.begin(), async_jobs_.end(), job));
+  job->state = AsyncJob::running;
+  lock.unlock();
+  job->fn();
+  lock.lock();
+  job->state = AsyncJob::done;
+  lock.unlock();
+  ticket.job_.reset();
+  return true;
+}
+
+void LateUnits::push(std::function<void()> unit) {
+  std::lock_guard<std::mutex> lock(mu_);
+  queue_.push_back(std::move(unit));
+  ++events_;
+  cv_.notify_all();
+}
+
+namespace {
+
+// How long a window lets freshly posted units sit unclaimed before it
+// runs one itself: long enough for a sleeping pool thread to wake, so
+// the caller stays free to merge and post while the pool has room.
+constexpr std::chrono::microseconds steal_grace{500};
+
+}  // namespace
+
 void run_ordered_window(std::size_t units,
                         const std::function<std::size_t()>& cap,
                         const std::function<void(std::size_t)>& unit,
-                        const std::function<void(std::size_t)>& merge) {
+                        const std::function<void(std::size_t)>& merge,
+                        LateUnits* late) {
+  LateUnits own;
+  LateUnits& side = late != nullptr ? *late : own;
+  WorkerPool& pool = WorkerPool::instance();
+
+  // Shared with the units, under side.mu_.
+  std::vector<char> done(units, 0);
   std::vector<std::exception_ptr> errors(units);
-  const auto run_unit = [&](std::size_t i) {
-    try {
-      unit(i);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  };
-  std::size_t merged = 0;
-  const auto merge_next = [&] {
-    if (errors[merged] == nullptr) {
-      merge(merged);
-    }
-    ++merged;
+  std::exception_ptr late_error;
+  bool failed = false;
+  std::size_t claimed = 0;   // started on some thread, not finished
+  std::size_t finished = 0;  // units finished so far
+
+  // Caller only.
+  std::size_t next = 0;     // next indexed unit to start
+  std::size_t merged = 0;   // indexed units merged (or skipped) so far
+  std::size_t started = 0;  // units started so far, of both kinds
+  std::vector<WorkerPool::AsyncTicket> tickets;
+
+  // Wraps unit i (i < units) or late unit `fn` for whichever thread runs
+  // it; the completion is recorded and signalled under the lock, so the
+  // caller never misses it.
+  const auto wrap = [&](std::size_t i, std::function<void()> fn) {
+    return [&, i, fn = std::move(fn)] {
+      {
+        std::lock_guard<std::mutex> lock(side.mu_);
+        ++claimed;
+        side.cv_.notify_all();
+      }
+      std::exception_ptr error;
+      try {
+        if (fn) {
+          fn();
+        } else {
+          unit(i);
+        }
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(side.mu_);
+      --claimed;
+      ++finished;
+      if (fn) {
+        late_error = late_error != nullptr ? late_error : error;
+      } else {
+        done[i] = 1;
+        errors[i] = error;
+      }
+      failed = failed || error != nullptr;
+      ++side.events_;
+      side.cv_.notify_all();
+    };
   };
 
-  WorkerPool& pool = WorkerPool::instance();
-  std::deque<WorkerPool::AsyncTicket> window;  // posted, not yet merged
-  const auto drain_one = [&] {
-    pool.finish(window.front());
-    window.pop_front();
-    merge_next();
-  };
-  try {
-    for (std::size_t i = 0; i < units; ++i) {
-      const std::size_t width =
-          units == 1 ? 1 : std::clamp<std::size_t>(cap(), 1, units);
-      while (window.size() >= width) {
-        drain_one();
+  std::unique_lock<std::mutex> lock(side.mu_);
+  // Sleeps until a unit finishes or a late unit is pushed. If every unit
+  // in flight still sits unclaimed in the pool's queue after a grace
+  // period, no pool thread may be free to take one, so one of them runs
+  // here instead.
+  const auto wait = [&] {
+    const std::size_t seen = side.events_;
+    if (claimed == 0 && started != finished &&
+        !side.cv_.wait_for(lock, steal_grace, [&] {
+          return side.events_ != seen || claimed != 0;
+        })) {
+      lock.unlock();
+      bool stole = false;
+      for (WorkerPool::AsyncTicket& ticket : tickets) {
+        if (pool.run_if_unclaimed(ticket)) {
+          stole = true;
+          break;
+        }
       }
-      if (width == 1) {
-        // The window is empty here, so unit i still merges in order.
-        run_unit(i);
-        merge_next();
+      lock.lock();
+      if (stole) {
+        return;
+      }
+    }
+    side.cv_.wait(lock, [&] { return side.events_ != seen; });
+  };
+
+  try {
+    std::size_t width = 0;  // cap read for the next unit; 0 = unread
+    for (;;) {
+      while (merged < next && done[merged] != 0) {
+        const std::size_t i = merged++;
+        if (errors[i] == nullptr) {
+          lock.unlock();
+          merge(i);
+          lock.lock();
+        }
+      }
+      if (failed) {
+        side.queue_.clear();
+      }
+      const std::size_t remaining = units - next + side.queue_.size();
+      if (remaining == 0) {
+        if (started == finished) {
+          break;
+        }
+        wait();
         continue;
       }
-      pool.reserve(width);
-      window.push_back(pool.post([&run_unit, i] { run_unit(i); }));
-    }
-    while (!window.empty()) {
-      drain_one();
+      if (width == 0) {
+        const std::size_t known = started - finished + remaining;
+        lock.unlock();
+        width = std::clamp<std::size_t>(cap(), 1, known);
+        lock.lock();
+      }
+      if (started - finished >= width) {
+        wait();
+        continue;
+      }
+      std::function<void()> job;
+      if (next < units) {
+        job = wrap(next++, nullptr);
+      } else {
+        job = wrap(units, std::move(side.queue_.front()));
+        side.queue_.pop_front();
+      }
+      ++started;
+      lock.unlock();
+      if (width == 1) {
+        job();
+      } else {
+        pool.reserve(width);
+        tickets.push_back(pool.post(std::move(job)));
+      }
+      lock.lock();
+      width = 0;
     }
   } catch (...) {
     // merge or cap threw: no posted unit may outlive this frame.
-    for (WorkerPool::AsyncTicket& ticket : window) {
+    if (lock.owns_lock()) {
+      lock.unlock();
+    }
+    for (WorkerPool::AsyncTicket& ticket : tickets) {
       pool.finish(ticket);
     }
     throw;
+  }
+  lock.unlock();
+  // Every unit has finished; redeem the tickets so no job outlives the
+  // frame that its function refers to.
+  for (WorkerPool::AsyncTicket& ticket : tickets) {
+    pool.finish(ticket);
   }
   for (const std::exception_ptr& error : errors) {
     if (error != nullptr) {
       std::rethrow_exception(error);
     }
+  }
+  if (late_error != nullptr) {
+    std::rethrow_exception(late_error);
   }
 }
 

@@ -15,8 +15,10 @@
 //   workers determine the EXECUTION: how many shard units run at once
 //           (a campaign's `workers`, or a served job's fair budget). Any
 //           value yields bit-identical results for a fixed shard count,
-//           because per-shard work is self-contained and merges happen
-//           in shard order on the calling thread.
+//           because per-shard work is self-contained and every merge
+//           happens in shard order: TVLA sinks on the calling thread, GE
+//           checkpoints on whichever thread extends their shard-order
+//           chain (core::CheckpointReduction).
 //
 // Shard executor
 // --------------
@@ -24,22 +26,24 @@
 // run_ordered_window, called from one function: the campaign loop
 // core::run_sink_campaign (core/campaigns.h), which live campaigns,
 // scenario runs and the bus daemon's replay and scenario jobs all
-// share. It opens two windows under the same cap: the shard loop, then
-// the analysis fan-out, one CpaEngine::analyze unit per attacked key,
-// GE checkpoint and model. Before posting each unit the window re-reads
-// its cap, keeps at most that many units in flight on the process-wide
-// persistent WorkerPool, and drains them strictly in index order on the
-// calling thread — merging each finished unit before the next one, so
-// merge order never depends on which pool thread finished first. Drain goes
-// through WorkerPool::finish, which steals a still-queued unit back and
-// runs it inline, so the window never deadlocks, even nested inside
-// another window's unit. The pool starts empty and grows (never
-// shrinks) to the largest cap any window asked for; its threads sleep
-// between windows and are shared by every caller, so concurrent windows
-// interleave their units in the pool's FIFO queue instead of queueing
-// whole campaigns behind each other. Exceptions never cross the pool
-// boundary: a failing unit is not merged, and the lowest-indexed failure
-// is rethrown on the calling thread once every unit has finished.
+// share. One window per campaign runs two kinds of unit under one cap:
+// the indexed shard units, then late units that the shards push as
+// their input becomes ready, one CpaEngine::analyze unit per model of
+// each GE checkpoint the moment its last shard folds it. Before starting
+// each unit the window reads its cap, keeps at most that many units in
+// flight on the process-wide persistent WorkerPool, and merges the
+// indexed units strictly in index order on the calling thread, so merge
+// order never depends on which pool thread finished first; late units
+// merge nothing and finish in any order. A window whose units all sit
+// unclaimed in the pool's queue runs one of them inline (steal-back),
+// so it never deadlocks, even nested inside another window's unit. The
+// pool starts empty and grows (never shrinks) to the largest cap any
+// window asked for; its threads sleep between windows and are shared by
+// every caller, so concurrent windows interleave their units in the
+// pool's FIFO queue instead of queueing whole campaigns behind each
+// other. Exceptions never cross the pool boundary: a failing unit is not
+// merged, late units stop starting, and the lowest-indexed failure is
+// rethrown on the calling thread once every started unit has finished.
 #pragma once
 
 #include <algorithm>
@@ -123,6 +127,11 @@ class WorkerPool {
   // async-hit statistic); false for inline execution or an empty ticket.
   bool finish(AsyncTicket& ticket);
 
+  // The non-blocking half of finish(): if no pool thread has claimed the
+  // ticket's job, runs it inline and empties the ticket. Returns whether
+  // it did; a claimed, finished or empty ticket is left as it is.
+  bool run_if_unclaimed(AsyncTicket& ticket);
+
   // Grows the pool to at least `threads` pool threads. post() alone only
   // guarantees one pool thread, so a window of W units (or a server
   // expecting N concurrent jobs, like the bus daemon) reserves its
@@ -152,19 +161,51 @@ class WorkerPool {
   bool shutdown_ = false;
 };
 
+class LateUnits;
+
 // The shard executor. Runs unit(i) for every i in [0, units) and
-// merge(i) strictly in ascending i on the calling thread. cap() is
-// re-read before each unit is posted and bounds the units in flight
-// (values < 1 count as 1, values above `units` as `units`); the pool
-// grows to the cap, so a cap of W runs W units at once. A cap of 1, or a single unit, runs inline on the
-// caller without touching the pool. A unit that throws is not merged;
-// once every unit has finished, the exception of the lowest-indexed
-// failing unit is rethrown. unit runs concurrently on pool threads;
-// merge and cap only ever run on the caller.
+// merge(i) strictly in ascending i on the calling thread; with `late`,
+// also every unit pushed there while the window runs, each after every
+// indexed unit has started. cap() is read once before each unit starts
+// and bounds the units in flight (values < 1 count as 1; values above
+// the units known to remain count as that many); the pool grows to the
+// cap, so a cap of W runs W units at once. A cap of 1, or a unit that is
+// the only one left to run, runs inline on the caller without touching
+// the pool. A unit that throws is not merged; once every started unit
+// has finished, the exception of the lowest-indexed failing unit is
+// rethrown, or else that of the first failing late unit. unit and late
+// units run concurrently on pool threads; merge and cap only ever run on
+// the caller.
 void run_ordered_window(std::size_t units,
                         const std::function<std::size_t()>& cap,
                         const std::function<void(std::size_t)>& unit,
-                        const std::function<void(std::size_t)>& merge);
+                        const std::function<void(std::size_t)>& merge,
+                        LateUnits* late = nullptr);
+
+// Work that joins a running window (see run_ordered_window) once its
+// input is ready: the campaign loop pushes a GE checkpoint's analysis
+// units from the shard whose fold makes the checkpoint final. Pushing
+// never runs the unit, so a shard is not lengthened by what it unlocks.
+// Late units queued after a unit of the window failed are dropped.
+class LateUnits {
+ public:
+  // Thread-safe; call it only while the window runs, from its units.
+  void push(std::function<void()> unit);
+
+ private:
+  friend void run_ordered_window(std::size_t,
+                                 const std::function<std::size_t()>&,
+                                 const std::function<void(std::size_t)>&,
+                                 const std::function<void(std::size_t)>&,
+                                 LateUnits*);
+
+  // Guards the queue and the window's shared state; events_ counts
+  // pushes and unit completions, and cv_ wakes the window's caller.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> queue_;
+  std::size_t events_ = 0;
+};
 
 // Near-equal contiguous partition of `total` items into `shards` pieces:
 // piece s gets total/shards items plus one of the first total%shards

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/campaigns.h"
@@ -134,7 +135,6 @@ TEST(GeCheckpointSink, SnapshotsAtExactTargets) {
   EXPECT_EQ(sink.snapshots()[1].trace_count(), 50u);
   EXPECT_EQ(sink.snapshots()[2].trace_count(), 170u);
   EXPECT_EQ(sink.snapshots()[3].trace_count(), 300u);
-  EXPECT_EQ(sink.engine().trace_count(), 300u);
 
   // The 170-trace snapshot must equal an engine fed exactly that prefix.
   CpaEngine prefix({power::PowerModel::rd0_hw});
@@ -150,6 +150,13 @@ TEST(GeCheckpointSink, SnapshotsAtExactTargets) {
                 b.correlation[static_cast<std::size_t>(g)]);
     }
   }
+
+  // The sink hands its engine over at the last target: further rows are
+  // an error, while empty and fixed-plaintext batches are not.
+  EXPECT_THROW(sink.consume(piece, BatchLabel::unlabeled()), std::logic_error);
+  sink.consume(piece, BatchLabel::tvla(PlaintextClass::all_zeros, false));
+  sink.consume(TraceBatch(1), BatchLabel::unlabeled());
+  EXPECT_EQ(sink.snapshots().size(), 4u);
 }
 
 // ---------- campaign bit-identity against the per-record pipeline ----------
